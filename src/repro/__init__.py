@@ -40,11 +40,13 @@ them over TCP (``python -m repro.cli serve``)::
     print(session.snapshot()["summary"])  # run-so-far aggregates
     final = session.close()               # same result type as simulate()
 
-All execution modes — scalar ``reference``, ``vectorized``, and seed-batched
-``batch`` — produce bit-for-bit identical trajectories (enforced by the
-golden-trajectory equivalence tests).  The old per-kind entry points
-(``CacheSimulator`` et al.) remain available and bit-identical behind the
-façade.
+Both execution modes — ``auto`` (one seed-axis stepper per kind, shared by
+single runs, seed batches and sessions) and the scalar ``reference`` oracle
+— produce bit-for-bit identical trajectories (enforced by the
+golden-trajectory equivalence tests); ``vectorized`` and ``batch`` are
+aliases of ``auto`` until the next major version.  The old per-kind entry
+points (``CacheSimulator`` et al.) remain available and bit-identical
+behind the façade.
 """
 
 from repro.baselines import (

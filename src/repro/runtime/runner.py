@@ -358,71 +358,37 @@ def _materialize_memoized(policy: Any, scenario: ScenarioConfig) -> Any:
     return copy.deepcopy(_POLICY_PROTO_MEMO[key])
 
 
-def execute_spec(spec: RunSpec) -> RunRecord:
-    """Execute one :class:`RunSpec` and record its outcome.
+def _run_record(spec: RunSpec, seed: int, result: Any) -> RunRecord:
+    """The record of one finished run of *spec* on *seed*.
 
-    Module-level (and therefore picklable) so a process pool can run it; the
-    serial path calls it directly.
+    The one place the stored trace is chosen per kind — the cumulative
+    reward for cache runs, the latency history for service and multihop
+    runs, none for joint runs — read by both :func:`execute_batch` and the
+    ``simulate()`` store write-through.
     """
-    # Imported here to keep the runner importable without pulling the whole
-    # simulator stack at module import time (cheap anyway, but explicit).
-    from repro.sim.simulator import (
-        CacheSimulator,
-        JointSimulator,
-        ServiceSimulator,
-    )
-
-    scenario = spec.scenario.with_overrides(seed=spec.seed)
-    if spec.kind == "multihop":
-        from repro.sim.multihop_sim import MultihopSimulator
-
-        result = MultihopSimulator(
-            scenario,
-            _materialize(spec.policy, scenario),
-            reference=spec.reference,
-            metrics=spec.metrics,
-        ).run(num_slots=spec.num_slots)
-        return RunRecord(
-            label=spec.label,
-            seed=spec.seed,
-            kind=spec.kind,
-            summary=result.summary(),
-            trace=result.latency_history,
-        )
     if spec.kind == "cache":
-        result = CacheSimulator(
-            scenario,
-            _materialize(spec.policy, scenario),
-            reference=spec.reference,
-            metrics=spec.metrics,
-        ).run(num_slots=spec.num_slots)
         trace = result.cumulative_reward
-    elif spec.kind == "service":
-        result = ServiceSimulator(
-            scenario,
-            _materialize(spec.policy, scenario),
-            service_batch=spec.service_batch,
-            reference=spec.reference,
-            metrics=spec.metrics,
-        ).run(num_slots=spec.num_slots)
-        trace = result.latency_history
-    else:
-        result = JointSimulator(
-            scenario,
-            _materialize(spec.policy, scenario),
-            _materialize(spec.service_policy, scenario),
-            service_batch=spec.service_batch,
-            reference=spec.reference,
-            metrics=spec.metrics,
-        ).run(num_slots=spec.num_slots)
+    elif spec.kind == "joint":
         trace = None
+    else:
+        trace = result.latency_history
     return RunRecord(
         label=spec.label,
-        seed=spec.seed,
+        seed=int(seed),
         kind=spec.kind,
         summary=result.summary(),
         trace=trace,
     )
+
+
+def execute_spec(spec: RunSpec) -> RunRecord:
+    """Execute one :class:`RunSpec` and record its outcome.
+
+    A one-seed :func:`execute_batch`.  Module-level (and therefore
+    picklable) so a process pool can run it; the serial path calls it
+    directly.
+    """
+    return execute_batch((spec, [spec.seed]))[0]
 
 
 def execute_batch(task: "tuple") -> List[RunRecord]:
@@ -435,89 +401,41 @@ def execute_batch(task: "tuple") -> List[RunRecord]:
     of regenerating (or pickling) them per task.
 
     The simulators' ``run_batch`` carries every seed of the group through one
-    tensorised hot loop (see :meth:`repro.sim.simulator.CacheSimulator.run_batch`),
+    seed-axis stepper (see :meth:`repro.sim.cache_sim.CacheSimulator.run_batch`),
     producing records bit-identical to running :func:`execute_spec` once per
     seed.  Module-level and picklable so a process pool can run whole groups.
     """
     spec, seeds = task[0], task[1]
     handle = task[2] if len(task) > 2 else None
-    from repro.sim.simulator import (
-        CacheSimulator,
-        JointSimulator,
-        ServiceSimulator,
-    )
+    # Imported here to keep the runner importable without pulling the whole
+    # simulator stack at module import time.
+    from repro.sim.engine import _run_seeds
 
     attached = attach_horizons(handle) if handle is not None else None
-    horizons = attached.horizons if attached is not None else None
     try:
         scenarios = [spec.scenario.with_overrides(seed=seed) for seed in seeds]
-        policies = [
-            _materialize_memoized(spec.policy, scenario) for scenario in scenarios
-        ]
-        if spec.kind == "multihop":
-            from repro.sim.multihop_sim import MultihopSimulator
-
-            results = MultihopSimulator(
-                spec.scenario,
-                spec.policy,
-                reference=spec.reference,
-                metrics=spec.metrics,
-            ).run_batch(seeds, policies=policies, num_slots=spec.num_slots)
-            traces = [result.latency_history for result in results]
-        elif spec.kind == "cache":
-            results = CacheSimulator(
-                spec.scenario,
-                spec.policy,
-                reference=spec.reference,
-                metrics=spec.metrics,
-            ).run_batch(seeds, policies=policies, num_slots=spec.num_slots)
-            traces = [result.cumulative_reward for result in results]
-        elif spec.kind == "service":
-            results = ServiceSimulator(
-                spec.scenario,
-                spec.policy,
-                service_batch=spec.service_batch,
-                reference=spec.reference,
-                metrics=spec.metrics,
-            ).run_batch(
-                seeds,
-                policies=policies,
-                num_slots=spec.num_slots,
-                horizons=horizons,
-            )
-            traces = [result.latency_history for result in results]
-        else:
-            service_policies = [
+        results = _run_seeds(
+            spec.kind,
+            spec.scenario,
+            seeds,
+            [_materialize_memoized(spec.policy, scenario) for scenario in scenarios],
+            [
                 _materialize_memoized(spec.service_policy, scenario)
                 for scenario in scenarios
             ]
-            results = JointSimulator(
-                spec.scenario,
-                spec.policy,
-                spec.service_policy,
-                service_batch=spec.service_batch,
-                reference=spec.reference,
-                metrics=spec.metrics,
-            ).run_batch(
-                seeds,
-                caching_policies=policies,
-                service_policies=service_policies,
-                num_slots=spec.num_slots,
-                horizons=horizons,
-            )
-            traces = [None] * len(results)
+            if spec.kind == "joint"
+            else None,
+            num_slots=spec.num_slots,
+            horizons=attached.horizons if attached is not None else None,
+            service_batch=spec.service_batch,
+            reference=spec.reference,
+            metrics=spec.metrics,
+        )
     finally:
         if attached is not None:
             attached.close()
     return [
-        RunRecord(
-            label=spec.label,
-            seed=int(seed),
-            kind=spec.kind,
-            summary=result.summary(),
-            trace=trace,
-        )
-        for seed, result, trace in zip(seeds, results, traces)
+        _run_record(spec, seed, result) for seed, result in zip(seeds, results)
     ]
 
 

@@ -40,10 +40,10 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["EXPERIMENT_MODES", "ExperimentSpec", "load_specs", "save_specs"]
 
-#: Execution modes understood by the runner.  ``"auto"`` / ``"vectorized"``
-#: / ``"batch"`` all execute through the (bit-identical) fast paths —
-#: vectorised hot loops, seed-batched when replicated; ``"reference"`` runs
-#: the original scalar loops.
+#: Execution modes understood by the runner.  ``"auto"`` runs each kind's
+#: one seed-axis stepper over the whole seed group; ``"reference"`` runs the
+#: original scalar loops (bit-identical).  ``"vectorized"`` and ``"batch"``
+#: are aliases of ``"auto"``, kept until the next major version.
 EXPERIMENT_MODES = ("auto", "reference", "vectorized", "batch")
 
 _KINDS = ("cache", "service", "joint", "multihop")

@@ -7,9 +7,9 @@ shapes exist:
 * ``{"t": 3, "rsu": 0, "content": 7}`` — a request record, ingested into
   the connection's session (no reply; ingest is fire-and-forget so a
   replayed trace streams at full speed).
-* ``{"meta": {"num_slots": 200}}`` — declares the horizon, exactly as a
-  trace file's meta line does; remembered and used to pad the session on
-  close.
+* ``{"meta": {"num_slots": 200}}`` — declares the horizon (a positive
+  integer), exactly as a trace file's meta line does; remembered and used
+  to pad the session on close.
 * ``{"op": "snapshot"}`` / ``{"op": "close"}`` — control operations; the
   server answers each with exactly one JSON line, ``{"ok": true, ...}``
   on success or ``{"ok": false, "error": "..."}`` on failure.
@@ -28,6 +28,7 @@ import math
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ValidationError
+from repro.utils.validation import check_positive_int
 from repro.workloads.codec import decode_jsonl_line
 
 __all__ = ["OPS", "encode_reply", "parse_line", "sanitize"]
@@ -60,6 +61,12 @@ def parse_line(line: str) -> Optional[Tuple[str, Any]]:
         raise ValidationError(
             f"expected a JSON object per line, got {type(row).__name__}"
         )
+    if "meta" in row:
+        meta = row["meta"]
+        if not isinstance(meta, dict):
+            raise ValidationError(f"meta must be a JSON object, got {meta!r}")
+        if meta.get("num_slots") is not None:
+            check_positive_int(meta["num_slots"], "meta num_slots")
     try:
         decoded = decode_jsonl_line(stripped)
     except (ValueError, KeyError, TypeError) as error:

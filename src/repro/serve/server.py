@@ -122,11 +122,18 @@ class ServeServer:
 
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                try:
+                    line = await _read_line(reader)
+                except _LineTooLong as error:
+                    await reply({"ok": False, "error": str(error)})
+                    continue
+                if line is None:
                     break
                 try:
                     parsed = parse_line(line.decode("utf-8"))
+                except UnicodeDecodeError:
+                    await reply({"ok": False, "error": "line is not valid UTF-8"})
+                    continue
                 except ReproError as error:
                     await reply({"ok": False, "error": str(error)})
                     continue
@@ -167,6 +174,36 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+
+class _LineTooLong(Exception):
+    """A wire line exceeded the stream's line limit (and was discarded)."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next newline-terminated line, or ``None`` at end of stream.
+
+    A line longer than the reader's limit (asyncio's default, 64 KiB) is
+    discarded through its newline and reported as :class:`_LineTooLong`,
+    so the connection resumes at the next line.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial or None
+    except asyncio.LimitOverrunError as error:
+        overrun = error
+    while True:
+        # Drop the over-limit bytes, then look for the line's end again.
+        await reader.readexactly(overrun.consumed)
+        try:
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break
+        except asyncio.LimitOverrunError as error:
+            overrun = error
+    raise _LineTooLong("line exceeds the 64 KiB line limit; discarded")
 
 
 def run_server(

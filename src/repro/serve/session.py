@@ -2,9 +2,9 @@
 
 :func:`open_session` resolves a ``(scenario, policies)`` pair into the
 same stepper the batch :func:`~repro.sim.engine.simulate` loops run on —
-:class:`~repro.sim.cache_sim.CacheStepper`,
-:class:`~repro.sim.service_sim.ServiceStepper`,
-:class:`~repro.sim.joint_sim.JointStepper`, or
+the seed-axis :class:`~repro.sim.cache_sim.CacheStepper`,
+:class:`~repro.sim.service_sim.ServiceStepper`, or
+:class:`~repro.sim.joint_sim.JointStepper` with one seed, or
 :class:`~repro.sim.multihop_sim.MultihopStepper` — and wraps it in a
 :class:`SimulationSession`::
 
@@ -48,20 +48,15 @@ from typing import (
 )
 
 from repro.exceptions import ConfigurationError, SimulationError, ValidationError
-from repro.sim.cache_sim import CacheStepper
 from repro.sim.engine import (
-    SIMULATION_KINDS,
     PolicyLike,
     _materialize,
-    _split_policies,
-    _wants_multihop,
+    _resolve_kind,
+    _simulator,
 )
-from repro.sim.joint_sim import JointStepper
-from repro.sim.metrics import METRICS_MODES
 from repro.sim.multihop_sim import MultihopStepper
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.service_sim import ServiceStepper
 from repro.workloads.codec import group_record_batches
 
 __all__ = ["DEFAULT_MAX_PENDING", "SimulationSession", "SlotResult", "open_session"]
@@ -150,24 +145,14 @@ def open_session(
     ``"summary"`` — sessions are open-ended, so the memory-flat collector
     is the natural choice; pass ``"full"`` to keep per-slot trajectories.
     """
-    if metrics not in METRICS_MODES:
-        raise ConfigurationError(
-            f"metrics must be one of {METRICS_MODES}, got {metrics!r}"
-        )
-    if kind is not None and kind not in SIMULATION_KINDS:
-        raise ConfigurationError(
-            f"kind must be one of {SIMULATION_KINDS}, got {kind!r}"
-        )
-    if kind == "multihop" or _wants_multihop(policies):
-        if kind not in (None, "multihop"):
-            raise ConfigurationError(
-                f"kind={kind!r} does not match the supplied policies "
-                "(an on-path strategy implies 'multihop')"
-            )
-        if service_batch is not None:
-            raise ConfigurationError(
-                "service_batch does not apply to multihop sessions"
-            )
+    kind, policy, service_policy = _resolve_kind(
+        policies,
+        kind=kind,
+        metrics=metrics,
+        service_batch=service_batch,
+        noun="sessions",
+    )
+    if kind == "multihop":
         if isinstance(policies, (list, tuple)):
             if len(policies) != 1:
                 raise ConfigurationError(
@@ -178,45 +163,42 @@ def open_session(
             scenario, _materialize(policies, scenario), metrics=metrics
         )
         return SimulationSession(stepper, max_pending=max_pending)
-    caching, service = _split_policies(policies)
-    inferred = (
-        "joint"
-        if caching is not None and service is not None
-        else ("cache" if caching is not None else "service")
+    simulator = _simulator(
+        kind,
+        scenario,
+        _materialize(policy, scenario),
+        _materialize(service_policy, scenario),
+        service_batch=service_batch,
+        metrics=metrics,
+        block_size=block_size,
     )
-    if kind is not None and kind != inferred:
-        raise ConfigurationError(
-            f"kind={kind!r} does not match the supplied policies "
-            f"(which imply {inferred!r}); pass both a caching and a "
-            "service policy for 'joint'"
-        )
-    if service_batch is not None and inferred == "cache":
-        raise ConfigurationError("service_batch does not apply to cache sessions")
-    if inferred == "cache":
-        stepper: Any = CacheStepper(
-            scenario,
-            _materialize(caching, scenario),
-            metrics=metrics,
-            block_size=block_size,
-        )
-    elif inferred == "service":
-        stepper = ServiceStepper(
-            scenario,
-            _materialize(service, scenario),
-            service_batch=service_batch,
-            metrics=metrics,
-            block_size=block_size,
-        )
-    else:
-        stepper = JointStepper(
-            scenario,
-            _materialize(caching, scenario),
-            _materialize(service, scenario),
-            service_batch=service_batch,
-            metrics=metrics,
-            block_size=block_size,
-        )
-    return SimulationSession(stepper, max_pending=max_pending)
+    return SimulationSession(
+        _OneSeed(simulator._stepper(None)), max_pending=max_pending
+    )
+
+
+class _OneSeed:
+    """The single-run stepper surface over a one-seed seed-axis stepper.
+
+    Sessions drive the cache/service/joint steppers at ``S = 1`` through
+    this view, which gives them the surface of
+    :class:`~repro.sim.multihop_sim.MultihopStepper`.
+    """
+
+    def __init__(self, stepper: Any) -> None:
+        self._stepper = stepper
+        self.kind = stepper.kind
+        self.state = stepper.states[0]
+
+    @property
+    def time_slot(self) -> int:
+        return self._stepper.time_slot
+
+    def step(self, batches=None) -> Dict[str, float]:
+        return self._stepper.step(None if batches is None else [batches])[0]
+
+    def result(self) -> SimulationResult:
+        return self._stepper.results()[0]
 
 
 class SimulationSession:
@@ -292,23 +274,6 @@ class SimulationSession:
         """Fed records discarded because their slot had already run."""
         return self._late
 
-    def _policy_names(self) -> Union[str, Dict[str, str]]:
-        stepper = self._stepper
-        if stepper.kind == "joint":
-            return {
-                "caching": getattr(
-                    stepper.caching_policy,
-                    "name",
-                    type(stepper.caching_policy).__name__,
-                ),
-                "service": getattr(
-                    stepper.service_policy,
-                    "name",
-                    type(stepper.service_policy).__name__,
-                ),
-            }
-        return getattr(stepper.policy, "name", type(stepper.policy).__name__)
-
     # ------------------------------------------------------------------
     # Driving
 
@@ -383,10 +348,17 @@ class SimulationSession:
         """
         self._ensure_open()
         summary = self._stepper.result().summary()
+        if self.kind == "joint":
+            policy: Any = {
+                "caching": summary["caching_policy"],
+                "service": summary["service_policy"],
+            }
+        else:
+            policy = summary["policy"]
         return {
             "kind": self.kind,
             "time_slot": self.time_slot,
-            "policy": self._policy_names(),
+            "policy": policy,
             "requests": self._requests,
             "pending": self._pending_count,
             "dropped": self._dropped,

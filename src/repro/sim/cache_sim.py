@@ -5,13 +5,16 @@ Split out of the monolithic ``repro.sim.simulator`` behind the
 trajectory are unchanged (pinned by the golden-trajectory and
 batch-equivalence suites).
 
-The vectorised and seed-batched hot loops emit metrics in blocks of
-``block_size`` slots (slot-blocked recording): per-slot work is the policy
-decision plus the element-wise reward math, while the metric bookkeeping —
-history writes, reward-trace appends, aggregate reductions — lands in one
-``record_block`` call per block.  Blocked emission is byte-identical to
-per-slot recording; the scalar ``reference=True`` loop still records slot
-by slot.
+Stage 1 has one vectorised per-slot body, :class:`_BatchedCacheStage`,
+driven slot by slot along a seed axis by :class:`CacheStepper`:
+:meth:`CacheSimulator.run` and cache sessions run it with one seed,
+:meth:`CacheSimulator.run_batch` with every seed at once.  It emits
+metrics in blocks of ``block_size`` slots (slot-blocked recording):
+per-slot work is the policy decision plus the element-wise reward math,
+while the metric bookkeeping — history writes, reward-trace appends,
+aggregate reductions — lands in one ``record_block`` call per block.
+Blocked emission is byte-identical to per-slot recording; the scalar
+``reference=True`` loop still records slot by slot.
 """
 
 from __future__ import annotations
@@ -22,98 +25,87 @@ import numpy as np
 
 from repro.core.caching_mdp import BatchedCacheDecider
 from repro.core.policies import CachingPolicy
-from repro.core.reward import RewardBreakdown, UtilityFunction
+from repro.core.reward import UtilityFunction
 from repro.net.channel import LinkBudget
-from repro.sim.metrics import (
-    DEFAULT_BLOCK_SLOTS,
-    CacheMetrics,
-    check_metrics_mode,
-)
+from repro.sim.metrics import CacheMetrics
 from repro.sim.results import CacheSimulationResult
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.system import SystemState, _expand_batch_policies
-from repro.utils.validation import check_positive_int
+from repro.sim.system import (
+    SystemState,
+    _expand_batch_policies,
+    _policy_name,
+    _SeedStepper,
+    _Simulator,
+)
 
 class _CacheBlockRecorder:
     """Stages per-slot cache metrics and flushes K-slot blocks.
 
-    Full-mode collectors receive the staged age/action matrices through
-    :meth:`CacheMetrics.record_block`; summary-mode collectors receive only
-    per-slot scalar aggregates (:meth:`CacheMetrics.record_block_aggregates`)
-    so no matrix ever needs staging.  Either way the recorded metrics are
-    byte-identical to per-slot :meth:`CacheMetrics.record_slot` calls.
+    Full-mode collectors receive the staged age/action matrices (:meth:`add`)
+    through :meth:`CacheMetrics.record_block`; summary-mode collectors
+    receive only per-slot scalar aggregates (:meth:`add_aggregates`) through
+    :meth:`CacheMetrics.record_block_aggregates`, so no matrix ever needs
+    staging.  Either way the recorded metrics are byte-identical to
+    per-slot :meth:`CacheMetrics.record_slot` calls.
     """
 
     def __init__(self, metrics: CacheMetrics, shape, block_size: int) -> None:
         self._metrics = metrics
-        self._full = metrics.mode == "full"
+        self.full = metrics.mode == "full"
         block = max(1, int(block_size))
         self._aoi = np.zeros(block)
         self._costs = np.zeros(block)
         self._totals = np.zeros(block)
         self._fill = 0
         self._start = 0
-        if self._full:
+        if self.full:
             self._ages = np.zeros((block, *shape))
             self._actions = np.zeros((block, *shape), dtype=int)
-            self._age_sums = None
-            self._updates = None
-            self._violations = None
         else:
-            self._ages = self._actions = None
             self._age_sums = np.zeros(block)
             self._updates = np.zeros(block, dtype=np.int64)
             self._violations = np.zeros(block, dtype=np.int64)
-            self._max_ages = metrics._max_ages
 
-    def add(self, time_slot, ages, actions, aoi, cost, total) -> None:
-        """Stage one slot (post-update ages, actions, reward components)."""
+    def _stage(self, time_slot, aoi, cost, total) -> int:
         fill = self._fill
         if fill == 0:
             self._start = time_slot
         self._aoi[fill] = aoi
         self._costs[fill] = cost
         self._totals[fill] = total
-        if self._full:
-            self._ages[fill] = ages
-            self._actions[fill] = actions
-        else:
-            # Identical reductions to what record_slot would compute.
-            self._age_sums[fill] = float(np.sum(ages))
-            self._updates[fill] = int(actions.sum())
-            self._violations[fill] = int(np.count_nonzero(ages > self._max_ages))
+        return fill
+
+    def _commit(self, fill: int) -> None:
         self._fill = fill + 1
         if self._fill == self._aoi.shape[0]:
             self.flush()
+
+    def add(self, time_slot, ages, actions, aoi, cost, total) -> None:
+        """Stage one slot (post-update ages, actions, reward components).
+
+        Full mode only; summary mode stages :meth:`add_aggregates`.
+        """
+        fill = self._stage(time_slot, aoi, cost, total)
+        self._ages[fill] = ages
+        self._actions[fill] = actions
+        self._commit(fill)
 
     def add_aggregates(
         self, time_slot, aoi, cost, total, age_sum, updates, violations
     ) -> None:
         """Stage one slot from pre-reduced aggregates (summary mode only)."""
-        fill = self._fill
-        if fill == 0:
-            self._start = time_slot
-        self._aoi[fill] = aoi
-        self._costs[fill] = cost
-        self._totals[fill] = total
+        fill = self._stage(time_slot, aoi, cost, total)
         self._age_sums[fill] = age_sum
         self._updates[fill] = updates
         self._violations[fill] = violations
-        self._fill = fill + 1
-        if self._fill == self._aoi.shape[0]:
-            self.flush()
-
-    @property
-    def wants_matrices(self) -> bool:
-        """Whether :meth:`add` (with matrices) must be used over aggregates."""
-        return self._full
+        self._commit(fill)
 
     def flush(self) -> None:
         """Emit the staged slots to the collector."""
         fill = self._fill
         if not fill:
             return
-        if self._full:
+        if self.full:
             self._metrics.record_block(
                 self._start,
                 self._ages[:fill],
@@ -132,6 +124,25 @@ class _CacheBlockRecorder:
                 int(self._violations[:fill].sum()),
             )
         self._fill = 0
+
+
+def _cache_metrics(state: SystemState, mode: str, num_slots: int) -> CacheMetrics:
+    """A stage-1 collector sized for *state*'s grid and *num_slots* slots."""
+    config = state.config
+    return CacheMetrics(
+        config.num_rsus,
+        config.contents_per_rsu,
+        state.max_ages,
+        mode=mode,
+        expected_slots=num_slots,
+    )
+
+
+def _cache_recorders(states, metrics, block: int) -> List[_CacheBlockRecorder]:
+    """One staged recorder per seed's stage-1 collector."""
+    config = states[0].config
+    shape = (config.num_rsus, config.contents_per_rsu)
+    return [_CacheBlockRecorder(metric, shape, block) for metric in metrics]
 
 
 class _BatchedCacheStage:
@@ -204,8 +215,11 @@ class _BatchedCacheStage:
             per_seed.append(CachingPolicy.validate_actions(actions, observation))
         return np.stack(per_seed)
 
-    def step(self, time_slot: int, recorders: List[_CacheBlockRecorder]) -> None:
-        """Run one slot: decide, account the Eq. (1) reward, apply updates."""
+    def step(self, time_slot: int, recorders: List[_CacheBlockRecorder]):
+        """Run one slot: decide, account the Eq. (1) reward, apply updates.
+
+        Returns the per-seed ``(aoi_utility, update_cost, reward)`` arrays.
+        """
         costs = self.slot_costs(time_slot)
         actions = self.decide(time_slot, costs)
         num_seeds = len(self.states)
@@ -227,7 +241,7 @@ class _BatchedCacheStage:
         # Swap buffers: the outgoing ages tensor becomes next slot's scratch.
         self._post = self.ages
         self.ages = post_ages
-        if recorders and not recorders[0].wants_matrices:
+        if recorders and not recorders[0].full:
             # Summary-mode fast path: reduce every seed's slot in one pass
             # over the stacked tensors (identical per-row reductions to the
             # per-seed record_slot calls) and stage scalars only.
@@ -254,6 +268,7 @@ class _BatchedCacheStage:
                     cost_totals[s],
                     totals[s],
                 )
+        return aoi_totals, cost_totals, totals
 
     def advance(self, time_slot: int) -> None:
         """Age every cached copy by one slot and regenerate the MBS copies.
@@ -268,100 +283,74 @@ class _BatchedCacheStage:
             state.mbs_store.tick(time_slot + 1)
 
 
-class CacheStepper:
-    """Resumable one-slot-at-a-time execution of the stage-1 loop.
+class CacheStepper(_SeedStepper):
+    """Resumable slot-by-slot execution of the stage-1 loop along a seed axis.
 
-    Owns the ages matrix, :class:`~repro.sim.system.SystemState`, and the
-    staged metrics recorder that the batch ``run()`` loop previously built
-    inline; :meth:`step` runs exactly the vectorised per-slot body, so
-    driving a stepper to the horizon is byte-identical to
-    :meth:`CacheSimulator.run` — which is now a thin driver over this
-    class.  Stage 1 consumes no request arrivals, so the ``batches``
-    argument is accepted (for a uniform stepper surface) and ignored.
+    Carries one run per ``(config, policy)`` pair (``S >= 1``) through
+    :class:`_BatchedCacheStage` with one staged metrics recorder per seed.
+    It is the only vectorised stage-1 body: :meth:`CacheSimulator.run`
+    (``S = 1``), :meth:`CacheSimulator.run_batch`, and cache sessions all
+    drive it.  Taking configs rather than seeds, it also runs a scenario
+    with ``seed=None``.  Stage 1 consumes no request arrivals, so the
+    ``batches`` argument is accepted (for a uniform stepper surface) and
+    ignored.
     """
 
     kind = "cache"
 
     def __init__(
         self,
-        config: ScenarioConfig,
-        policy: CachingPolicy,
+        configs: Sequence[ScenarioConfig],
+        policies: Sequence[CachingPolicy],
         *,
         metrics: str = "full",
         block_size: Optional[int] = None,
         expected_slots: Optional[int] = None,
     ) -> None:
-        if block_size is not None:
-            check_positive_int(block_size, "block_size")
-        expected = int(
-            expected_slots if expected_slots is not None else config.num_slots
+        super().__init__(
+            configs, metrics=metrics, block_size=block_size,
+            expected_slots=expected_slots,
         )
-        self.config = config
-        self.policy = policy
-        self.state = SystemState(config)
-        self.metrics = CacheMetrics(
-            config.num_rsus,
-            config.contents_per_rsu,
-            self.state.max_ages,
-            mode=check_metrics_mode(metrics),
-            expected_slots=expected,
-        )
-        policy.reset()
-        self._ages = self.state.ages_matrix()
-        self._weight = config.aoi_weight
-        block = block_size if block_size else DEFAULT_BLOCK_SLOTS
-        shape = (config.num_rsus, config.contents_per_rsu)
-        self._recorder = _CacheBlockRecorder(
-            self.metrics, shape, max(1, min(int(block), max(1, expected)))
-        )
-        self.time_slot = 0
+        self.policies = list(policies)
+        self.metrics = [
+            _cache_metrics(state, self.metrics_mode, self.expected_slots)
+            for state in self.states
+        ]
+        for policy in self.policies:
+            policy.reset()
+        self._stage = _BatchedCacheStage(self.states, self.policies)
+        self._recorders = _cache_recorders(self.states, self.metrics, self.block)
 
-    def step(self, batches=None) -> dict:
-        """Advance one slot; returns the slot's reward components."""
+    def step(self, batches=None) -> List[dict]:
+        """Advance one slot; returns each seed's reward components."""
         t = self.time_slot
-        state = self.state
-        ages = self._ages
-        observation = state.observation_vector(t, ages, copy=False)
-        actions = self.policy.decide(observation)
-        actions = CachingPolicy.validate_actions(actions, observation)
-        costs = observation.update_costs
-        # Inlined UtilityFunction.evaluate on the validated actions: the
-        # identical element-wise expressions and reductions, minus the
-        # per-slot revalidation and RewardBreakdown boxing.
-        acts = np.asarray(actions, dtype=float)
-        ages = np.where(acts > 0, 1.0, ages)
-        aoi = float(
-            np.sum((state.max_ages / np.maximum(ages, 1.0)) * state.popularity)
-        )
-        cost = float(np.sum(acts * costs))
-        self._recorder.add(t, ages, actions, aoi, cost, self._weight * aoi - cost)
-        # Advance time: cached copies age by one slot, the MBS regenerates.
-        self._ages = np.minimum(ages + 1.0, state.cache_ceilings)
-        state.mbs_store.tick(t + 1)
+        aoi, cost, reward = self._stage.step(t, self._recorders)
+        self._stage.advance(t)
         self.time_slot = t + 1
-        return {
-            "aoi_utility": aoi,
-            "update_cost": cost,
-            "reward": self._weight * aoi - cost,
-        }
+        return [
+            {"aoi_utility": float(a), "update_cost": float(c), "reward": float(r)}
+            for a, c, r in zip(aoi, cost, reward)
+        ]
 
-    def sync(self) -> None:
-        """Flush staged metric blocks (byte-identical at any boundary)."""
-        self._recorder.flush()
+    def results(self) -> List[CacheSimulationResult]:
+        """The runs so far, one result per seed (flushes staged blocks)."""
+        for recorder in self._recorders:
+            recorder.flush()
+        return [
+            CacheSimulationResult(
+                config=config,
+                policy_name=_policy_name(policy),
+                metrics=metric,
+                catalog=state.catalog,
+                topology=state.topology,
+            )
+            for config, policy, metric, state in zip(
+                self.configs, self.policies, self.metrics, self.states
+            )
+        ]
 
-    def result(self) -> CacheSimulationResult:
-        """The run so far, wrapped exactly like :meth:`CacheSimulator.run`."""
-        self.sync()
-        return CacheSimulationResult(
-            config=self.config,
-            policy_name=getattr(self.policy, "name", type(self.policy).__name__),
-            metrics=self.metrics,
-            catalog=self.state.catalog,
-            topology=self.state.topology,
-        )
 
-
-class CacheSimulator:
+class CacheSimulator(_Simulator):
     """Stage-1 simulator: MBS cache management over the RSU caches.
 
     Parameters
@@ -395,75 +384,44 @@ class CacheSimulator:
         metrics: str = "full",
         block_size: Optional[int] = None,
     ) -> None:
-        if block_size is not None:
-            check_positive_int(block_size, "block_size")
-        self._config = config
+        super().__init__(
+            config, reference=reference, metrics=metrics, block_size=block_size
+        )
         self._policy = policy
-        self._reference = bool(reference)
-        self._metrics_mode = check_metrics_mode(metrics)
-        self._block_size = block_size
-
-    @property
-    def config(self) -> ScenarioConfig:
-        """The scenario being simulated."""
-        return self._config
 
     @property
     def policy(self) -> CachingPolicy:
         """The caching policy under evaluation."""
         return self._policy
 
-    @property
-    def reference(self) -> bool:
-        """Whether the scalar reference loop is used instead of the vectorised one."""
-        return self._reference
-
-    @property
-    def metrics_mode(self) -> str:
-        """The metric collection mode, ``"full"`` or ``"summary"``."""
-        return self._metrics_mode
-
-    def _block(self, num_slots: int) -> int:
-        block = self._block_size if self._block_size else DEFAULT_BLOCK_SLOTS
-        return max(1, min(int(block), int(num_slots)))
-
-    def _make_metrics(self, state: SystemState, num_slots: int) -> CacheMetrics:
-        return CacheMetrics(
-            self._config.num_rsus,
-            self._config.contents_per_rsu,
-            state.max_ages,
-            mode=self._metrics_mode,
+    def _stepper(
+        self, num_slots: Optional[int], configs=None, policies=None
+    ) -> CacheStepper:
+        """A stepper over *configs* (default: this scenario and policy)."""
+        return CacheStepper(
+            configs or [self._config],
+            policies or [self._policy],
+            metrics=self._metrics_mode,
+            block_size=self._block_size,
             expected_slots=num_slots,
         )
 
     def run(self, *, num_slots: Optional[int] = None) -> CacheSimulationResult:
         """Run the simulation and return the recorded result."""
-        num_slots = check_positive_int(
-            num_slots if num_slots is not None else self._config.num_slots,
-            "num_slots",
-        )
+        num_slots = self._num_slots(num_slots)
         if self._reference:
             state = SystemState(self._config)
-            metrics = self._make_metrics(state, num_slots)
+            metrics = _cache_metrics(state, self._metrics_mode, num_slots)
             self._policy.reset()
             self._run_reference(state, metrics, num_slots)
             return CacheSimulationResult(
                 config=self._config,
-                policy_name=getattr(self._policy, "name", type(self._policy).__name__),
+                policy_name=_policy_name(self._policy),
                 metrics=metrics,
                 catalog=state.catalog,
                 topology=state.topology,
             )
-        stepper = CacheStepper(
-            self._config,
-            self._policy,
-            metrics=self._metrics_mode,
-            block_size=self._block_size,
-            expected_slots=num_slots,
-        )
-        for _ in range(num_slots):
-            stepper.step()
-        return stepper.result()
+        return self._stepper(num_slots).drive(num_slots)[0]
 
     def run_batch(
         self,
@@ -490,13 +448,10 @@ class CacheSimulator:
         num_slots:
             Optional horizon override shared by every run.
         """
-        num_slots = check_positive_int(
-            num_slots if num_slots is not None else self._config.num_slots,
-            "num_slots",
-        )
+        num_slots = self._num_slots(num_slots)
         seeds = [int(seed) for seed in seeds]
         policies = _expand_batch_policies(seeds, policies, self._policy)
-        configs = [self._config.with_overrides(seed=seed) for seed in seeds]
+        configs = self._seed_configs(seeds)
         if self._reference:
             # The scalar loop has no tensor twin; replay it per seed.
             return [
@@ -509,33 +464,7 @@ class CacheSimulator:
                 ).run(num_slots=num_slots)
                 for config, policy in zip(configs, policies)
             ]
-        states = [SystemState(config) for config in configs]
-        metrics = [self._make_metrics(state, num_slots) for state in states]
-        for policy in policies:
-            policy.reset()
-        stage = _BatchedCacheStage(states, policies)
-        shape = (self._config.num_rsus, self._config.contents_per_rsu)
-        block = self._block(num_slots)
-        recorders = [
-            _CacheBlockRecorder(metric, shape, block) for metric in metrics
-        ]
-        for t in range(num_slots):
-            stage.step(t, recorders)
-            stage.advance(t)
-        for recorder in recorders:
-            recorder.flush()
-        return [
-            CacheSimulationResult(
-                config=config,
-                policy_name=getattr(policy, "name", type(policy).__name__),
-                metrics=metric,
-                catalog=state.catalog,
-                topology=state.topology,
-            )
-            for config, policy, metric, state in zip(
-                configs, policies, metrics, states
-            )
-        ]
+        return self._stepper(num_slots, configs, policies).drive(num_slots)
 
     def _run_reference(
         self, state: SystemState, metrics: CacheMetrics, num_slots: int

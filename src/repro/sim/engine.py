@@ -13,10 +13,8 @@ surfaces.  :func:`simulate` subsumes all of them behind one dispatcher::
     # Stage 2, explicit parameters:
     result = simulate(ScenarioConfig.fig1b(), "lyapunov:tradeoff_v=50")
 
-    # Both stages coupled, multi-seed, one seed-batched tensor loop:
-    results = simulate(
-        ScenarioConfig.fig1b(), ("mdp", "lyapunov"), seeds=8, mode="batch"
-    )
+    # Both stages coupled, multi-seed, one seed-axis loop:
+    results = simulate(ScenarioConfig.fig1b(), ("mdp", "lyapunov"), seeds=8)
 
 Policies may be registered names / ``"name:k=v,..."`` strings /
 :class:`~repro.policies.PolicySpec` objects (built per run through the
@@ -24,12 +22,15 @@ registry) or ready policy instances (used exactly as the old per-kind
 classes used them, so results are bit-identical to the historical entry
 points).  ``mode`` selects the execution path:
 
-* ``"auto"`` — vectorised loop for a single run, seed-batched tensor loop
-  when *seeds* is given (the fastest correct path; the default).
-* ``"vectorized"`` — the per-run vectorised loop (per seed when *seeds* is
-  given).
-* ``"reference"`` — the original scalar loop (golden trajectories).
-* ``"batch"`` — the seed-batched tensor loop; requires *seeds*.
+* ``"auto"`` — the default.  The cache, service and joint kinds each have
+  one vectorised per-slot body, a seed-axis stepper
+  (:class:`~repro.sim.cache_sim.CacheStepper`,
+  :class:`~repro.sim.service_sim.ServiceStepper`,
+  :class:`~repro.sim.joint_sim.JointStepper`).  A single run drives it with
+  one seed; *seeds* drives it with every seed at once.
+* ``"reference"`` — the original scalar loops (the test oracle).
+* ``"vectorized"`` and ``"batch"`` — aliases of ``"auto"``, kept until the
+  next major version; ``"batch"`` still requires *seeds*.
 
 All modes produce bit-identical trajectories for the same ``(scenario,
 policy, seed)`` — pinned by the cross-mode equivalence suites.
@@ -199,9 +200,10 @@ def simulate(
         ``"joint"``); checked against the supplied policies.  Normally
         inferred.
     mode:
-        Execution path: ``"auto"`` (default), ``"reference"``,
-        ``"vectorized"``, or ``"batch"`` (see the module docstring).  All
-        modes are bit-identical for the same ``(scenario, policy, seed)``.
+        Execution path: ``"auto"`` (default) or ``"reference"``;
+        ``"vectorized"`` and ``"batch"`` are aliases of ``"auto"`` (see the
+        module docstring).  All modes are bit-identical for the same
+        ``(scenario, policy, seed)``.
     seeds:
         ``None`` for one run on the scenario's own seed; an int ``N`` for
         ``N`` replicates on seeds derived from the scenario seed (the same
@@ -244,6 +246,53 @@ def simulate(
         raise ConfigurationError(
             f"mode must be one of {SIMULATION_MODES}, got {mode!r}"
         )
+    kind, main, second = _resolve_kind(
+        policies, kind=kind, metrics=metrics, service_batch=service_batch, noun="runs"
+    )
+    if kind == "multihop":
+        return _simulate_multihop(
+            scenario,
+            policies,
+            mode=mode,
+            seeds=seeds,
+            num_slots=num_slots,
+            metrics=metrics,
+            block_size=block_size,
+            store=store,
+        )
+    results = _run(
+        kind,
+        scenario,
+        main,
+        second,
+        mode=mode,
+        seeds=seeds,
+        num_slots=num_slots,
+        store=store,
+        service_batch=service_batch,
+        reference=mode == "reference",
+        metrics=metrics,
+        block_size=block_size,
+    )
+    return results[0] if seeds is None else results
+
+
+def _resolve_kind(
+    policies: Union[PolicyLike, Sequence[PolicyLike], Dict[str, PolicyLike]],
+    *,
+    kind: Optional[str],
+    metrics: str,
+    service_batch: Optional[int],
+    noun: str,
+) -> Tuple[str, Optional[PolicyLike], Optional[PolicyLike]]:
+    """Check the options shared by ``simulate()`` and sessions; infer the kind.
+
+    Returns ``(kind, policy, service_policy)``: the main policy is the
+    caching one for the cache and joint kinds and the service one for the
+    service kind; *service_policy* is the joint kind's second stage.  The
+    multihop kind returns ``("multihop", None, None)`` — its *policies*
+    are a flat collection.  *noun* names the caller's runs in messages.
+    """
     if metrics not in METRICS_MODES:
         raise ConfigurationError(
             f"metrics must be one of {METRICS_MODES}, got {metrics!r}"
@@ -260,143 +309,144 @@ def simulate(
             )
         if service_batch is not None:
             raise ConfigurationError(
-                "service_batch does not apply to multihop runs"
+                f"service_batch does not apply to multihop {noun}"
             )
-        return _simulate_multihop(
-            scenario,
-            policies,
-            mode=mode,
-            seeds=seeds,
-            num_slots=num_slots,
-            metrics=metrics,
-            block_size=block_size,
-            store=store,
-        )
+        return "multihop", None, None
     caching, service = _split_policies(policies)
     inferred = (
         "joint"
         if caching is not None and service is not None
         else ("cache" if caching is not None else "service")
     )
-    if kind is not None:
-        if kind != inferred:
-            raise ConfigurationError(
-                f"kind={kind!r} does not match the supplied policies "
-                f"(which imply {inferred!r}); pass both a caching and a "
-                "service policy for 'joint'"
-            )
+    if kind is not None and kind != inferred:
+        raise ConfigurationError(
+            f"kind={kind!r} does not match the supplied policies "
+            f"(which imply {inferred!r}); pass both a caching and a "
+            "service policy for 'joint'"
+        )
     if service_batch is not None and inferred == "cache":
-        raise ConfigurationError("service_batch does not apply to cache runs")
-    reference = mode == "reference"
+        raise ConfigurationError(f"service_batch does not apply to cache {noun}")
+    if inferred == "service":
+        return inferred, service, None
+    return inferred, caching, service
 
-    collection = dict(metrics=metrics, block_size=block_size)
 
-    def build_simulator(scn: ScenarioConfig):
-        if inferred == "cache":
-            return CacheSimulator(
-                scn, _materialize(caching, scn), reference=reference, **collection
-            )
-        if inferred == "service":
-            return ServiceSimulator(
-                scn,
-                _materialize(service, scn),
-                service_batch=service_batch,
-                reference=reference,
-                **collection,
-            )
+def _simulator(
+    kind: str,
+    scenario: ScenarioConfig,
+    policy: Any,
+    service_policy: Any = None,
+    *,
+    service_batch: Optional[int] = None,
+    **options: Any,
+) -> Any:
+    """The simulator of *kind* — the one place the per-kind classes are built.
+
+    *policy* is the caching policy (cache, joint), the service policy
+    (service) or the multihop policy; *service_policy* is the joint kind's
+    second stage.  *options* are ``reference``/``metrics``/``block_size``.
+    """
+    if kind == "cache":
+        return CacheSimulator(scenario, policy, **options)
+    if kind == "service":
+        return ServiceSimulator(
+            scenario, policy, service_batch=service_batch, **options
+        )
+    if kind == "joint":
         return JointSimulator(
-            scn,
-            _materialize(caching, scn),
-            _materialize(service, scn),
-            service_batch=service_batch,
-            reference=reference,
-            **collection,
+            scenario, policy, service_policy, service_batch=service_batch, **options
         )
+    return MultihopSimulator(scenario, policy, **options)
 
-    def write_through(results: Sequence[SimulationResult]) -> None:
-        _store_write_through(
-            store,
-            kind=inferred,
-            caching=caching,
-            service=service,
-            reference=reference,
-            results=results,
+
+def _run_seeds(
+    kind: str,
+    scenario: ScenarioConfig,
+    seeds: Sequence[int],
+    policies: Sequence[Any],
+    service_policies: Optional[Sequence[Any]] = None,
+    *,
+    num_slots: Optional[int] = None,
+    horizons: Optional[Sequence] = None,
+    **options: Any,
+) -> List[SimulationResult]:
+    """One seed group of any kind through its simulator's ``run_batch``.
+
+    Shared by :func:`simulate` and :func:`repro.runtime.runner.execute_batch`.
+    *policies* / *service_policies* are the per-seed instances; *horizons*
+    the optional precomputed arrival tensors (service and joint kinds).
+    """
+    simulator = _simulator(kind, scenario, None, None, **options)
+    if kind == "joint":
+        return simulator.run_batch(
+            seeds,
+            caching_policies=policies,
+            service_policies=service_policies,
             num_slots=num_slots,
-            service_batch=service_batch,
-            metrics=metrics,
+            horizons=horizons,
         )
+    if kind == "service":
+        return simulator.run_batch(
+            seeds, policies=policies, num_slots=num_slots, horizons=horizons
+        )
+    return simulator.run_batch(seeds, policies=policies, num_slots=num_slots)
 
+
+def _run(
+    kind: str,
+    scenario: ScenarioConfig,
+    policy: PolicyLike,
+    service_policy: Optional[PolicyLike],
+    *,
+    mode: str,
+    seeds: Union[None, int, Sequence[int]],
+    num_slots: Optional[int],
+    store: Any,
+    **options: Any,
+) -> List[SimulationResult]:
+    """Run one policy (pair) of *kind*: one run, or one seed-axis batch.
+
+    Every mode takes the same path — only ``reference`` changes it, to the
+    scalar loops — and the finished runs are written through to *store*.
+    """
     if seeds is None:
         if mode == "batch":
             raise ConfigurationError("mode='batch' needs seeds")
-        result = build_simulator(scenario).run(num_slots=num_slots)
-        write_through([result])
-        return result
-
-    # Per-seed policy instances are shared by every mode: spec references
-    # build per seeded scenario, instances deep-copy per seed — so each
-    # replicate starts pristine and all modes stay bit-identical.
-    seed_list = _normalize_seeds(seeds, scenario)
-    scenarios = [scenario.with_overrides(seed=seed) for seed in seed_list]
-    caching_policies = (
-        _replicate(caching, scenarios) if caching is not None else None
+        results = [
+            _simulator(
+                kind,
+                scenario,
+                _materialize(policy, scenario),
+                _materialize(service_policy, scenario),
+                **options,
+            ).run(num_slots=num_slots)
+        ]
+    else:
+        # Per-seed policy instances: spec references build per seeded
+        # scenario, instances deep-copy per seed — so each replicate starts
+        # pristine and every mode stays bit-identical.
+        seed_list = _normalize_seeds(seeds, scenario)
+        scenarios = [scenario.with_overrides(seed=seed) for seed in seed_list]
+        results = _run_seeds(
+            kind,
+            scenario,
+            seed_list,
+            _replicate(policy, scenarios),
+            _replicate(service_policy, scenarios) if kind == "joint" else None,
+            num_slots=num_slots,
+            **options,
+        )
+    _store_write_through(
+        store,
+        kind=kind,
+        policy=policy,
+        service_policy=service_policy,
+        results=results,
+        num_slots=num_slots,
+        service_batch=options.get("service_batch"),
+        reference=options["reference"],
+        metrics=options["metrics"],
     )
-    service_policies = (
-        _replicate(service, scenarios) if service is not None else None
-    )
-    if mode in ("auto", "batch"):
-        if inferred == "cache":
-            batch_results = CacheSimulator(
-                scenario, None, reference=False, **collection
-            ).run_batch(
-                seed_list, policies=caching_policies, num_slots=num_slots
-            )
-        elif inferred == "service":
-            batch_results = ServiceSimulator(
-                scenario, None, service_batch=service_batch, reference=False,
-                **collection,
-            ).run_batch(
-                seed_list, policies=service_policies, num_slots=num_slots
-            )
-        else:
-            batch_results = JointSimulator(
-                scenario, None, None, service_batch=service_batch,
-                reference=False, **collection,
-            ).run_batch(
-                seed_list,
-                caching_policies=caching_policies,
-                service_policies=service_policies,
-                num_slots=num_slots,
-            )
-        write_through(batch_results)
-        return batch_results
-    # reference / vectorized: one per-run loop per seed, identical to the
-    # historical per-seed entry points.
-    results: List[SimulationResult] = []
-    for index, seeded in enumerate(scenarios):
-        if inferred == "cache":
-            simulator = CacheSimulator(
-                seeded, caching_policies[index], reference=reference, **collection
-            )
-        elif inferred == "service":
-            simulator = ServiceSimulator(
-                seeded,
-                service_policies[index],
-                service_batch=service_batch,
-                reference=reference,
-                **collection,
-            )
-        else:
-            simulator = JointSimulator(
-                seeded,
-                caching_policies[index],
-                service_policies[index],
-                service_batch=service_batch,
-                reference=reference,
-                **collection,
-            )
-        results.append(simulator.run(num_slots=num_slots))
-    write_through(results)
     return results
 
 
@@ -425,138 +475,59 @@ def _simulate_multihop(
     policy_list = [policies] if single_policy else list(policies)
     if not policy_list:
         raise ConfigurationError("at least one policy is required")
-    reference = mode == "reference"
-    collection = dict(metrics=metrics, block_size=block_size)
     results: List[SimulationResult] = []
     for policy in policy_list:
-        if seeds is None:
-            if mode == "batch":
-                raise ConfigurationError("mode='batch' needs seeds")
-            runs = [
-                MultihopSimulator(
-                    scenario,
-                    _materialize(policy, scenario),
-                    reference=reference,
-                    **collection,
-                ).run(num_slots=num_slots)
-            ]
-        else:
-            seed_list = _normalize_seeds(seeds, scenario)
-            scenarios = [scenario.with_overrides(seed=seed) for seed in seed_list]
-            runs = MultihopSimulator(
-                scenario, None, reference=reference, **collection
-            ).run_batch(
-                seed_list,
-                policies=_replicate(policy, scenarios),
-                num_slots=num_slots,
-            )
-        _multihop_write_through(
-            store,
-            policy=policy,
-            reference=reference,
-            results=runs,
+        results += _run(
+            "multihop",
+            scenario,
+            policy,
+            None,
+            mode=mode,
+            seeds=seeds,
             num_slots=num_slots,
+            store=store,
+            reference=mode == "reference",
             metrics=metrics,
+            block_size=block_size,
         )
-        results.extend(runs)
     if seeds is None and single_policy:
         return results[0]
     return results
-
-
-def _multihop_write_through(
-    store: Any,
-    *,
-    policy: PolicyLike,
-    reference: bool,
-    results: Sequence[SimulationResult],
-    num_slots: Optional[int],
-    metrics: str,
-) -> None:
-    """Record finished multihop runs into the persistent run store.
-
-    Same cell-key scheme as :func:`_store_write_through`, with the
-    cumulative latency history as the stored trace.  Opaque policy
-    instances and seedless scenarios are skipped.
-    """
-    if store is None or store is False:
-        return
-    if not isinstance(policy, (str, PolicySpec)):
-        return
-    from repro.runtime.runner import RunRecord, RunSpec
-    from repro.runtime.store import RunStore, resolve_store
-
-    spec = PolicySpec.coerce(policy)
-    resolved = resolve_store(store)
-    if resolved is None:
-        return
-    label = f"multihop:{spec.label()}"
-    try:
-        items = []
-        for result in results:
-            seed = result.config.seed
-            if seed is None:
-                continue
-            run_spec = RunSpec(
-                kind="multihop",
-                scenario=result.config,
-                policy=spec,
-                seed=int(seed),
-                label=label,
-                num_slots=num_slots,
-                reference=reference,
-                metrics=metrics,
-            )
-            record = RunRecord(
-                label=label,
-                seed=int(seed),
-                kind="multihop",
-                summary=result.summary(),
-                trace=result.latency_history,
-            )
-            items.append((run_spec, int(seed), record))
-        if items:
-            resolved.put_many(items)
-    finally:
-        if not isinstance(store, RunStore):
-            resolved.close()
 
 
 def _store_write_through(
     store: Any,
     *,
     kind: str,
-    caching: Optional[PolicyLike],
-    service: Optional[PolicyLike],
-    reference: bool,
+    policy: Optional[PolicyLike],
+    service_policy: Optional[PolicyLike],
     results: Sequence[SimulationResult],
-    num_slots: Optional[int],
-    service_batch: Optional[int],
-    metrics: str,
+    **run_options: Any,
 ) -> None:
-    """Record finished ``simulate()`` runs into the persistent run store.
+    """Record finished ``simulate()`` runs of any kind into the run store.
 
     Uses exactly the cell keys :meth:`ExperimentRunner.run_grid
     <repro.runtime.runner.ExperimentRunner.run_grid>` computes, so a
     ``simulate()`` call warms the same cells a later sweep would hit.
+    *run_options* are the remaining :class:`~repro.runtime.runner.RunSpec`
+    fields (``num_slots``, ``service_batch``, ``reference``, ``metrics``).
     Silently skips runs it cannot address: opaque policy instances,
     seedless scenarios, or a store disabled by the environment.
     """
     if store is None or store is False:
         return
     # Imported lazily — repro.runtime imports the sim package.
-    from repro.runtime.runner import RunRecord, RunSpec
+    from repro.runtime.runner import RunSpec, _run_record
     from repro.runtime.store import RunStore, resolve_store
 
-    def spec_of(policy: Optional[PolicyLike], role: str) -> Optional[PolicySpec]:
-        if policy is None or not isinstance(policy, (str, PolicySpec)):
+    def spec_of(reference: Optional[PolicyLike], role: Optional[str]):
+        if not isinstance(reference, (str, PolicySpec)):
             return None
-        return PolicySpec.coerce(policy, role=role)
+        return PolicySpec.coerce(reference, role=role)
 
-    main = spec_of(caching, "caching") if kind != "service" else spec_of(
-        service, "service"
-    )
-    second = spec_of(service, "service") if kind == "joint" else None
+    role = {"cache": "caching", "service": "service", "joint": "caching"}.get(kind)
+    main = spec_of(policy, role)
+    second = spec_of(service_policy, "service") if kind == "joint" else None
     if main is None or (kind == "joint" and second is None):
         return
     resolved = resolve_store(store)
@@ -577,26 +548,10 @@ def _store_write_through(
                 policy=main,
                 seed=int(seed),
                 label=label,
-                num_slots=num_slots,
                 service_policy=second,
-                service_batch=service_batch,
-                reference=reference,
-                metrics=metrics,
+                **run_options,
             )
-            if kind == "cache":
-                trace = result.cumulative_reward
-            elif kind == "service":
-                trace = result.latency_history
-            else:
-                trace = None
-            record = RunRecord(
-                label=label,
-                seed=int(seed),
-                kind=kind,
-                summary=result.summary(),
-                trace=trace,
-            )
-            items.append((spec, int(seed), record))
+            items.append((spec, int(seed), _run_record(spec, seed, result)))
         if items:
             resolved.put_many(items)
     finally:

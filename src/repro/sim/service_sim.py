@@ -3,15 +3,18 @@
 Split out of the monolithic ``repro.sim.simulator`` behind the
 :func:`repro.sim.engine.simulate` façade; the class surface and every
 trajectory are unchanged (pinned by the golden-trajectory and
-batch-equivalence suites).  :class:`_VectorQueues`,
-:class:`_ServiceBlockRecorder`, and :func:`_vector_service_slot` are shared
-with the joint simulator.
+batch-equivalence suites).  :class:`_ServiceStage` — the vector queues,
+staged recorders and :func:`_vector_service_slot` of ``S`` seeds — is the
+one vectorised stage-2 body, shared by :class:`ServiceStepper` and the
+joint simulator's stepper.
 
-The vectorised loops consume a precomputed
-:class:`~repro.net.requests.WorkloadHorizon` arrival tensor (optionally
-supplied by the caller — e.g. shipped through shared memory by the parallel
-runner) and emit metrics in ``block_size``-slot blocks; both are
-byte-identical to the per-slot reference accounting.
+:meth:`ServiceSimulator.run` drives the stepper with one seed and draws
+arrivals slot by slot; :meth:`ServiceSimulator.run_batch` drives it with
+every seed at once over precomputed
+:class:`~repro.net.requests.WorkloadHorizon` arrival tensors (optionally
+supplied by the caller — e.g. shipped through shared memory by the
+parallel runner).  Metrics are emitted in ``block_size``-slot blocks; all
+of it is byte-identical to the per-slot reference accounting.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ import numpy as np
 from repro.core.policies import ServiceObservation, ServicePolicy
 from repro.exceptions import ValidationError
 from repro.net.queueing import RequestQueue
-from repro.sim.metrics import (
-    DEFAULT_BLOCK_SLOTS,
-    ServiceMetrics,
-    check_metrics_mode,
-)
+from repro.sim.metrics import ServiceMetrics
 from repro.sim.results import ServiceSimulationResult
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.system import SystemState, _expand_batch_policies
-from repro.utils.validation import check_positive_int
+from repro.sim.system import (
+    SystemState,
+    _expand_batch_policies,
+    _policy_name,
+    _SeedStepper,
+    _Simulator,
+)
 
 class _VectorQueues:
     """Flat-array FIFO queues powering the vectorised service loops.
@@ -165,10 +169,10 @@ def _vector_service_slot(
     cost: float,
     ages: np.ndarray,
 ) -> Tuple[float, float, float, float]:
-    """One slot of the vectorised stage-2 loop across all RSUs.
+    """One slot of the vectorised stage-2 loop across all RSUs of one seed.
 
-    Shared by :class:`ServiceSimulator` (frozen *ages*) and
-    :class:`JointSimulator` (the live stage-1 ages matrix): expire, account
+    Called by :class:`_ServiceStage` with the service kind's frozen *ages*
+    or the joint kind's live stage-1 ages matrix: expire, account
     latency/backlog, build the per-RSU observation with the AoI-guard head
     lookup, apply the policy decision, and stage the slot on *recorder*.
     Returns the slot's ``(backlog, latency, cost, served)`` totals across
@@ -232,8 +236,8 @@ def _vector_service_slot(
 def _enqueue_batches(queues: _VectorQueues, time_slot: int, batches) -> int:
     """Enqueue one slot's ``(rsu_id, content_ids)`` arrival batches.
 
-    The single enqueue path of every vectorised loop (service and joint,
-    batch and stepped); returns the number of requests enqueued.
+    The single enqueue path of the vectorised stage-2 body (service and
+    joint kinds); returns the number of requests enqueued.
     """
     total = 0
     for rsu_id, content_ids in batches:
@@ -313,104 +317,154 @@ def _reference_service_slot(
     metrics.record_slot(backlogs, latencies, costs, decisions, served_counts)
 
 
-def _check_horizons(horizons, seeds) -> None:
-    """Validate a caller-supplied per-seed horizon list."""
-    if len(horizons) != len(seeds):
+def _seed_horizons(stepper, horizons: Optional[Sequence], num_slots: int) -> Sequence:
+    """Per-seed arrival tensors for a batch run: validated or generated.
+
+    The batch hot loop replays precomputed tensors and never calls back
+    into the workload models (the tensors either arrive from the
+    dispatching runner or are generated here, identically).
+    """
+    if horizons is None:
+        return [state.workload.generate_horizon(num_slots) for state in stepper.states]
+    if len(horizons) != len(stepper.states):
         raise ValidationError(
-            f"got {len(horizons)} precomputed horizons for {len(seeds)} seeds"
+            f"got {len(horizons)} precomputed horizons for "
+            f"{len(stepper.states)} seeds"
         )
+    return horizons
 
 
-class ServiceStepper:
-    """Resumable one-slot-at-a-time execution of the stage-2 loop.
+class _ServiceStage:
+    """Stage 2 for ``S`` seeds: one slot of per-RSU service per call.
 
-    Owns the same state the batch ``run()`` loop builds once up front
-    (:class:`~repro.sim.system.SystemState`, vector queues, the staged
-    metrics recorder) and exposes it slot by slot: :meth:`step` runs
-    exactly the vectorised per-slot body, so driving a stepper to the
-    horizon is byte-identical to :meth:`ServiceSimulator.run` — which is
-    now a thin driver over this class.  ``batches=None`` draws the slot's
-    arrivals from the scenario workload; a live session passes explicit
-    ``(rsu_id, content_ids)`` batches instead.
+    Owns each seed's vector queues and staged metrics recorder.  Shared by
+    :class:`ServiceStepper` (frozen cache ages) and
+    :class:`~repro.sim.joint_sim.JointStepper` (the live stage-1 ages
+    tensor), so both kinds run the one stage-2 body,
+    :func:`_vector_service_slot`.
+    """
+
+    def __init__(
+        self,
+        states: List[SystemState],
+        policies: List[ServicePolicy],
+        metrics: List[ServiceMetrics],
+        service_batch: Optional[int],
+        block: int,
+    ) -> None:
+        config = states[0].config
+        self.states = states
+        self.policies = policies
+        for policy in policies:
+            policy.reset()
+        self._service_batch = service_batch
+        self._queues = [
+            _VectorQueues(config.num_rsus, config.deadline_slots) for _ in states
+        ]
+        self._distances = [0.5 * state.topology.region_length for state in states]
+        self._recorders = [
+            _ServiceBlockRecorder(metric, config.num_rsus, block) for metric in metrics
+        ]
+
+    def step(self, time_slot: int, batches, ages: np.ndarray) -> List[dict]:
+        """Enqueue and serve one slot per seed; *ages* is ``(S, R, C)``."""
+        slot = []
+        for s, state in enumerate(self.states):
+            arrivals = _enqueue_batches(
+                self._queues[s],
+                time_slot,
+                state.workload.generate_slot_contents(time_slot)
+                if batches is None
+                else batches[s],
+            )
+            cost = state.service_cost_model.cost(
+                distance=self._distances[s], size=1.0, time_slot=time_slot
+            )
+            backlog, latency, spent, served = _vector_service_slot(
+                state, self._queues[s], self.policies[s], self._service_batch,
+                self._recorders[s], time_slot, cost, ages[s],
+            )
+            slot.append(
+                {
+                    "arrivals": float(arrivals),
+                    "backlog": backlog,
+                    "latency": latency,
+                    "cost": spent,
+                    "served": served,
+                }
+            )
+        return slot
+
+    def flush(self) -> None:
+        for recorder in self._recorders:
+            recorder.flush()
+
+
+def _service_metrics(config: ScenarioConfig, mode: str, num_slots: int) -> ServiceMetrics:
+    """A stage-2 collector sized for *config*'s RSUs and *num_slots* slots."""
+    return ServiceMetrics(config.num_rsus, mode=mode, expected_slots=num_slots)
+
+
+class ServiceStepper(_SeedStepper):
+    """Resumable slot-by-slot execution of the stage-2 loop along a seed axis.
+
+    Carries one run per ``(config, policy)`` pair (``S >= 1``) through
+    :class:`_ServiceStage` with the cache ages frozen at their initial
+    values.  It is the only vectorised stage-2 body:
+    :meth:`ServiceSimulator.run` (``S = 1``, per-slot workload draws),
+    :meth:`ServiceSimulator.run_batch` (precomputed horizons), and service
+    sessions (explicit batches) all drive it.
     """
 
     kind = "service"
 
     def __init__(
         self,
-        config: ScenarioConfig,
-        policy: ServicePolicy,
+        configs: Sequence[ScenarioConfig],
+        policies: Sequence[ServicePolicy],
         *,
         service_batch: Optional[int] = None,
         metrics: str = "full",
         block_size: Optional[int] = None,
         expected_slots: Optional[int] = None,
     ) -> None:
-        if service_batch is not None:
-            check_positive_int(service_batch, "service_batch")
-        if block_size is not None:
-            check_positive_int(block_size, "block_size")
-        expected = int(
-            expected_slots if expected_slots is not None else config.num_slots
+        super().__init__(
+            configs, metrics=metrics, block_size=block_size,
+            expected_slots=expected_slots,
         )
-        self.config = config
-        self.policy = policy
-        self.state = SystemState(config)
-        self.metrics = ServiceMetrics(
-            config.num_rsus,
-            mode=check_metrics_mode(metrics),
-            expected_slots=expected,
+        self.policies = list(policies)
+        self.metrics = [
+            _service_metrics(config, self.metrics_mode, self.expected_slots)
+            for config in self.configs
+        ]
+        self._stage = _ServiceStage(
+            self.states, self.policies, self.metrics, service_batch, self.block
         )
-        policy.reset()
-        self._service_batch = service_batch
-        self._queues = _VectorQueues(config.num_rsus, config.deadline_slots)
-        self._static_ages = self.state.ages_matrix()
-        self._distance = 0.5 * self.state.topology.region_length
-        block = block_size if block_size else DEFAULT_BLOCK_SLOTS
-        self._recorder = _ServiceBlockRecorder(
-            self.metrics, config.num_rsus, max(1, min(int(block), max(1, expected)))
-        )
-        self.time_slot = 0
+        self._static_ages = np.stack([state.ages_matrix() for state in self.states])
 
-    def step(self, batches=None) -> dict:
-        """Advance one slot; returns the slot's aggregate service metrics."""
+    def step(self, batches=None) -> List[dict]:
+        """Advance one slot; returns each seed's aggregate service metrics."""
         t = self.time_slot
-        state = self.state
-        if batches is None:
-            batches = state.workload.generate_slot_contents(t)
-        arrivals = _enqueue_batches(self._queues, t, batches)
-        cost = state.service_cost_model.cost(
-            distance=self._distance, size=1.0, time_slot=t
-        )
-        backlog, latency, spent, served = _vector_service_slot(
-            state, self._queues, self.policy, self._service_batch,
-            self._recorder, t, cost, self._static_ages,
-        )
-        state.mbs_store.tick(t + 1)
+        slot = self._stage.step(t, batches, self._static_ages)
+        for state in self.states:
+            state.mbs_store.tick(t + 1)
         self.time_slot = t + 1
-        return {
-            "arrivals": float(arrivals),
-            "backlog": backlog,
-            "latency": latency,
-            "cost": spent,
-            "served": served,
-        }
+        return slot
 
-    def sync(self) -> None:
-        """Flush staged metric blocks (byte-identical at any boundary)."""
-        self._recorder.flush()
-
-    def result(self) -> ServiceSimulationResult:
-        """The run so far, wrapped exactly like :meth:`ServiceSimulator.run`."""
-        self.sync()
-        return ServiceSimulationResult(
-            config=self.config,
-            policy_name=getattr(self.policy, "name", type(self.policy).__name__),
-            metrics=self.metrics,
-        )
+    def results(self) -> List[ServiceSimulationResult]:
+        """The runs so far, one result per seed (flushes staged blocks)."""
+        self._stage.flush()
+        return [
+            ServiceSimulationResult(
+                config=config, policy_name=_policy_name(policy), metrics=metric
+            )
+            for config, policy, metric in zip(
+                self.configs, self.policies, self.metrics
+            )
+        ]
 
 
-class ServiceSimulator:
+class ServiceSimulator(_Simulator):
     """Stage-2 simulator: per-RSU service decisions over the request queues.
 
     Each RSU runs its own instance of the service policy (a fresh copy is not
@@ -446,75 +500,47 @@ class ServiceSimulator:
         metrics: str = "full",
         block_size: Optional[int] = None,
     ) -> None:
-        if service_batch is not None:
-            check_positive_int(service_batch, "service_batch")
-        if block_size is not None:
-            check_positive_int(block_size, "block_size")
-        self._config = config
+        super().__init__(
+            config,
+            service_batch=service_batch,
+            reference=reference,
+            metrics=metrics,
+            block_size=block_size,
+        )
         self._policy = policy
-        self._service_batch = service_batch
-        self._reference = bool(reference)
-        self._metrics_mode = check_metrics_mode(metrics)
-        self._block_size = block_size
-
-    @property
-    def config(self) -> ScenarioConfig:
-        """The scenario being simulated."""
-        return self._config
 
     @property
     def policy(self) -> ServicePolicy:
         """The service policy under evaluation."""
         return self._policy
 
-    @property
-    def reference(self) -> bool:
-        """Whether the scalar reference loop is used instead of the vectorised one."""
-        return self._reference
-
-    @property
-    def metrics_mode(self) -> str:
-        """The metric collection mode, ``"full"`` or ``"summary"``."""
-        return self._metrics_mode
-
-    def _block(self, num_slots: int) -> int:
-        block = self._block_size if self._block_size else DEFAULT_BLOCK_SLOTS
-        return max(1, min(int(block), int(num_slots)))
-
-    def _make_metrics(self, num_slots: int) -> ServiceMetrics:
-        return ServiceMetrics(
-            self._config.num_rsus,
-            mode=self._metrics_mode,
-            expected_slots=num_slots,
-        )
-
-    def run(self, *, num_slots: Optional[int] = None) -> ServiceSimulationResult:
-        """Run the simulation and return the recorded result."""
-        num_slots = check_positive_int(
-            num_slots if num_slots is not None else self._config.num_slots,
-            "num_slots",
-        )
-        if self._reference:
-            state = SystemState(self._config)
-            metrics = self._make_metrics(num_slots)
-            self._policy.reset()
-            self._run_reference(state, metrics, num_slots)
-            return ServiceSimulationResult(
-                config=self._config,
-                policy_name=getattr(self._policy, "name", type(self._policy).__name__),
-                metrics=metrics,
-            )
-        stepper = ServiceStepper(
-            self._config,
-            self._policy,
+    def _stepper(
+        self, num_slots: Optional[int], configs=None, policies=None
+    ) -> ServiceStepper:
+        """A stepper over *configs* (default: this scenario and policy)."""
+        return ServiceStepper(
+            configs or [self._config],
+            policies or [self._policy],
             service_batch=self._service_batch,
             metrics=self._metrics_mode,
             block_size=self._block_size,
             expected_slots=num_slots,
         )
-        for _ in range(num_slots):
-            stepper.step()
-        return stepper.result()
+
+    def run(self, *, num_slots: Optional[int] = None) -> ServiceSimulationResult:
+        """Run the simulation and return the recorded result."""
+        num_slots = self._num_slots(num_slots)
+        if self._reference:
+            state = SystemState(self._config)
+            metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
+            self._policy.reset()
+            self._run_reference(state, metrics, num_slots)
+            return ServiceSimulationResult(
+                config=self._config,
+                policy_name=_policy_name(self._policy),
+                metrics=metrics,
+            )
+        return self._stepper(num_slots).drive(num_slots)[0]
 
     def run_batch(
         self,
@@ -524,13 +550,11 @@ class ServiceSimulator:
         num_slots: Optional[int] = None,
         horizons: Optional[Sequence] = None,
     ) -> List[ServiceSimulationResult]:
-        """Run one simulation per seed, interleaved slot by slot.
+        """Run one simulation per seed through one seed-axis stepper.
 
-        Bit-identical to per-seed :meth:`run` calls.  The service stage's
-        per-slot work is per-RSU queue bookkeeping and policy calls (already
-        scalar), so unlike :meth:`CacheSimulator.run_batch` there is no
-        tensor axis to fold the seeds into; batching here exists so the
-        runtime can dispatch whole seed groups uniformly across run kinds.
+        Bit-identical to per-seed :meth:`run` calls.  The stage-2 per-slot
+        work is per-RSU queue bookkeeping and policy calls, so the seeds
+        are interleaved slot by slot rather than folded into tensors.
 
         Parameters
         ----------
@@ -542,13 +566,10 @@ class ServiceSimulator:
             seed; omitted, the horizons are generated here.  Ignored by the
             scalar ``reference=True`` replay, which draws per slot.
         """
-        num_slots = check_positive_int(
-            num_slots if num_slots is not None else self._config.num_slots,
-            "num_slots",
-        )
+        num_slots = self._num_slots(num_slots)
         seeds = [int(seed) for seed in seeds]
         policies = _expand_batch_policies(seeds, policies, self._policy)
-        configs = [self._config.with_overrides(seed=seed) for seed in seeds]
+        configs = self._seed_configs(seeds)
         if self._reference:
             return [
                 ServiceSimulator(
@@ -561,31 +582,8 @@ class ServiceSimulator:
                 ).run(num_slots=num_slots)
                 for config, policy in zip(configs, policies)
             ]
-        steppers = [
-            ServiceStepper(
-                config,
-                policy,
-                service_batch=self._service_batch,
-                metrics=self._metrics_mode,
-                block_size=self._block_size,
-                expected_slots=num_slots,
-            )
-            for config, policy in zip(configs, policies)
-        ]
-        # Replay precomputed arrival tensors: the hot loop never calls back
-        # into the workload models (the tensors either arrive from the
-        # dispatching runner or are generated here, identically).
-        if horizons is None:
-            horizons = [
-                stepper.state.workload.generate_horizon(num_slots)
-                for stepper in steppers
-            ]
-        else:
-            _check_horizons(horizons, seeds)
-        for t in range(num_slots):
-            for s, stepper in enumerate(steppers):
-                stepper.step(horizons[s].slot_batches(t))
-        return [stepper.result() for stepper in steppers]
+        stepper = self._stepper(num_slots, configs, policies)
+        return stepper.drive(num_slots, _seed_horizons(stepper, horizons, num_slots))
 
     def _run_reference(
         self, state: SystemState, metrics: ServiceMetrics, num_slots: int

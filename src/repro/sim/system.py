@@ -4,13 +4,15 @@
 cost models, workload, and the static parameter/index matrices consumed by
 both the scalar reference loops and the vectorised hot loops.  It is
 internal plumbing shared by :mod:`repro.sim.cache_sim`,
-:mod:`repro.sim.service_sim`, and :mod:`repro.sim.joint_sim`.
+:mod:`repro.sim.service_sim`, and :mod:`repro.sim.joint_sim`, together
+with the option handling of their simulators (:class:`_Simulator`) and the
+setup and slot loop of their seed-axis steppers (:class:`_SeedStepper`).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +20,9 @@ from repro.core.policies import CacheObservation
 from repro.core.reward import UtilityFunction
 from repro.exceptions import ValidationError
 from repro.net.cache import MBSContentStore, RSUCache
+from repro.sim.metrics import DEFAULT_BLOCK_SLOTS, check_metrics_mode
 from repro.sim.scenario import ScenarioConfig
+from repro.utils.validation import check_positive_int
 
 class SystemState:
     """Shared construction of topology, catalog, caches, and parameters."""
@@ -188,3 +192,101 @@ def _expand_batch_policies(seeds: Sequence[int], policies, base_policy) -> List:
             f"got {len(policies)} policies for {len(seeds)} seeds"
         )
     return policies
+
+
+def _policy_name(policy: Any) -> str:
+    """The name a result records for *policy*."""
+    return getattr(policy, "name", type(policy).__name__)
+
+
+class _Simulator:
+    """Options and properties shared by the cache, service and joint simulators."""
+
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        *,
+        service_batch: Optional[int] = None,
+        reference: bool = False,
+        metrics: str = "full",
+        block_size: Optional[int] = None,
+    ) -> None:
+        if service_batch is not None:
+            check_positive_int(service_batch, "service_batch")
+        if block_size is not None:
+            check_positive_int(block_size, "block_size")
+        self._config = config
+        self._service_batch = service_batch
+        self._reference = bool(reference)
+        self._metrics_mode = check_metrics_mode(metrics)
+        self._block_size = block_size
+
+    @property
+    def config(self) -> ScenarioConfig:
+        """The scenario being simulated."""
+        return self._config
+
+    @property
+    def reference(self) -> bool:
+        """Whether the scalar reference loop is used instead of the vectorised one."""
+        return self._reference
+
+    @property
+    def metrics_mode(self) -> str:
+        """The metric collection mode, ``"full"`` or ``"summary"``."""
+        return self._metrics_mode
+
+    def _num_slots(self, num_slots: Optional[int]) -> int:
+        return check_positive_int(
+            num_slots if num_slots is not None else self._config.num_slots,
+            "num_slots",
+        )
+
+    def _seed_configs(self, seeds: Sequence[int]) -> List[ScenarioConfig]:
+        return [self._config.with_overrides(seed=seed) for seed in seeds]
+
+
+class _SeedStepper:
+    """Setup and slot loop shared by the seed-axis steppers.
+
+    A stepper carries ``S >= 1`` runs — one per scenario config, all of one
+    grid shape — through the vectorised per-slot body one slot at a time.
+    Steppers are built by the simulators (:class:`_Simulator`), which
+    validate the options.
+    Subclasses implement ``step(batches=None)``, where *batches* is
+    ``None`` (each seed draws its slot's arrivals from its own workload) or
+    one ``(rsu_id, content_ids)`` batch list per seed, returning one
+    per-slot metrics dict per seed; and ``results()``, the per-seed results
+    of the run so far.
+    """
+
+    def __init__(
+        self,
+        configs: Sequence[ScenarioConfig],
+        *,
+        metrics: str,
+        block_size: Optional[int],
+        expected_slots: Optional[int],
+    ) -> None:
+        self.configs = list(configs)
+        self.metrics_mode = metrics
+        self.expected_slots = int(
+            expected_slots if expected_slots is not None else self.configs[0].num_slots
+        )
+        block = block_size if block_size else DEFAULT_BLOCK_SLOTS
+        self.block = max(1, min(int(block), max(1, self.expected_slots)))
+        self.states = [SystemState(config) for config in self.configs]
+        self.time_slot = 0
+
+    def drive(self, num_slots: int, horizons: Optional[Sequence] = None) -> List:
+        """Step a fresh stepper through *num_slots* slots; return its results.
+
+        The one slot loop behind every simulator's ``run()`` (one seed,
+        per-slot workload draws) and ``run_batch()`` (replaying per-seed
+        precomputed :class:`~repro.net.requests.WorkloadHorizon` tensors).
+        """
+        for t in range(num_slots):
+            self.step(
+                None if horizons is None else [h.slot_batches(t) for h in horizons]
+            )
+        return self.results()

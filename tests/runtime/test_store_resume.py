@@ -215,20 +215,33 @@ class TestStoreKnobs:
 
 
 class TestSimulateWriteThrough:
-    def test_simulate_warms_the_grid_store(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, policies",
+        [
+            ("cache", "periodic:period=2"),
+            ("joint", ("mdp", "lyapunov")),
+            ("multihop", "lce"),
+        ],
+        ids=["cache", "joint", "multihop"],
+    )
+    def test_simulate_warms_the_grid_store(self, tmp_path, kind, policies):
         from repro import simulate
 
         scenario = ScenarioConfig.small(seed=11, num_slots=20)
         store_dir = str(tmp_path / "runs")
-        simulate(scenario, "periodic:period=2", store=store_dir)
+        simulate(scenario, policies, store=store_dir)
         with RunStore(store_dir) as store:
             assert len(store) == 1
 
         # The façade run and the grid cell share one content address.
+        policy, service_policy = (
+            policies if isinstance(policies, tuple) else (policies, None)
+        )
         spec = ExperimentSpec(
-            kind="cache",
+            kind=kind,
             scenario=scenario,
-            policy="periodic:period=2",
+            policy=policy,
+            service_policy=service_policy,
             seed=11,
             num_seeds=1,
         )

@@ -126,6 +126,45 @@ class TestProtocolErrors:
             finally:
                 client._teardown()
 
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (b'{"t": 0, "rsu": 0, "content": 0}\xff\xfe\n', "UTF-8"),
+            (b'{"meta": "x' + b"x" * (70 * 1024) + b'"}\n', "line limit"),
+            (b'{"meta": {"num_slots": -5}}\n', "num_slots"),
+            (b'{"meta": {"num_slots": 2.5}}\n', "num_slots"),
+            (b'{"meta": [1]}\n', "meta"),
+        ],
+        ids=["invalid-utf8", "over-64k", "negative-slots", "float-slots", "meta-list"],
+    )
+    def test_hostile_line_earns_an_error_and_others_keep_serving(
+        self, trace_env, bad_line, message
+    ):
+        config, _ = trace_env
+        with BackgroundServer(config, "lyapunov", num_slots=3) as server:
+            with socket.create_connection((server.host, server.port)) as other:
+                other_stream = other.makefile("rwb")
+                with socket.create_connection((server.host, server.port)) as sock:
+                    stream = sock.makefile("rwb")
+                    stream.write(bad_line)
+                    stream.write(b'{"t": 0, "rsu": 0, "content": 0}\n')
+                    stream.write(b'{"op": "snapshot"}\n')
+                    stream.flush()
+                    error = json.loads(stream.readline())
+                    assert error["ok"] is False
+                    assert message in error["error"]
+                    # The same connection resumes at the next line.
+                    snapshot = json.loads(stream.readline())
+                    assert snapshot["ok"] is True and snapshot["pending"] == 1
+                    stream.write(b'{"op": "close"}\n')
+                    stream.flush()
+                    final = json.loads(stream.readline())
+                    assert final["ok"] is True and final["time_slot"] == 3
+                # Another session on the same server is unaffected.
+                other_stream.write(b'{"op": "close"}\n')
+                other_stream.flush()
+                assert json.loads(other_stream.readline())["ok"] is True
+
     def test_bad_server_configuration_fails_at_bind_time(self):
         config = ScenarioConfig.small(seed=0)
         with pytest.raises(Exception, match="exactly one"):
