@@ -1,15 +1,14 @@
 """Benchmark — production-size grids: throughput, memory, and dispatch.
 
-The PR-5 gate for memory-bounded streaming metrics, slot-blocked hot
+The PR-5 gate for memory-bounded streaming metrics, seed-batched hot
 loops, and zero-copy worker dispatch, measured at a grid point far beyond
 the paper's (128 RSUs x 50 contents, 2000 slots, 8 seeds):
 
 * ``large_grid`` — an 8-seed seed-batched cache run with
-  ``metrics="summary"`` and blocked emission must beat the faithfully
-  replayed pre-PR loop (per-slot validated ``record_slot`` calls with
-  boxed reward breakdowns and full metric histories) by >= 2x, with both
-  paths asserted summary-identical first and each arm timed in a cold
-  subprocess.
+  ``metrics="summary"`` must beat the faithfully replayed pre-PR loop
+  (per-slot validated ``record_slot`` calls with boxed reward breakdowns
+  and full metric histories) by >= 2x, with both paths asserted
+  summary-identical first and each arm timed in a cold subprocess.
 * ``large_grid_memory`` — the tracemalloc peak of a ``metrics="summary"``
   run must stay flat (+-10%) when the horizon grows 10x; the full-mode
   peak is recorded alongside for contrast.
@@ -70,13 +69,14 @@ def periodic_policy_factory(scenario):
     return PeriodicUpdatePolicy(period=5)
 
 
-def _run_batch(metrics: str, block_size):
+def _run_batch(metrics: str, _block_size=None):
+    # The second argument is ignored: it sized the metrics staging blocks,
+    # which the simulators no longer have.
     scenario = _scenario(SLOTS)
     simulator = CacheSimulator(
         scenario,
         PeriodicUpdatePolicy(period=5),
         metrics=metrics,
-        block_size=block_size,
     )
     return simulator.run_batch(list(range(SEEDS)))
 
@@ -366,6 +366,6 @@ if __name__ == "__main__":  # subprocess timing entry for _cold_run_seconds
     if _arm == "old":
         _run_pre_pr_batch()
     else:
-        for _result in _run_batch("summary", None):
+        for _result in _run_batch("summary"):
             _result.summary()
     print(json.dumps({"arm": _arm, "seconds": time.perf_counter() - _start}))

@@ -32,7 +32,9 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy>=1.22"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        # networkx backs the multihop topology graphs; without it the
+        # multihop suites skip and the multihop CLI examples cannot run.
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "networkx"],
     },
     entry_points={
         "console_scripts": ["repro=repro.cli:main"],

@@ -24,8 +24,7 @@ from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.core.policies import CachingPolicy, ServicePolicy
 from repro.exceptions import ValidationError
-from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, ServiceSimulator
+from repro.sim import CacheSimulator, ScenarioConfig, ServiceSimulator
 from repro.utils.validation import check_positive_int
 
 

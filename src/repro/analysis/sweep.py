@@ -32,8 +32,7 @@ from repro.core.policies import CachingPolicy, ServicePolicy
 from repro.exceptions import ValidationError
 from repro.policies.registry import PolicySpec, create_policy
 from repro.runtime.runner import ExperimentRunner, RunSpec
-from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator
+from repro.sim import CacheSimulator, ScenarioConfig
 from repro.utils.rng import spawn_run_seeds
 from repro.utils.validation import check_positive_int
 from repro.workloads import WorkloadSpec

@@ -46,7 +46,6 @@ class ServeServer:
         kind: Optional[str] = None,
         metrics: str = "summary",
         service_batch: Optional[int] = None,
-        block_size: Optional[int] = None,
         max_pending: int = DEFAULT_MAX_PENDING,
         num_slots: Optional[int] = None,
         host: str = "127.0.0.1",
@@ -58,7 +57,6 @@ class ServeServer:
             kind=kind,
             metrics=metrics,
             service_batch=service_batch,
-            block_size=block_size,
             max_pending=max_pending,
         )
         self._num_slots = num_slots

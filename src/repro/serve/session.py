@@ -133,7 +133,6 @@ def open_session(
     kind: Optional[str] = None,
     metrics: str = "summary",
     service_batch: Optional[int] = None,
-    block_size: Optional[int] = None,
     max_pending: int = DEFAULT_MAX_PENDING,
 ) -> "SimulationSession":
     """Open an incremental session on *scenario* under *policies*.
@@ -170,7 +169,6 @@ def open_session(
         _materialize(service_policy, scenario),
         service_batch=service_batch,
         metrics=metrics,
-        block_size=block_size,
     )
     return SimulationSession(
         _OneSeed(simulator._stepper(None)), max_pending=max_pending
@@ -342,9 +340,9 @@ class SimulationSession:
     def snapshot(self) -> Dict[str, Any]:
         """A consistent point-in-time view of the session.
 
-        Flushes the staged metric blocks (byte-identical at any boundary)
-        and returns the ingest counters plus the run-so-far ``summary()``
-        of the underlying result.
+        Returns the ingest counters plus the run-so-far ``summary()`` of
+        the underlying result; the collectors are current after every
+        executed slot.
         """
         self._ensure_open()
         summary = self._stepper.result().summary()

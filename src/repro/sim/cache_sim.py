@@ -1,20 +1,14 @@
 """Stage-1 simulator: MBS cache management over the RSU caches.
 
-Split out of the monolithic ``repro.sim.simulator`` behind the
-:func:`repro.sim.engine.simulate` façade; the class surface and every
-trajectory are unchanged (pinned by the golden-trajectory and
-batch-equivalence suites).
-
 Stage 1 has one vectorised per-slot body, :class:`_BatchedCacheStage`,
 driven slot by slot along a seed axis by :class:`CacheStepper`:
 :meth:`CacheSimulator.run` and cache sessions run it with one seed,
-:meth:`CacheSimulator.run_batch` with every seed at once.  It emits
-metrics in blocks of ``block_size`` slots (slot-blocked recording):
-per-slot work is the policy decision plus the element-wise reward math,
-while the metric bookkeeping — history writes, reward-trace appends,
-aggregate reductions — lands in one ``record_block`` call per block.
-Blocked emission is byte-identical to per-slot recording; the scalar
-``reference=True`` loop still records slot by slot.
+:meth:`CacheSimulator.run_batch` with every seed at once.  Per slot it
+makes the policy decision, does the element-wise reward math, and records
+the slot of every seed into the collectors in one
+:meth:`~repro.sim.metrics.CacheMetrics.record_stacked_slot` call — the
+same recording body the scalar ``reference=True`` loop reaches through
+:meth:`~repro.sim.metrics.CacheMetrics.record_slot`.
 """
 
 from __future__ import annotations
@@ -38,94 +32,6 @@ from repro.sim.system import (
     _Simulator,
 )
 
-class _CacheBlockRecorder:
-    """Stages per-slot cache metrics and flushes K-slot blocks.
-
-    Full-mode collectors receive the staged age/action matrices (:meth:`add`)
-    through :meth:`CacheMetrics.record_block`; summary-mode collectors
-    receive only per-slot scalar aggregates (:meth:`add_aggregates`) through
-    :meth:`CacheMetrics.record_block_aggregates`, so no matrix ever needs
-    staging.  Either way the recorded metrics are byte-identical to
-    per-slot :meth:`CacheMetrics.record_slot` calls.
-    """
-
-    def __init__(self, metrics: CacheMetrics, shape, block_size: int) -> None:
-        self._metrics = metrics
-        self.full = metrics.mode == "full"
-        block = max(1, int(block_size))
-        self._aoi = np.zeros(block)
-        self._costs = np.zeros(block)
-        self._totals = np.zeros(block)
-        self._fill = 0
-        self._start = 0
-        if self.full:
-            self._ages = np.zeros((block, *shape))
-            self._actions = np.zeros((block, *shape), dtype=int)
-        else:
-            self._age_sums = np.zeros(block)
-            self._updates = np.zeros(block, dtype=np.int64)
-            self._violations = np.zeros(block, dtype=np.int64)
-
-    def _stage(self, time_slot, aoi, cost, total) -> int:
-        fill = self._fill
-        if fill == 0:
-            self._start = time_slot
-        self._aoi[fill] = aoi
-        self._costs[fill] = cost
-        self._totals[fill] = total
-        return fill
-
-    def _commit(self, fill: int) -> None:
-        self._fill = fill + 1
-        if self._fill == self._aoi.shape[0]:
-            self.flush()
-
-    def add(self, time_slot, ages, actions, aoi, cost, total) -> None:
-        """Stage one slot (post-update ages, actions, reward components).
-
-        Full mode only; summary mode stages :meth:`add_aggregates`.
-        """
-        fill = self._stage(time_slot, aoi, cost, total)
-        self._ages[fill] = ages
-        self._actions[fill] = actions
-        self._commit(fill)
-
-    def add_aggregates(
-        self, time_slot, aoi, cost, total, age_sum, updates, violations
-    ) -> None:
-        """Stage one slot from pre-reduced aggregates (summary mode only)."""
-        fill = self._stage(time_slot, aoi, cost, total)
-        self._age_sums[fill] = age_sum
-        self._updates[fill] = updates
-        self._violations[fill] = violations
-        self._commit(fill)
-
-    def flush(self) -> None:
-        """Emit the staged slots to the collector."""
-        fill = self._fill
-        if not fill:
-            return
-        if self.full:
-            self._metrics.record_block(
-                self._start,
-                self._ages[:fill],
-                self._actions[:fill],
-                self._aoi[:fill],
-                self._costs[:fill],
-                self._totals[:fill],
-            )
-        else:
-            self._metrics.record_block_aggregates(
-                self._aoi[:fill],
-                self._costs[:fill],
-                self._totals[:fill],
-                self._age_sums[:fill],
-                int(self._updates[:fill].sum()),
-                int(self._violations[:fill].sum()),
-            )
-        self._fill = 0
-
-
 def _cache_metrics(state: SystemState, mode: str, num_slots: int) -> CacheMetrics:
     """A stage-1 collector sized for *state*'s grid and *num_slots* slots."""
     config = state.config
@@ -136,13 +42,6 @@ def _cache_metrics(state: SystemState, mode: str, num_slots: int) -> CacheMetric
         mode=mode,
         expected_slots=num_slots,
     )
-
-
-def _cache_recorders(states, metrics, block: int) -> List[_CacheBlockRecorder]:
-    """One staged recorder per seed's stage-1 collector."""
-    config = states[0].config
-    shape = (config.num_rsus, config.contents_per_rsu)
-    return [_CacheBlockRecorder(metric, shape, block) for metric in metrics]
 
 
 class _BatchedCacheStage:
@@ -215,10 +114,11 @@ class _BatchedCacheStage:
             per_seed.append(CachingPolicy.validate_actions(actions, observation))
         return np.stack(per_seed)
 
-    def step(self, time_slot: int, recorders: List[_CacheBlockRecorder]):
+    def step(self, time_slot: int, metrics: List[CacheMetrics]):
         """Run one slot: decide, account the Eq. (1) reward, apply updates.
 
-        Returns the per-seed ``(aoi_utility, update_cost, reward)`` arrays.
+        Records the slot into each seed's collector in *metrics* and returns
+        the per-seed ``(aoi_utility, update_cost, reward)`` arrays.
         """
         costs = self.slot_costs(time_slot)
         actions = self.decide(time_slot, costs)
@@ -241,39 +141,16 @@ class _BatchedCacheStage:
         # Swap buffers: the outgoing ages tensor becomes next slot's scratch.
         self._post = self.ages
         self.ages = post_ages
-        if recorders and not recorders[0].full:
-            # Summary-mode fast path: reduce every seed's slot in one pass
-            # over the stacked tensors (identical per-row reductions to the
-            # per-seed record_slot calls) and stage scalars only.
-            age_sums = post_ages.reshape(num_seeds, -1).sum(axis=1)
-            updates = actions.reshape(num_seeds, -1).sum(axis=1)
-            violations = (post_ages > self.max_ages).reshape(num_seeds, -1).sum(axis=1)
-            for s, recorder in enumerate(recorders):
-                recorder.add_aggregates(
-                    time_slot,
-                    aoi_totals[s],
-                    cost_totals[s],
-                    totals[s],
-                    age_sums[s],
-                    int(updates[s]),
-                    int(violations[s]),
-                )
-        else:
-            for s, recorder in enumerate(recorders):
-                recorder.add(
-                    time_slot,
-                    post_ages[s],
-                    actions[s],
-                    aoi_totals[s],
-                    cost_totals[s],
-                    totals[s],
-                )
+        CacheMetrics.record_stacked_slot(
+            metrics, time_slot, post_ages, actions, self.max_ages,
+            aoi_totals, cost_totals, totals,
+        )
         return aoi_totals, cost_totals, totals
 
     def advance(self, time_slot: int) -> None:
         """Age every cached copy by one slot and regenerate the MBS copies.
 
-        In place: every same-slot consumer (recorders, the joint service
+        In place: every same-slot consumer (collectors, the joint service
         stage's AoI guard) has already read — or copied — the post-update
         ages by the time the loop advances.
         """
@@ -287,7 +164,7 @@ class CacheStepper(_SeedStepper):
     """Resumable slot-by-slot execution of the stage-1 loop along a seed axis.
 
     Carries one run per ``(config, policy)`` pair (``S >= 1``) through
-    :class:`_BatchedCacheStage` with one staged metrics recorder per seed.
+    :class:`_BatchedCacheStage` with one metrics collector per seed.
     It is the only vectorised stage-1 body: :meth:`CacheSimulator.run`
     (``S = 1``), :meth:`CacheSimulator.run_batch`, and cache sessions all
     drive it.  Taking configs rather than seeds, it also runs a scenario
@@ -304,13 +181,9 @@ class CacheStepper(_SeedStepper):
         policies: Sequence[CachingPolicy],
         *,
         metrics: str = "full",
-        block_size: Optional[int] = None,
         expected_slots: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            configs, metrics=metrics, block_size=block_size,
-            expected_slots=expected_slots,
-        )
+        super().__init__(configs, metrics=metrics, expected_slots=expected_slots)
         self.policies = list(policies)
         self.metrics = [
             _cache_metrics(state, self.metrics_mode, self.expected_slots)
@@ -319,12 +192,11 @@ class CacheStepper(_SeedStepper):
         for policy in self.policies:
             policy.reset()
         self._stage = _BatchedCacheStage(self.states, self.policies)
-        self._recorders = _cache_recorders(self.states, self.metrics, self.block)
 
     def step(self, batches=None) -> List[dict]:
         """Advance one slot; returns each seed's reward components."""
         t = self.time_slot
-        aoi, cost, reward = self._stage.step(t, self._recorders)
+        aoi, cost, reward = self._stage.step(t, self.metrics)
         self._stage.advance(t)
         self.time_slot = t + 1
         return [
@@ -333,9 +205,7 @@ class CacheStepper(_SeedStepper):
         ]
 
     def results(self) -> List[CacheSimulationResult]:
-        """The runs so far, one result per seed (flushes staged blocks)."""
-        for recorder in self._recorders:
-            recorder.flush()
+        """The runs so far, one result per seed."""
         return [
             CacheSimulationResult(
                 config=config,
@@ -369,10 +239,6 @@ class CacheSimulator(_Simulator):
         Metric collection mode, ``"full"`` (default) or ``"summary"`` —
         see :mod:`repro.sim.metrics`.  ``summary()`` / ``rows()`` output is
         byte-identical; ``"summary"`` keeps memory flat in the grid size.
-    block_size:
-        Slots staged per metrics flush in the vectorised loops (default
-        :data:`~repro.sim.metrics.DEFAULT_BLOCK_SLOTS`); byte-identical for
-        any value.
     """
 
     def __init__(
@@ -382,11 +248,8 @@ class CacheSimulator(_Simulator):
         *,
         reference: bool = False,
         metrics: str = "full",
-        block_size: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            config, reference=reference, metrics=metrics, block_size=block_size
-        )
+        super().__init__(config, reference=reference, metrics=metrics)
         self._policy = policy
 
     @property
@@ -402,7 +265,6 @@ class CacheSimulator(_Simulator):
             configs or [self._config],
             policies or [self._policy],
             metrics=self._metrics_mode,
-            block_size=self._block_size,
             expected_slots=num_slots,
         )
 
@@ -460,7 +322,6 @@ class CacheSimulator(_Simulator):
                     policy,
                     reference=True,
                     metrics=self._metrics_mode,
-                    block_size=self._block_size,
                 ).run(num_slots=num_slots)
                 for config, policy in zip(configs, policies)
             ]

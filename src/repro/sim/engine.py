@@ -180,7 +180,6 @@ def simulate(
     num_slots: Optional[int] = None,
     service_batch: Optional[int] = None,
     metrics: str = "full",
-    block_size: Optional[int] = None,
     store: Any = None,
 ) -> Union[SimulationResult, List[SimulationResult]]:
     """Run one scenario under one or two policies and return the result(s).
@@ -219,10 +218,6 @@ def simulate(
         ``summary()`` / ``rows()`` output is byte-identical; ``"summary"``
         keeps only the per-slot aggregates, so memory stays flat in the
         grid size on long-horizon runs (see :mod:`repro.sim.metrics`).
-    block_size:
-        Slots staged per metrics flush in the vectorised loops
-        (byte-identical for any value; default
-        :data:`~repro.sim.metrics.DEFAULT_BLOCK_SLOTS`).
     store:
         Persistent run-store knob (see :mod:`repro.runtime.store`):
         ``None`` consults ``REPRO_RUN_STORE[_DIR]``, ``True``/a
@@ -257,7 +252,6 @@ def simulate(
             seeds=seeds,
             num_slots=num_slots,
             metrics=metrics,
-            block_size=block_size,
             store=store,
         )
     results = _run(
@@ -272,7 +266,6 @@ def simulate(
         service_batch=service_batch,
         reference=mode == "reference",
         metrics=metrics,
-        block_size=block_size,
     )
     return results[0] if seeds is None else results
 
@@ -344,7 +337,7 @@ def _simulator(
 
     *policy* is the caching policy (cache, joint), the service policy
     (service) or the multihop policy; *service_policy* is the joint kind's
-    second stage.  *options* are ``reference``/``metrics``/``block_size``.
+    second stage.  *options* are ``reference``/``metrics``.
     """
     if kind == "cache":
         return CacheSimulator(scenario, policy, **options)
@@ -458,7 +451,6 @@ def _simulate_multihop(
     seeds: Union[None, int, Sequence[int]],
     num_slots: Optional[int],
     metrics: str,
-    block_size: Optional[int],
     store: Any,
 ) -> Union[SimulationResult, List[SimulationResult]]:
     """Run the multihop kind: any number of policies, any role, one loop.
@@ -488,7 +480,6 @@ def _simulate_multihop(
             store=store,
             reference=mode == "reference",
             metrics=metrics,
-            block_size=block_size,
         )
     if seeds is None and single_policy:
         return results[0]

@@ -1,16 +1,11 @@
 """Full two-stage simulator coupling cache management and content service.
 
-Split out of the monolithic ``repro.sim.simulator`` behind the
-:func:`repro.sim.engine.simulate` façade; the class surface and every
-trajectory are unchanged (pinned by the golden-trajectory and
-batch-equivalence suites).
-
 The coupled loop has one vectorised per-slot body, :class:`JointStepper`,
 which runs along a seed axis: :meth:`JointSimulator.run` and joint
 sessions drive it with one seed, :meth:`JointSimulator.run_batch` with
-every seed at once.  It emits both stages' metrics in ``block_size``-slot
-blocks, byte-identical to the per-slot reference accounting (see
-:mod:`repro.sim.cache_sim` and :mod:`repro.sim.service_sim`).
+every seed at once.  Both stages record every slot straight into their
+collectors through the same bodies as the per-slot reference accounting
+(see :mod:`repro.sim.cache_sim` and :mod:`repro.sim.service_sim`).
 """
 
 from __future__ import annotations
@@ -20,11 +15,7 @@ from typing import List, Optional, Sequence
 from repro.core.policies import CachingPolicy, ServicePolicy
 from repro.core.reward import UtilityFunction
 from repro.net.queueing import RequestQueue
-from repro.sim.cache_sim import (
-    _BatchedCacheStage,
-    _cache_metrics,
-    _cache_recorders,
-)
+from repro.sim.cache_sim import _BatchedCacheStage, _cache_metrics
 from repro.sim.metrics import CacheMetrics, ServiceMetrics
 from repro.sim.results import JointSimulationResult
 from repro.sim.scenario import ScenarioConfig
@@ -71,13 +62,9 @@ class JointStepper(_SeedStepper):
         *,
         service_batch: Optional[int] = None,
         metrics: str = "full",
-        block_size: Optional[int] = None,
         expected_slots: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            configs, metrics=metrics, block_size=block_size,
-            expected_slots=expected_slots,
-        )
+        super().__init__(configs, metrics=metrics, expected_slots=expected_slots)
         self.caching_policies = list(caching_policies)
         self.service_policies = list(service_policies)
         mode, expected = self.metrics_mode, self.expected_slots
@@ -90,12 +77,8 @@ class JointStepper(_SeedStepper):
         for policy in self.caching_policies:
             policy.reset()
         self._cache_stage = _BatchedCacheStage(self.states, self.caching_policies)
-        self._cache_recorders = _cache_recorders(
-            self.states, self.cache_metrics, self.block
-        )
         self._service_stage = _ServiceStage(
-            self.states, self.service_policies, self.service_metrics,
-            service_batch, self.block,
+            self.states, self.service_policies, self.service_metrics, service_batch
         )
 
     def step(self, batches=None) -> List[dict]:
@@ -103,7 +86,7 @@ class JointStepper(_SeedStepper):
         t = self.time_slot
         stage = self._cache_stage
         # ---- Stage 1: cache management (seed-batched) --------------------
-        aoi, cost, reward = stage.step(t, self._cache_recorders)
+        aoi, cost, reward = stage.step(t, self.cache_metrics)
         # ---- Stage 2: content service, AoI guard on live ages ------------
         served = self._service_stage.step(t, batches, stage.ages)
         # ---- Advance time ------------------------------------------------
@@ -120,10 +103,7 @@ class JointStepper(_SeedStepper):
         ]
 
     def results(self) -> List[JointSimulationResult]:
-        """The runs so far, one result per seed (flushes staged blocks)."""
-        for recorder in self._cache_recorders:
-            recorder.flush()
-        self._service_stage.flush()
+        """The runs so far, one result per seed."""
         return [
             JointSimulationResult(
                 config=config,
@@ -160,14 +140,12 @@ class JointSimulator(_Simulator):
         service_batch: Optional[int] = None,
         reference: bool = False,
         metrics: str = "full",
-        block_size: Optional[int] = None,
     ) -> None:
         super().__init__(
             config,
             service_batch=service_batch,
             reference=reference,
             metrics=metrics,
-            block_size=block_size,
         )
         self._caching_policy = caching_policy
         self._service_policy = service_policy
@@ -186,7 +164,6 @@ class JointSimulator(_Simulator):
             service_policies or [self._service_policy],
             service_batch=self._service_batch,
             metrics=self._metrics_mode,
-            block_size=self._block_size,
             expected_slots=num_slots,
         )
 
@@ -248,7 +225,6 @@ class JointSimulator(_Simulator):
                     service_batch=self._service_batch,
                     reference=True,
                     metrics=self._metrics_mode,
-                    block_size=self._block_size,
                 ).run(num_slots=num_slots)
                 for config, caching_policy, service_policy in zip(
                     configs, caching_policies, service_policies

@@ -7,11 +7,14 @@ by the collectors in this module, which the figure-regeneration code then
 reads.
 
 The collectors are array-backed: per-slot values land in preallocated
-(growable) numpy buffers rather than Python lists, the headline reductions
-(``total_reward``, ``mean_age``, ...) are computed lazily from those
-buffers and cached until the next append, and the hot loops can emit whole
-blocks of slots at once through the ``record_block`` APIs instead of paying
-one Python call per slot.
+(growable) numpy buffers rather than Python lists, and the headline
+reductions (``total_reward``, ``mean_age``, ...) are computed lazily from
+those buffers and cached until the next append.  Each collector has one
+recording body, called once per slot by the scalar reference loops and the
+vectorised stages alike, so a collector is current after every step.  The
+cache collector's body, :meth:`CacheMetrics.record_stacked_slot`, takes
+one slot of ``S`` seeds' runs stacked along a leading seed axis and reduces
+it in one pass; :meth:`CacheMetrics.record_slot` is its one-seed form.
 
 Every collector runs in one of two modes (:data:`METRICS_MODES`):
 
@@ -43,10 +46,6 @@ from repro.exceptions import SimulationError, ValidationError
 #: :func:`repro.sim.engine.simulate`.
 METRICS_MODES = ("full", "summary")
 
-#: Default number of slots the simulators stage before flushing one
-#: ``record_block`` call (the ``block_size`` knob of the simulators).
-DEFAULT_BLOCK_SLOTS = 64
-
 _INITIAL_CAPACITY = 64
 
 
@@ -63,9 +62,8 @@ class _SlotBuffer:
     """Growable preallocated array with one row per recorded slot.
 
     Appending is an index assignment into spare capacity (amortised O(1),
-    no per-append allocation); ``extend`` writes a whole block with one
-    slice assignment.  When the caller knows the horizon up front it can
-    preallocate exactly and never regrow.
+    no per-append allocation).  When the caller knows the horizon up front
+    it can preallocate exactly and never regrow.
     """
 
     __slots__ = ("_data", "_size", "_row_shape", "_dtype")
@@ -85,27 +83,13 @@ class _SlotBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._data.shape[0]
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        grown = np.zeros((capacity, *self._row_shape), dtype=self._dtype)
-        grown[: self._size] = self._data[: self._size]
-        self._data = grown
-
     def append(self, row) -> None:
-        self._reserve(1)
+        if self._size == self._data.shape[0]:
+            grown = np.zeros((2 * self._size, *self._row_shape), dtype=self._dtype)
+            grown[: self._size] = self._data
+            self._data = grown
         self._data[self._size] = row
         self._size += 1
-
-    def extend(self, rows: np.ndarray) -> None:
-        count = rows.shape[0]
-        self._reserve(count)
-        self._data[self._size : self._size + count] = rows
-        self._size += count
 
     @property
     def array(self) -> np.ndarray:
@@ -133,8 +117,8 @@ class _StreamingSum:
 
     Values fill a fixed staging chunk; every full chunk folds into the
     running total exactly where the deferred fold would split, so the sum
-    is a pure function of the value sequence — independent of whether
-    values arrived one at a time or in blocks, or were kept in a buffer.
+    is a pure function of the value sequence — identical to the deferred
+    fold over the same values kept in a buffer.
     """
 
     __slots__ = ("_staging", "_fill", "_total", "count")
@@ -152,21 +136,6 @@ class _StreamingSum:
         if self._fill == STREAM_CHUNK:
             self._total += float(np.sum(self._staging))
             self._fill = 0
-
-    def extend(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        offset = 0
-        while offset < values.size:
-            take = min(STREAM_CHUNK - self._fill, values.size - offset)
-            self._staging[self._fill : self._fill + take] = values[
-                offset : offset + take
-            ]
-            self._fill += take
-            self.count += take
-            offset += take
-            if self._fill == STREAM_CHUNK:
-                self._total += float(np.sum(self._staging))
-                self._fill = 0
 
     @property
     def total(self) -> float:
@@ -215,35 +184,18 @@ class RewardTrace:
 
     def record(self, breakdown: RewardBreakdown) -> None:
         """Append one slot's reward breakdown."""
-        self._cache.clear()
-        self._totals.append(float(breakdown.total))
-        if self._mode == "full":
-            self._aoi.append(float(breakdown.aoi_utility))
-            self._costs.append(float(breakdown.cost))
-        else:
-            self._aoi_stream.push(float(breakdown.aoi_utility))
-            self._cost_stream.push(float(breakdown.cost))
+        self._append(breakdown.aoi_utility, breakdown.cost, breakdown.total)
 
-    def record_block(
-        self,
-        aoi_utilities: np.ndarray,
-        costs: np.ndarray,
-        totals: np.ndarray,
-    ) -> None:
-        """Append a block of consecutive slots' reward components at once.
-
-        Equivalent to one :meth:`record` call per slot (the recorded values
-        and every reduction are byte-identical); the block form exists so
-        the hot loops pay one call per *block* instead of per slot.
-        """
+    def _append(self, aoi_utility: float, cost: float, total: float) -> None:
+        """The recording body: one slot's Eq. (2), Eq. (3) and Eq. (1) values."""
         self._cache.clear()
-        self._totals.extend(totals)
+        self._totals.append(total)
         if self._mode == "full":
-            self._aoi.extend(aoi_utilities)
-            self._costs.extend(costs)
+            self._aoi.append(aoi_utility)
+            self._costs.append(cost)
         else:
-            self._aoi_stream.extend(aoi_utilities)
-            self._cost_stream.extend(costs)
+            self._aoi_stream.push(aoi_utility)
+            self._cost_stream.push(cost)
 
     def __len__(self) -> int:
         return len(self._totals)
@@ -420,82 +372,55 @@ class CacheMetrics:
                 f"ages/actions must have shape {expected}, got {ages.shape} / "
                 f"{actions.shape}"
             )
-        self._cache.clear()
-        self._total_updates += int(actions.sum())
-        self._violations += int(np.count_nonzero(ages > self._max_ages))
-        if self._mode == "full":
-            self._age_sums.append(float(np.sum(ages)))
-            self._age_history.append(ages)
-            self._action_history.append(actions)
-            self._slot_times.append(int(time_slot))
-        else:
-            self._age_sum_stream.push(float(np.sum(ages)))
-        self._slots += 1
-        self.reward.record(breakdown)
+        CacheMetrics.record_stacked_slot(
+            [self],
+            time_slot,
+            ages[np.newaxis],
+            actions[np.newaxis],
+            self._max_ages[np.newaxis],
+            [breakdown.aoi_utility],
+            [breakdown.cost],
+            [breakdown.total],
+        )
 
-    def record_block(
-        self,
-        start_slot: int,
+    @staticmethod
+    def record_stacked_slot(
+        collectors: Sequence["CacheMetrics"],
+        time_slot: int,
         ages: np.ndarray,
         actions: np.ndarray,
-        aoi_utilities: np.ndarray,
-        costs: np.ndarray,
-        totals: np.ndarray,
+        max_ages: np.ndarray,
+        aoi_utilities: Sequence[float],
+        costs: Sequence[float],
+        totals: Sequence[float],
     ) -> None:
-        """Record a block of consecutive decision epochs in one call.
+        """Record one decision epoch of ``S`` runs, one collector per run.
 
-        *ages* / *actions* are ``(block, num_rsus, contents_per_rsu)``
-        matrices, the reward components ``(block,)`` vectors, for the
-        consecutive slots ``start_slot, start_slot + 1, ...``.  Equivalent
-        — byte for byte, in every mode — to one :meth:`record_slot` call
-        per slot, at a fraction of the per-slot Python overhead.
+        The recording body of every stage-1 loop.  *ages* (post-update),
+        *actions* and *max_ages* are ``(S, num_rsus, contents_per_rsu)``
+        stacks whose ``s``-th slice belongs to ``collectors[s]``; the Eq. (1)
+        components are length-``S``.  Age sums, update counts and ``A_max``
+        violations reduce across the seed axis in one pass; each row reduces
+        exactly as a one-seed :meth:`record_slot` would, so the recorded
+        metrics do not depend on ``S``.
         """
-        ages = np.asarray(ages, dtype=float)
-        actions = np.asarray(actions, dtype=int)
-        count = ages.shape[0]
-        self._cache.clear()
-        self._total_updates += int(actions.sum())
-        self._violations += int(np.count_nonzero(ages > self._max_ages))
-        if self._mode == "full":
-            self._age_sums.extend(ages.reshape(count, -1).sum(axis=1))
-            self._age_history.extend(ages)
-            self._action_history.extend(actions)
-            self._slot_times.extend(
-                np.arange(start_slot, start_slot + count, dtype=int)
-            )
-        else:
-            self._age_sum_stream.extend(ages.reshape(count, -1).sum(axis=1))
-        self._slots += count
-        self.reward.record_block(aoi_utilities, costs, totals)
-
-    def record_block_aggregates(
-        self,
-        aoi_utilities: np.ndarray,
-        costs: np.ndarray,
-        totals: np.ndarray,
-        age_sums: np.ndarray,
-        update_total: int,
-        violation_total: int,
-    ) -> None:
-        """Record a block from pre-reduced per-slot aggregates.
-
-        The summary-mode fast path: callers that already reduced each
-        slot's matrices (``age_sums[i] == float(np.sum(ages_i))`` etc., as
-        the seed-batched hot loop does across the whole seed axis at once)
-        skip shipping the matrices entirely.  Only valid in
-        ``mode="summary"`` — the full mode needs the matrices themselves.
-        """
-        if self._mode != "summary":
-            raise ValidationError(
-                "record_block_aggregates is the summary-mode fast path; "
-                "full-mode collectors need record_block with the matrices"
-            )
-        self._cache.clear()
-        self._age_sum_stream.extend(age_sums)
-        self._total_updates += int(update_total)
-        self._violations += int(violation_total)
-        self._slots += int(np.shape(age_sums)[0])
-        self.reward.record_block(aoi_utilities, costs, totals)
+        num_seeds = ages.shape[0]
+        age_sums = ages.reshape(num_seeds, -1).sum(axis=1)
+        updates = actions.reshape(num_seeds, -1).sum(axis=1)
+        violations = (ages > max_ages).reshape(num_seeds, -1).sum(axis=1)
+        for s, collector in enumerate(collectors):
+            collector._cache.clear()
+            collector._total_updates += int(updates[s])
+            collector._violations += int(violations[s])
+            if collector._mode == "full":
+                collector._age_sums.append(age_sums[s])
+                collector._age_history.append(ages[s])
+                collector._action_history.append(actions[s])
+                collector._slot_times.append(time_slot)
+            else:
+                collector._age_sum_stream.push(age_sums[s])
+            collector._slots += 1
+            collector.reward._append(aoi_utilities[s], costs[s], totals[s])
 
     # ------------------------------------------------------------------
     # Post-run accessors
@@ -568,9 +493,8 @@ class CacheMetrics:
         """Return the headline metrics of the run as a dictionary.
 
         Identical — byte for byte — whether the collector runs in
-        ``"full"`` or ``"summary"`` mode and whether slots arrived one at a
-        time or in blocks: every entry reduces the same per-slot aggregate
-        buffers.
+        ``"full"`` or ``"summary"`` mode and whichever loop recorded it:
+        every entry reduces the same per-slot aggregates.
         """
         return {
             "num_slots": float(self._slots),
@@ -649,8 +573,13 @@ class ServiceMetrics:
         costs: Sequence[float],
         decisions: Sequence[bool],
         served_counts: Sequence[int],
-    ) -> None:
-        """Record one slot of the service stage across all RSUs."""
+    ) -> Tuple[float, float, float, float]:
+        """Record one slot of the service stage across all RSUs.
+
+        Returns the slot's ``(backlog, latency, cost, served)`` totals
+        across RSUs — the sums the collector keeps — so callers reporting
+        per-slot aggregates need not sum the rows again.
+        """
         arrays = []
         for name, values in (
             ("backlogs", backlogs),
@@ -666,11 +595,15 @@ class ServiceMetrics:
                 )
             arrays.append(arr)
         self._cache.clear()
-        self._backlog_sums.append(float(np.sum(arrays[0])))
-        self._latency_sums.append(float(np.sum(arrays[1])))
-        self._cost_sums.append(float(np.sum(arrays[2])))
+        backlog = float(arrays[0].sum())
+        latency = float(arrays[1].sum())
+        cost = float(arrays[2].sum())
+        served = float(arrays[4].sum())
+        self._backlog_sums.append(backlog)
+        self._latency_sums.append(latency)
+        self._cost_sums.append(cost)
         self._serve_decisions += int(np.count_nonzero(arrays[3]))
-        self._total_served += int(arrays[4].sum())
+        self._total_served += int(served)
         if self._mode == "full":
             self._backlogs.append(arrays[0])
             self._latencies.append(arrays[1])
@@ -678,38 +611,7 @@ class ServiceMetrics:
             self._decisions.append(arrays[3])
             self._served_counts.append(arrays[4])
         self._slots += 1
-
-    def record_block(
-        self,
-        backlogs: np.ndarray,
-        latencies: np.ndarray,
-        costs: np.ndarray,
-        decisions: np.ndarray,
-        served_counts: np.ndarray,
-    ) -> None:
-        """Record a block of consecutive slots, ``(block, num_rsus)`` each.
-
-        Equivalent — byte for byte, in every mode — to one
-        :meth:`record_slot` call per slot.
-        """
-        blocks = [
-            np.asarray(values, dtype=float)
-            for values in (backlogs, latencies, costs, decisions, served_counts)
-        ]
-        count = blocks[0].shape[0]
-        self._cache.clear()
-        self._backlog_sums.extend(blocks[0].sum(axis=1))
-        self._latency_sums.extend(blocks[1].sum(axis=1))
-        self._cost_sums.extend(blocks[2].sum(axis=1))
-        self._serve_decisions += int(np.count_nonzero(blocks[3]))
-        self._total_served += int(blocks[4].sum())
-        if self._mode == "full":
-            self._backlogs.extend(blocks[0])
-            self._latencies.extend(blocks[1])
-            self._costs.extend(blocks[2])
-            self._decisions.extend(blocks[3])
-            self._served_counts.extend(blocks[4])
-        self._slots += count
+        return backlog, latency, cost, served
 
     # ------------------------------------------------------------------
     # Post-run accessors
@@ -804,8 +706,8 @@ class ServiceMetrics:
     def summary(self) -> Dict[str, float]:
         """Return the headline metrics of the run as a dictionary.
 
-        Identical — byte for byte — across both collection modes and both
-        recording granularities (see :class:`CacheMetrics.summary`).
+        Identical — byte for byte — across both collection modes (see
+        :meth:`CacheMetrics.summary`).
         """
         return {
             "num_slots": float(self._slots),

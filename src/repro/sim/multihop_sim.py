@@ -364,9 +364,6 @@ class MultihopSimulator:
     metrics:
         ``"full"`` additionally keeps per-session routing records;
         ``"summary"`` keeps per-slot aggregates only.
-    block_size:
-        Accepted for interface parity; the per-request loop records slot
-        by slot regardless.
     """
 
     def __init__(
@@ -376,10 +373,7 @@ class MultihopSimulator:
         *,
         reference: bool = False,
         metrics: str = "full",
-        block_size: Optional[int] = None,
     ) -> None:
-        if block_size is not None:
-            check_positive_int(block_size, "block_size")
         self._config = config
         # The role is resolved lazily (in run()): batch callers construct
         # the simulator with a placeholder policy and pass the per-seed
@@ -387,7 +381,6 @@ class MultihopSimulator:
         self._policy = policy
         self._reference = bool(reference)
         self._metrics_mode = check_metrics_mode(metrics)
-        self._block_size = block_size
 
     @property
     def config(self) -> ScenarioConfig:
@@ -455,7 +448,6 @@ class MultihopSimulator:
                 policy,
                 reference=self._reference,
                 metrics=self._metrics_mode,
-                block_size=self._block_size,
             ).run(num_slots=num_slots)
             for seed, policy in zip(seeds, policies)
         ]

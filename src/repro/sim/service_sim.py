@@ -1,20 +1,17 @@
 """Stage-2 simulator: per-RSU service decisions over the request queues.
 
-Split out of the monolithic ``repro.sim.simulator`` behind the
-:func:`repro.sim.engine.simulate` façade; the class surface and every
-trajectory are unchanged (pinned by the golden-trajectory and
-batch-equivalence suites).  :class:`_ServiceStage` — the vector queues,
-staged recorders and :func:`_vector_service_slot` of ``S`` seeds — is the
-one vectorised stage-2 body, shared by :class:`ServiceStepper` and the
-joint simulator's stepper.
+:class:`_ServiceStage` — the vector queues and :func:`_vector_service_slot`
+of ``S`` seeds — is the one vectorised stage-2 body, shared by
+:class:`ServiceStepper` and the joint simulator's stepper.
 
 :meth:`ServiceSimulator.run` drives the stepper with one seed and draws
 arrivals slot by slot; :meth:`ServiceSimulator.run_batch` drives it with
 every seed at once over precomputed
 :class:`~repro.net.requests.WorkloadHorizon` arrival tensors (optionally
 supplied by the caller — e.g. shipped through shared memory by the
-parallel runner).  Metrics are emitted in ``block_size``-slot blocks; all
-of it is byte-identical to the per-slot reference accounting.
+parallel runner).  Every slot is recorded through
+:meth:`~repro.sim.metrics.ServiceMetrics.record_slot`, the same body the
+per-slot reference accounting uses, so all paths are byte-identical.
 """
 
 from __future__ import annotations
@@ -114,57 +111,12 @@ class _VectorQueues:
             self._head[rsu] = 0
 
 
-class _ServiceBlockRecorder:
-    """Stages per-(slot, RSU) service metrics and flushes K-slot blocks.
-
-    The per-RSU loop writes straight into preallocated ``(block, num_rsus)``
-    rows (no per-slot list building or array conversion); every *block*
-    slots one :meth:`ServiceMetrics.record_block` call lands the staged
-    values — byte-identical to per-slot :meth:`ServiceMetrics.record_slot`.
-    """
-
-    def __init__(self, metrics: ServiceMetrics, num_rsus: int, block_size: int) -> None:
-        self._metrics = metrics
-        block = max(1, int(block_size))
-        shape = (block, int(num_rsus))
-        self.backlogs = np.zeros(shape)
-        self.latencies = np.zeros(shape)
-        self.costs = np.zeros(shape)
-        self.decisions = np.zeros(shape)
-        self.served = np.zeros(shape)
-        self._fill = 0
-
-    def begin_slot(self) -> int:
-        """Return the staging row index of the next slot."""
-        return self._fill
-
-    def end_slot(self) -> None:
-        """Commit the current staging row; flush when the block is full."""
-        self._fill += 1
-        if self._fill == self.backlogs.shape[0]:
-            self.flush()
-
-    def flush(self) -> None:
-        """Emit the staged slots to the collector."""
-        fill = self._fill
-        if not fill:
-            return
-        self._metrics.record_block(
-            self.backlogs[:fill],
-            self.latencies[:fill],
-            self.costs[:fill],
-            self.decisions[:fill],
-            self.served[:fill],
-        )
-        self._fill = 0
-
-
 def _vector_service_slot(
     state: SystemState,
     queues: _VectorQueues,
     policy: ServicePolicy,
     service_batch: Optional[int],
-    recorder: _ServiceBlockRecorder,
+    metrics: ServiceMetrics,
     time_slot: int,
     cost: float,
     ages: np.ndarray,
@@ -174,16 +126,14 @@ def _vector_service_slot(
     Called by :class:`_ServiceStage` with the service kind's frozen *ages*
     or the joint kind's live stage-1 ages matrix: expire, account
     latency/backlog, build the per-RSU observation with the AoI-guard head
-    lookup, apply the policy decision, and stage the slot on *recorder*.
+    lookup, apply the policy decision, and record the slot into *metrics*.
     Returns the slot's ``(backlog, latency, cost, served)`` totals across
-    RSUs so incremental steppers can report per-slot aggregates.
+    RSUs (as summed by the collector) so incremental steppers can report
+    per-slot aggregates.
     """
-    row = recorder.begin_slot()
-    backlogs = recorder.backlogs[row]
-    latencies = recorder.latencies[row]
-    spent_costs = recorder.costs[row]
-    decisions = recorder.decisions[row]
-    served_counts = recorder.served[row]
+    backlogs, latencies, spent_costs, decisions, served_counts = (
+        [], [], [], [], []
+    )
     for k in range(state.config.num_rsus):
         queues.expire(k, time_slot)
         latency = float(queues.total_waiting(k, time_slot))
@@ -218,19 +168,14 @@ def _vector_service_slot(
             )
             served = queues.serve(k, batch)
             spent = cost * served
-        backlogs[k] = backlog
-        latencies[k] = latency
-        spent_costs[k] = spent
-        decisions[k] = float(bool(serve))
-        served_counts[k] = served
-    totals = (
-        float(np.sum(backlogs)),
-        float(np.sum(latencies)),
-        float(np.sum(spent_costs)),
-        float(np.sum(served_counts)),
+        backlogs.append(backlog)
+        latencies.append(latency)
+        spent_costs.append(spent)
+        decisions.append(bool(serve))
+        served_counts.append(served)
+    return metrics.record_slot(
+        backlogs, latencies, spent_costs, decisions, served_counts
     )
-    recorder.end_slot()
-    return totals
 
 
 def _enqueue_batches(queues: _VectorQueues, time_slot: int, batches) -> int:
@@ -337,7 +282,7 @@ def _seed_horizons(stepper, horizons: Optional[Sequence], num_slots: int) -> Seq
 class _ServiceStage:
     """Stage 2 for ``S`` seeds: one slot of per-RSU service per call.
 
-    Owns each seed's vector queues and staged metrics recorder.  Shared by
+    Owns each seed's vector queues and records into its collector.  Shared by
     :class:`ServiceStepper` (frozen cache ages) and
     :class:`~repro.sim.joint_sim.JointStepper` (the live stage-1 ages
     tensor), so both kinds run the one stage-2 body,
@@ -350,7 +295,6 @@ class _ServiceStage:
         policies: List[ServicePolicy],
         metrics: List[ServiceMetrics],
         service_batch: Optional[int],
-        block: int,
     ) -> None:
         config = states[0].config
         self.states = states
@@ -362,9 +306,7 @@ class _ServiceStage:
             _VectorQueues(config.num_rsus, config.deadline_slots) for _ in states
         ]
         self._distances = [0.5 * state.topology.region_length for state in states]
-        self._recorders = [
-            _ServiceBlockRecorder(metric, config.num_rsus, block) for metric in metrics
-        ]
+        self._metrics = metrics
 
     def step(self, time_slot: int, batches, ages: np.ndarray) -> List[dict]:
         """Enqueue and serve one slot per seed; *ages* is ``(S, R, C)``."""
@@ -382,7 +324,7 @@ class _ServiceStage:
             )
             backlog, latency, spent, served = _vector_service_slot(
                 state, self._queues[s], self.policies[s], self._service_batch,
-                self._recorders[s], time_slot, cost, ages[s],
+                self._metrics[s], time_slot, cost, ages[s],
             )
             slot.append(
                 {
@@ -394,10 +336,6 @@ class _ServiceStage:
                 }
             )
         return slot
-
-    def flush(self) -> None:
-        for recorder in self._recorders:
-            recorder.flush()
 
 
 def _service_metrics(config: ScenarioConfig, mode: str, num_slots: int) -> ServiceMetrics:
@@ -425,20 +363,16 @@ class ServiceStepper(_SeedStepper):
         *,
         service_batch: Optional[int] = None,
         metrics: str = "full",
-        block_size: Optional[int] = None,
         expected_slots: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            configs, metrics=metrics, block_size=block_size,
-            expected_slots=expected_slots,
-        )
+        super().__init__(configs, metrics=metrics, expected_slots=expected_slots)
         self.policies = list(policies)
         self.metrics = [
             _service_metrics(config, self.metrics_mode, self.expected_slots)
             for config in self.configs
         ]
         self._stage = _ServiceStage(
-            self.states, self.policies, self.metrics, service_batch, self.block
+            self.states, self.policies, self.metrics, service_batch
         )
         self._static_ages = np.stack([state.ages_matrix() for state in self.states])
 
@@ -452,8 +386,7 @@ class ServiceStepper(_SeedStepper):
         return slot
 
     def results(self) -> List[ServiceSimulationResult]:
-        """The runs so far, one result per seed (flushes staged blocks)."""
-        self._stage.flush()
+        """The runs so far, one result per seed."""
         return [
             ServiceSimulationResult(
                 config=config, policy_name=_policy_name(policy), metrics=metric
@@ -486,8 +419,6 @@ class ServiceSimulator(_Simulator):
     metrics:
         Metric collection mode, ``"full"`` (default) or ``"summary"`` —
         see :mod:`repro.sim.metrics`.
-    block_size:
-        Slots staged per metrics flush in the vectorised loops.
     """
 
     def __init__(
@@ -498,14 +429,12 @@ class ServiceSimulator(_Simulator):
         service_batch: Optional[int] = None,
         reference: bool = False,
         metrics: str = "full",
-        block_size: Optional[int] = None,
     ) -> None:
         super().__init__(
             config,
             service_batch=service_batch,
             reference=reference,
             metrics=metrics,
-            block_size=block_size,
         )
         self._policy = policy
 
@@ -523,7 +452,6 @@ class ServiceSimulator(_Simulator):
             policies or [self._policy],
             service_batch=self._service_batch,
             metrics=self._metrics_mode,
-            block_size=self._block_size,
             expected_slots=num_slots,
         )
 
@@ -578,7 +506,6 @@ class ServiceSimulator(_Simulator):
                     service_batch=self._service_batch,
                     reference=True,
                     metrics=self._metrics_mode,
-                    block_size=self._block_size,
                 ).run(num_slots=num_slots)
                 for config, policy in zip(configs, policies)
             ]

@@ -20,7 +20,7 @@ from repro.core.policies import CacheObservation
 from repro.core.reward import UtilityFunction
 from repro.exceptions import ValidationError
 from repro.net.cache import MBSContentStore, RSUCache
-from repro.sim.metrics import DEFAULT_BLOCK_SLOTS, check_metrics_mode
+from repro.sim.metrics import check_metrics_mode
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.validation import check_positive_int
 
@@ -209,17 +209,13 @@ class _Simulator:
         service_batch: Optional[int] = None,
         reference: bool = False,
         metrics: str = "full",
-        block_size: Optional[int] = None,
     ) -> None:
         if service_batch is not None:
             check_positive_int(service_batch, "service_batch")
-        if block_size is not None:
-            check_positive_int(block_size, "block_size")
         self._config = config
         self._service_batch = service_batch
         self._reference = bool(reference)
         self._metrics_mode = check_metrics_mode(metrics)
-        self._block_size = block_size
 
     @property
     def config(self) -> ScenarioConfig:
@@ -265,7 +261,6 @@ class _SeedStepper:
         configs: Sequence[ScenarioConfig],
         *,
         metrics: str,
-        block_size: Optional[int],
         expected_slots: Optional[int],
     ) -> None:
         self.configs = list(configs)
@@ -273,8 +268,6 @@ class _SeedStepper:
         self.expected_slots = int(
             expected_slots if expected_slots is not None else self.configs[0].num_slots
         )
-        block = block_size if block_size else DEFAULT_BLOCK_SLOTS
-        self.block = max(1, min(int(block), max(1, self.expected_slots)))
         self.states = [SystemState(config) for config in self.configs]
         self.time_slot = 0
 

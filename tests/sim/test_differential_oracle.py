@@ -73,9 +73,9 @@ def test_every_path_matches_the_reference_oracle(case):
     batch = simulate(config, policies, seeds=seeds, metrics=metrics)
     assert [result.summary() for result in batch] == oracle
 
-    # Snapshots every *chunk* slots flush the staged metric blocks at
-    # arbitrary boundaries; block_size=chunk moves the block edges too.
-    session = open_session(config, policies, metrics=metrics, block_size=chunk)
+    # Snapshots every *chunk* slots read the collectors mid-run at
+    # arbitrary boundaries; reading must never perturb the final result.
+    session = open_session(config, policies, metrics=metrics)
     for time_slot in range(config.num_slots):
         session.step()
         if (time_slot + 1) % chunk == 0:

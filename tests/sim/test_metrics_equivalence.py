@@ -1,11 +1,11 @@
-"""Summary-mode and slot-blocked metrics equivalence.
+"""Summary-mode metrics equivalence.
 
 ``metrics="summary"`` collectors must produce ``summary()`` / ``rows()``
 output byte-identical to ``metrics="full"`` — across all three simulators,
-every execution mode (reference / vectorized / batch), every registered
-workload model, and any metrics block size.  These tests pin that contract,
-plus the summary-mode error surface and the cached-reduction semantics of
-the array-backed collectors.
+every execution mode (reference / vectorized / batch) and every registered
+workload model.  These tests pin that contract, plus the summary-mode error
+surface, the cached-reduction semantics of the array-backed collectors, and
+that the steppers record every slot straight into their collectors.
 """
 
 from __future__ import annotations
@@ -90,27 +90,6 @@ class TestSummaryEqualsFull:
         assert results["full"].summary() == results["summary"].summary()
         assert results["full"].rows() == results["summary"].rows()
 
-    @pytest.mark.parametrize("block_size", [1, 3, 7, 1000])
-    def test_block_size_never_changes_output(self, block_size):
-        baseline = run_cache("vectorized", "full")
-        blocked = run_cache("vectorized", "full", block_size=block_size)
-        assert baseline.summary() == blocked.summary()
-        assert np.array_equal(
-            baseline.metrics.age_matrix_history(),
-            blocked.metrics.age_matrix_history(),
-        )
-        assert np.array_equal(
-            baseline.metrics.action_matrix_history(),
-            blocked.metrics.action_matrix_history(),
-        )
-        assert baseline.metrics.reward.totals == blocked.metrics.reward.totals
-
-    @pytest.mark.parametrize("block_size", [1, 3, 1000])
-    def test_summary_block_sizes(self, block_size):
-        baseline = run_cache("vectorized", "full")
-        summary = run_cache("vectorized", "summary", block_size=block_size)
-        assert baseline.summary() == summary.summary()
-
     def test_every_workload_model(self, tmp_path):
         """summary == full for every registered workload, joint kind, all modes."""
         from repro.core.caching_mdp import MDPCachingPolicy
@@ -151,7 +130,7 @@ class TestSummaryEqualsFull:
     def test_simulate_facade_threads_metrics(self):
         config = cache_scenario()
         full = simulate(config, "mdp", metrics="full")
-        summary = simulate(config, "mdp", metrics="summary", block_size=5)
+        summary = simulate(config, "mdp", metrics="summary")
         assert full.summary() == summary.summary()
         batch_full = simulate(config, "mdp", seeds=2, metrics="full")
         batch_summary = simulate(config, "mdp", seeds=2, metrics="summary")
@@ -163,6 +142,92 @@ class TestSummaryEqualsFull:
 
         with pytest.raises(ConfigurationError):
             simulate(cache_scenario(), "mdp", metrics="everything")
+
+
+class TestCollectorsCurrentAfterEveryStep:
+    """A stepper's collectors hold every executed slot, with no flush."""
+
+    SLOTS = 37
+
+    @staticmethod
+    def config():
+        # A horizon longer than the steps taken, so nothing ends the run.
+        return ScenarioConfig.small(seed=5, num_slots=100, arrival_rate=0.8)
+
+    @staticmethod
+    def drive(stepper):
+        for _ in range(TestCollectorsCurrentAfterEveryStep.SLOTS):
+            stepper.step()
+
+    @pytest.mark.parametrize("metrics", ["full", "summary"])
+    def test_cache_stepper(self, metrics):
+        from repro.core.caching_mdp import MDPCachingPolicy
+        from repro.sim.cache_sim import CacheStepper
+
+        config = self.config()
+        stepper = CacheStepper(
+            [config], [MDPCachingPolicy(config.build_mdp_config())], metrics=metrics
+        )
+        self.drive(stepper)
+        collector = stepper.metrics[0]
+        offline = simulate(
+            config,
+            MDPCachingPolicy(config.build_mdp_config()),
+            num_slots=self.SLOTS,
+            metrics=metrics,
+        )
+        assert collector.num_slots_recorded == self.SLOTS
+        assert collector.summary() == offline.metrics.summary()
+
+    @pytest.mark.parametrize("metrics", ["full", "summary"])
+    def test_service_stepper(self, metrics):
+        from repro.core.lyapunov import LyapunovServiceController
+        from repro.sim.service_sim import ServiceStepper
+
+        config = self.config()
+        stepper = ServiceStepper(
+            [config], [LyapunovServiceController(config.tradeoff_v)], metrics=metrics
+        )
+        self.drive(stepper)
+        collector = stepper.metrics[0]
+        offline = simulate(
+            config,
+            LyapunovServiceController(config.tradeoff_v),
+            num_slots=self.SLOTS,
+            metrics=metrics,
+        )
+        assert collector.num_slots_recorded == self.SLOTS
+        assert collector.summary() == offline.metrics.summary()
+
+    @pytest.mark.parametrize("metrics", ["full", "summary"])
+    def test_joint_stepper(self, metrics):
+        from repro.core.caching_mdp import MDPCachingPolicy
+        from repro.core.lyapunov import LyapunovServiceController
+        from repro.sim.joint_sim import JointStepper
+
+        config = self.config()
+        stepper = JointStepper(
+            [config],
+            [MDPCachingPolicy(config.build_mdp_config())],
+            [LyapunovServiceController(config.tradeoff_v)],
+            metrics=metrics,
+        )
+        self.drive(stepper)
+        offline = simulate(
+            config,
+            (
+                MDPCachingPolicy(config.build_mdp_config()),
+                LyapunovServiceController(config.tradeoff_v),
+            ),
+            num_slots=self.SLOTS,
+            metrics=metrics,
+        )
+        for collector, reference in (
+            (stepper.cache_metrics[0], offline.cache_metrics),
+            (stepper.service_metrics[0], offline.service_metrics),
+        ):
+            assert collector.num_slots_recorded == self.SLOTS
+            assert collector.summary() == reference.summary()
 
 
 class TestSummaryModeSurface:
@@ -217,9 +282,8 @@ class TestSummaryModeSurface:
         rng = np.random.default_rng(7)
         values = rng.uniform(-1.0, 1.0, size=2 * STREAM_CHUNK + 137)
         stream = _StreamingSum()
-        stream.push(float(values[0]))
-        stream.extend(values[1:900])
-        stream.extend(values[900:])
+        for value in values:
+            stream.push(float(value))
         assert stream.total == _chunked_sum(values)
         assert stream.count == values.size
 
@@ -240,67 +304,7 @@ class TestSummaryModeSurface:
 
 
 class TestBlockRecordingPrimitives:
-    def test_cache_record_block_matches_record_slot(self):
-        max_ages = np.array([[4.0, 6.0], [8.0, 10.0]])
-        rng = np.random.default_rng(0)
-        ages = rng.uniform(1.0, 12.0, size=(5, 2, 2))
-        actions = rng.integers(0, 2, size=(5, 2, 2))
-        aoi = rng.uniform(0.0, 5.0, size=5)
-        costs = rng.uniform(0.0, 2.0, size=5)
-        totals = aoi - costs
-        one = CacheMetrics(2, 2, max_ages)
-        for t in range(5):
-            one.record_slot(
-                t,
-                ages[t],
-                actions[t],
-                RewardBreakdown(float(aoi[t]), float(costs[t]), 1.0),
-            )
-        other = CacheMetrics(2, 2, max_ages)
-        other.record_block(
-            0, ages[:3], actions[:3], (aoi - costs + costs)[:3], costs[:3], totals[:3]
-        )
-        other.record_block(3, ages[3:], actions[3:], aoi[3:], costs[3:], totals[3:])
-        assert one.summary() == other.summary()
-        assert np.array_equal(one.age_matrix_history(), other.age_matrix_history())
-        assert np.array_equal(
-            one.action_matrix_history(), other.action_matrix_history()
-        )
-        trace_one = one.age_trace(1, 0)
-        trace_other = other.age_trace(1, 0)
-        np.testing.assert_array_equal(trace_one.ages, trace_other.ages)
-
-    def test_service_record_block_matches_record_slot(self):
-        rng = np.random.default_rng(1)
-        rows = rng.uniform(0.0, 5.0, size=(6, 5, 3))
-        decisions = rng.integers(0, 2, size=(6, 3)).astype(float)
-        one = ServiceMetrics(3)
-        for t in range(6):
-            one.record_slot(
-                rows[t, 0], rows[t, 1], rows[t, 2], decisions[t], rows[t, 4]
-            )
-        other = ServiceMetrics(3)
-        other.record_block(
-            rows[:4, 0], rows[:4, 1], rows[:4, 2], decisions[:4], rows[:4, 4]
-        )
-        other.record_block(
-            rows[4:, 0], rows[4:, 1], rows[4:, 2], decisions[4:], rows[4:, 4]
-        )
-        assert one.summary() == other.summary()
-        for history in ("backlog_history", "latency_history", "cost_history"):
-            np.testing.assert_array_equal(
-                getattr(one, history)(), getattr(other, history)()
-            )
-            np.testing.assert_array_equal(
-                getattr(one, history)(rsu=1), getattr(other, history)(rsu=1)
-            )
-
-    def test_record_block_aggregates_is_summary_only(self):
-        metrics = CacheMetrics(1, 1, np.ones((1, 1)))
-        with pytest.raises(ValidationError):
-            metrics.record_block_aggregates(
-                np.ones(1), np.ones(1), np.ones(1), np.ones(1), 0, 0
-            )
+    """Recording primitives of the array-backed collectors."""
 
     def test_reward_trace_reductions_cached_and_invalidated(self):
         trace = RewardTrace()

@@ -169,6 +169,11 @@ class TestApiSurface:
 
         from repro import simulate
 
+        from repro import open_session
+
         parameters = inspect.signature(simulate).parameters
         assert parameters["metrics"].default == "full"
-        assert parameters["block_size"].default is None
+        # Removed in 2.0: every slot is recorded as it runs, so there is no
+        # metrics staging block to size.
+        assert "block_size" not in parameters
+        assert "block_size" not in inspect.signature(open_session).parameters
