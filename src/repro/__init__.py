@@ -151,7 +151,7 @@ from repro.workloads import (
     workload_names,
 )
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "AlwaysServePolicy",

@@ -12,9 +12,11 @@ drift-plus-penalty turns this into the per-slot rule
 
 ``alpha*[t] = argmin_{alpha in S} [ V * C(alpha[t]) - Q[t] * b(alpha[t]) ]``  (Eq. 5)
 
-which this module implements as :class:`LyapunovServiceController`, together
-with the drift-plus-penalty bookkeeping (:class:`DriftPenaltyRecord`) used by
-the extreme-case experiment (E3) and the V-sweep ablation (E5).
+which this module implements as :class:`LyapunovServiceController` (with
+:class:`BatchedServiceDecider`, the same rule over a whole seeds x RSUs
+grid per slot), together with the drift-plus-penalty bookkeeping
+(:class:`DriftPenaltyRecord`) of :func:`run_backlog_simulation`, the
+harness of the extreme-case experiment (E3) and the V-sweep ablation (E5).
 """
 
 from __future__ import annotations
@@ -156,7 +158,6 @@ class LyapunovServiceController(ServicePolicy):
             )
         self._enforce_aoi = bool(enforce_aoi_validity)
         self._tie_breaker = tie_breaker
-        self._record = DriftPenaltyRecord()
 
     @property
     def tradeoff_v(self) -> float:
@@ -167,15 +168,6 @@ class LyapunovServiceController(ServicePolicy):
     def enforce_aoi_validity(self) -> bool:
         """Whether the AoI-validity guard is active."""
         return self._enforce_aoi
-
-    @property
-    def record(self) -> DriftPenaltyRecord:
-        """Per-slot record of costs, backlogs, and decisions."""
-        return self._record
-
-    def reset(self) -> None:
-        """Clear the recorded drift-plus-penalty history."""
-        self._record = DriftPenaltyRecord()
 
     # ------------------------------------------------------------------
     # Decision logic
@@ -213,19 +205,67 @@ class LyapunovServiceController(ServicePolicy):
         )
 
     def decide(self, observation: ServiceObservation) -> bool:
-        decision = self.evaluate(observation)
-        self._record.record(
-            cost=decision.cost if decision.serve else 0.0,
-            backlog=decision.queue_backlog,
-            served=decision.serve,
-        )
-        return decision.serve
+        return self.evaluate(observation).serve
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"LyapunovServiceController(tradeoff_v={self._v:g}, "
             f"enforce_aoi_validity={self._enforce_aoi})"
         )
+
+
+class BatchedServiceDecider:
+    """One vectorised Eq. (5) decide across per-seed Lyapunov controllers.
+
+    The seed-batched stage-2 simulator keeps one
+    :class:`LyapunovServiceController` per seed but evaluates the rule once
+    per slot over the whole ``(S, R)`` grid of (seed, RSU) queues, with the
+    controllers' ``V``, tie-breaker and AoI-guard settings stacked along the
+    seed axis.  Bit-identical to each controller's :meth:`~LyapunovServiceController.decide`
+    on the matching :class:`~repro.core.policies.ServiceObservation`.
+    """
+
+    def __init__(self, policies: Sequence[LyapunovServiceController]) -> None:
+        if not policies:
+            raise ValidationError("policies must be non-empty")
+        self._v = np.array([policy.tradeoff_v for policy in policies], dtype=float)
+        self._tie_serve = np.array(
+            [[policy._tie_breaker == "serve"] for policy in policies]
+        )
+        self._enforce_aoi = np.array(
+            [[policy.enforce_aoi_validity] for policy in policies]
+        )
+
+    @staticmethod
+    def supports(policies: Sequence) -> bool:
+        """Whether every policy is a plain :class:`LyapunovServiceController`.
+
+        Subclasses may override ``decide``, so only exact instances are
+        eligible for the stacked fast path.
+        """
+        return bool(policies) and all(
+            type(policy) is LyapunovServiceController for policy in policies
+        )
+
+    def decide(
+        self,
+        costs: np.ndarray,
+        backlogs: np.ndarray,
+        departures: np.ndarray,
+        stale: np.ndarray,
+    ) -> np.ndarray:
+        """Return the ``(S, R)`` serve mask of Eq. (5).
+
+        *costs* holds each seed's per-slot service cost ``C`` (shape
+        ``(S,)``), *backlogs* and *departures* the per-queue ``Q`` and ``b``,
+        and *stale* marks the queues whose head content is older than its
+        ``A_max`` (the AoI guard blocks those where it is enforced).  Ties —
+        and NaN objectives, which compare neither way — follow the
+        tie-breaker, exactly as in :meth:`LyapunovServiceController.evaluate`.
+        """
+        objective = (self._v * costs)[:, np.newaxis] - backlogs * departures
+        serve = (objective < 0) | (self._tie_serve & ~(objective > 0))
+        return serve & ~(self._enforce_aoi & stale)
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,36 @@ class WorkloadHorizon:
         return matrix
 
 
+#: Tolerance of ``Generator.choice`` on the sum of its probabilities.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _choice_cdf(weights: np.ndarray, size: int) -> np.ndarray:
+    """The normalised CDF ``Generator.choice(size, p=weights)`` samples from.
+
+    Applies ``choice``'s own checks on *weights* (one-dimensional, *size*
+    entries, no NaN, non-negative, summing to 1 within its tolerance) and
+    raises the same ``ValueError`` on a violation.  The checks read the
+    total off the unnormalised CDF rather than a separate compensated sum;
+    the two differ by rounding far below the tolerance.
+    """
+    p = np.ascontiguousarray(weights, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if p.size != size:
+        raise ValueError("a and p must have same size")
+    cdf = p.cumsum()
+    total = float(cdf[-1])
+    if total != total:
+        raise ValueError("probabilities contain NaN")
+    if np.minimum.reduce(p) < 0:
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= total
+    return cdf
+
+
 class RequestGenerator:
     """Generates per-RSU request batches for each simulation slot.
 
@@ -277,6 +307,8 @@ class RequestGenerator:
         # fancy-index the chosen contents instead of round-tripping through
         # a Python list comprehension.
         self._local_content_arrays: Dict[int, np.ndarray] = {}
+        # Per-RSU ``(weights, cdf)`` of the content sampler; see _slot_batches.
+        self._cdfs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for rsu in topology.rsus:
             contents = rsu.covered_regions
             self._local_contents[rsu.rsu_id] = contents
@@ -331,7 +363,13 @@ class RequestGenerator:
         """
 
     def _weights(self, rsu_id: int, time_slot: int) -> np.ndarray:
-        """Popularity over RSU *rsu_id*'s contents in effect at *time_slot*."""
+        """Popularity over RSU *rsu_id*'s contents in effect at *time_slot*.
+
+        The sampler caches each RSU's cumulative distribution keyed on the
+        identity of the returned array, so a changed popularity must be
+        returned as a new array — never by mutating the previous one in
+        place.
+        """
         return self._local_popularity[rsu_id]
 
     def _slot_batches(self, time_slot: int) -> List[Tuple[int, np.ndarray]]:
@@ -340,21 +378,33 @@ class RequestGenerator:
         Every public generation method funnels through here, so all of them
         perform exactly the same draws in exactly the same order: first the
         state evolution of :meth:`_advance_to`, then per RSU (in topology
-        order) one arrival-count sample, then one ``choice`` call when that
+        order) one arrival-count sample, then one content draw when that
         RSU has arrivals.
+
+        The content draw is ``Generator.choice(n, size=count, p=weights)``
+        spelled out as numpy computes it — inverse-CDF lookups of ``count``
+        uniforms — on a per-RSU cumulative distribution cached until
+        :meth:`_weights` returns a different array, so it yields the same
+        indices and leaves the generator in the same state.
         """
         if time_slot < 0:
             raise ValidationError(f"time_slot must be >= 0, got {time_slot}")
         self._advance_to(time_slot)
+        rng = self._rng
+        cdfs = self._cdfs
         batches: List[Tuple[int, np.ndarray]] = []
         for rsu in self._topology.rsus:
-            count = self._arrivals.sample(self._rng)
+            count = self._arrivals.sample(rng)
             if count <= 0:
                 continue
-            contents = self._local_content_arrays[rsu.rsu_id]
-            weights = self._weights(rsu.rsu_id, time_slot)
-            chosen = self._rng.choice(contents.size, size=count, p=weights)
-            batches.append((rsu.rsu_id, contents[np.atleast_1d(chosen)]))
+            rsu_id = rsu.rsu_id
+            contents = self._local_content_arrays[rsu_id]
+            weights = self._weights(rsu_id, time_slot)
+            cached = cdfs.get(rsu_id)
+            if cached is None or cached[0] is not weights:
+                cached = cdfs[rsu_id] = (weights, _choice_cdf(weights, contents.size))
+            chosen = cached[1].searchsorted(rng.random(count), side="right")
+            batches.append((rsu_id, contents[chosen]))
         return batches
 
     def generate_slot(

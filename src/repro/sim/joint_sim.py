@@ -19,9 +19,10 @@ from repro.sim.cache_sim import _BatchedCacheStage, _cache_metrics
 from repro.sim.metrics import CacheMetrics, ServiceMetrics
 from repro.sim.results import JointSimulationResult
 from repro.sim.scenario import ScenarioConfig
-# _enqueue_batches and _vector_service_slot are not called here, but stay
-# importable from this module: the per-layer tracer of the benchmark
-# (perfbench/tracing.py) patches them on both simulator modules.
+# _enqueue_batches and _vector_service_slot run inside _ServiceStage (in
+# repro.sim.service_sim), not here; they stay importable from this module
+# because the benchmark's per-layer tracer (perfbench/tracing.py) patches
+# them on both simulator modules.
 from repro.sim.service_sim import (  # noqa: F401
     _enqueue_batches,
     _reference_service_slot,

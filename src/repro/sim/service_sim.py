@@ -1,8 +1,11 @@
 """Stage-2 simulator: per-RSU service decisions over the request queues.
 
-:class:`_ServiceStage` — the vector queues and :func:`_vector_service_slot`
-of ``S`` seeds — is the one vectorised stage-2 body, shared by
-:class:`ServiceStepper` and the joint simulator's stepper.
+:class:`_ServiceStage` — the array queues of ``S`` seeds x ``R`` RSUs and
+the whole-slot kernel :func:`_vector_service_slot` — is the one vectorised
+stage-2 body, shared by :class:`ServiceStepper` and the joint simulator's
+stepper.  The kernel evaluates Eq. (5) once per slot over the ``(S, R)``
+grid (:class:`~repro.core.lyapunov.BatchedServiceDecider`); any other
+service policy is asked per RSU, reading the same array queues.
 
 :meth:`ServiceSimulator.run` drives the stepper with one seed and draws
 arrivals slot by slot; :meth:`ServiceSimulator.run_batch` drives it with
@@ -16,10 +19,11 @@ per-slot reference accounting uses, so all paths are byte-identical.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.core.lyapunov import BatchedServiceDecider
 from repro.core.policies import ServiceObservation, ServicePolicy
 from repro.exceptions import ValidationError
 from repro.net.queueing import RequestQueue
@@ -34,161 +38,313 @@ from repro.sim.system import (
     _Simulator,
 )
 
-class _VectorQueues:
-    """Flat-array FIFO queues powering the vectorised service loops.
+#: Initial per-queue capacity of :class:`_VectorQueues` (doubled on demand).
+_INITIAL_WIDTH = 16
 
-    Each RSU's pending requests are two parallel Python lists (issue slots
-    and content ids) with a head pointer, plus O(1) aggregates (pending
-    count and sum of issue slots) so the per-slot latency
-    ``sum_i (t - issue_i)`` is ``t * pending - issue_sum`` — an integer
-    identity with :meth:`~repro.net.queueing.RequestQueue.total_waiting`.
-    Deadlines are monotone in issue time, so expiry only ever removes a
-    prefix.  No per-request objects are allocated.
+
+class _SlotArrivals(NamedTuple):
+    """One slot's requests across all seeds, in arrival order.
+
+    ``queue_ids[i]`` is request ``i``'s queue, ``seed * num_rsus + rsu_id``.
     """
 
-    def __init__(self, num_rsus: int, deadline_slots: Optional[int]) -> None:
-        self._deadline_slots = deadline_slots
-        self._issues: List[List[int]] = [[] for _ in range(num_rsus)]
-        self._contents: List[List[int]] = [[] for _ in range(num_rsus)]
-        self._head = [0] * num_rsus
-        self.pending = [0] * num_rsus
-        self._issue_sum = [0] * num_rsus
+    queue_ids: np.ndarray
+    content_ids: np.ndarray
 
-    def enqueue(self, rsu: int, time_slot: int, content_ids: np.ndarray) -> None:
-        count = int(content_ids.size)
-        self._issues[rsu].extend([time_slot] * count)
-        self._contents[rsu].extend(int(h) for h in content_ids)
-        self.pending[rsu] += count
-        self._issue_sum[rsu] += time_slot * count
 
-    def expire(self, rsu: int, time_slot: int) -> None:
-        if self._deadline_slots is None:
-            return
-        cutoff = time_slot - self._deadline_slots
-        issues, head = self._issues[rsu], self._head[rsu]
-        while self.pending[rsu] and issues[head] < cutoff:
-            self._issue_sum[rsu] -= issues[head]
-            self.pending[rsu] -= 1
-            head += 1
-        self._head[rsu] = head
-        self._compact(rsu)
+def _pack_batches(per_seed_batches: Sequence, num_rsus: int) -> _SlotArrivals:
+    """Flatten one ``(rsu_id, content_ids)`` batch list per seed."""
+    queues: List[int] = []
+    sizes: List[int] = []
+    chunks: List[np.ndarray] = []
+    for seed, batches in enumerate(per_seed_batches):
+        for rsu_id, content_ids in batches:
+            if not 0 <= rsu_id < num_rsus:
+                raise ValidationError(f"rsu_id {rsu_id} out of range [0, {num_rsus})")
+            queues.append(seed * num_rsus + rsu_id)
+            sizes.append(content_ids.size)
+            chunks.append(content_ids)
+    if not chunks:
+        empty = np.zeros(0, dtype=np.int64)
+        return _SlotArrivals(empty, empty)
+    return _SlotArrivals(
+        np.repeat(np.asarray(queues, dtype=np.int64), sizes),
+        np.concatenate(chunks).astype(np.int64, copy=False),
+    )
 
-    def total_waiting(self, rsu: int, time_slot: int) -> int:
-        return time_slot * self.pending[rsu] - self._issue_sum[rsu]
 
-    def head(self, rsu: int) -> Optional[Tuple[int, int]]:
-        """Return ``(content_id, issue_slot)`` of the oldest pending request."""
-        if not self.pending[rsu]:
-            return None
-        head = self._head[rsu]
-        return self._contents[rsu][head], self._issues[rsu][head]
+class _HorizonReplay:
+    """Per-seed precomputed horizons merged into one slot-major stream.
 
-    def head_deadline_slack(self, rsu: int, time_slot: int) -> Optional[float]:
-        if self._deadline_slots is None:
-            return None
-        entry = self.head(rsu)
-        if entry is None:
-            return None
-        return float(entry[1] + self._deadline_slots - time_slot)
+    Calling it with a slot returns that slot's :class:`_SlotArrivals` as
+    two array slices — the replay a batch run feeds its stepper instead of
+    per-seed ``(rsu_id, content_ids)`` batch lists.
+    """
 
-    def serve(self, rsu: int, count: int) -> int:
-        """Serve the *count* oldest pending requests; return how many departed."""
-        count = min(count, self.pending[rsu])
-        if count <= 0:
+    def __init__(self, horizons: Sequence, num_rsus: int, num_slots: int) -> None:
+        num_seeds = len(horizons)
+        queue_ids, content_ids, keys = [], [], []
+        for seed, horizon in enumerate(horizons):
+            if horizon.num_slots < num_slots:
+                raise ValidationError(
+                    f"horizon of seed {seed} holds {horizon.num_slots} slots, "
+                    f"fewer than the {num_slots} to run"
+                )
+            queue_ids.append(
+                np.repeat(horizon.batch_rsus + seed * num_rsus, np.diff(horizon.batch_ptr))
+            )
+            content_ids.append(horizon.content_ids)
+            per_slot = np.diff(horizon.batch_ptr[horizon.slot_ptr])
+            keys.append(np.repeat(np.arange(horizon.num_slots) * num_seeds + seed, per_slot))
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        self._queue_ids = np.concatenate(queue_ids).astype(np.int64)[order]
+        self._content_ids = np.concatenate(content_ids).astype(np.int64)[order]
+        self._slot_ptr = np.searchsorted(
+            key[order], np.arange(num_slots + 1) * num_seeds
+        ).tolist()
+
+    def __call__(self, time_slot: int) -> _SlotArrivals:
+        start, stop = self._slot_ptr[time_slot], self._slot_ptr[time_slot + 1]
+        return _SlotArrivals(
+            self._queue_ids[start:stop], self._content_ids[start:stop]
+        )
+
+
+class _VectorQueues:
+    """Array FIFO request queues of ``S`` seeds x ``R`` RSUs.
+
+    Queue ``seed * R + rsu`` is one row of two growable int64 arrays: the
+    requested content ids and the running prefix sums of the requests'
+    issue slots (a request's issue slot is the difference of two
+    consecutive sums), with a head and a tail counter per row.  The
+    per-slot latency ``sum_i (t - issue_i)`` is the exact integer
+    ``t * pending - issue_sum`` — the identity with
+    :meth:`~repro.net.queueing.RequestQueue.total_waiting`.  Deadlines are
+    monotone in issue time, so expiry only ever removes a prefix: the queues
+    keep each of the last ``deadline + 1`` slots' tails and move every head
+    past the tail of the slot that has just expired.  Steppers enqueue and
+    expire once per slot, in slot order.  Rows are shifted back to their
+    heads — and the arrays doubled while a queue needs over half their
+    width — only when an enqueue would overrun them, so the width stays
+    within a small multiple of the longest queue.
+    """
+
+    def __init__(
+        self, num_seeds: int, num_rsus: int, deadline_slots: Optional[int]
+    ) -> None:
+        size = num_seeds * num_rsus
+        self._rows = np.arange(size)
+        self._contents = np.zeros((size, _INITIAL_WIDTH), dtype=np.int64)
+        self._issue_sums = np.zeros((size, _INITIAL_WIDTH + 1), dtype=np.int64)
+        self.head = np.zeros(size, dtype=np.int64)
+        self.tail = np.zeros(size, dtype=np.int64)
+        #: Requests enqueued per queue by the last :meth:`enqueue`.
+        self.arrived = np.zeros(size, dtype=np.int64)
+        self._expiry_tails = (
+            None
+            if deadline_slots is None
+            else np.zeros((deadline_slots + 1, size), dtype=np.int64)
+        )
+
+    def enqueue(self, time_slot: int, arrivals: _SlotArrivals) -> int:
+        """Append one slot's requests; return how many were enqueued."""
+        queue_ids, content_ids = arrivals
+        counts = np.bincount(queue_ids, minlength=self._rows.size)
+        self.arrived = counts
+        total = int(queue_ids.size)
+        if not total:
             return 0
-        head = self._head[rsu]
-        self._issue_sum[rsu] -= sum(self._issues[rsu][head : head + count])
-        self.pending[rsu] -= count
-        self._head[rsu] = head + count
-        self._compact(rsu)
-        return count
+        if total > 1 and np.any(queue_ids[1:] < queue_ids[:-1]):
+            order = np.argsort(queue_ids, kind="stable")
+            queue_ids, content_ids = queue_ids[order], content_ids[order]
+        if int((self.tail + counts).max()) > self._contents.shape[1]:
+            self._make_room(int((self.tail - self.head + counts).max()))
+        # Position of each request within its queue's run of this slot.
+        rank = np.arange(1, total + 1) - (np.cumsum(counts) - counts)[queue_ids]
+        tails = self.tail[queue_ids]
+        self._contents[queue_ids, tails + rank - 1] = content_ids
+        self._issue_sums[queue_ids, tails + rank] = (
+            self._issue_sums[queue_ids, tails] + time_slot * rank
+        )
+        self.tail += counts
+        return total
 
-    def _compact(self, rsu: int) -> None:
-        head = self._head[rsu]
-        if head > 1024 and head * 2 > len(self._issues[rsu]):
-            self._issues[rsu] = self._issues[rsu][head:]
-            self._contents[rsu] = self._contents[rsu][head:]
-            self._head[rsu] = 0
+    def _make_room(self, needed: int) -> None:
+        """Shift every row back to its head, doubling the width if *needed*."""
+        width = self._contents.shape[1]
+        new_width = width
+        while new_width < 2 * needed:
+            new_width *= 2
+        head = self.head[:, np.newaxis]
+        columns = np.arange(new_width + 1)
+        self._contents = np.take_along_axis(
+            self._contents, np.minimum(head + columns[:-1], width - 1), axis=1
+        )
+        self._issue_sums = np.take_along_axis(
+            self._issue_sums, np.minimum(head + columns, width), axis=1
+        ) - self._issue_sums[self._rows, self.head][:, np.newaxis]
+        if self._expiry_tails is not None:
+            self._expiry_tails -= self.head
+        self.tail -= self.head
+        self.head[:] = 0
+
+    def expire(self, time_slot: int) -> None:
+        """Drop the requests whose deadline has passed by *time_slot*."""
+        if self._expiry_tails is None:
+            return
+        # The ring slot still holds the tails after slot
+        # ``time_slot - deadline - 1``: every request up to them has an issue
+        # slot below the cutoff ``time_slot - deadline``.
+        tails = self._expiry_tails[time_slot % len(self._expiry_tails)]
+        np.maximum(self.head, tails, out=self.head)
+        tails[:] = self.tail
+
+    def pending(self) -> np.ndarray:
+        """Pending requests per queue."""
+        return self.tail - self.head
+
+    def issue_sums(self) -> np.ndarray:
+        """Sum of the pending requests' issue slots per queue."""
+        return (
+            self._issue_sums[self._rows, self.tail]
+            - self._issue_sums[self._rows, self.head]
+        )
+
+    def head_contents(self) -> np.ndarray:
+        """Content id of each queue's oldest request (garbage where empty)."""
+        width = self._contents.shape[1]
+        return self._contents[self._rows, np.minimum(self.head, width - 1)]
+
+    def head_issues(self) -> np.ndarray:
+        """Issue slot of each queue's oldest request (garbage where empty)."""
+        width = self._contents.shape[1]
+        after = np.minimum(self.head + 1, width)
+        return (
+            self._issue_sums[self._rows, after]
+            - self._issue_sums[self._rows, self.head]
+        )
+
+    def serve(self, counts: np.ndarray) -> None:
+        """Serve the *counts* oldest pending requests of each queue."""
+        self.head += counts
 
 
 def _vector_service_slot(
-    state: SystemState,
-    queues: _VectorQueues,
-    policy: ServicePolicy,
-    service_batch: Optional[int],
-    metrics: ServiceMetrics,
-    time_slot: int,
-    cost: float,
-    ages: np.ndarray,
-) -> Tuple[float, float, float, float]:
-    """One slot of the vectorised stage-2 loop across all RSUs of one seed.
+    stage: "_ServiceStage", time_slot: int, costs: List[float], ages: np.ndarray
+) -> List[tuple]:
+    """One slot of stage 2 across all ``S`` seeds x ``R`` RSUs.
 
-    Called by :class:`_ServiceStage` with the service kind's frozen *ages*
-    or the joint kind's live stage-1 ages matrix: expire, account
-    latency/backlog, build the per-RSU observation with the AoI-guard head
-    lookup, apply the policy decision, and record the slot into *metrics*.
-    Returns the slot's ``(backlog, latency, cost, served)`` totals across
-    RSUs (as summed by the collector) so incremental steppers can report
-    per-slot aggregates.
+    Called by :class:`_ServiceStage` after the slot's arrivals are enqueued,
+    with each seed's service cost and the ``(S, R, C)`` cache ages — the
+    service kind's frozen ages or the joint kind's live stage-1 tensor:
+    expire, account latency/backlog, gather each head content's age for the
+    AoI guard, decide (:class:`~repro.core.lyapunov.BatchedServiceDecider`,
+    or the per-RSU fallback), serve, and record each seed's row into its
+    collector.  Returns each seed's ``(backlog, latency, cost, served)``
+    totals across RSUs (as summed by the collector) so incremental steppers
+    can report per-slot aggregates.
     """
-    backlogs, latencies, spent_costs, decisions, served_counts = (
-        [], [], [], [], []
-    )
-    for k in range(state.config.num_rsus):
-        queues.expire(k, time_slot)
-        latency = float(queues.total_waiting(k, time_slot))
-        backlog = float(queues.pending[k])
-        head = queues.head(k)
-        head_age = head_max = None
-        if head is not None:
-            slot = state.content_slot[head[0]]
-            # Plain floats, not np.float64: ServiceObservation's freshness
-            # property must return the bool singletons the AoI guard
-            # compares against by identity.
-            head_age = float(ages[k, slot])
-            head_max = float(state.max_ages[k, slot])
-        observation = ServiceObservation(
-            time_slot=time_slot,
-            rsu_id=k,
-            queue_backlog=latency,
-            service_cost=cost,
-            departure=latency,
-            head_content_age=head_age,
-            head_content_max_age=head_max,
-            head_deadline_slack=queues.head_deadline_slack(k, time_slot),
+    queues = stage.queues
+    shape = stage.shape
+    queues.expire(time_slot)
+    pending = queues.pending()
+    latency = (time_slot * pending - queues.issue_sums()).astype(float).reshape(shape)
+    cells = stage.cell_base + stage.content_slot[
+        stage.seed_rows, queues.head_contents()
+    ]
+    head_age = ages.reshape(-1)[cells].reshape(shape)
+    head_max = stage.max_ages[cells].reshape(shape)
+    has_head = (pending > 0).reshape(shape)
+    if stage.decider is not None:
+        # The check ServiceObservation makes on the fallback path.
+        for cost in costs:
+            if cost < 0:
+                raise ValidationError(f"service_cost must be >= 0, got {cost}")
+        stale = ~(head_age <= head_max)
+        serve = stage.decider.decide(np.asarray(costs), latency, latency, stale)
+    else:
+        serve = _policy_decisions(
+            stage, time_slot, costs, latency, head_age, head_max, has_head
         )
-        serve = policy.decide(observation) and queues.pending[k] > 0
-        served = 0
-        spent = 0.0
-        if serve:
-            batch = (
-                queues.pending[k]
-                if service_batch is None
-                else min(service_batch, queues.pending[k])
-            )
-            served = queues.serve(k, batch)
-            spent = cost * served
-        backlogs.append(backlog)
-        latencies.append(latency)
-        spent_costs.append(spent)
-        decisions.append(bool(serve))
-        served_counts.append(served)
-    return metrics.record_slot(
-        backlogs, latencies, spent_costs, decisions, served_counts
+    serve &= has_head
+    batch = pending if stage.service_batch is None else np.minimum(
+        pending, stage.service_batch
     )
+    served = np.where(serve.reshape(-1), batch, 0)
+    queues.serve(served)
+    served = served.astype(float).reshape(shape)
+    spent = np.multiply(
+        np.asarray(costs)[:, np.newaxis], served, out=np.zeros(shape), where=serve
+    )
+    backlog = pending.astype(float).reshape(shape)
+    decisions = serve.astype(float)
+    return [
+        metrics.record_slot(
+            backlog[seed], latency[seed], spent[seed], decisions[seed], served[seed]
+        )
+        for seed, metrics in enumerate(stage.metrics)
+    ]
 
 
-def _enqueue_batches(queues: _VectorQueues, time_slot: int, batches) -> int:
-    """Enqueue one slot's ``(rsu_id, content_ids)`` arrival batches.
+def _policy_decisions(
+    stage: "_ServiceStage",
+    time_slot: int,
+    costs: List[float],
+    latency: np.ndarray,
+    head_age: np.ndarray,
+    head_max: np.ndarray,
+    has_head: np.ndarray,
+) -> np.ndarray:
+    """Ask each seed's policy per RSU, over observations of the array queues.
+
+    The fallback of :func:`_vector_service_slot` for policies the batched
+    decider does not cover; seeds and RSUs are visited in order, so a
+    stateful policy sees the same call sequence as a per-seed run.
+    """
+    deadline = stage.deadline_slots
+    slack = (
+        None
+        if deadline is None
+        else (stage.queues.head_issues() + (deadline - time_slot))
+        .reshape(stage.shape)
+        .tolist()
+    )
+    # Plain floats, not np.float64: ServiceObservation's freshness property
+    # must return the bool singletons the AoI guard compares against by
+    # identity.
+    latency, head_age, head_max = latency.tolist(), head_age.tolist(), head_max.tolist()
+    has_head = has_head.tolist()
+    serve = np.zeros(stage.shape, dtype=bool)
+    for seed, policy in enumerate(stage.policies):
+        for k in range(stage.shape[1]):
+            head = has_head[seed][k]
+            serve[seed, k] = bool(
+                policy.decide(
+                    ServiceObservation(
+                        time_slot=time_slot,
+                        rsu_id=k,
+                        queue_backlog=latency[seed][k],
+                        service_cost=costs[seed],
+                        departure=latency[seed][k],
+                        head_content_age=head_age[seed][k] if head else None,
+                        head_content_max_age=head_max[seed][k] if head else None,
+                        head_deadline_slack=(
+                            float(slack[seed][k]) if head and slack is not None else None
+                        ),
+                    )
+                )
+            )
+    return serve
+
+
+def _enqueue_batches(queues: _VectorQueues, time_slot: int, arrivals: _SlotArrivals) -> int:
+    """Enqueue one slot's arrivals of every seed.
 
     The single enqueue path of the vectorised stage-2 body (service and
     joint kinds); returns the number of requests enqueued.
     """
-    total = 0
-    for rsu_id, content_ids in batches:
-        queues.enqueue(rsu_id, time_slot, content_ids)
-        total += int(content_ids.size)
-    return total
+    return queues.enqueue(time_slot, arrivals)
 
 
 def _reference_service_slot(
@@ -262,30 +418,34 @@ def _reference_service_slot(
     metrics.record_slot(backlogs, latencies, costs, decisions, served_counts)
 
 
-def _seed_horizons(stepper, horizons: Optional[Sequence], num_slots: int) -> Sequence:
-    """Per-seed arrival tensors for a batch run: validated or generated.
+def _seed_horizons(
+    stepper, horizons: Optional[Sequence], num_slots: int
+) -> _HorizonReplay:
+    """The arrival replay of a batch run, from validated or generated horizons.
 
     The batch hot loop replays precomputed tensors and never calls back
     into the workload models (the tensors either arrive from the
     dispatching runner or are generated here, identically).
     """
     if horizons is None:
-        return [state.workload.generate_horizon(num_slots) for state in stepper.states]
-    if len(horizons) != len(stepper.states):
+        horizons = [state.workload.generate_horizon(num_slots) for state in stepper.states]
+    elif len(horizons) != len(stepper.states):
         raise ValidationError(
             f"got {len(horizons)} precomputed horizons for "
             f"{len(stepper.states)} seeds"
         )
-    return horizons
+    return _HorizonReplay(horizons, stepper.configs[0].num_rsus, num_slots)
 
 
 class _ServiceStage:
-    """Stage 2 for ``S`` seeds: one slot of per-RSU service per call.
+    """Stage 2 for ``S`` seeds: one slot of service over all RSUs per call.
 
-    Owns each seed's vector queues and records into its collector.  Shared by
-    :class:`ServiceStepper` (frozen cache ages) and
-    :class:`~repro.sim.joint_sim.JointStepper` (the live stage-1 ages
-    tensor), so both kinds run the one stage-2 body,
+    Owns the ``(S, R)`` array queues and the per-seed collectors, and picks
+    the decision path once: the stacked Eq. (5) kernel when every policy is
+    a plain :class:`~repro.core.lyapunov.LyapunovServiceController`, per-RSU
+    ``decide`` calls otherwise.  Shared by :class:`ServiceStepper` (frozen
+    cache ages) and :class:`~repro.sim.joint_sim.JointStepper` (the live
+    stage-1 ages tensor), so both kinds run the one stage-2 body,
     :func:`_vector_service_slot`.
     """
 
@@ -297,45 +457,62 @@ class _ServiceStage:
         service_batch: Optional[int],
     ) -> None:
         config = states[0].config
+        num_seeds, num_rsus = len(states), config.num_rsus
         self.states = states
         self.policies = policies
         for policy in policies:
             policy.reset()
-        self._service_batch = service_batch
-        self._queues = [
-            _VectorQueues(config.num_rsus, config.deadline_slots) for _ in states
-        ]
+        self.decider = (
+            BatchedServiceDecider(policies)
+            if BatchedServiceDecider.supports(policies)
+            else None
+        )
+        self.metrics = metrics
+        self.service_batch = service_batch
+        self.deadline_slots = config.deadline_slots
+        self.shape = (num_seeds, num_rsus)
+        self.queues = _VectorQueues(num_seeds, num_rsus, config.deadline_slots)
         self._distances = [0.5 * state.topology.region_length for state in states]
-        self._metrics = metrics
+        # Gather tables of the AoI guard: queue ``q`` of seed ``s`` reads its
+        # head content's cache slot from ``content_slot[s]`` and its age at
+        # flat cell ``q * C + slot`` of the ``(S, R, C)`` ages.
+        self.seed_rows = np.repeat(np.arange(num_seeds), num_rsus)
+        self.cell_base = np.arange(num_seeds * num_rsus) * config.contents_per_rsu
+        self.content_slot = np.stack([state.content_slot for state in states])
+        self.max_ages = np.stack([state.max_ages for state in states]).reshape(-1)
 
     def step(self, time_slot: int, batches, ages: np.ndarray) -> List[dict]:
-        """Enqueue and serve one slot per seed; *ages* is ``(S, R, C)``."""
-        slot = []
-        for s, state in enumerate(self.states):
-            arrivals = _enqueue_batches(
-                self._queues[s],
-                time_slot,
-                state.workload.generate_slot_contents(time_slot)
-                if batches is None
-                else batches[s],
+        """Enqueue and serve one slot of every seed; *ages* is ``(S, R, C)``.
+
+        *batches* is ``None`` (each seed draws from its own workload), one
+        ``(rsu_id, content_ids)`` batch list per seed, or the slot's
+        :class:`_SlotArrivals` from a :class:`_HorizonReplay`.
+        """
+        if batches is None:
+            batches = [
+                state.workload.generate_slot_contents(time_slot) for state in self.states
+            ]
+        if not isinstance(batches, _SlotArrivals):
+            batches = _pack_batches(batches, self.shape[1])
+        _enqueue_batches(self.queues, time_slot, batches)
+        arrivals = self.queues.arrived.reshape(self.shape).sum(axis=1).tolist()
+        costs = [
+            state.service_cost_model.cost(
+                distance=distance, size=1.0, time_slot=time_slot
             )
-            cost = state.service_cost_model.cost(
-                distance=self._distances[s], size=1.0, time_slot=time_slot
-            )
-            backlog, latency, spent, served = _vector_service_slot(
-                state, self._queues[s], self.policies[s], self._service_batch,
-                self._metrics[s], time_slot, cost, ages[s],
-            )
-            slot.append(
-                {
-                    "arrivals": float(arrivals),
-                    "backlog": backlog,
-                    "latency": latency,
-                    "cost": spent,
-                    "served": served,
-                }
-            )
-        return slot
+            for state, distance in zip(self.states, self._distances)
+        ]
+        totals = _vector_service_slot(self, time_slot, costs, ages)
+        return [
+            {
+                "arrivals": float(arrived),
+                "backlog": backlog,
+                "latency": latency,
+                "cost": spent,
+                "served": served,
+            }
+            for arrived, (backlog, latency, spent, served) in zip(arrivals, totals)
+        ]
 
 
 def _service_metrics(config: ScenarioConfig, mode: str, num_slots: int) -> ServiceMetrics:
@@ -480,9 +657,9 @@ class ServiceSimulator(_Simulator):
     ) -> List[ServiceSimulationResult]:
         """Run one simulation per seed through one seed-axis stepper.
 
-        Bit-identical to per-seed :meth:`run` calls.  The stage-2 per-slot
-        work is per-RSU queue bookkeeping and policy calls, so the seeds
-        are interleaved slot by slot rather than folded into tensors.
+        Bit-identical to per-seed :meth:`run` calls.  Each slot runs the
+        whole ``(seeds, RSUs)`` grid through one stage-2 kernel on the
+        stacked array queues.
 
         Parameters
         ----------

@@ -12,7 +12,7 @@ setup and slot loop of their seed-axis steppers (:class:`_SeedStepper`).
 from __future__ import annotations
 
 import copy
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -250,8 +250,9 @@ class _SeedStepper:
     Steppers are built by the simulators (:class:`_Simulator`), which
     validate the options.
     Subclasses implement ``step(batches=None)``, where *batches* is
-    ``None`` (each seed draws its slot's arrivals from its own workload) or
-    one ``(rsu_id, content_ids)`` batch list per seed, returning one
+    ``None`` (each seed draws its slot's arrivals from its own workload),
+    one ``(rsu_id, content_ids)`` batch list per seed, or what the
+    *arrivals* replay of :meth:`drive` returns for the slot, returning one
     per-slot metrics dict per seed; and ``results()``, the per-seed results
     of the run so far.
     """
@@ -271,15 +272,14 @@ class _SeedStepper:
         self.states = [SystemState(config) for config in self.configs]
         self.time_slot = 0
 
-    def drive(self, num_slots: int, horizons: Optional[Sequence] = None) -> List:
+    def drive(self, num_slots: int, arrivals: Optional[Callable] = None) -> List:
         """Step a fresh stepper through *num_slots* slots; return its results.
 
         The one slot loop behind every simulator's ``run()`` (one seed,
         per-slot workload draws) and ``run_batch()`` (replaying per-seed
-        precomputed :class:`~repro.net.requests.WorkloadHorizon` tensors).
+        precomputed :class:`~repro.net.requests.WorkloadHorizon` tensors:
+        ``arrivals(t)`` is slot ``t``'s ``batches`` argument of ``step``).
         """
         for t in range(num_slots):
-            self.step(
-                None if horizons is None else [h.slot_batches(t) for h in horizons]
-            )
+            self.step(None if arrivals is None else arrivals(t))
         return self.results()

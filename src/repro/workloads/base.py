@@ -28,7 +28,8 @@ simulator loop consumes them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+import functools
+from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -132,6 +133,18 @@ class WorkloadModel(RequestGenerator):
     def _evolve(self, time_slot: int) -> None:
         """Advance the popularity state into *time_slot*.  Default: static."""
 
+    def _uniform(self) -> Callable[[], float]:
+        """A zero-argument ``self._rng.random()`` for per-RSU draws in :meth:`_evolve`.
+
+        Calls the bit generator's ``next_double`` through numpy's ctypes
+        interface to it: the very draw ``Generator.random()`` makes, without
+        that method's per-call argument handling (which costs more than the
+        draw) and without its lock — a workload model is never shared
+        between threads.
+        """
+        interface = self._rng.bit_generator.ctypes
+        return functools.partial(interface.next_double, interface.state)
+
     def base_popularity(self, rsu_id: int) -> np.ndarray:
         """The stationary (slot-0) popularity profile of RSU *rsu_id*."""
         return self._base_popularity[self._check_rsu(rsu_id)].copy()
@@ -139,7 +152,9 @@ class WorkloadModel(RequestGenerator):
     @staticmethod
     def _normalized(weights: np.ndarray) -> np.ndarray:
         """Renormalise *weights* into an exact probability vector."""
-        weights = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+        # np.maximum is what np.clip(weights, 0.0, None) computes, without
+        # clip's dispatch overhead on the per-slot evolution path.
+        weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
         total = weights.sum()
         if total <= 0:
             return np.full(weights.size, 1.0 / weights.size)

@@ -189,20 +189,21 @@ class FlashCrowdWorkload(WorkloadModel):
         return int(self._local_content_arrays[rsu_id][int(np.argmax(weights))])
 
     def _evolve(self, time_slot: int) -> None:
-        for rsu in self._topology.rsus:
-            rsu_id = rsu.rsu_id
-            if 0 <= self._burst_end[rsu_id] < time_slot:
-                self._burst_end[rsu_id] = -1
+        random = self._uniform()
+        burst_end = self._burst_end
+        for rsu_id, end in burst_end.items():
+            if 0 <= end < time_slot:
+                burst_end[rsu_id] = -1
                 self._evolved[rsu_id] = self._base_popularity[rsu_id].copy()
             # One uniform draw per RSU per slot regardless of the outcome,
             # so RNG consumption never depends on the burst state.
-            if self._rng.random() < self._burst_prob:
+            if random() < self._burst_prob:
                 base = self._base_popularity[rsu_id]
                 hot = int(self._rng.integers(base.size))
                 spiked = (1.0 - self._concentration) * base
                 spiked[hot] += self._concentration
                 self._evolved[rsu_id] = self._normalized(spiked)
-                self._burst_end[rsu_id] = time_slot + self._duration - 1
+                burst_end[rsu_id] = time_slot + self._duration - 1
 
     def _weights(self, rsu_id: int, time_slot: int) -> np.ndarray:
         return self._evolved[rsu_id]
@@ -262,13 +263,15 @@ class ShotNoiseWorkload(WorkloadModel):
         self._event_rate = float(params["event_rate"])
         self._mean_lifetime = float(params["mean_lifetime"])
         self._boost = float(params["boost"])
-        self._expiry: Dict[int, np.ndarray] = {
-            rsu.rsu_id: np.zeros(self._base_popularity[rsu.rsu_id].size)
-            for rsu in self._topology.rsus
-        }
-        self._next_change: Dict[int, float] = {
-            rsu.rsu_id: np.inf for rsu in self._topology.rsus
-        }
+        # Per-RSU state as rows (topology order) of one matrix each, so a
+        # slot re-weighs every RSU whose shots changed in one array pass.
+        self._rsu_ids = [rsu.rsu_id for rsu in self._topology.rsus]
+        self._base_rows = np.stack(
+            [self._base_popularity[rsu_id] for rsu_id in self._rsu_ids]
+        )
+        self._expiries = np.zeros(self._base_rows.shape)
+        self._expiry: Dict[int, np.ndarray] = dict(zip(self._rsu_ids, self._expiries))
+        self._next_change = np.full(len(self._rsu_ids), np.inf)
         self._evolved: Dict[int, np.ndarray] = {
             rsu_id: weights.copy()
             for rsu_id, weights in self._base_popularity.items()
@@ -281,28 +284,36 @@ class ShotNoiseWorkload(WorkloadModel):
         return self._local_content_arrays[rsu_id][mask]
 
     def _evolve(self, time_slot: int) -> None:
-        for rsu in self._topology.rsus:
-            rsu_id = rsu.rsu_id
-            changed = False
+        random = self._uniform()
+        expiries, next_change = self._expiries, self._next_change
+        for row in range(len(next_change)):
             # One uniform draw per RSU per slot regardless of the outcome.
-            if self._rng.random() < self._event_rate:
-                expiry = self._expiry[rsu_id]
-                index = int(self._rng.integers(expiry.size))
+            if random() < self._event_rate:
+                index = int(self._rng.integers(expiries.shape[1]))
                 lifetime = float(self._rng.exponential(self._mean_lifetime))
-                expiry[index] = max(expiry[index], time_slot + 1.0 + lifetime)
-                changed = True
-            if changed or self._next_change[rsu_id] <= time_slot:
-                expiry = self._expiry[rsu_id]
-                active = expiry > time_slot
-                if active.any():
-                    factors = np.where(active, self._boost, 1.0)
-                    self._evolved[rsu_id] = self._normalized(
-                        self._base_popularity[rsu_id] * factors
-                    )
-                    self._next_change[rsu_id] = float(expiry[active].min())
-                else:
-                    self._evolved[rsu_id] = self._base_popularity[rsu_id].copy()
-                    self._next_change[rsu_id] = np.inf
+                expiries[row, index] = max(
+                    expiries[row, index], time_slot + 1.0 + lifetime
+                )
+                next_change[row] = time_slot  # re-weigh it below
+        # Re-weigh the RSUs with a new or an expired shot.
+        rows = (next_change <= time_slot).nonzero()[0]
+        if not rows.size:
+            return
+        expiry = expiries.take(rows, axis=0)
+        active = expiry > time_slot
+        changes = np.minimum.reduce(expiry, axis=1, where=active, initial=np.inf)
+        next_change[rows] = changes
+        # The base weights times boost where a shot is live, renormalised
+        # row by row: the same sums and quotients as _normalized on each row
+        # (the weights are non-negative and sum to at least 1).
+        weights = self._base_rows.take(rows, axis=0)
+        weights[active] *= self._boost
+        weights /= np.add.reduce(weights, axis=1, keepdims=True)
+        for weights_row, row, change in zip(weights, rows.tolist(), changes.tolist()):
+            rsu_id = self._rsu_ids[row]
+            self._evolved[rsu_id] = (
+                weights_row if change < np.inf else self._base_popularity[rsu_id].copy()
+            )
 
     def _weights(self, rsu_id: int, time_slot: int) -> np.ndarray:
         return self._evolved[rsu_id]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.service import AlwaysServePolicy, NeverServePolicy
 from repro.core.lyapunov import (
+    BatchedServiceDecider,
     DriftPenaltyRecord,
     LyapunovServiceController,
     run_backlog_simulation,
@@ -135,6 +136,54 @@ class TestAoiValidityGuard:
         assert controller.evaluate(probe).serve is True
 
 
+class TestBatchedServiceDecider:
+    CONTROLLERS = [
+        LyapunovServiceController(2.0),
+        LyapunovServiceController(2.0, tie_breaker="defer"),
+        LyapunovServiceController(0.0),
+        LyapunovServiceController(0.0, tie_breaker="defer"),
+        LyapunovServiceController(1.5, enforce_aoi_validity=False),
+    ]
+
+    def test_matches_per_observation_decide(self):
+        # Backlogs chosen so V*C - Q*b hits ties (Q = 0, Q = 2 at C = 2),
+        # NaN (infinite backlog times zero departure) and both signs.
+        backlogs = np.array([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+        departures = np.array([0.0, 1.0, 2.0, 3.0, 0.0, 1.0])
+        stale = np.array([False, True, False, True, True, False])
+        costs = np.array([2.0, 2.0, 1.0, 0.0, 2.0])
+        shape = (len(self.CONTROLLERS), backlogs.size)
+        decider = BatchedServiceDecider(self.CONTROLLERS)
+        with np.errstate(invalid="ignore"):
+            got = decider.decide(
+                costs,
+                np.broadcast_to(backlogs, shape),
+                np.broadcast_to(departures, shape),
+                np.broadcast_to(stale, shape),
+            )
+        for s, controller in enumerate(self.CONTROLLERS):
+            for k in range(backlogs.size):
+                probe = observation(
+                    backlogs[k],
+                    cost=costs[s],
+                    departure=departures[k],
+                    head_age=5.0 if stale[k] else 1.0,
+                    head_max=3.0,
+                )
+                assert got[s, k] == controller.decide(probe), (s, k)
+
+    def test_supports_only_plain_controllers(self):
+        class Subclassed(LyapunovServiceController):
+            pass
+
+        assert BatchedServiceDecider.supports(self.CONTROLLERS)
+        assert not BatchedServiceDecider.supports([])
+        assert not BatchedServiceDecider.supports([Subclassed()])
+        assert not BatchedServiceDecider.supports(
+            [LyapunovServiceController(), AlwaysServePolicy()]
+        )
+
+
 class TestDriftPenaltyRecord:
     def test_averages(self):
         record = DriftPenaltyRecord()
@@ -149,14 +198,6 @@ class TestDriftPenaltyRecord:
         record = DriftPenaltyRecord()
         assert np.isnan(record.time_average_cost)
         assert np.isnan(record.service_rate)
-
-    def test_controller_records_decisions(self):
-        controller = LyapunovServiceController(tradeoff_v=1.0)
-        controller.decide(observation(10.0, cost=1.0))
-        controller.decide(observation(0.0, cost=1.0))
-        assert len(controller.record) == 2
-        controller.reset()
-        assert len(controller.record) == 0
 
 
 class TestRunBacklogSimulation:

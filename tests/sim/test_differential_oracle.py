@@ -3,7 +3,9 @@
 Hypothesis draws small scenarios — 1-4 RSUs, 1-5 contents per RSU, with
 or without request deadlines, under every registered workload except
 ``trace`` (which needs a file) — and crosses them with the caching and
-service policies and the cache/service/joint kinds.  For each case the
+service policies (the Lyapunov controller's tie-breaker, AoI-guard and
+``V = 0`` variants among them) and the cache/service/joint kinds, with
+or without a per-slot service batch limit.  For each case the
 ``summary()`` of ``run()``, of ``run_batch()``, and of a chunk-stepped
 :func:`~repro.serve.session.open_session` must equal the ``summary()`` of
 the scalar ``mode="reference"`` loop exactly.
@@ -24,7 +26,14 @@ WORKLOADS = sorted(set(workload_names()) - {"trace"})
 #: ``exact_state_limit`` states and falls back to the factored model above
 #: it; the low limit keeps both modes in play while exact solves stay cheap.
 CACHING = ("mdp:exact_state_limit=64", "threshold", "periodic", "random")
-SERVICE = ("lyapunov", "always-serve", "cost-greedy")
+SERVICE = (
+    "lyapunov",
+    "lyapunov:tie_breaker=defer",
+    "lyapunov:enforce_aoi_validity=false",
+    "lyapunov:tradeoff_v=0",
+    "always-serve",
+    "cost-greedy",
+)
 
 
 @st.composite
@@ -44,11 +53,13 @@ def cases(draw):
     service = draw(st.sampled_from(SERVICE))
     kind = draw(st.sampled_from(("cache", "service", "joint")))
     policies = {"cache": caching, "service": service, "joint": (caching, service)}
+    service_batch = None if kind == "cache" else draw(st.none() | st.integers(1, 3))
     return (
         config,
         policies[kind],
         draw(st.sampled_from(("full", "summary"))),
         draw(st.integers(1, 5)),
+        service_batch,
     )
 
 
@@ -60,22 +71,29 @@ def cases(draw):
 )
 @given(cases())
 def test_every_path_matches_the_reference_oracle(case):
-    config, policies, metrics, chunk = case
+    config, policies, metrics, chunk, service_batch = case
     seeds = [config.seed, config.seed + 1]
     oracle = [
         result.summary()
-        for result in simulate(config, policies, mode="reference", seeds=seeds)
+        for result in simulate(
+            config, policies, mode="reference", seeds=seeds,
+            service_batch=service_batch,
+        )
     ]
 
-    single = simulate(config, policies, metrics=metrics)
+    single = simulate(config, policies, metrics=metrics, service_batch=service_batch)
     assert single.summary() == oracle[0]
 
-    batch = simulate(config, policies, seeds=seeds, metrics=metrics)
+    batch = simulate(
+        config, policies, seeds=seeds, metrics=metrics, service_batch=service_batch
+    )
     assert [result.summary() for result in batch] == oracle
 
     # Snapshots every *chunk* slots read the collectors mid-run at
     # arbitrary boundaries; reading must never perturb the final result.
-    session = open_session(config, policies, metrics=metrics)
+    session = open_session(
+        config, policies, metrics=metrics, service_batch=service_batch
+    )
     for time_slot in range(config.num_slots):
         session.step()
         if (time_slot + 1) % chunk == 0:

@@ -182,6 +182,159 @@ class TestHorizonEquivalence:
         )
 
 
+def _choice_slot_batches(generator, time_slot):
+    """The sampling core as it was before the CDF cache: ``rng.choice(p=w)``."""
+    generator._advance_to(time_slot)
+    batches = []
+    for rsu in generator._topology.rsus:
+        count = generator._arrivals.sample(generator._rng)
+        if count <= 0:
+            continue
+        contents = generator._local_content_arrays[rsu.rsu_id]
+        weights = generator._weights(rsu.rsu_id, time_slot)
+        chosen = generator._rng.choice(contents.size, size=count, p=weights)
+        batches.append((rsu.rsu_id, contents[np.atleast_1d(chosen)]))
+    return batches
+
+
+#: Every registered synthetic model at its defaults, plus the tuned specs
+#: whose dynamics kick in early.
+SAMPLER_SPECS = sorted(
+    {name for name in workload_names() if name != "trace"} | set(SYNTHETIC_SPECS)
+)
+
+
+class TestCachedCdfSampler:
+    """The cached-CDF content draw replays ``Generator.choice`` exactly."""
+
+    @pytest.mark.parametrize("spec_text", SAMPLER_SPECS)
+    @pytest.mark.parametrize(
+        "arrivals", [BernoulliArrivals(0.9), PoissonArrivals(2.5)], ids=repr
+    )
+    def test_horizon_and_stream_match_choice(self, spec_text, arrivals):
+        topology = RoadTopology(12, 4)
+        catalog = ContentCatalog.random(12, rng=5)
+        fast, reference = (
+            create_workload(spec_text, topology, catalog, arrivals=arrivals, rng=11)
+            for _ in range(2)
+        )
+        reference._slot_batches = _choice_slot_batches.__get__(reference)
+        got = fast.generate_horizon(600)
+        want = reference.generate_horizon(600)
+        for field in ("batch_rsus", "batch_ptr", "content_ids", "slot_ptr"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert fast._rng.bit_generator.state == reference._rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([np.nan, 1.0], "NaN"),
+            ([1.5, -0.5], "non-negative"),
+            ([0.7, 0.7], "sum to 1"),
+            ([1.0], "same size"),
+        ],
+    )
+    def test_invalid_weights_still_raise(self, topology, catalog, weights, message):
+        # Each RSU of the 8-region, 4-RSU fixture topology caches 2 contents.
+        generator = build("stationary", topology, catalog, rate=1.0)
+        bad = np.asarray(weights, dtype=float)
+        generator._weights = lambda rsu_id, time_slot: bad
+        with pytest.raises(ValueError, match=message):
+            generator.generate_slot_contents(0)
+        with pytest.raises(ValueError, match=message):
+            np.random.default_rng(0).choice(2, size=2, p=bad)
+
+    def test_new_weights_array_rebuilds_the_cdf(self, topology, catalog):
+        generator = build("stationary", topology, catalog, rate=1.0)
+        generator.generate_slot_contents(0)
+        hot = np.array([0.0, 1.0])
+        generator._weights = lambda rsu_id, time_slot: hot
+        for rsu_id, contents in generator.generate_slot_contents(1):
+            local = generator._local_content_arrays[rsu_id]
+            assert np.all(contents == local[1])
+
+
+def _scalar_flash_crowd_evolve(model, time_slot):
+    """Flash-crowd evolution as a per-RSU loop of ``rng.random()`` draws."""
+    for rsu in model._topology.rsus:
+        rsu_id = rsu.rsu_id
+        if 0 <= model._burst_end[rsu_id] < time_slot:
+            model._burst_end[rsu_id] = -1
+            model._evolved[rsu_id] = model._base_popularity[rsu_id].copy()
+        if model._rng.random() < model._burst_prob:
+            base = model._base_popularity[rsu_id]
+            hot = int(model._rng.integers(base.size))
+            spiked = (1.0 - model._concentration) * base
+            spiked[hot] += model._concentration
+            model._evolved[rsu_id] = model._normalized(spiked)
+            model._burst_end[rsu_id] = time_slot + model._duration - 1
+
+
+def _scalar_shot_noise_evolve(model, time_slot):
+    """Shot-noise evolution re-weighing one RSU at a time, with scalar draws."""
+    expiries, next_change = model.reference_expiry, model.reference_next_change
+    for rsu in model._topology.rsus:
+        rsu_id = rsu.rsu_id
+        expiry = expiries[rsu_id]
+        changed = False
+        if model._rng.random() < model._event_rate:
+            index = int(model._rng.integers(expiry.size))
+            lifetime = float(model._rng.exponential(model._mean_lifetime))
+            expiry[index] = max(expiry[index], time_slot + 1.0 + lifetime)
+            changed = True
+        if changed or next_change[rsu_id] <= time_slot:
+            active = expiry > time_slot
+            if active.any():
+                factors = np.where(active, model._boost, 1.0)
+                model._evolved[rsu_id] = model._normalized(
+                    model._base_popularity[rsu_id] * factors
+                )
+                next_change[rsu_id] = float(expiry[active].min())
+            else:
+                model._evolved[rsu_id] = model._base_popularity[rsu_id].copy()
+                next_change[rsu_id] = np.inf
+
+
+class TestEvolutionMatchesScalarLoops:
+    """The models' evolution matches plain per-RSU loops of scalar draws."""
+
+    @pytest.mark.parametrize(
+        "spec_text",
+        [
+            "flash-crowd",
+            "flash-crowd:burst_prob=0.3,duration=5",
+            "flash-crowd:burst_prob=1.0,duration=2",
+            "shot-noise",
+            "shot-noise:event_rate=0.2,mean_lifetime=8",
+            "shot-noise:event_rate=1.0,mean_lifetime=3",
+        ],
+    )
+    def test_weights_and_stream_match(self, spec_text):
+        topology = RoadTopology(24, 8)
+        catalog = ContentCatalog.random(24, rng=5)
+        model, reference = (
+            create_workload(spec_text, topology, catalog, rng=13) for _ in range(2)
+        )
+        if spec_text.startswith("flash-crowd"):
+            reference._evolve = _scalar_flash_crowd_evolve.__get__(reference)
+        else:
+            reference.reference_expiry = {
+                rsu.rsu_id: np.zeros(len(rsu.covered_regions)) for rsu in topology.rsus
+            }
+            reference.reference_next_change = {
+                rsu.rsu_id: np.inf for rsu in topology.rsus
+            }
+            reference._evolve = _scalar_shot_noise_evolve.__get__(reference)
+        for t in range(400):
+            model._advance_to(t)
+            reference._advance_to(t)
+            for rsu in topology.rsus:
+                assert np.array_equal(
+                    model._weights(rsu.rsu_id, t), reference._weights(rsu.rsu_id, t)
+                ), (t, rsu.rsu_id)
+        assert model._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
 class TestDriftWorkload:
     def test_weights_static_before_first_period(self, topology, catalog):
         model = build("drift:period=10,step=0.8", topology, catalog)
