@@ -38,7 +38,7 @@ from repro.runtime.runner import ExperimentRunner, RunSpec
 from repro.runtime.shm import shared_memory_available
 from repro.sim.cache_sim import _BatchedCacheStage
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator
+from repro.sim import CacheSimulator
 from repro.sim.system import SystemState
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -69,9 +69,7 @@ def periodic_policy_factory(scenario):
     return PeriodicUpdatePolicy(period=5)
 
 
-def _run_batch(metrics: str, _block_size=None):
-    # The second argument is ignored: it sized the metrics staging blocks,
-    # which the simulators no longer have.
+def _run_batch(metrics: str):
     scenario = _scenario(SLOTS)
     simulator = CacheSimulator(
         scenario,
@@ -211,7 +209,7 @@ def test_summary_blocked_throughput_vs_pre_pr_path(capsys, bench_record):
     identical before the timings are trusted.
     """
     old_summaries = _run_pre_pr_batch()
-    new_results = _run_batch("summary", None)
+    new_results = _run_batch("summary")
     for old, new in zip(old_summaries, new_results):
         news = new.metrics.summary()
         assert old.keys() == news.keys()

@@ -31,7 +31,7 @@ from repro.policies import PolicySpec
 from repro.policies.onpath import EdgeCaching
 from repro.sim.multihop_sim import MultihopSimulator
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator
+from repro.sim import CacheSimulator
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 

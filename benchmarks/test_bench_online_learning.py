@@ -16,7 +16,7 @@ from repro.analysis.sweep import format_table
 from repro.baselines.caching import NeverUpdatePolicy
 from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.online import OnlineLearningConfig, QLearningCachingPolicy
-from repro.sim.simulator import CacheSimulator
+from repro.sim import CacheSimulator
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.sweep import format_table
 from repro.core.caching_mdp import CachingMDPConfig, MDPCachingPolicy
-from repro.sim.simulator import CacheSimulator
+from repro.sim import CacheSimulator
 
 PENALTIES = [0.0, 1.0, 5.0, 10.0, 25.0]
 

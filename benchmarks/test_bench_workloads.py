@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.lyapunov import LyapunovServiceController
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import ServiceSimulator
+from repro.sim import ServiceSimulator
 
 #: The largest scalability grid point (matches benchmarks/baseline_bench.json).
 GRID = {"num_rsus": 32, "contents_per_rsu": 20}

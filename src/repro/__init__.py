@@ -40,13 +40,12 @@ them over TCP (``python -m repro.cli serve``)::
     print(session.snapshot()["summary"])  # run-so-far aggregates
     final = session.close()               # same result type as simulate()
 
-Both execution modes — ``auto`` (one seed-axis stepper per kind, shared by
-single runs, seed batches and sessions) and the scalar ``reference`` oracle
-— produce bit-for-bit identical trajectories (enforced by the
-golden-trajectory equivalence tests); ``vectorized`` and ``batch`` are
-aliases of ``auto`` until the next major version.  The old per-kind entry
-points (``CacheSimulator`` et al.) remain available and bit-identical
-behind the façade.
+There is one execution path per kind — one seed-axis stepper, shared by
+single runs, seed batches, the runner and sessions.  The golden-trajectory
+and differential-oracle tests pin it bit for bit against the original
+scalar loops, which stay as a private test oracle.  The per-kind
+simulator classes (``CacheSimulator`` et al.) run the same path as the
+façade.
 """
 
 from repro.baselines import (
@@ -151,7 +150,7 @@ from repro.workloads import (
     workload_names,
 )
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AlwaysServePolicy",

@@ -96,7 +96,6 @@ def weight_sweep(
     num_slots: Optional[int] = None,
     num_seeds: int = 1,
     workers: Optional[int] = None,
-    reference: bool = False,
 ) -> List[Dict[str, float]]:
     """Sweep the Eq. (1) AoI weight ``w`` and report the AoI/cost trade-off.
 
@@ -121,7 +120,6 @@ def weight_sweep(
             # would merge rows and misalign the zip below.
             label=f"{index}:w={float(weight):g}",
             num_slots=num_slots,
-            reference=reference,
         )
         for index, weight in enumerate(weights)
     ]
@@ -141,7 +139,6 @@ def v_sweep(
     num_slots: Optional[int] = None,
     num_seeds: int = 1,
     workers: Optional[int] = None,
-    reference: bool = False,
 ) -> List[Dict[str, float]]:
     """Sweep the Lyapunov trade-off coefficient ``V`` (E5).
 
@@ -163,7 +160,6 @@ def v_sweep(
             # Index-prefixed for uniqueness; see weight_sweep.
             label=f"{index}:V={float(v):g}",
             num_slots=num_slots,
-            reference=reference,
         )
         for index, v in enumerate(v_values)
     ]
@@ -215,7 +211,6 @@ def caching_policy_comparison(
     rng_seed: int = 0,
     num_seeds: int = 1,
     workers: Optional[int] = None,
-    reference: bool = False,
 ) -> List[Dict[str, float]]:
     """Compare the MDP caching policy against the standard baselines (E6).
 
@@ -260,7 +255,6 @@ def caching_policy_comparison(
             seed=base_seed,
             label=name,
             num_slots=num_slots,
-            reference=reference,
         )
         for name, policy in grid.items()
     ]
@@ -285,7 +279,6 @@ def service_policy_comparison(
     num_slots: Optional[int] = None,
     num_seeds: int = 1,
     workers: Optional[int] = None,
-    reference: bool = False,
 ) -> List[Dict[str, float]]:
     """Compare the Lyapunov service policy against the baselines (Fig. 1b table).
 
@@ -310,7 +303,6 @@ def service_policy_comparison(
             seed=scenario.seed if scenario.seed is not None else 0,
             label=name,
             num_slots=num_slots,
-            reference=reference,
         )
         for name, policy in policies.items()
     ]
@@ -355,7 +347,6 @@ def workload_sweep(
     num_slots: Optional[int] = None,
     num_seeds: int = 1,
     workers: Optional[int] = None,
-    reference: bool = False,
 ) -> List[Dict[str, float]]:
     """Evaluate the paper's policies under each registered workload model.
 
@@ -391,7 +382,6 @@ def workload_sweep(
                 seed=seed,
                 label=label,
                 num_slots=num_slots,
-                reference=reference,
             )
         elif kind == "service":
             spec = RunSpec(
@@ -401,7 +391,6 @@ def workload_sweep(
                 seed=seed,
                 label=label,
                 num_slots=num_slots,
-                reference=reference,
             )
         else:
             spec = RunSpec(
@@ -412,7 +401,6 @@ def workload_sweep(
                 seed=seed,
                 label=label,
                 num_slots=num_slots,
-                reference=reference,
             )
         specs.append(spec)
     batch = ExperimentRunner(workers).run_grid(specs, num_seeds=num_seeds)
@@ -427,10 +415,10 @@ def workload_sweep(
 
 
 def _timed_scalability_run(
-    task: Tuple[int, int, int, int, bool],
+    task: Tuple[int, int, int, int],
 ) -> Dict[str, float]:
     """Run and time one scalability grid point (module-level, picklable)."""
-    num_rsus, contents_per_rsu, num_slots, seed, reference = task
+    num_rsus, contents_per_rsu, num_slots, seed = task
     scenario = ScenarioConfig(
         num_rsus=num_rsus,
         contents_per_rsu=contents_per_rsu,
@@ -439,7 +427,7 @@ def _timed_scalability_run(
     )
     policy = _MDP_SPEC.build(scenario)
     start = time.perf_counter()
-    result = CacheSimulator(scenario, policy, reference=reference).run()
+    result = CacheSimulator(scenario, policy).run()
     elapsed = time.perf_counter() - start
     return {
         "num_rsus": float(scenario.num_rsus),
@@ -459,7 +447,6 @@ def scalability_sweep(
     seed: int = 0,
     num_seeds: int = 1,
     workers: Optional[int] = None,
-    reference: bool = False,
 ) -> List[Dict[str, float]]:
     """Measure solve and simulation time as the system grows (E7).
 
@@ -478,13 +465,11 @@ def scalability_sweep(
         Worker processes for the grid.  Note that concurrent timed runs
         contend for cores, so keep ``workers=1`` (the serial default inside
         pool workers) when the absolute wall-clock numbers matter.
-    reference:
-        Time the scalar reference loop instead of the vectorised one.
     """
     if not sizes:
         raise ValidationError("sizes must be non-empty")
     num_slots = check_positive_int(num_slots, "num_slots")
-    tasks: List[Tuple[int, int, int, int, bool]] = []
+    tasks: List[Tuple[int, int, int, int]] = []
     for size in sizes:
         for run_seed in spawn_run_seeds(seed, num_seeds):
             tasks.append(
@@ -493,7 +478,6 @@ def scalability_sweep(
                     int(size["contents_per_rsu"]),
                     num_slots,
                     run_seed,
-                    reference,
                 )
             )
     results = ExperimentRunner(workers).map(_timed_scalability_run, tasks)

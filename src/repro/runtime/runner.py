@@ -74,8 +74,6 @@ class RunSpec:
         Second-stage policy (instance or factory) for ``kind="joint"``.
     service_batch:
         Optional per-slot service batch limit of the service simulators.
-    reference:
-        Run the scalar reference loop instead of the vectorised one.
     metrics:
         Metric collection mode, ``"full"`` (default) or ``"summary"`` —
         ``summary()`` / ``rows()`` output is byte-identical, ``"summary"``
@@ -91,7 +89,6 @@ class RunSpec:
     num_slots: Optional[int] = None
     service_policy: Any = None
     service_batch: Optional[int] = None
-    reference: bool = False
     metrics: str = "full"
 
     def __post_init__(self) -> None:
@@ -428,7 +425,6 @@ def execute_batch(task: "tuple") -> List[RunRecord]:
             num_slots=spec.num_slots,
             horizons=attached.horizons if attached is not None else None,
             service_batch=spec.service_batch,
-            reference=spec.reference,
             metrics=spec.metrics,
         )
     finally:

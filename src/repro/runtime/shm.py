@@ -113,12 +113,12 @@ class HorizonShipment:
         """Build (or reuse) the horizons for one task and pack them.
 
         Returns ``None`` for tasks that do not replay arrival tensors
-        (cache-kind runs and scalar-reference replays, which draw per
-        slot), or when shared memory is unavailable.
+        (cache and multihop runs, which draw per slot), or when shared
+        memory is unavailable.
         """
         if not shared_memory_available():
             return None
-        if spec.kind in ("cache", "multihop") or spec.reference:
+        if spec.kind in ("cache", "multihop"):
             return None
         num_slots = (
             spec.num_slots if spec.num_slots is not None else spec.scenario.num_slots

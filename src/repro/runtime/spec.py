@@ -2,7 +2,7 @@
 
 An :class:`ExperimentSpec` is the fully-declarative description of one grid
 point: scenario (including its workload), policy spec(s), simulation kind,
-seeds, and execution mode.  Unlike :class:`~repro.runtime.runner.RunSpec` —
+and seeds.  Unlike :class:`~repro.runtime.runner.RunSpec` —
 whose ``policy`` field may hold arbitrary Python objects — every field of
 an :class:`ExperimentSpec` is registry-resolved data, so a spec survives a
 lossless ``to_dict`` / ``from_dict`` / JSON round-trip and an experiment
@@ -38,20 +38,14 @@ from repro.sim.metrics import METRICS_MODES
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.validation import check_positive_int
 
-__all__ = ["EXPERIMENT_MODES", "ExperimentSpec", "load_specs", "save_specs"]
-
-#: Execution modes understood by the runner.  ``"auto"`` runs each kind's
-#: one seed-axis stepper over the whole seed group; ``"reference"`` runs the
-#: original scalar loops (bit-identical).  ``"vectorized"`` and ``"batch"``
-#: are aliases of ``"auto"``, kept until the next major version.
-EXPERIMENT_MODES = ("auto", "reference", "vectorized", "batch")
+__all__ = ["ExperimentSpec", "load_specs", "save_specs"]
 
 _KINDS = ("cache", "service", "joint", "multihop")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One declarative grid point: scenario + policies + kind + seeds + mode.
+    """One declarative grid point: scenario + policies + kind + seeds.
 
     Attributes
     ----------
@@ -70,8 +64,6 @@ class ExperimentSpec:
         Master seed; replicate seeds derive from it.
     num_seeds:
         Independent replicates of this grid point.
-    mode:
-        Execution mode (see :data:`EXPERIMENT_MODES`).
     label:
         Aggregation label; defaults to ``"kind:policy"`` so distinct
         policies never merge.  Set explicit labels when the same policy
@@ -97,7 +89,6 @@ class ExperimentSpec:
     service_policy: Union[PolicySpec, str, None] = None
     seed: int = 0
     num_seeds: int = 1
-    mode: str = "auto"
     label: str = ""
     num_slots: Optional[int] = None
     service_batch: Optional[int] = None
@@ -107,10 +98,6 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.mode not in EXPERIMENT_MODES:
-            raise ValidationError(
-                f"mode must be one of {EXPERIMENT_MODES}, got {self.mode!r}"
-            )
         if not isinstance(self.scenario, ScenarioConfig):
             raise ValidationError(
                 "scenario must be a ScenarioConfig "
@@ -178,8 +165,7 @@ class ExperimentSpec:
 
         The policy specs go in as-is — a :class:`~repro.policies.PolicySpec`
         is a picklable factory, so the runner builds a fresh registry policy
-        per run.  ``mode="reference"`` maps to the scalar loops; the other
-        modes share the (bit-identical) fast paths.
+        per run.
         """
         return RunSpec(
             kind=self.kind,
@@ -190,7 +176,6 @@ class ExperimentSpec:
             num_slots=self.num_slots,
             service_policy=self.service_policy,
             service_batch=self.service_batch,
-            reference=self.mode == "reference",
             metrics=self.metrics,
         )
 
@@ -208,7 +193,6 @@ class ExperimentSpec:
             ),
             "seed": int(self.seed),
             "num_seeds": int(self.num_seeds),
-            "mode": self.mode,
             "label": self.label,
             "num_slots": self.num_slots,
             "service_batch": self.service_batch,

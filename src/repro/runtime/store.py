@@ -202,7 +202,6 @@ def spec_payload(spec: RunSpec) -> Optional[Dict[str, Any]]:
         "service_policy": service_policy,
         "num_slots": spec.num_slots,
         "service_batch": spec.service_batch,
-        "reference": bool(spec.reference),
         "metrics": spec.metrics,
     }
 

@@ -9,7 +9,6 @@ from repro.sim.cache_sim import CacheSimulator
 from repro.sim.engine import (
     METRICS_MODES,
     SIMULATION_KINDS,
-    SIMULATION_MODES,
     simulate,
 )
 from repro.sim.joint_sim import JointSimulator
@@ -39,7 +38,6 @@ __all__ = [
     "ScenarioConfig",
     "METRICS_MODES",
     "SIMULATION_KINDS",
-    "SIMULATION_MODES",
     "SimulationResult",
     "CacheSimulationResult",
     "CacheSimulator",

@@ -7,7 +7,8 @@ driven slot by slot along a seed axis by :class:`CacheStepper`:
 makes the policy decision, does the element-wise reward math, and records
 the slot of every seed into the collectors in one
 :meth:`~repro.sim.metrics.CacheMetrics.record_stacked_slot` call — the
-same recording body the scalar ``reference=True`` loop reaches through
+same recording body the private scalar oracle
+(:meth:`CacheSimulator._run_reference`) reaches through
 :meth:`~repro.sim.metrics.CacheMetrics.record_slot`.
 """
 
@@ -230,11 +231,6 @@ class CacheSimulator(_Simulator):
     policy:
         The caching policy the MBS uses (the paper's
         :class:`~repro.core.caching_mdp.MDPCachingPolicy` or any baseline).
-    reference:
-        When ``True``, run the original scalar per-(RSU, content) loop; the
-        default runs the vectorised loop, which produces bit-for-bit
-        identical trajectories (see tests/sim/test_vectorized_equivalence.py)
-        at a fraction of the per-slot cost.
     metrics:
         Metric collection mode, ``"full"`` (default) or ``"summary"`` —
         see :mod:`repro.sim.metrics`.  ``summary()`` / ``rows()`` output is
@@ -246,10 +242,9 @@ class CacheSimulator(_Simulator):
         config: ScenarioConfig,
         policy: CachingPolicy,
         *,
-        reference: bool = False,
         metrics: str = "full",
     ) -> None:
-        super().__init__(config, reference=reference, metrics=metrics)
+        super().__init__(config, metrics=metrics)
         self._policy = policy
 
     @property
@@ -271,18 +266,6 @@ class CacheSimulator(_Simulator):
     def run(self, *, num_slots: Optional[int] = None) -> CacheSimulationResult:
         """Run the simulation and return the recorded result."""
         num_slots = self._num_slots(num_slots)
-        if self._reference:
-            state = SystemState(self._config)
-            metrics = _cache_metrics(state, self._metrics_mode, num_slots)
-            self._policy.reset()
-            self._run_reference(state, metrics, num_slots)
-            return CacheSimulationResult(
-                config=self._config,
-                policy_name=_policy_name(self._policy),
-                metrics=metrics,
-                catalog=state.catalog,
-                topology=state.topology,
-            )
         return self._stepper(num_slots).drive(num_slots)[0]
 
     def run_batch(
@@ -314,23 +297,19 @@ class CacheSimulator(_Simulator):
         seeds = [int(seed) for seed in seeds]
         policies = _expand_batch_policies(seeds, policies, self._policy)
         configs = self._seed_configs(seeds)
-        if self._reference:
-            # The scalar loop has no tensor twin; replay it per seed.
-            return [
-                CacheSimulator(
-                    config,
-                    policy,
-                    reference=True,
-                    metrics=self._metrics_mode,
-                ).run(num_slots=num_slots)
-                for config, policy in zip(configs, policies)
-            ]
         return self._stepper(num_slots, configs, policies).drive(num_slots)
 
     def _run_reference(
-        self, state: SystemState, metrics: CacheMetrics, num_slots: int
-    ) -> None:
-        """The original scalar loop: one Python iteration per (RSU, slot)."""
+        self, num_slots: Optional[int] = None
+    ) -> CacheSimulationResult:
+        """The original scalar loop: one Python iteration per (RSU, slot).
+
+        The private test oracle behind ``repro.sim.engine._reference``.
+        """
+        num_slots = self._num_slots(num_slots)
+        state = SystemState(self._config)
+        metrics = _cache_metrics(state, self._metrics_mode, num_slots)
+        self._policy.reset()
         mbs_budget = LinkBudget()
 
         for t in range(num_slots):
@@ -352,3 +331,10 @@ class CacheSimulator(_Simulator):
             for cache in state.caches:
                 cache.tick(1)
             state.mbs_store.tick(t + 1)
+        return CacheSimulationResult(
+            config=self._config,
+            policy_name=_policy_name(self._policy),
+            metrics=metrics,
+            catalog=state.catalog,
+            topology=state.topology,
+        )

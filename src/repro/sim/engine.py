@@ -18,22 +18,20 @@ surfaces.  :func:`simulate` subsumes all of them behind one dispatcher::
 
 Policies may be registered names / ``"name:k=v,..."`` strings /
 :class:`~repro.policies.PolicySpec` objects (built per run through the
-registry) or ready policy instances (used exactly as the old per-kind
-classes used them, so results are bit-identical to the historical entry
-points).  ``mode`` selects the execution path:
+registry) or ready policy instances (used exactly as the per-kind
+simulator classes use them, so results are bit-identical to those).
 
-* ``"auto"`` — the default.  The cache, service and joint kinds each have
-  one vectorised per-slot body, a seed-axis stepper
-  (:class:`~repro.sim.cache_sim.CacheStepper`,
-  :class:`~repro.sim.service_sim.ServiceStepper`,
-  :class:`~repro.sim.joint_sim.JointStepper`).  A single run drives it with
-  one seed; *seeds* drives it with every seed at once.
-* ``"reference"`` — the original scalar loops (the test oracle).
-* ``"vectorized"`` and ``"batch"`` — aliases of ``"auto"``, kept until the
-  next major version; ``"batch"`` still requires *seeds*.
+There is one execution path.  The cache, service and joint kinds each have
+one vectorised per-slot body, a seed-axis stepper
+(:class:`~repro.sim.cache_sim.CacheStepper`,
+:class:`~repro.sim.service_sim.ServiceStepper`,
+:class:`~repro.sim.joint_sim.JointStepper`): a single run drives it with
+one seed, *seeds* drives it with every seed at once.  The multihop kind
+runs its per-request graph walk.
 
-All modes produce bit-identical trajectories for the same ``(scenario,
-policy, seed)`` — pinned by the cross-mode equivalence suites.
+The original scalar loops survive only as the private test oracle,
+:func:`_reference`, which the equivalence suites compare every path
+against byte for byte.
 """
 
 from __future__ import annotations
@@ -54,10 +52,9 @@ from repro.sim.scenario import ScenarioConfig
 from repro.sim.service_sim import ServiceSimulator
 from repro.utils.rng import spawn_run_seeds
 
-__all__ = ["METRICS_MODES", "SIMULATION_KINDS", "SIMULATION_MODES", "simulate"]
+__all__ = ["METRICS_MODES", "SIMULATION_KINDS", "simulate"]
 
 SIMULATION_KINDS = ("cache", "service", "joint", "multihop")
-SIMULATION_MODES = ("auto", "reference", "vectorized", "batch")
 
 #: Accepted policy references: a ready instance, a registered name /
 #: ``"name:k=v,..."`` string, or a validated spec.
@@ -175,7 +172,6 @@ def simulate(
     policies: Union[PolicyLike, Sequence[PolicyLike], Dict[str, PolicyLike]],
     *,
     kind: Optional[str] = None,
-    mode: str = "auto",
     seeds: Union[None, int, Sequence[int]] = None,
     num_slots: Optional[int] = None,
     service_batch: Optional[int] = None,
@@ -198,11 +194,6 @@ def simulate(
         Optional explicit simulation kind (``"cache"``, ``"service"``,
         ``"joint"``); checked against the supplied policies.  Normally
         inferred.
-    mode:
-        Execution path: ``"auto"`` (default) or ``"reference"``;
-        ``"vectorized"`` and ``"batch"`` are aliases of ``"auto"`` (see the
-        module docstring).  All modes are bit-identical for the same
-        ``(scenario, policy, seed)``.
     seeds:
         ``None`` for one run on the scenario's own seed; an int ``N`` for
         ``N`` replicates on seeds derived from the scenario seed (the same
@@ -237,10 +228,6 @@ def simulate(
     A single kind-specific :class:`~repro.sim.results.SimulationResult`
     when *seeds* is ``None``, else a list of them.
     """
-    if mode not in SIMULATION_MODES:
-        raise ConfigurationError(
-            f"mode must be one of {SIMULATION_MODES}, got {mode!r}"
-        )
     kind, main, second = _resolve_kind(
         policies, kind=kind, metrics=metrics, service_batch=service_batch, noun="runs"
     )
@@ -248,7 +235,6 @@ def simulate(
         return _simulate_multihop(
             scenario,
             policies,
-            mode=mode,
             seeds=seeds,
             num_slots=num_slots,
             metrics=metrics,
@@ -259,12 +245,10 @@ def simulate(
         scenario,
         main,
         second,
-        mode=mode,
         seeds=seeds,
         num_slots=num_slots,
         store=store,
         service_batch=service_batch,
-        reference=mode == "reference",
         metrics=metrics,
     )
     return results[0] if seeds is None else results
@@ -337,7 +321,7 @@ def _simulator(
 
     *policy* is the caching policy (cache, joint), the service policy
     (service) or the multihop policy; *service_policy* is the joint kind's
-    second stage.  *options* are ``reference``/``metrics``.
+    second stage.  *options* hold ``metrics``.
     """
     if kind == "cache":
         return CacheSimulator(scenario, policy, **options)
@@ -391,7 +375,6 @@ def _run(
     policy: PolicyLike,
     service_policy: Optional[PolicyLike],
     *,
-    mode: str,
     seeds: Union[None, int, Sequence[int]],
     num_slots: Optional[int],
     store: Any,
@@ -399,12 +382,9 @@ def _run(
 ) -> List[SimulationResult]:
     """Run one policy (pair) of *kind*: one run, or one seed-axis batch.
 
-    Every mode takes the same path — only ``reference`` changes it, to the
-    scalar loops — and the finished runs are written through to *store*.
+    The finished runs are written through to *store*.
     """
     if seeds is None:
-        if mode == "batch":
-            raise ConfigurationError("mode='batch' needs seeds")
         results = [
             _simulator(
                 kind,
@@ -417,7 +397,7 @@ def _run(
     else:
         # Per-seed policy instances: spec references build per seeded
         # scenario, instances deep-copy per seed — so each replicate starts
-        # pristine and every mode stays bit-identical.
+        # pristine, exactly like a run on that seed alone.
         seed_list = _normalize_seeds(seeds, scenario)
         scenarios = [scenario.with_overrides(seed=seed) for seed in seed_list]
         results = _run_seeds(
@@ -437,7 +417,6 @@ def _run(
         results=results,
         num_slots=num_slots,
         service_batch=options.get("service_batch"),
-        reference=options["reference"],
         metrics=options["metrics"],
     )
     return results
@@ -447,7 +426,6 @@ def _simulate_multihop(
     scenario: ScenarioConfig,
     policies: Union[PolicyLike, Sequence[PolicyLike]],
     *,
-    mode: str,
     seeds: Union[None, int, Sequence[int]],
     num_slots: Optional[int],
     metrics: str,
@@ -460,8 +438,7 @@ def _simulate_multihop(
     the one :class:`~repro.sim.multihop_sim.MultihopSimulator` grid, so
     ``simulate(scenario, ["lce", "probcache:t_tw=10", "mdp"])`` compares
     the whole family on identical workloads.  Results are ordered
-    policy-major, seed-minor.  The multihop loop has a single execution
-    path, so every ``mode`` is trivially bit-identical.
+    policy-major, seed-minor.
     """
     single_policy = not isinstance(policies, (list, tuple))
     policy_list = [policies] if single_policy else list(policies)
@@ -474,16 +451,57 @@ def _simulate_multihop(
             scenario,
             policy,
             None,
-            mode=mode,
             seeds=seeds,
             num_slots=num_slots,
             store=store,
-            reference=mode == "reference",
             metrics=metrics,
         )
     if seeds is None and single_policy:
         return results[0]
     return results
+
+
+def _reference(
+    scenario: ScenarioConfig,
+    policies: Union[PolicyLike, Sequence[PolicyLike], Dict[str, PolicyLike]],
+    *,
+    seeds: Union[None, int, Sequence[int]] = None,
+    num_slots: Optional[int] = None,
+    service_batch: Optional[int] = None,
+    metrics: str = "full",
+) -> Union[SimulationResult, List[SimulationResult]]:
+    """The scalar reference loops: the private test oracle.
+
+    Takes the arguments of :func:`simulate` (less ``kind`` and ``store``)
+    and resolves policies and seeds exactly as it does, but runs each seed
+    through its simulator's original scalar loop, one after another, and
+    writes nothing to any store.  Every execution path must reproduce it
+    byte for byte.  The multihop kind has no scalar loop.
+    """
+    kind, main, second = _resolve_kind(
+        policies, kind=None, metrics=metrics, service_batch=service_batch, noun="runs"
+    )
+    if kind == "multihop":
+        raise ConfigurationError("the multihop kind has no scalar reference loop")
+    if seeds is None:
+        scenarios = [scenario]
+        mains = [_materialize(main, scenario)]
+        seconds = [_materialize(second, scenario)]
+    else:
+        scenarios = [
+            scenario.with_overrides(seed=seed)
+            for seed in _normalize_seeds(seeds, scenario)
+        ]
+        mains = _replicate(main, scenarios)
+        seconds = _replicate(second, scenarios)
+    results = [
+        _simulator(
+            kind, config, policy, service_policy,
+            service_batch=service_batch, metrics=metrics,
+        )._run_reference(num_slots)
+        for config, policy, service_policy in zip(scenarios, mains, seconds)
+    ]
+    return results[0] if seeds is None else results
 
 
 def _store_write_through(
@@ -501,7 +519,7 @@ def _store_write_through(
     <repro.runtime.runner.ExperimentRunner.run_grid>` computes, so a
     ``simulate()`` call warms the same cells a later sweep would hit.
     *run_options* are the remaining :class:`~repro.runtime.runner.RunSpec`
-    fields (``num_slots``, ``service_batch``, ``reference``, ``metrics``).
+    fields (``num_slots``, ``service_batch``, ``metrics``).
     Silently skips runs it cannot address: opaque policy instances,
     seedless scenarios, or a store disabled by the environment.
     """

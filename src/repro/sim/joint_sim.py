@@ -16,7 +16,6 @@ from repro.core.policies import CachingPolicy, ServicePolicy
 from repro.core.reward import UtilityFunction
 from repro.net.queueing import RequestQueue
 from repro.sim.cache_sim import _BatchedCacheStage, _cache_metrics
-from repro.sim.metrics import CacheMetrics, ServiceMetrics
 from repro.sim.results import JointSimulationResult
 from repro.sim.scenario import ScenarioConfig
 # _enqueue_batches and _vector_service_slot run inside _ServiceStage (in
@@ -139,15 +138,9 @@ class JointSimulator(_Simulator):
         service_policy: ServicePolicy,
         *,
         service_batch: Optional[int] = None,
-        reference: bool = False,
         metrics: str = "full",
     ) -> None:
-        super().__init__(
-            config,
-            service_batch=service_batch,
-            reference=reference,
-            metrics=metrics,
-        )
+        super().__init__(config, service_batch=service_batch, metrics=metrics)
         self._caching_policy = caching_policy
         self._service_policy = service_policy
 
@@ -171,22 +164,6 @@ class JointSimulator(_Simulator):
     def run(self, *, num_slots: Optional[int] = None) -> JointSimulationResult:
         """Run the coupled simulation and return both stages' metrics."""
         num_slots = self._num_slots(num_slots)
-        if self._reference:
-            state = SystemState(self._config)
-            cache_metrics = _cache_metrics(state, self._metrics_mode, num_slots)
-            service_metrics = _service_metrics(
-                self._config, self._metrics_mode, num_slots
-            )
-            self._caching_policy.reset()
-            self._service_policy.reset()
-            self._run_reference(state, cache_metrics, service_metrics, num_slots)
-            return JointSimulationResult(
-                config=self._config,
-                caching_policy_name=_policy_name(self._caching_policy),
-                service_policy_name=_policy_name(self._service_policy),
-                cache_metrics=cache_metrics,
-                service_metrics=service_metrics,
-            )
         return self._stepper(num_slots).drive(num_slots)[0]
 
     def run_batch(
@@ -217,33 +194,24 @@ class JointSimulator(_Simulator):
             seeds, service_policies, self._service_policy
         )
         configs = self._seed_configs(seeds)
-        if self._reference:
-            return [
-                JointSimulator(
-                    config,
-                    caching_policy,
-                    service_policy,
-                    service_batch=self._service_batch,
-                    reference=True,
-                    metrics=self._metrics_mode,
-                ).run(num_slots=num_slots)
-                for config, caching_policy, service_policy in zip(
-                    configs, caching_policies, service_policies
-                )
-            ]
         stepper = self._stepper(
             num_slots, configs, caching_policies, service_policies
         )
         return stepper.drive(num_slots, _seed_horizons(stepper, horizons, num_slots))
 
     def _run_reference(
-        self,
-        state: SystemState,
-        cache_metrics: CacheMetrics,
-        service_metrics: ServiceMetrics,
-        num_slots: int,
-    ) -> None:
-        """The original scalar two-stage loop."""
+        self, num_slots: Optional[int] = None
+    ) -> JointSimulationResult:
+        """The original scalar two-stage loop.
+
+        The private test oracle behind ``repro.sim.engine._reference``.
+        """
+        num_slots = self._num_slots(num_slots)
+        state = SystemState(self._config)
+        cache_metrics = _cache_metrics(state, self._metrics_mode, num_slots)
+        service_metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
+        self._caching_policy.reset()
+        self._service_policy.reset()
         queues = [RequestQueue(rsu.rsu_id) for rsu in state.topology.rsus]
 
         for t in range(num_slots):
@@ -272,3 +240,10 @@ class JointSimulator(_Simulator):
             for cache in state.caches:
                 cache.tick(1)
             state.mbs_store.tick(t + 1)
+        return JointSimulationResult(
+            config=self._config,
+            caching_policy_name=_policy_name(self._caching_policy),
+            service_policy_name=_policy_name(self._service_policy),
+            cache_metrics=cache_metrics,
+            service_metrics=service_metrics,
+        )

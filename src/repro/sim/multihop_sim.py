@@ -23,9 +23,8 @@ on-path family and the paper's controllers compare on one grid:
   deferred queue accrues waiting latency, a served queue routes each
   request edge-style (receiver-only placement).
 
-There is a single execution path: ``reference``/``vectorized``/``batch``
-modes are trivially bit-identical because they all run this loop (the
-per-request graph walk has no tensor twin yet).
+There is a single execution path and no scalar reference loop: the
+per-request graph walk has no tensor twin to check against one.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ from repro.policies.onpath import EdgeCaching, OnPathStrategy
 from repro.sim.metrics import MultihopMetrics, check_metrics_mode
 from repro.sim.results import MultihopSimulationResult
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.system import SystemState, _expand_batch_policies
-from repro.utils.validation import check_positive_int
+from repro.sim.system import SystemState, _expand_batch_policies, _Simulator
 
 MultihopPolicy = Union[OnPathStrategy, CachingPolicy, ServicePolicy]
 
@@ -346,7 +344,7 @@ class MultihopStepper:
         )
 
 
-class MultihopSimulator:
+class MultihopSimulator(_Simulator):
     """Simulator for the ``multihop`` scenario kind.
 
     Parameters
@@ -357,10 +355,6 @@ class MultihopSimulator:
     policy:
         An on-path strategy, a caching policy, or a service policy (see
         the module docstring for how each role is driven).
-    reference:
-        Accepted for interface parity with the other simulators; the
-        multihop loop has a single execution path, so this only tags the
-        result provenance.
     metrics:
         ``"full"`` additionally keeps per-session routing records;
         ``"summary"`` keeps per-slot aggregates only.
@@ -371,21 +365,13 @@ class MultihopSimulator:
         config: ScenarioConfig,
         policy: MultihopPolicy,
         *,
-        reference: bool = False,
         metrics: str = "full",
     ) -> None:
-        self._config = config
+        super().__init__(config, metrics=metrics)
         # The role is resolved lazily (in run()): batch callers construct
         # the simulator with a placeholder policy and pass the per-seed
         # instances to run_batch(policies=...), like the other simulators.
         self._policy = policy
-        self._reference = bool(reference)
-        self._metrics_mode = check_metrics_mode(metrics)
-
-    @property
-    def config(self) -> ScenarioConfig:
-        """The scenario being simulated."""
-        return self._config
 
     @property
     def policy(self) -> MultihopPolicy:
@@ -397,25 +383,12 @@ class MultihopSimulator:
         """``"onpath"``, ``"caching"``, or ``"service"``."""
         return _policy_role(self._policy)
 
-    @property
-    def reference(self) -> bool:
-        """Provenance tag only — multihop has a single execution path."""
-        return self._reference
-
-    @property
-    def metrics_mode(self) -> str:
-        """The metric collection mode, ``"full"`` or ``"summary"``."""
-        return self._metrics_mode
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, *, num_slots: Optional[int] = None) -> MultihopSimulationResult:
         """Run the simulation and return the recorded result."""
-        num_slots = check_positive_int(
-            num_slots if num_slots is not None else self._config.num_slots,
-            "num_slots",
-        )
+        num_slots = self._num_slots(num_slots)
         stepper = MultihopStepper(
             self._config,
             self._policy,
@@ -436,20 +409,14 @@ class MultihopSimulator:
         """Run one simulation per seed (the per-request loop has no tensor
         twin, so this is an exact per-seed replay — trivially bit-identical
         to per-run execution)."""
-        num_slots = check_positive_int(
-            num_slots if num_slots is not None else self._config.num_slots,
-            "num_slots",
-        )
+        num_slots = self._num_slots(num_slots)
         seeds = [int(seed) for seed in seeds]
         policies = _expand_batch_policies(seeds, policies, self._policy)
         return [
-            MultihopSimulator(
-                self._config.with_overrides(seed=seed),
-                policy,
-                reference=self._reference,
-                metrics=self._metrics_mode,
-            ).run(num_slots=num_slots)
-            for seed, policy in zip(seeds, policies)
+            MultihopSimulator(config, policy, metrics=self._metrics_mode).run(
+                num_slots=num_slots
+            )
+            for config, policy in zip(self._seed_configs(seeds), policies)
         ]
 
 

@@ -591,8 +591,6 @@ class ServiceSimulator(_Simulator):
         :class:`~repro.core.lyapunov.LyapunovServiceController` or a baseline).
     service_batch:
         Optional per-slot service batch limit.
-    reference:
-        Run the original scalar per-request loop instead of the vectorised one.
     metrics:
         Metric collection mode, ``"full"`` (default) or ``"summary"`` —
         see :mod:`repro.sim.metrics`.
@@ -604,15 +602,9 @@ class ServiceSimulator(_Simulator):
         policy: ServicePolicy,
         *,
         service_batch: Optional[int] = None,
-        reference: bool = False,
         metrics: str = "full",
     ) -> None:
-        super().__init__(
-            config,
-            service_batch=service_batch,
-            reference=reference,
-            metrics=metrics,
-        )
+        super().__init__(config, service_batch=service_batch, metrics=metrics)
         self._policy = policy
 
     @property
@@ -635,16 +627,6 @@ class ServiceSimulator(_Simulator):
     def run(self, *, num_slots: Optional[int] = None) -> ServiceSimulationResult:
         """Run the simulation and return the recorded result."""
         num_slots = self._num_slots(num_slots)
-        if self._reference:
-            state = SystemState(self._config)
-            metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
-            self._policy.reset()
-            self._run_reference(state, metrics, num_slots)
-            return ServiceSimulationResult(
-                config=self._config,
-                policy_name=_policy_name(self._policy),
-                metrics=metrics,
-            )
         return self._stepper(num_slots).drive(num_slots)[0]
 
     def run_batch(
@@ -668,31 +650,26 @@ class ServiceSimulator(_Simulator):
             :class:`~repro.net.requests.WorkloadHorizon` arrival tensors
             (e.g. attached from shared memory by the parallel runner).
             Must match what ``generate_horizon`` would produce for each
-            seed; omitted, the horizons are generated here.  Ignored by the
-            scalar ``reference=True`` replay, which draws per slot.
+            seed; omitted, the horizons are generated here.
         """
         num_slots = self._num_slots(num_slots)
         seeds = [int(seed) for seed in seeds]
         policies = _expand_batch_policies(seeds, policies, self._policy)
         configs = self._seed_configs(seeds)
-        if self._reference:
-            return [
-                ServiceSimulator(
-                    config,
-                    policy,
-                    service_batch=self._service_batch,
-                    reference=True,
-                    metrics=self._metrics_mode,
-                ).run(num_slots=num_slots)
-                for config, policy in zip(configs, policies)
-            ]
         stepper = self._stepper(num_slots, configs, policies)
         return stepper.drive(num_slots, _seed_horizons(stepper, horizons, num_slots))
 
     def _run_reference(
-        self, state: SystemState, metrics: ServiceMetrics, num_slots: int
-    ) -> None:
-        """The original per-request object loop."""
+        self, num_slots: Optional[int] = None
+    ) -> ServiceSimulationResult:
+        """The original per-request object loop.
+
+        The private test oracle behind ``repro.sim.engine._reference``.
+        """
+        num_slots = self._num_slots(num_slots)
+        state = SystemState(self._config)
+        metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
+        self._policy.reset()
         queues = [RequestQueue(rsu.rsu_id) for rsu in state.topology.rsus]
 
         for t in range(num_slots):
@@ -704,3 +681,8 @@ class ServiceSimulator(_Simulator):
             # keeps cached copies valid, so cache ages are not advanced here;
             # the coupled behaviour is exercised by JointSimulator.
             state.mbs_store.tick(t + 1)
+        return ServiceSimulationResult(
+            config=self._config,
+            policy_name=_policy_name(self._policy),
+            metrics=metrics,
+        )

@@ -4,9 +4,10 @@
 cost models, workload, and the static parameter/index matrices consumed by
 both the scalar reference loops and the vectorised hot loops.  It is
 internal plumbing shared by :mod:`repro.sim.cache_sim`,
-:mod:`repro.sim.service_sim`, and :mod:`repro.sim.joint_sim`, together
-with the option handling of their simulators (:class:`_Simulator`) and the
-setup and slot loop of their seed-axis steppers (:class:`_SeedStepper`).
+:mod:`repro.sim.service_sim`, :mod:`repro.sim.joint_sim`, and
+:mod:`repro.sim.multihop_sim`, together with the option handling of their
+simulators (:class:`_Simulator`) and the setup and slot loop of the
+seed-axis steppers (:class:`_SeedStepper`).
 """
 
 from __future__ import annotations
@@ -200,32 +201,25 @@ def _policy_name(policy: Any) -> str:
 
 
 class _Simulator:
-    """Options and properties shared by the cache, service and joint simulators."""
+    """Options and properties shared by the per-kind simulators."""
 
     def __init__(
         self,
         config: ScenarioConfig,
         *,
         service_batch: Optional[int] = None,
-        reference: bool = False,
         metrics: str = "full",
     ) -> None:
         if service_batch is not None:
             check_positive_int(service_batch, "service_batch")
         self._config = config
         self._service_batch = service_batch
-        self._reference = bool(reference)
         self._metrics_mode = check_metrics_mode(metrics)
 
     @property
     def config(self) -> ScenarioConfig:
         """The scenario being simulated."""
         return self._config
-
-    @property
-    def reference(self) -> bool:
-        """Whether the scalar reference loop is used instead of the vectorised one."""
-        return self._reference
 
     @property
     def metrics_mode(self) -> str:

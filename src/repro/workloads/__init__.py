@@ -2,9 +2,10 @@
 
 A registry of named, seedable request-process models, each exposing the
 same three entry points (``generate_slot``, ``generate_slot_contents``,
-``generate_horizon``) and consumable by all three simulator execution
-modes — scalar reference, vectorised, and seed-batched — with bit-identical
-trajectories across modes.
+``generate_horizon``) and consumed identically by every simulator path —
+single runs, seed batches, live sessions, and the private scalar oracle
+the equivalence suites check them against — so trajectories are
+bit-identical across them.
 
 Registered models: ``stationary`` (the paper's workload, byte-identical to
 the historical behaviour), ``drift``, ``flash-crowd``, ``shot-noise``, and

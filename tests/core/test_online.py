@@ -9,7 +9,7 @@ from repro.core.online import OnlineLearningConfig, QLearningCachingPolicy
 from repro.core.policies import CacheObservation
 from repro.exceptions import ValidationError
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator
+from repro.sim import CacheSimulator
 from repro.baselines.caching import NeverUpdatePolicy
 
 

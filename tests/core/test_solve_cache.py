@@ -19,7 +19,7 @@ from repro.core.solve_cache import SolveCache, solve_key
 from repro.core.solvers import value_iteration
 from repro.exceptions import ValidationError
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator
+from repro.sim import CacheSimulator
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.core.reward import UtilityFunction
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, ServiceSimulator
+from repro.sim import CacheSimulator, ServiceSimulator
 
 
 class TestCacheAccountingInvariants:

@@ -17,6 +17,7 @@ from repro.analysis.sweep import lyapunov_policy_factory, mdp_policy_factory
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.policies import PolicySpec
 from repro.runtime import (
+    BatchResult,
     ExperimentRunner,
     ExperimentSpec,
     RunSpec,
@@ -24,6 +25,8 @@ from repro.runtime import (
     load_specs,
     save_specs,
 )
+from repro.runtime.runner import _run_record
+from repro.sim.engine import _reference
 from repro.sim.scenario import ScenarioConfig
 from repro.workloads import WorkloadSpec
 
@@ -52,7 +55,6 @@ class TestRoundTrips:
             service_policy="lyapunov:tradeoff_v=25",
             seed=3,
             num_seeds=4,
-            mode="reference",
             label="my-grid-point",
             num_slots=20,
             service_batch=2,
@@ -117,12 +119,6 @@ class TestValidation:
     def test_unknown_scenario_field(self):
         with pytest.raises(ConfigurationError, match="num_rsuss"):
             ScenarioConfig.from_dict({"num_rsuss": 3})
-
-    def test_bad_mode(self, scenario):
-        with pytest.raises(ValidationError, match="mode"):
-            ExperimentSpec(
-                kind="cache", scenario=scenario, policy="mdp", mode="turbo"
-            )
 
     def test_auto_label_tracks_policies(self, scenario):
         spec = ExperimentSpec(
@@ -191,14 +187,17 @@ class TestExecution:
         assert len(batch) == 1
 
     def test_reference_mode_matches_fast_path(self, scenario):
-        runner = ExperimentRunner(workers=1)
-        fast = runner.run_grid(
-            [ExperimentSpec(kind="cache", scenario=scenario, policy="mdp",
-                            num_seeds=2)]
-        )
-        slow = runner.run_grid(
-            [ExperimentSpec(kind="cache", scenario=scenario, policy="mdp",
-                            num_seeds=2, mode="reference")]
+        spec = ExperimentSpec(kind="cache", scenario=scenario, policy="mdp",
+                              num_seeds=2)
+        fast = ExperimentRunner(workers=1).run_grid([spec])
+        seeds = [record.seed for record in fast.records]
+        slow = BatchResult(
+            [
+                _run_record(spec.to_run_spec(), seed, result)
+                for seed, result in zip(
+                    seeds, _reference(scenario, "mdp", seeds=seeds)
+                )
+            ]
         )
         assert fast.matches(slow)
 

@@ -27,7 +27,9 @@ from repro.runtime.runner import (
     expand_seeds,
     execute_spec,
     expand_workloads,
+    _run_record,
 )
+from repro.sim.engine import _reference
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.rng import spawn_run_seeds
 
@@ -101,7 +103,7 @@ class TestRunSpec:
 
 class TestExecuteSpec:
     def test_matches_direct_simulation(self, tiny_scenario):
-        from repro.sim.simulator import CacheSimulator
+        from repro.sim import CacheSimulator
 
         spec = cache_grid(tiny_scenario)[0]
         record = execute_spec(spec)
@@ -203,14 +205,18 @@ class TestSeedBatchedDispatch:
         assert batches[1].matches(batches[2])
 
     def test_reference_specs_batch_through_fallback(self, tiny_scenario):
-        from dataclasses import replace
-
-        specs = [replace(spec, reference=True) for spec in cache_grid(tiny_scenario)]
+        # The seed-batched grid records what the private scalar oracle
+        # records, run one seed at a time.
+        specs = cache_grid(tiny_scenario)
         batched = ExperimentRunner(workers=1).run_grid(specs, num_seeds=2)
-        per_run = ExperimentRunner(workers=1).run_grid(
-            specs, num_seeds=2, seed_batching=False
+        oracle = BatchResult(
+            [
+                _run_record(spec, spec.seed, _reference(scenario, spec.policy(scenario)))
+                for spec in expand_seeds(specs, 2)
+                for scenario in [spec.scenario.with_overrides(seed=spec.seed)]
+            ]
         )
-        assert batched.matches(per_run)
+        assert batched.matches(oracle)
 
     def test_stochastic_instance_policy_batches_identically(self, tiny_scenario):
         specs = [

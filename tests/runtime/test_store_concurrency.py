@@ -299,7 +299,7 @@ class TestHashProperties:
             ),
             cell_key(
                 RunSpec(kind="cache", scenario=scenario, policy="always",
-                        reference=True),
+                        metrics="summary"),
                 0,
             ),
         }

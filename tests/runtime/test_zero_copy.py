@@ -96,7 +96,7 @@ class TestHorizonPrecompute:
         assert shipment.horizons_computed == 2
         assert shipment.horizons_reused == 2
 
-    def test_cache_and_reference_tasks_skip_shipment(self, service_scenario):
+    def test_cache_and_multihop_tasks_skip_shipment(self, service_scenario):
         shipment = HorizonShipment()
         try:
             cache_spec = RunSpec(
@@ -105,13 +105,12 @@ class TestHorizonPrecompute:
                 policy=PolicySpec.coerce("never"),
             )
             assert shipment.handle_for(cache_spec, [0]) is None
-            reference_spec = RunSpec(
-                kind="service",
+            multihop_spec = RunSpec(
+                kind="multihop",
                 scenario=service_scenario,
-                policy=PolicySpec.coerce("always-serve"),
-                reference=True,
+                policy=PolicySpec.coerce("lce"),
             )
-            assert shipment.handle_for(reference_spec, [0]) is None
+            assert shipment.handle_for(multihop_spec, [0]) is None
         finally:
             shipment.close()
 

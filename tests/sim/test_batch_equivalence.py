@@ -28,7 +28,8 @@ from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.exceptions import ValidationError
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim.engine import _reference
 
 SEEDS = [0, 3, 11]
 
@@ -177,15 +178,12 @@ class TestCacheBatchEquivalence:
     def test_reference_batch_matches_reference_runs(self):
         config = ScenarioConfig.small(seed=2, num_slots=30)
         singles = [
-            CacheSimulator(
-                config.with_overrides(seed=seed), PeriodicUpdatePolicy(period=2),
-                reference=True,
-            ).run()
+            _reference(
+                config.with_overrides(seed=seed), PeriodicUpdatePolicy(period=2)
+            )
             for seed in SEEDS
         ]
-        batch = CacheSimulator(
-            config, PeriodicUpdatePolicy(period=2), reference=True
-        ).run_batch(SEEDS)
+        batch = _reference(config, PeriodicUpdatePolicy(period=2), seeds=SEEDS)
         for single, batched in zip(singles, batch):
             assert_cache_results_identical(single, batched)
 

@@ -8,7 +8,7 @@ service policies (the Lyapunov controller's tie-breaker, AoI-guard and
 or without a per-slot service batch limit.  For each case the
 ``summary()`` of ``run()``, of ``run_batch()``, and of a chunk-stepped
 :func:`~repro.serve.session.open_session` must equal the ``summary()`` of
-the scalar ``mode="reference"`` loop exactly.
+the private scalar oracle (``repro.sim.engine._reference``) exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.serve.session import open_session
-from repro.sim.engine import simulate
+from repro.sim.engine import _reference, simulate
 from repro.sim.scenario import ScenarioConfig
 from repro.workloads import workload_names
 
@@ -75,9 +75,8 @@ def test_every_path_matches_the_reference_oracle(case):
     seeds = [config.seed, config.seed + 1]
     oracle = [
         result.summary()
-        for result in simulate(
-            config, policies, mode="reference", seeds=seeds,
-            service_batch=service_batch,
+        for result in _reference(
+            config, policies, seeds=seeds, service_batch=service_batch
         )
     ]
 

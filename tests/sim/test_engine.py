@@ -1,7 +1,7 @@
 """Tests for repro.sim.engine (the unified ``simulate`` façade).
 
-Covers kind inference, mode dispatch, and — the deprecation-shim contract —
-bit-identical results between the old per-kind entry points and the façade.
+Covers kind inference, the private scalar oracle, and bit-identical
+results between the per-kind simulator classes and the façade.
 """
 
 from __future__ import annotations
@@ -15,13 +15,16 @@ from repro.exceptions import ConfigurationError
 from repro.policies import PolicySpec
 from repro.sim import (
     CacheSimulationResult,
+    CacheSimulator,
     JointSimulationResult,
+    JointSimulator,
     ServiceSimulationResult,
+    ServiceSimulator,
     SimulationResult,
     simulate,
 )
+from repro.sim.engine import _reference
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, JointSimulator, ServiceSimulator
 
 
 @pytest.fixture
@@ -64,21 +67,13 @@ class TestKindInference:
         with pytest.raises(ConfigurationError, match="role"):
             simulate(config, {"cache": "mdp"})
 
-    def test_bad_mode_rejected(self, config):
-        with pytest.raises(ConfigurationError, match="mode"):
-            simulate(config, "mdp", mode="turbo")
-
-    def test_batch_mode_needs_seeds(self, config):
-        with pytest.raises(ConfigurationError, match="seeds"):
-            simulate(config, "mdp", mode="batch")
-
     def test_service_batch_rejected_for_cache(self, config):
         with pytest.raises(ConfigurationError, match="service_batch"):
             simulate(config, "mdp", service_batch=2)
 
 
 class TestShimEquivalence:
-    """Old entry points stay bit-identical to the façade."""
+    """The per-kind simulator classes stay bit-identical to the façade."""
 
     def test_cache_simulator_run_matches_simulate(self, config):
         old = CacheSimulator(
@@ -92,10 +87,8 @@ class TestShimEquivalence:
         )
 
     def test_cache_reference_matches_simulate_reference(self, config):
-        old = CacheSimulator(
-            config, MDPCachingPolicy(config.build_mdp_config()), reference=True
-        ).run()
-        new = simulate(config, "mdp", mode="reference")
+        old = _reference(config, MDPCachingPolicy(config.build_mdp_config()))
+        new = simulate(config, "mdp")
         assert old.summary() == new.summary()
         assert np.array_equal(old.cumulative_reward, new.cumulative_reward)
 
@@ -121,7 +114,7 @@ class TestShimEquivalence:
         old = CacheSimulator(
             config, MDPCachingPolicy(config.build_mdp_config())
         ).run_batch(seeds)
-        new = simulate(config, "mdp", seeds=seeds, mode="batch")
+        new = simulate(config, "mdp", seeds=seeds)
         assert len(old) == len(new) == 3
         for mine, theirs in zip(old, new):
             assert mine.summary() == theirs.summary()
@@ -133,12 +126,13 @@ class TestShimEquivalence:
 class TestModesAgree:
     def test_all_modes_bit_identical(self, config):
         seeds = [3, 8]
-        batch = simulate(config, "mdp", seeds=seeds, mode="batch")
-        vectorized = simulate(config, "mdp", seeds=seeds, mode="vectorized")
-        reference = simulate(config, "mdp", seeds=seeds, mode="reference")
         auto = simulate(config, "mdp", seeds=seeds)
-        for group in (vectorized, reference, auto):
-            for mine, theirs in zip(batch, group):
+        reference = _reference(config, "mdp", seeds=seeds)
+        singles = [
+            simulate(config.with_overrides(seed=seed), "mdp") for seed in seeds
+        ]
+        for group in (reference, singles):
+            for mine, theirs in zip(auto, group):
                 assert mine.summary() == theirs.summary()
                 assert np.array_equal(
                     mine.cumulative_reward, theirs.cumulative_reward
@@ -146,32 +140,25 @@ class TestModesAgree:
 
     def test_joint_modes_agree(self, config):
         seeds = [1, 4]
-        batch = simulate(config, ("mdp", "lyapunov"), seeds=seeds, mode="batch")
-        reference = simulate(
-            config, ("mdp", "lyapunov"), seeds=seeds, mode="reference"
-        )
+        batch = simulate(config, ("mdp", "lyapunov"), seeds=seeds)
+        reference = _reference(config, ("mdp", "lyapunov"), seeds=seeds)
         for mine, theirs in zip(batch, reference):
             assert mine.summary() == theirs.summary()
 
     def test_stochastic_instance_is_replicated_per_seed(self, config):
         # Each seed must start from a pristine copy of a supplied policy
-        # instance in every mode; sharing one instance would advance its
-        # RNG across seeds and break the cross-mode contract.
+        # instance on every path; sharing one instance would advance its
+        # RNG across seeds and break the cross-path contract.
         from repro.baselines.caching import RandomUpdatePolicy
 
         seeds = [3, 11]
-        batch = simulate(
-            config, RandomUpdatePolicy(0.5, rng=7), seeds=seeds, mode="batch"
-        )
-        vectorized = simulate(
-            config, RandomUpdatePolicy(0.5, rng=7), seeds=seeds,
-            mode="vectorized",
-        )
-        reference = simulate(
-            config, RandomUpdatePolicy(0.5, rng=7), seeds=seeds,
-            mode="reference",
-        )
-        for group in (vectorized, reference):
+        batch = simulate(config, RandomUpdatePolicy(0.5, rng=7), seeds=seeds)
+        reference = _reference(config, RandomUpdatePolicy(0.5, rng=7), seeds=seeds)
+        singles = [
+            simulate(config.with_overrides(seed=seed), RandomUpdatePolicy(0.5, rng=7))
+            for seed in seeds
+        ]
+        for group in (reference, singles):
             for mine, theirs in zip(batch, group):
                 assert mine.summary() == theirs.summary()
 
@@ -257,6 +244,10 @@ class TestMultihopDispatch:
 
     def test_modes_bit_identical(self, config):
         pytest.importorskip("networkx")
-        reference = simulate(config, "lcd", mode="reference")
-        vectorized = simulate(config, "lcd", mode="vectorized")
-        assert reference.summary() == vectorized.summary()
+        single = simulate(config, "lcd")
+        (batched,) = simulate(config, "lcd", seeds=[config.seed])
+        assert single.summary() == batched.summary()
+
+    def test_oracle_has_no_multihop_loop(self, config):
+        with pytest.raises(ConfigurationError, match="multihop"):
+            _reference(config, "lcd")

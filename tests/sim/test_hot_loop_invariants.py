@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.aoi import AoIVector
 from repro.net.channel import ConstantCostModel, LinkBudget
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator
+from repro.sim import CacheSimulator
 from repro.core.policies import CachingPolicy
 
 

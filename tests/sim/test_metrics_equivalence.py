@@ -2,8 +2,8 @@
 
 ``metrics="summary"`` collectors must produce ``summary()`` / ``rows()``
 output byte-identical to ``metrics="full"`` — across all three simulators,
-every execution mode (reference / vectorized / batch) and every registered
-workload model.  These tests pin that contract, plus the summary-mode error
+every execution path (the private scalar oracle, single runs, seed
+batches) and every registered workload model.  These tests pin that contract, plus the summary-mode error
 surface, the cached-reduction semantics of the array-backed collectors, and
 that the steppers record every slot straight into their collectors.
 """
@@ -15,10 +15,10 @@ import pytest
 
 from repro.core.reward import RewardBreakdown
 from repro.exceptions import SimulationError, ValidationError
-from repro.sim import simulate
+from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator, simulate
 from repro.sim.metrics import CacheMetrics, RewardTrace, ServiceMetrics
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim.engine import _reference
 from repro.workloads import export_trace, workload_names
 from repro.workloads.registry import WorkloadSpec
 
@@ -29,17 +29,29 @@ def cache_scenario(**overrides):
     return ScenarioConfig.small(seed=3, num_slots=SLOTS, **overrides)
 
 
-def run_cache(mode, metrics, **kwargs):
+def run_path(mode, simulator_class, config, policies, metrics):
+    """One run on *config* along *mode*.
+
+    ``"reference"`` is the private scalar oracle, ``"batch"`` a one-seed
+    ``run_batch`` on the config's own seed, ``"vectorized"`` ``run()``.
+    *policies* is one policy, or a ``(caching, service)`` pair.
+    """
+    if mode == "reference":
+        return _reference(config, policies, metrics=metrics)
+    if not isinstance(policies, tuple):
+        policies = (policies,)
+    simulator = simulator_class(config, *policies, metrics=metrics)
+    if mode == "batch":
+        return simulator.run_batch([config.seed])[0]
+    return simulator.run()
+
+
+def run_cache(mode, metrics):
     config = cache_scenario()
     from repro.core.caching_mdp import MDPCachingPolicy
 
     policy = MDPCachingPolicy(config.build_mdp_config())
-    simulator = CacheSimulator(
-        config, policy, reference=(mode == "reference"), metrics=metrics, **kwargs
-    )
-    if mode == "batch":
-        return simulator.run_batch([3])[0]
-    return simulator.run()
+    return run_path(mode, CacheSimulator, config, policy, metrics)
 
 
 class TestSummaryEqualsFull:
@@ -57,14 +69,12 @@ class TestSummaryEqualsFull:
         config = ScenarioConfig.fig1b(seed=1).with_overrides(num_slots=SLOTS)
         results = {}
         for metrics in ("full", "summary"):
-            simulator = ServiceSimulator(
+            results[metrics] = run_path(
+                mode,
+                ServiceSimulator,
                 config,
                 LyapunovServiceController(config.tradeoff_v),
-                reference=(mode == "reference"),
-                metrics=metrics,
-            )
-            results[metrics] = (
-                simulator.run_batch([1])[0] if mode == "batch" else simulator.run()
+                metrics,
             )
         assert results["full"].summary() == results["summary"].summary()
         assert results["full"].rows() == results["summary"].rows()
@@ -77,15 +87,15 @@ class TestSummaryEqualsFull:
         config = ScenarioConfig.small(seed=5, num_slots=SLOTS, arrival_rate=0.8)
         results = {}
         for metrics in ("full", "summary"):
-            simulator = JointSimulator(
+            results[metrics] = run_path(
+                mode,
+                JointSimulator,
                 config,
-                MDPCachingPolicy(config.build_mdp_config()),
-                LyapunovServiceController(config.tradeoff_v),
-                reference=(mode == "reference"),
-                metrics=metrics,
-            )
-            results[metrics] = (
-                simulator.run_batch([5])[0] if mode == "batch" else simulator.run()
+                (
+                    MDPCachingPolicy(config.build_mdp_config()),
+                    LyapunovServiceController(config.tradeoff_v),
+                ),
+                metrics,
             )
         assert results["full"].summary() == results["summary"].summary()
         assert results["full"].rows() == results["summary"].rows()
@@ -110,17 +120,15 @@ class TestSummaryEqualsFull:
             for mode in ("reference", "vectorized", "batch"):
                 results = {}
                 for metrics in ("full", "summary"):
-                    simulator = JointSimulator(
+                    results[metrics] = run_path(
+                        mode,
+                        JointSimulator,
                         config,
-                        MDPCachingPolicy(config.build_mdp_config()),
-                        LyapunovServiceController(config.tradeoff_v),
-                        reference=(mode == "reference"),
-                        metrics=metrics,
-                    )
-                    results[metrics] = (
-                        simulator.run_batch([7])[0]
-                        if mode == "batch"
-                        else simulator.run()
+                        (
+                            MDPCachingPolicy(config.build_mdp_config()),
+                            LyapunovServiceController(config.tradeoff_v),
+                        ),
+                        metrics,
                     )
                 assert results["full"].summary() == results["summary"].summary(), (
                     name,

@@ -1,4 +1,4 @@
-"""Tests for repro.sim.simulator (cache, service, and joint simulators)."""
+"""Tests for the cache, service, and joint simulators (repro.sim)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.exceptions import ValidationError
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator
 
 
 class TestCacheSimulator:

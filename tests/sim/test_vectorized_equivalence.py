@@ -1,7 +1,8 @@
 """Golden-trajectory equivalence: vectorised loops vs the scalar reference.
 
 The vectorised simulators are only allowed to be *fast*; for a fixed seed
-they must reproduce the scalar ``reference=True`` loop slot for slot — the
+they must reproduce the private scalar oracle
+(``repro.sim.engine._reference``) slot for slot — the
 same ages, actions, reward breakdowns, backlogs, latencies, costs, and
 decisions, compared with exact equality (no tolerances).  These tests pin
 that contract across scenario shapes, cost models, arrival processes,
@@ -23,13 +24,12 @@ from repro.baselines.service import AlwaysServePolicy, CostGreedyPolicy
 from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim.engine import _reference
 
 
 def assert_cache_runs_identical(config, make_policy, num_slots=None):
-    reference = CacheSimulator(config, make_policy(config), reference=True).run(
-        num_slots=num_slots
-    )
+    reference = _reference(config, make_policy(config), num_slots=num_slots)
     vectorized = CacheSimulator(config, make_policy(config)).run(num_slots=num_slots)
     assert np.array_equal(
         reference.metrics.age_matrix_history(),
@@ -49,9 +49,9 @@ def assert_cache_runs_identical(config, make_policy, num_slots=None):
 
 
 def assert_service_runs_identical(config, make_policy, num_slots=None, **kwargs):
-    reference = ServiceSimulator(
-        config, make_policy(config), reference=True, **kwargs
-    ).run(num_slots=num_slots)
+    reference = _reference(
+        config, make_policy(config), num_slots=num_slots, **kwargs
+    )
     vectorized = ServiceSimulator(config, make_policy(config), **kwargs).run(
         num_slots=num_slots
     )
@@ -160,12 +160,13 @@ class TestJointSimulatorEquivalence:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_mdp_plus_lyapunov(self, seed):
         config = ScenarioConfig.small(seed=seed, num_slots=80, arrival_rate=0.8)
-        reference = JointSimulator(
+        reference = _reference(
             config,
-            MDPCachingPolicy(config.build_mdp_config()),
-            LyapunovServiceController(config.tradeoff_v),
-            reference=True,
-        ).run()
+            (
+                MDPCachingPolicy(config.build_mdp_config()),
+                LyapunovServiceController(config.tradeoff_v),
+            ),
+        )
         vectorized = JointSimulator(
             config,
             MDPCachingPolicy(config.build_mdp_config()),
@@ -195,12 +196,9 @@ class TestJointSimulatorEquivalence:
         config = ScenarioConfig.small(seed=7).with_overrides(
             num_slots=80, arrival_rate=1.0
         )
-        reference = JointSimulator(
-            config,
-            NeverUpdatePolicy(),
-            LyapunovServiceController(1.0),
-            reference=True,
-        ).run()
+        reference = _reference(
+            config, (NeverUpdatePolicy(), LyapunovServiceController(1.0))
+        )
         vectorized = JointSimulator(
             config, NeverUpdatePolicy(), LyapunovServiceController(1.0)
         ).run()

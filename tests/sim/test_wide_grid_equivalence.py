@@ -4,7 +4,8 @@ numpy's pairwise summation unrolls only from 8 elements on, so a grid of
 a handful of RSUs cannot tell a per-seed row sum from a sum in another
 order.  These cases run 32 RSUs, where it can: the service and joint
 kinds' ``run()``, ``run_batch()`` and a slot-stepped ``open_session()``
-must reproduce the scalar ``mode="reference"`` loop exactly — every
+must reproduce the private scalar oracle (``repro.sim.engine._reference``)
+exactly — every
 full-mode per-RSU history (backlog, latency, cost, decision, served) and
 ``summary()`` — across the Lyapunov kernel's variants, deadlines, a
 service batch limit, a fallback policy, and a batch mixing both.
@@ -20,7 +21,7 @@ from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.exceptions import ValidationError
 from repro.serve.session import open_session
-from repro.sim.engine import simulate
+from repro.sim.engine import _reference, simulate
 from repro.sim.joint_sim import JointSimulator
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.service_sim import ServiceSimulator, _SlotArrivals, _VectorQueues
@@ -90,9 +91,7 @@ def policies_for(kind, service):
 def test_every_path_matches_the_reference(kind, overrides, service, service_batch):
     config = GRID.with_overrides(**overrides)
     policies = policies_for(kind, service)
-    oracle = simulate(
-        config, policies, mode="reference", seeds=SEEDS, service_batch=service_batch
-    )
+    oracle = _reference(config, policies, seeds=SEEDS, service_batch=service_batch)
 
     single = simulate(
         config.with_overrides(seed=SEEDS[0]), policies, service_batch=service_batch
@@ -123,9 +122,7 @@ def test_service_batch_mixing_lyapunov_and_a_baseline():
     ]
     seeds = [4, 9, 13]
     want = [
-        ServiceSimulator(
-            config.with_overrides(seed=seed), policy(), reference=True
-        ).run()
+        _reference(config.with_overrides(seed=seed), policy())
         for seed, policy in zip(seeds, make)
     ]
     got = ServiceSimulator(config, make[0]()).run_batch(
@@ -147,9 +144,7 @@ def test_joint_batch_mixing_lyapunov_and_a_baseline():
         return MDPCachingPolicy(config.with_overrides(seed=seed).build_mdp_config())
 
     want = [
-        JointSimulator(
-            config.with_overrides(seed=seed), caching(seed), service(), reference=True
-        ).run()
+        _reference(config.with_overrides(seed=seed), (caching(seed), service()))
         for seed, service in zip(seeds, services)
     ]
     got = JointSimulator(config, caching(seeds[0]), services[0]()).run_batch(

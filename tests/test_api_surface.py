@@ -8,6 +8,12 @@ reviewed decision, never a side effect.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
+
+import pytest
+
 import repro
 from repro.policies import list_policies
 from repro.workloads import workload_names
@@ -153,20 +159,20 @@ class TestApiSurface:
         assert list_policies("onpath") == EXPECTED_ONPATH_POLICIES
 
     def test_simulation_modes_snapshot(self):
-        from repro.runtime.spec import EXPERIMENT_MODES
-        from repro.sim import METRICS_MODES, SIMULATION_KINDS, SIMULATION_MODES
+        import repro.runtime.spec
+        import repro.sim
+        from repro.sim import METRICS_MODES, SIMULATION_KINDS
 
-        # PR 8: the multihop kind routes requests over the network graph.
+        # The multihop kind routes requests over the network graph.
         assert SIMULATION_KINDS == ("cache", "service", "joint", "multihop")
-        assert SIMULATION_MODES == ("auto", "reference", "vectorized", "batch")
-        assert EXPERIMENT_MODES == SIMULATION_MODES
-        # PR 5: the metric collection knob threaded through simulate(), the
+        # The metric collection knob threaded through simulate(), the
         # simulators, RunSpec/ExperimentSpec, and the CLI.
         assert METRICS_MODES == ("full", "summary")
+        # Removed in 3.0: there is one execution path, so no mode catalog.
+        assert not hasattr(repro.sim, "SIMULATION_MODES")
+        assert not hasattr(repro.runtime.spec, "EXPERIMENT_MODES")
 
     def test_metrics_knobs_in_simulate_signature(self):
-        import inspect
-
         from repro import simulate
 
         from repro import open_session
@@ -177,3 +183,51 @@ class TestApiSurface:
         # metrics staging block to size.
         assert "block_size" not in parameters
         assert "block_size" not in inspect.signature(open_session).parameters
+
+
+class TestRemovedIn30:
+    """3.0 has one public execution path: the scalar loops are private."""
+
+    def test_version(self):
+        assert repro.__version__ == "3.0.0"
+
+    def test_simulate_has_no_mode(self):
+        assert "mode" not in inspect.signature(repro.simulate).parameters
+
+    def test_experiment_spec_has_no_mode(self):
+        from repro import ConfigurationError, ExperimentSpec, ScenarioConfig
+
+        assert "mode" not in {f.name for f in dataclasses.fields(ExperimentSpec)}
+        data = ExperimentSpec(
+            kind="cache", scenario=ScenarioConfig.small(seed=0), policy="mdp"
+        ).to_dict()
+        assert "mode" not in data
+        data["mode"] = "reference"
+        with pytest.raises(ConfigurationError, match="mode"):
+            ExperimentSpec.from_dict(data)
+
+    def test_no_reference_parameter(self):
+        from repro.analysis import sweep
+
+        assert "reference" not in {f.name for f in dataclasses.fields(repro.RunSpec)}
+        for simulator in (
+            repro.CacheSimulator,
+            repro.ServiceSimulator,
+            repro.JointSimulator,
+            repro.MultihopSimulator,
+        ):
+            assert "reference" not in inspect.signature(simulator).parameters
+            assert not hasattr(simulator, "reference"), simulator.__name__
+        for function in (
+            sweep.weight_sweep,
+            sweep.v_sweep,
+            sweep.caching_policy_comparison,
+            sweep.service_policy_comparison,
+            sweep.workload_sweep,
+            sweep.scalability_sweep,
+        ):
+            assert "reference" not in inspect.signature(function).parameters
+
+    def test_simulator_shim_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.simulator")

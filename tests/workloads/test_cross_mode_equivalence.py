@@ -1,8 +1,8 @@
-"""Cross-mode equivalence: every registered workload, every execution mode.
+"""Cross-mode equivalence: every registered workload, every execution path.
 
-For each registered workload model the three simulator execution modes —
-scalar ``reference=True``, vectorised (default), and seed-batched
-``run_batch(seeds)`` — must produce bit-identical trajectories (exact
+For each registered workload model the private scalar oracle
+(``repro.sim.engine._reference``), single runs, and seed-batched
+``run_batch(seeds)`` must produce bit-identical trajectories (exact
 equality, no tolerances).  This extends the PR 1/PR 2 golden-trajectory
 contracts to the workload axis: a workload model that drew RNG variates
 differently in any mode would fail here immediately.
@@ -16,7 +16,8 @@ import pytest
 from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim.engine import _reference
 from repro.workloads import export_trace, workload_names
 
 SEEDS = [0, 3, 11]
@@ -38,10 +39,10 @@ def test_suite_covers_every_registered_workload():
 
 def trace_spec(tmp_path, config, num_slots):
     """Export the scenario's own workload and return a trace spec replaying it."""
-    from repro.sim.simulator import _SystemState
+    from repro.sim import SystemState
 
     path = tmp_path / "workload.jsonl"
-    state = _SystemState(config)
+    state = SystemState(config)
     export_trace(state.workload, num_slots, str(path))
     return f"trace:path={path}"
 
@@ -50,9 +51,7 @@ def assert_service_modes_identical(config, num_slots):
     def policy(cfg):
         return LyapunovServiceController(cfg.tradeoff_v)
 
-    reference = ServiceSimulator(config, policy(config), reference=True).run(
-        num_slots=num_slots
-    )
+    reference = _reference(config, policy(config), num_slots=num_slots)
     vectorized = ServiceSimulator(config, policy(config)).run(num_slots=num_slots)
     for history in ("backlog_history", "latency_history", "cost_history"):
         assert np.array_equal(
@@ -89,9 +88,7 @@ def assert_joint_modes_identical(config, num_slots):
             LyapunovServiceController(cfg.tradeoff_v),
         )
 
-    reference = JointSimulator(config, *policies(config), reference=True).run(
-        num_slots=num_slots
-    )
+    reference = _reference(config, policies(config), num_slots=num_slots)
     vectorized = JointSimulator(config, *policies(config)).run(num_slots=num_slots)
     assert np.array_equal(
         reference.cache_metrics.age_matrix_history(),
@@ -136,9 +133,7 @@ def assert_cache_modes_identical(config, num_slots):
     def policy(cfg):
         return MDPCachingPolicy(cfg.build_mdp_config())
 
-    reference = CacheSimulator(config, policy(config), reference=True).run(
-        num_slots=num_slots
-    )
+    reference = _reference(config, policy(config), num_slots=num_slots)
     vectorized = CacheSimulator(config, policy(config)).run(num_slots=num_slots)
     assert np.array_equal(
         reference.metrics.age_matrix_history(),

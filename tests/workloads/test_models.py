@@ -19,7 +19,7 @@ from repro.net.content import ContentCatalog
 from repro.net.requests import BernoulliArrivals, PoissonArrivals, RequestGenerator
 from repro.net.topology import RoadTopology
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import CacheSimulator, JointSimulator, ServiceSimulator
+from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator
 from repro.workloads import WorkloadSpec, create_workload, workload_names
 
 #: Synthetic model specs (with parameters chosen so dynamics actually kick

@@ -13,7 +13,7 @@ from repro.net.content import ContentCatalog
 from repro.net.requests import BernoulliArrivals
 from repro.net.topology import RoadTopology
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.simulator import ServiceSimulator
+from repro.sim import ServiceSimulator
 from repro.workloads import (
     TraceWorkload,
     create_workload,
@@ -76,11 +76,11 @@ class TestRoundTrip:
     def test_replayed_trace_reproduces_simulator_metrics(self, tmp_path):
         # Export the fig1b workload, replay it, and require the *identical*
         # service metrics — the acceptance criterion of the trace model.
-        from repro.sim.simulator import _SystemState
+        from repro.sim import SystemState
 
         config = ScenarioConfig.fig1b(seed=0).with_overrides(num_slots=80)
         path = str(tmp_path / "fig1b.jsonl")
-        export_trace(_SystemState(config).workload, 80, path)
+        export_trace(SystemState(config).workload, 80, path)
         direct = ServiceSimulator(
             config, LyapunovServiceController(config.tradeoff_v)
         ).run()
