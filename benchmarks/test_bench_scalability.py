@@ -144,7 +144,7 @@ def test_seed_batched_speedup_at_largest_size(capsys, bench_record):
         return best, result
 
     per_run_seconds, per_run_batch = best_of_two(
-        lambda: runner.run_grid([per_run_spec], num_seeds=8, seed_batching=False)
+        lambda: runner.run_grid(expand_seeds([per_run_spec], 8))
     )
     batched_seconds, batched_batch = best_of_two(
         lambda: runner.run_grid([spec], num_seeds=8)

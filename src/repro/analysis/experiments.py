@@ -11,9 +11,7 @@ EXPERIMENTS.md regeneration both sit on top of this registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.analysis.figures import build_fig1a_data, build_fig1b_data
 from repro.analysis.stats import is_non_decreasing, linear_trend

@@ -8,7 +8,7 @@ reports quote, without pulling in a plotting or statistics dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

@@ -19,7 +19,6 @@ re-solves the models whose parameters actually changed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 

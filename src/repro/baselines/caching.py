@@ -22,7 +22,7 @@ All of them respect the paper's one-update-per-RSU-per-slot constraint.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from repro.core.policies import (
     CachingPolicy,
     StatelessCachingPolicy,
 )
-from repro.core.reward import UtilityFunction
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ConfigurationError
 from repro.policies.registry import register_policy
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import (

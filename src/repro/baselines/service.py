@@ -23,14 +23,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.core.policies import (
     ServiceObservation,
     ServicePolicy,
     StatelessServicePolicy,
 )
-from repro.exceptions import ConfigurationError
 from repro.policies.registry import register_policy
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_non_negative, check_probability

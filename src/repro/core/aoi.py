@@ -21,13 +21,13 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive
 
 
 def aoi_utility(age: float, max_age: float) -> float:

@@ -24,13 +24,12 @@ exposes both granularities:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.mdp import DiscreteSpace, MDPModel, TabularMDP, build_tabular
+from repro.core.mdp import MDPModel
 from repro.core.policies import CacheObservation, CachingPolicy
 from repro.core.reward import UtilityFunction
 from repro.core.solve_cache import global_solve_cache, solve_key

@@ -22,14 +22,14 @@ harness of the extreme-case experiment (E3) and the V-sweep ablation (E5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.policies import ServiceObservation, ServicePolicy
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.net.queueing import BacklogQueue
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_non_negative
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,11 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ModelError, ValidationError
-from repro.utils.validation import check_in_range, check_positive_int
 
 
 class DiscreteSpace:

@@ -19,8 +19,8 @@ meaningful.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

@@ -20,7 +20,7 @@ representation; implicit models should first be materialised with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

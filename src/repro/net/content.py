@@ -10,8 +10,8 @@ popularity, and is shared by the MBS, the RSU caches, and the MDP model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 

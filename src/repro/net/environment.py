@@ -23,7 +23,6 @@ without changing the paper-faithful static scenarios used for Fig. 1a/1b.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np

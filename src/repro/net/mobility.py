@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 

@@ -16,8 +16,8 @@ that stage and its evaluation:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Deque, Iterable, List, Optional
 
 import numpy as np
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.net.topology import RoadTopology
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import (
     check_non_negative,
-    check_positive,
     check_probability,
     check_probability_vector,
 )

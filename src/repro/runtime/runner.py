@@ -27,7 +27,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -381,9 +381,8 @@ def _run_record(spec: RunSpec, seed: int, result: Any) -> RunRecord:
 def execute_spec(spec: RunSpec) -> RunRecord:
     """Execute one :class:`RunSpec` and record its outcome.
 
-    A one-seed :func:`execute_batch`.  Module-level (and therefore
-    picklable) so a process pool can run it; the serial path calls it
-    directly.
+    A one-seed :func:`execute_batch`, for running a single spec outside a
+    grid; :meth:`ExperimentRunner.run_grid` dispatches whole seed groups.
     """
     return execute_batch((spec, [spec.seed]))[0]
 
@@ -474,9 +473,10 @@ class ExperimentRunner:
     Attributes
     ----------
     last_dispatch_stats:
-        Machine-readable report of the most recent :meth:`run_grid`
-        dispatch — task/worker counts, shared-memory setup cost, horizon
-        precompute time, and per-worker wall seconds.  ``repro.cli run
+        Machine-readable report of the most recent :meth:`run_grid` (or
+        :meth:`run`) dispatch — task/worker counts, shared-memory setup
+        cost, horizon precompute time, per-worker wall seconds, and the
+        run-store hit split when a store is in use.  ``repro.cli run
         --profile`` prints it.
     """
 
@@ -584,27 +584,20 @@ class ExperimentRunner:
         return pairs
 
     def run(self, specs: Sequence[Any]) -> BatchResult:
-        """Execute every spec and return the batched records in grid order.
+        """Execute every spec without the grid-level run store.
 
-        Accepts :class:`RunSpec` and
-        :class:`~repro.runtime.spec.ExperimentSpec` entries; the latter
-        expand over their own ``num_seeds`` replicates.
+        ``run_grid(specs, store=False)``: accepts :class:`RunSpec` and
+        :class:`~repro.runtime.spec.ExperimentSpec` entries, the latter
+        expanding over their own ``num_seeds`` replicates (and honouring
+        their own ``store`` opt-in).
         """
-        if not specs:
-            raise ValidationError("specs must be non-empty")
-        expanded = [
-            replace(spec, seed=seed)
-            for spec, count, _ in self._seed_pairs(specs, None)
-            for seed in spawn_run_seeds(spec.seed, count)
-        ]
-        return BatchResult(records=self.map(execute_spec, expanded))
+        return self.run_grid(specs, store=False)
 
     def run_grid(
         self,
         specs: Sequence[Any],
         *,
         num_seeds: Optional[int] = None,
-        seed_batching: bool = True,
         store: Any = None,
     ) -> BatchResult:
         """Expand each spec over derived seeds, then execute the full grid.
@@ -615,13 +608,12 @@ class ExperimentRunner:
         ``ExperimentSpec`` uses its own ``num_seeds`` and plain ``RunSpec``
         entries run once.
 
-        With ``seed_batching`` (the default) each ``(scenario, policy)``
-        group's seed replicates execute through the simulators' seed-batched
-        tensor path — one vectorised hot loop per group instead of one run
-        per seed — and groups are split into chunks so the configured worker
-        processes stay busy.  Results are bit-identical to the per-run path
-        (``seed_batching=False``) for every worker count; only wall-clock
-        time changes.
+        Each ``(scenario, policy)`` group's seed replicates execute through
+        the simulators' seed-batched tensor path — one vectorised hot loop
+        per task instead of one run per seed — and groups are split into
+        chunks so the configured worker processes stay busy.  Records are
+        bit-identical to running every seed on its own (a grid of one-seed
+        entries) for every worker count; only wall-clock time changes.
 
         *store* makes the grid resumable: ``None`` consults the
         ``REPRO_RUN_STORE[_DIR]`` environment knobs, ``True``/a directory/a
@@ -638,102 +630,15 @@ class ExperimentRunner:
         if not specs:
             raise ValidationError("specs must be non-empty")
         # Reset up front so a reused runner never reports a previous grid's
-        # dispatch; the per-run fallback below fills in a minimal report.
+        # dispatch when this one fails.
         self.last_dispatch_stats = None
         pairs = self._seed_pairs(specs, num_seeds)
         stores, owned = self._grid_stores(store, pairs)
-        if any(entry is not None for entry in stores):
-            try:
-                return self._run_grid_stored(pairs, stores, seed_batching)
-            finally:
-                for opened in owned:
-                    opened.close()
-        if not seed_batching or all(count == 1 for _, count, _ in pairs):
-            expanded = [
-                replace(spec, seed=seed)
-                for spec, count, _ in pairs
-                for seed in spawn_run_seeds(spec.seed, count)
-            ]
-            started = time.perf_counter()
-            records = self.map(execute_spec, expanded)
-            self.last_dispatch_stats = {
-                "tasks": len(expanded),
-                "workers": self.effective_workers(len(expanded)),
-                "shared_memory": False,
-                "wall_seconds": time.perf_counter() - started,
-                "task_seconds_total": 0.0,
-                "per_worker": {},
-                "shm_blocks": 0,
-                "shm_bytes": 0,
-                "shm_setup_seconds": 0.0,
-                "horizon_precompute_seconds": 0.0,
-                "horizons_computed": 0,
-                "horizons_reused": 0,
-            }
-            return BatchResult(records=records)
-        # Fill the pool: one task per group would leave workers idle when
-        # the grid has fewer groups than workers, so split each group's
-        # seeds into ceil(workers / groups) chunks.  Records are ordered by
-        # (spec, seed) regardless, exactly like expand_seeds.
-        workers = self.effective_workers(sum(count for _, count, _ in pairs))
-        tasks = []
-        for spec, count, _ in pairs:
-            seeds = spawn_run_seeds(spec.seed, count)
-            splits = max(1, min(count, -(-workers // len(pairs))))
-            chunk = -(-count // splits)
-            for start in range(0, count, chunk):
-                tasks.append((spec, tuple(seeds[start : start + chunk])))
-        shipment = None
-        use_shm = (
-            self._shared_memory
-            if self._shared_memory is not None
-            else shared_memory_available()
-        )
-        started = time.perf_counter()
         try:
-            # Block creation sits inside the same try/finally as the map:
-            # a packing failure mid-grid (e.g. /dev/shm exhausted) must
-            # still release every segment already created.
-            if use_shm and workers > 1 and shared_memory_available():
-                shipment = HorizonShipment()
-                tasks = [
-                    (spec, seeds, shipment.handle_for(spec, seeds))
-                    for spec, seeds in tasks
-                ]
-            outcomes = self.map(_execute_batch_timed, tasks)
+            return self._dispatch(pairs, stores)
         finally:
-            if shipment is not None:
-                shipment.close()
-        wall_seconds = time.perf_counter() - started
-        per_worker: Dict[int, Dict[str, float]] = {}
-        for _, seconds, pid in outcomes:
-            entry = per_worker.setdefault(pid, {"tasks": 0, "seconds": 0.0})
-            entry["tasks"] += 1
-            entry["seconds"] += seconds
-        stats: Dict[str, Any] = {
-            "tasks": len(tasks),
-            "workers": workers,
-            "shared_memory": shipment is not None,
-            "wall_seconds": wall_seconds,
-            "task_seconds_total": sum(seconds for _, seconds, _ in outcomes),
-            "per_worker": per_worker,
-        }
-        stats.update(
-            shipment.stats()
-            if shipment is not None
-            else {
-                "shm_blocks": 0,
-                "shm_bytes": 0,
-                "shm_setup_seconds": 0.0,
-                "horizon_precompute_seconds": 0.0,
-                "horizons_computed": 0,
-                "horizons_reused": 0,
-            }
-        )
-        self.last_dispatch_stats = stats
-        return BatchResult(
-            records=[record for group, _, _ in outcomes for record in group]
-        )
+            for opened in owned:
+                opened.close()
 
     @staticmethod
     def _grid_stores(store: Any, pairs: Sequence["tuple"]) -> "tuple":
@@ -765,33 +670,27 @@ class ExperimentRunner:
                 stores.append(grid_store)
         return stores, owned
 
-    def _run_grid_stored(
-        self,
-        pairs: Sequence["tuple"],
-        stores: Sequence[Any],
-        seed_batching: bool,
+    def _dispatch(
+        self, pairs: Sequence["tuple"], stores: Sequence[Any]
     ) -> BatchResult:
-        """Store-backed grid execution: serve cached cells, dispatch the rest.
+        """Serve stored cells, dispatch the rest, merge in (spec, seed) order.
 
         Every ``(spec, seed)`` cell is first looked up in its effective
-        store; only the missing ones are chunked into tasks and dispatched.
-        Fresh task groups are upserted the moment they complete (streaming,
-        not end-of-sweep), so a killed sweep keeps its finished cells and a
-        re-run recomputes only what is left.  The merged
-        :class:`BatchResult` is ordered by (spec, seed) exactly like a cold
-        run and is bit-identical to one.
+        store (a pair without one misses every seed); only the missing
+        cells are chunked into tasks and dispatched.  Fresh task groups are
+        upserted the moment they complete (streaming, not end-of-sweep), so
+        a killed sweep keeps its finished cells and a re-run recomputes
+        only what is left.
         """
         started = time.perf_counter()
         cell_records: Dict["tuple", RunRecord] = {}
         seeds_by_pair: List[List[int]] = []
         groups = []  # (pair index, spec, missing seeds)
-        cells_total = 0
         for index, ((spec, count, _), cell_store) in enumerate(zip(pairs, stores)):
             seeds = spawn_run_seeds(spec.seed, count)
             seeds_by_pair.append(seeds)
             missing = []
             for seed in seeds:
-                cells_total += 1
                 record = cell_store.get(spec, seed) if cell_store is not None else None
                 if record is None:
                     missing.append(seed)
@@ -799,20 +698,19 @@ class ExperimentRunner:
                     cell_records[(index, int(seed))] = record
             if missing:
                 groups.append((index, spec, missing))
-        cells_cached = cells_total - sum(len(missing) for _, _, missing in groups)
+        cells_total = sum(len(seeds) for seeds in seeds_by_pair)
+        cells_dispatched = sum(len(missing) for _, _, missing in groups)
 
-        workers = self.effective_workers(
-            sum(len(missing) for _, _, missing in groups)
-        )
+        # Fill the pool: one task per group would leave workers idle when
+        # the grid has fewer groups than workers, so split each group's
+        # seeds into ceil(workers / groups) chunks.
+        workers = self.effective_workers(cells_dispatched)
         tasks: List["tuple"] = []
         task_pair: List[int] = []
         for index, spec, missing in groups:
             count = len(missing)
-            if seed_batching:
-                splits = max(1, min(count, -(-workers // len(groups))))
-                chunk = -(-count // splits)
-            else:
-                chunk = 1
+            splits = max(1, min(count, -(-workers // len(groups))))
+            chunk = -(-count // splits)
             for start in range(0, count, chunk):
                 tasks.append((spec, tuple(missing[start : start + chunk])))
                 task_pair.append(index)
@@ -821,8 +719,8 @@ class ExperimentRunner:
             records, _, _ = outcome
             index = task_pair[task_index]
             cell_store = stores[index]
-            spec = pairs[index][0]
             if cell_store is not None:
+                spec = pairs[index][0]
                 cell_store.put_many(
                     [(spec, record.seed, record) for record in records]
                 )
@@ -835,20 +733,20 @@ class ExperimentRunner:
             if self._shared_memory is not None
             else shared_memory_available()
         )
-        outcomes: List["tuple"] = []
         try:
-            if tasks and use_shm and workers > 1 and shared_memory_available():
+            # Block creation sits inside the same try/finally as the map:
+            # a packing failure mid-grid (e.g. /dev/shm exhausted) must
+            # still release every segment already created.
+            if use_shm and workers > 1 and shared_memory_available():
                 shipment = HorizonShipment()
                 tasks = [
                     (spec, seeds, shipment.handle_for(spec, seeds))
                     for spec, seeds in tasks
                 ]
-            if tasks:
-                outcomes = self.map_stream(_execute_batch_timed, tasks, on_result)
+            outcomes = self.map_stream(_execute_batch_timed, tasks, on_result)
         finally:
             if shipment is not None:
                 shipment.close()
-        wall_seconds = time.perf_counter() - started
         per_worker: Dict[int, Dict[str, float]] = {}
         for _, seconds, pid in outcomes:
             entry = per_worker.setdefault(pid, {"tasks": 0, "seconds": 0.0})
@@ -858,7 +756,7 @@ class ExperimentRunner:
             "tasks": len(tasks),
             "workers": workers,
             "shared_memory": shipment is not None,
-            "wall_seconds": wall_seconds,
+            "wall_seconds": time.perf_counter() - started,
             "task_seconds_total": sum(seconds for _, seconds, _ in outcomes),
             "per_worker": per_worker,
         }
@@ -874,19 +772,20 @@ class ExperimentRunner:
                 "horizons_reused": 0,
             }
         )
-        cells_dispatched = cells_total - cells_cached
-        stats["run_store"] = {
-            "enabled": True,
-            "cells_total": cells_total,
-            "cells_cached": cells_cached,
-            "cells_dispatched": cells_dispatched,
-            "hit_rate": (cells_cached / cells_total) if cells_total else 0.0,
-        }
+        if any(cell_store is not None for cell_store in stores):
+            cells_cached = cells_total - cells_dispatched
+            stats["run_store"] = {
+                "enabled": True,
+                "cells_total": cells_total,
+                "cells_cached": cells_cached,
+                "cells_dispatched": cells_dispatched,
+                "hit_rate": (cells_cached / cells_total) if cells_total else 0.0,
+            }
         self.last_dispatch_stats = stats
         return BatchResult(
             records=[
                 cell_records[(index, int(seed))]
-                for index, (spec, count, _) in enumerate(pairs)
-                for seed in seeds_by_pair[index]
+                for index, seeds in enumerate(seeds_by_pair)
+                for seed in seeds
             ]
         )

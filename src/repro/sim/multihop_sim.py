@@ -330,9 +330,6 @@ class MultihopStepper:
             "waiting": waiting,
         }
 
-    def sync(self) -> None:
-        """No-op (multihop metrics record slot by slot); kept for parity."""
-
     def result(self) -> MultihopSimulationResult:
         """The run so far, wrapped exactly like :meth:`MultihopSimulator.run`."""
         return MultihopSimulationResult(

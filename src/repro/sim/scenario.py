@@ -14,8 +14,8 @@ benchmark harness consume.  Factory methods reproduce the paper's two setups:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.net.channel import ConstantCostModel, CostModel, DistanceCostModel, F
 from repro.net.content import ContentCatalog
 from repro.net.requests import ArrivalProcess, BernoulliArrivals, PoissonArrivals
 from repro.net.topology import RoadTopology
-from repro.utils.rng import RandomSource, ensure_rng, spawn_streams
+from repro.utils.rng import RandomSource, spawn_streams
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,

@@ -365,7 +365,7 @@ def _reference_service_slot(
     duplicated copies of this body).
     """
     t = time_slot
-    requests = state.request_generator.generate_slot(
+    requests = state.workload.generate_slot(
         t, deadline_slots=deadline_slots
     )
     for request in requests:

@@ -46,8 +46,6 @@ class SystemState:
         self.workload = config.build_workload(
             self.topology, self.catalog, rng=self.workload_rng
         )
-        # Historical alias: the workload model is a RequestGenerator subclass.
-        self.request_generator = self.workload
         self.mbs_store = MBSContentStore(self.catalog)
         self.caches: List[RSUCache] = []
         for rsu in self.topology.rsus:
@@ -66,7 +64,7 @@ class SystemState:
         self.max_ages = self.catalog.max_ages[self.content_ids]
         self.popularity = np.zeros((num_rsus, per_rsu))
         for k, rsu in enumerate(self.topology.rsus):
-            population = self.request_generator.content_population(rsu.rsu_id)
+            population = self.workload.content_population(rsu.rsu_id)
             self.popularity[k] = [
                 population[content_id] for content_id in rsu.covered_regions
             ]

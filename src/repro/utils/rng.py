@@ -10,7 +10,7 @@ other's sequences when one of them draws a different number of variates.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 

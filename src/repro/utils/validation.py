@@ -8,7 +8,7 @@ error deep inside the simulator.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -29,7 +29,7 @@ simulator loop consumes them.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 

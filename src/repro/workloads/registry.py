@@ -15,8 +15,8 @@ built (including through ``dataclasses.replace`` sweeps), never mid-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Type, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
 from repro.exceptions import ConfigurationError
 from repro.net.content import ContentCatalog

@@ -29,6 +29,8 @@ from repro.runtime.runner import (
     expand_workloads,
     _run_record,
 )
+from repro.runtime.spec import ExperimentSpec
+from repro.runtime.store import RunStore
 from repro.sim.engine import _reference
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.rng import spawn_run_seeds
@@ -172,9 +174,7 @@ class TestSeedBatchedDispatch:
     def test_cache_grid_batched_matches_per_run(self, tiny_scenario):
         specs = cache_grid(tiny_scenario)
         batched = ExperimentRunner(workers=1).run_grid(specs, num_seeds=3)
-        per_run = ExperimentRunner(workers=1).run_grid(
-            specs, num_seeds=3, seed_batching=False
-        )
+        per_run = ExperimentRunner(workers=1).run_grid(expand_seeds(specs, 3))
         assert batched.matches(per_run)
 
     def test_all_kinds_batched_match_per_run(self, tiny_scenario):
@@ -188,9 +188,7 @@ class TestSeedBatchedDispatch:
                     service_policy=lyapunov_policy_factory, seed=2, label="j"),
         ]
         batched = ExperimentRunner(workers=1).run_grid(specs, num_seeds=3)
-        per_run = ExperimentRunner(workers=1).run_grid(
-            specs, num_seeds=3, seed_batching=False
-        )
+        per_run = ExperimentRunner(workers=1).run_grid(expand_seeds(specs, 3))
         assert batched.matches(per_run)
 
     def test_batched_identical_across_worker_counts(self, tiny_scenario):
@@ -229,10 +227,63 @@ class TestSeedBatchedDispatch:
             )
         ]
         batched = ExperimentRunner(workers=1).run_grid(specs, num_seeds=3)
-        per_run = ExperimentRunner(workers=1).run_grid(
-            specs, num_seeds=3, seed_batching=False
-        )
+        per_run = ExperimentRunner(workers=1).run_grid(expand_seeds(specs, 3))
         assert batched.matches(per_run)
+
+    def test_one_seed_pool_grid_takes_the_dispatch_body(self, tiny_scenario, tmp_path):
+        # One-seed grids dispatch through the same body as seed-batched
+        # ones: real per-task timings and per-worker load at workers=2, and
+        # run(), a store-less grid and a cold stored grid record the same.
+        specs = [
+            ExperimentSpec(
+                kind="cache",
+                scenario=tiny_scenario,
+                policy=policy,
+                seed=7 + index,
+                num_seeds=1,
+                label=policy,
+            )
+            for index, policy in enumerate(("periodic:period=2", "always"))
+        ]
+        runner = ExperimentRunner(workers=2)
+        via_run = runner.run(specs)
+        plain = runner.run_grid(specs, store=False)
+        stats = runner.last_dispatch_stats
+        assert stats["tasks"] == 2
+        assert stats["workers"] == 2
+        assert stats["task_seconds_total"] > 0.0
+        assert stats["per_worker"]
+        assert "run_store" not in stats
+        stored = runner.run_grid(specs, store=str(tmp_path / "runs"))
+        assert runner.last_dispatch_stats["run_store"]["cells_dispatched"] == 2
+        assert runner.last_dispatch_stats["task_seconds_total"] > 0.0
+        assert runner.last_dispatch_stats["per_worker"]
+        assert via_run.matches(plain)
+        assert plain.matches(stored)
+
+    def test_run_honours_a_spec_store_opt_in(self, tiny_scenario, tmp_path, monkeypatch):
+        # run() is run_grid(store=False): the grid-level store is off, but a
+        # spec's own store=True opt-in opens the default run store, fills it
+        # on a cold run and serves it on the next one.
+        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
+        monkeypatch.setenv("REPRO_RUN_STORE_DIR", str(tmp_path / "runs"))
+        spec = ExperimentSpec(
+            kind="cache",
+            scenario=tiny_scenario,
+            policy="periodic:period=2",
+            seed=3,
+            num_seeds=2,
+            store=True,
+        )
+        runner = ExperimentRunner(workers=1)
+        cold = runner.run([spec])
+        assert runner.last_dispatch_stats["run_store"]["cells_dispatched"] == 2
+        with RunStore(str(tmp_path / "runs")) as store:
+            assert len(store) == 2
+        warm = runner.run([spec])
+        assert runner.last_dispatch_stats["run_store"]["cells_cached"] == 2
+        assert runner.last_dispatch_stats["run_store"]["cells_dispatched"] == 0
+        assert warm.matches(cold)
 
 
 class TestAggregation:

@@ -9,6 +9,8 @@ bit-identical to an uninterrupted cold run.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro.runtime.runner as runner_module
@@ -16,6 +18,7 @@ from repro.runtime.runner import ExperimentRunner, _execute_batch_timed
 from repro.runtime.spec import ExperimentSpec
 from repro.runtime.store import RunStore
 from repro.sim.scenario import ScenarioConfig
+from repro.utils.rng import spawn_run_seeds
 
 NUM_SEEDS = 26  # 4 specs x 26 seeds = 104 cells: past the 100-cell bar.
 
@@ -135,19 +138,25 @@ class TestCrashResume:
         assert all(a.matches(b) for a, b in zip(prefix, cold.records))
 
     def test_seed_unbatched_resume_matches(self, grid, cold, tmp_path, monkeypatch):
-        # Chunk-of-one dispatch exercises the per-cell persistence path.
+        # Chunk-of-one dispatch exercises the per-cell persistence path: a
+        # grid of one-seed entries covering the same cells as *grid*.
+        one_seed_grid = [
+            replace(spec, seed=seed, num_seeds=1)
+            for spec in grid
+            for seed in spawn_run_seeds(spec.seed, spec.num_seeds)
+        ]
         store_dir = str(tmp_path / "runs")
         crash = _CrashAfter(limit=30)
         monkeypatch.setattr(runner_module, "_execute_batch_timed", crash)
         runner = ExperimentRunner(workers=1)
         with pytest.raises(RuntimeError):
-            runner.run_grid(grid, store=store_dir, seed_batching=False)
+            runner.run_grid(one_seed_grid, store=store_dir)
         monkeypatch.undo()
         with RunStore(store_dir) as store:
             assert len(store) == 30
 
         runner = ExperimentRunner(workers=1)
-        resumed = runner.run_grid(grid, store=store_dir, seed_batching=False)
+        resumed = runner.run_grid(one_seed_grid, store=store_dir)
         report = runner.last_dispatch_stats["run_store"]
         assert report["cells_cached"] == 30
         assert report["cells_dispatched"] == 4 * NUM_SEEDS - 30

@@ -188,9 +188,6 @@ class TestApiSurface:
 class TestRemovedIn30:
     """3.0 has one public execution path: the scalar loops are private."""
 
-    def test_version(self):
-        assert repro.__version__ == "3.0.0"
-
     def test_simulate_has_no_mode(self):
         assert "mode" not in inspect.signature(repro.simulate).parameters
 
@@ -231,3 +228,15 @@ class TestRemovedIn30:
     def test_simulator_shim_module_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.sim.simulator")
+
+
+class TestRemovedIn40:
+    """4.0 has one grid dispatch path: no per-run/seed-batched switch."""
+
+    def test_version(self):
+        assert repro.__version__ == "4.0.0"
+
+    def test_run_grid_has_no_seed_batching(self):
+        parameters = inspect.signature(repro.ExperimentRunner.run_grid).parameters
+        assert "seed_batching" not in parameters
+        assert set(parameters) == {"self", "specs", "num_seeds", "store"}
