@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,3 +220,127 @@ class TestRolesAndBatch:
             config, LeaveCopyEverywhere(), metrics="summary"
         ).run()
         assert full.summary() == summary.summary()
+
+
+def session_fingerprint(result) -> str:
+    """sha256 over every session's exact routing record."""
+    digest = hashlib.sha256()
+    for session in result.metrics.sessions():
+        record = (
+            session.hops,
+            session.latency.hex(),
+            session.path,
+            float(session.served_age).hex(),
+            session.serving_node,
+        )
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+class TestNonUnitDelayFingerprints:
+    """Pinned per-session records under non-integer link delays.
+
+    The constant cost model makes every latency an integer, so a change in
+    the order latencies are summed in would go unseen by the other
+    goldens.  Distance-priced links scaled by ``hop_delay=0.37`` give
+    per-hop delays whose float sums depend on that order.
+    """
+
+    POLICIES = (
+        "lce", "lcd", "probcache", "partition", "cl4m", "edge", "mdp", "lyapunov",
+    )
+
+    # Captured before the route tables were compiled; they must not move.
+    EXPECTED = {
+        ("star", "lce"): (
+            "aa3ab03a71af09ab0d389ab9d49c9b54b2a3c756ed3df818f42026f177326cd1"
+        ),
+        ("star", "lcd"): (
+            "aa3ab03a71af09ab0d389ab9d49c9b54b2a3c756ed3df818f42026f177326cd1"
+        ),
+        ("star", "probcache"): (
+            "6994b2ebcabd090c0129872159470cc7380d17f53de3318332a2df64e1b36f55"
+        ),
+        ("star", "partition"): (
+            "ab51735c3f3481cd1d46ca5699c3c368954dfaa561ce200d29bcf724cc3732d0"
+        ),
+        ("star", "cl4m"): (
+            "aa3ab03a71af09ab0d389ab9d49c9b54b2a3c756ed3df818f42026f177326cd1"
+        ),
+        ("star", "edge"): (
+            "aa3ab03a71af09ab0d389ab9d49c9b54b2a3c756ed3df818f42026f177326cd1"
+        ),
+        ("star", "mdp"): (
+            "7ac06f945ae030496b52407c1a54bbd9990c5bf2fa55302239ead3d84e6d4422"
+        ),
+        ("star", "lyapunov"): (
+            "5b10e52030235a5d97e070ef066405a50bb33d9c4bde1caee988ed56147e94ba"
+        ),
+        ("line", "lce"): (
+            "b7231616f8c5870b6ccacc373edd2f09ff7bb6de170403aafb901e3849132072"
+        ),
+        ("line", "lcd"): (
+            "bd257d7b706e871600fdcb9bb5e576dd0744b4d952fee0b9930dfe7a8ca8288c"
+        ),
+        ("line", "probcache"): (
+            "7feda97e0cd61741f315f148109920c2177cc4d5020abec8994ee5138f41ba72"
+        ),
+        ("line", "partition"): (
+            "a2092524c894b86214d712a9c294784596e7cf7f093de6fd61fd68353de0e7ae"
+        ),
+        ("line", "cl4m"): (
+            "bd257d7b706e871600fdcb9bb5e576dd0744b4d952fee0b9930dfe7a8ca8288c"
+        ),
+        ("line", "edge"): (
+            "4bc2dbfc77dc32b19c6cba2dc0e984bde49a9fc71ffd961e3b9edf33654b0127"
+        ),
+        ("line", "mdp"): (
+            "27cc9528246deaa926fabda02062b4d9bc8bd8001dee5286e3485a91857122b5"
+        ),
+        ("line", "lyapunov"): (
+            "730d93bf8478607c364c30496090cbf4d3cbe9ba57222f7d96617bc030df2689"
+        ),
+        ("ring", "lce"): (
+            "b7231616f8c5870b6ccacc373edd2f09ff7bb6de170403aafb901e3849132072"
+        ),
+        ("ring", "lcd"): (
+            "bd257d7b706e871600fdcb9bb5e576dd0744b4d952fee0b9930dfe7a8ca8288c"
+        ),
+        ("ring", "probcache"): (
+            "7feda97e0cd61741f315f148109920c2177cc4d5020abec8994ee5138f41ba72"
+        ),
+        ("ring", "partition"): (
+            "a2092524c894b86214d712a9c294784596e7cf7f093de6fd61fd68353de0e7ae"
+        ),
+        ("ring", "cl4m"): (
+            "bd257d7b706e871600fdcb9bb5e576dd0744b4d952fee0b9930dfe7a8ca8288c"
+        ),
+        ("ring", "edge"): (
+            "4bc2dbfc77dc32b19c6cba2dc0e984bde49a9fc71ffd961e3b9edf33654b0127"
+        ),
+        ("ring", "mdp"): (
+            "27cc9528246deaa926fabda02062b4d9bc8bd8001dee5286e3485a91857122b5"
+        ),
+        ("ring", "lyapunov"): (
+            "730d93bf8478607c364c30496090cbf4d3cbe9ba57222f7d96617bc030df2689"
+        ),
+    }
+
+    @staticmethod
+    def scenario(kind: str) -> ScenarioConfig:
+        return ScenarioConfig(
+            num_rsus=5, contents_per_rsu=3, num_slots=40, seed=7,
+            topology_kind=kind, cost_model_kind="distance", hop_delay=0.37,
+            zipf_exponent=0.8,
+        )
+
+    @pytest.mark.parametrize("kind", ("star", "line", "ring"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_session_fingerprint(self, kind, policy):
+        config = self.scenario(kind)
+        result = MultihopSimulator(
+            config, PolicySpec.coerce(policy).build(config)
+        ).run()
+        latencies = [s.latency for s in result.metrics.sessions()]
+        assert any(latency != int(latency) for latency in latencies)
+        assert session_fingerprint(result) == self.EXPECTED[kind, policy]
