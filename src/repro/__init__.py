@@ -150,7 +150,7 @@ from repro.workloads import (
     workload_names,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AlwaysServePolicy",

@@ -32,7 +32,7 @@ from repro.net.requests import (
     RequestGenerator,
 )
 from repro.net.controller import NetworkController, SessionResult
-from repro.net.model import TOPOLOGY_KINDS, NetworkModel, build_network_graph
+from repro.net.model import TOPOLOGY_KINDS, NetworkModel, Route, build_network_graph
 from repro.net.topology import MacroBaseStation, Region, RoadTopology, RSU
 from repro.net.view import NetworkView
 
@@ -44,6 +44,7 @@ __all__ = [
     "NetworkController",
     "NetworkModel",
     "NetworkView",
+    "Route",
     "SessionResult",
     "TOPOLOGY_KINDS",
     "build_network_graph",

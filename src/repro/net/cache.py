@@ -330,6 +330,14 @@ class LruContentCache:
         self._entries.move_to_end(content_id)
         return True
 
+    def lookup(self, content_id: int) -> Optional[float]:
+        """:meth:`get` and :meth:`age_of` in one probe: the held copy's age
+        (promoted to most-recently-used), or ``None`` if absent."""
+        age = self._entries.get(content_id)
+        if age is not None:
+            self._entries.move_to_end(content_id)
+        return age
+
     def put(self, content_id: int, *, age: float = 1.0) -> Optional[int]:
         """Insert (or refresh) a copy of *content_id* with the given *age*.
 

@@ -1,19 +1,21 @@
 """Network controller: the mutation interface over the network model.
 
 Mirrors Icarus's ``NetworkController``: strategies open a *session* per
-request, forward it hop by hop, probe caches, deliver content, and decide
-cache placements.  The controller owns all accounting — per-hop latency,
-hop counts, the serving node, and the age the served copy carries — so a
-strategy cannot mis-report its own performance.
+request, probe caches along the receiver's compiled
+:class:`~repro.net.model.Route`, forward the request up that path and the
+content back down it, and decide cache placements.  The controller owns
+all accounting — latency, hop counts, the serving node, and the age the
+served copy carries — so a strategy cannot mis-report its own performance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import SimulationError
-from repro.net.model import NetworkModel
+from repro.net.cache import LruContentCache
+from repro.net.model import NetworkModel, Route
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,9 @@ class _Session:
         "receiver",
         "content_id",
         "max_age",
-        "hops",
-        "latency",
-        "path",
+        "route",
+        "request_index",
+        "delivered",
         "serving_node",
         "serving_age",
     )
@@ -81,9 +83,11 @@ class _Session:
         self.receiver = int(receiver)
         self.content_id = int(content_id)
         self.max_age = None if max_age is None else float(max_age)
-        self.hops = 0
-        self.latency = 0.0
-        self.path: List[int] = [self.receiver]
+        # The route the request climbed, how far, and whether the content
+        # came back down it.
+        self.route: Optional[Route] = None
+        self.request_index = 0
+        self.delivered = False
         self.serving_node: Optional[int] = None
         self.serving_age: float = 1.0
 
@@ -93,6 +97,7 @@ class NetworkController:
 
     def __init__(self, model: NetworkModel) -> None:
         self._model = model
+        self._caches = {node: model.cache(node) for node in model.cache_nodes()}
         self._session: Optional[_Session] = None
 
     # ------------------------------------------------------------------
@@ -122,23 +127,8 @@ class NetworkController:
         return self._session
 
     # ------------------------------------------------------------------
-    # Forwarding and content access
+    # Content access and forwarding
     # ------------------------------------------------------------------
-    def forward_request_hop(self, u: int, v: int) -> None:
-        """Carry the request over the direct link *u*→*v*."""
-        session = self._traverse(u, v)
-        session.path.append(int(v))
-
-    def forward_content_hop(self, u: int, v: int) -> None:
-        """Carry the content over the direct link *u*→*v* (delivery leg)."""
-        self._traverse(u, v)
-
-    def _traverse(self, u: int, v: int) -> _Session:
-        session = self._require_session()
-        session.latency += self._model.edge_delay(u, v)
-        session.hops += 1
-        return session
-
     def get_content(self, node: int) -> bool:
         """Probe *node* for a copy fresh enough to serve the session.
 
@@ -151,17 +141,64 @@ class NetworkController:
             session.serving_node = int(node)
             session.serving_age = 1.0
             return True
-        if not self._model.has_cache(node):
+        cache = self._caches.get(node)
+        return cache is not None and self._serve_from(session, node, cache)
+
+    def find_content(self, route: Route) -> int:
+        """Probe *route*'s nodes receiver first, as :meth:`get_content`
+        probes each, stopping at the first that serves.
+
+        Returns the serving node's index on the route; the origin at its
+        end always serves.
+        """
+        session = self._require_session()
+        nodes = route.nodes
+        for index, cache in enumerate(route.caches):
+            if cache is None:  # the origin
+                session.serving_node = nodes[index]
+                session.serving_age = 1.0
+                return index
+            if self._serve_from(session, nodes[index], cache):
+                return index
+        raise SimulationError(  # pragma: no cover - routes end at the origin
+            f"route {nodes} does not reach the origin"
+        )
+
+    @staticmethod
+    def _serve_from(session: _Session, node: int, cache: LruContentCache) -> bool:
+        age = cache.lookup(session.content_id)
+        if age is None:
             return False
-        cache = self._model.cache(node)
-        if not cache.get(session.content_id):
-            return False
-        age = cache.age_of(session.content_id)
         if session.max_age is not None and age > session.max_age:
             return False
         session.serving_node = int(node)
         session.serving_age = age
         return True
+
+    def forward_request_path(self, route: Route, index: int) -> None:
+        """Carry the request from the receiver up *route* to ``route.nodes[index]``."""
+        session = self._require_session()
+        if session.route is not None:
+            raise SimulationError("the session's request was already forwarded")
+        if route.nodes[0] != session.receiver:
+            raise SimulationError(
+                f"route {route.nodes} does not start at the session's "
+                f"receiver {session.receiver}"
+            )
+        if not 0 <= index < len(route.nodes):
+            raise SimulationError(f"index {index} is not on route {route.nodes}")
+        session.route = route
+        session.request_index = index
+
+    def forward_content_path(self) -> None:
+        """Carry the content from the request's last node back down its
+        route to the receiver (the delivery leg)."""
+        session = self._require_session()
+        if session.route is None:
+            raise SimulationError("no request was forwarded to deliver along")
+        if session.delivered:
+            raise SimulationError("the session's content was already delivered")
+        session.delivered = True
 
     def put_content(self, node: int, *, age: Optional[float] = None) -> Optional[int]:
         """Place a copy of the session's content at *node*.
@@ -171,29 +208,45 @@ class NetworkController:
         at the origin is a no-op (it already holds everything fresh).
         """
         session = self._require_session()
-        if not self._model.has_cache(node):
+        cache = self._caches.get(node)
+        if cache is None:
             return None
         if age is None:
             age = session.serving_age
-        return self._model.cache(node).put(session.content_id, age=age)
+        return cache.put(session.content_id, age=age)
 
     def end_session(self) -> SessionResult:
-        """Close the session and return its accounting."""
+        """Close the session and return its accounting.
+
+        Hops and latency come from the route's tables: the request leg up
+        to the forwarded index, plus the delivery leg back down when the
+        content was forwarded too.
+        """
         session = self._require_session()
         if session.serving_node is None:
             raise SimulationError(
                 "network session ended before any node served the request"
             )
         self._session = None
+        route = session.route
+        if route is None:
+            hops, latency, path = 0, 0.0, (session.receiver,)
+        else:
+            index = session.request_index
+            path = route.nodes[: index + 1]
+            if session.delivered:
+                hops, latency = 2 * index, route.round_trip[index]
+            else:
+                hops, latency = index, route.request_latency[index]
         return SessionResult(
             time_slot=session.time_slot,
             receiver=session.receiver,
             content_id=session.content_id,
             serving_node=session.serving_node,
             hit=session.serving_node != self._model.origin,
-            hops=session.hops,
-            latency=session.latency,
-            path=tuple(session.path),
+            hops=hops,
+            latency=latency,
+            path=path,
             served_age=session.serving_age,
         )
 
@@ -206,8 +259,8 @@ class NetworkController:
     # ------------------------------------------------------------------
     def tick(self, slots: int = 1) -> None:
         """Age every cached copy at every node by *slots* time slots."""
-        for node in self._model.cache_nodes():
-            self._model.cache(node).tick(slots)
+        for cache in self._caches.values():
+            cache.tick(slots)
 
     def refresh_content(self, node: int, content_id: int, *, age: float = 1.0) -> None:
         """Refresh (or insert) a copy outside any session.
@@ -216,9 +269,10 @@ class NetworkController:
         multihop mode: the MBS pushes a fresh version into an RSU cache
         between request sessions.
         """
-        if not self._model.has_cache(node):
+        cache = self._caches.get(node)
+        if cache is None:
             raise SimulationError(f"node {node} has no cache to refresh")
-        self._model.cache(node).put(int(content_id), age=age)
+        cache.put(int(content_id), age=age)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"NetworkController({self._model!r})"

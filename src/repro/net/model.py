@@ -12,7 +12,9 @@ on-path strategies populate as content travels delivery paths.
 Routing is precomputed: all-pairs shortest paths via a Dijkstra variant
 with full lexicographic tie-breaking, so the chosen paths are a pure
 function of the weighted graph — independent of node or edge insertion
-order (pinned by hypothesis property tests).
+order (pinned by hypothesis property tests).  Each receiver's path to the
+origin is then compiled into a :class:`Route` of index tables, so routing
+a request walks tuples and never touches the networkx graph.
 
 Following Icarus, the model itself is mechanism-only.  Strategies see it
 through a read-only :class:`~repro.net.view.NetworkView` and act on it
@@ -22,7 +24,7 @@ through a :class:`~repro.net.controller.NetworkController`.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.net.cache import LruContentCache
@@ -152,6 +154,71 @@ def deterministic_shortest_paths(
     return paths, delays
 
 
+class Route:
+    """One receiver's compiled route to the origin, as index tables.
+
+    Every table is indexed by position on the route: ``0`` is the
+    receiver and ``len(nodes) - 1`` the origin.
+
+    Attributes
+    ----------
+    nodes:
+        The routed node sequence, receiver first.
+    caches:
+        The cache at each node, ``None`` at the origin.
+    cache_counts:
+        ``cache_counts[i]`` caches among ``nodes[:i]`` (``len(nodes) + 1``
+        entries).
+    capacity_sums:
+        ``capacity_sums[i]`` total cache capacity of ``nodes[:i]``.
+    request_latency:
+        Latency of a request that climbed to ``nodes[i]`` and stopped.
+    round_trip:
+        Latency of a request served at ``nodes[i]``: the request leg up,
+        then the delivery leg back down.  Each entry is summed hop by hop
+        in that order, so it equals the float sum of walking the links.
+    """
+
+    __slots__ = (
+        "nodes",
+        "caches",
+        "cache_counts",
+        "capacity_sums",
+        "request_latency",
+        "round_trip",
+    )
+
+    def __init__(
+        self,
+        nodes: Tuple[int, ...],
+        caches: Tuple[Optional[LruContentCache], ...],
+        delays: Sequence[float],
+    ) -> None:
+        self.nodes = nodes
+        self.caches = caches
+        counts = [0]
+        capacities = [0]
+        for cache in caches:
+            held = cache is not None
+            counts.append(counts[-1] + held)
+            capacities.append(capacities[-1] + (cache.capacity if held else 0))
+        self.cache_counts = tuple(counts)
+        self.capacity_sums = tuple(capacities)
+        request_latency = [0.0]
+        for delay in delays:
+            request_latency.append(request_latency[-1] + delay)
+        self.request_latency = tuple(request_latency)
+        round_trip = []
+        for index, latency in enumerate(request_latency):
+            for delay in reversed(delays[:index]):
+                latency += delay
+            round_trip.append(latency)
+        self.round_trip = tuple(round_trip)
+
+    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
+        return f"Route({self.nodes!r})"
+
+
 class NetworkModel:
     """The shared network substrate: graph, routes, and per-node caches.
 
@@ -188,6 +255,9 @@ class NetworkModel:
             topology, kind=kind, cost_model=cost_model, hop_delay=hop_delay
         )
         self._paths, self._delays = deterministic_shortest_paths(self._graph)
+        self._edge_delays: Dict[Tuple[int, int], float] = {}
+        for u, v, delay in self._graph.edges(data="delay"):
+            self._edge_delays[u, v] = self._edge_delays[v, u] = float(delay)
         if cache_capacity is None:
             cache_capacity = topology.regions_per_rsu
         cache_capacity = check_positive_int(cache_capacity, "cache_capacity")
@@ -195,7 +265,19 @@ class NetworkModel:
         self._caches: Dict[int, LruContentCache] = {
             k: LruContentCache(cache_capacity) for k in range(topology.num_rsus)
         }
+        self._cache_nodes = tuple(sorted(self._caches))
         self._betweenness = self._path_betweenness()
+        self._routes: Dict[int, Route] = {
+            k: self._compile_route(k) for k in range(topology.num_rsus)
+        }
+
+    def _compile_route(self, receiver: int) -> Route:
+        nodes = self.shortest_path(receiver, self._origin)
+        return Route(
+            nodes,
+            tuple(self._caches.get(node) for node in nodes),
+            [self._edge_delays[u, v] for u, v in zip(nodes, nodes[1:])],
+        )
 
     def _path_betweenness(self) -> Dict[int, float]:
         """Betweenness over the routed paths (not all shortest paths).
@@ -252,7 +334,7 @@ class NetworkModel:
 
     def cache_nodes(self) -> List[int]:
         """Node ids that carry a cache (every RSU node)."""
-        return sorted(self._caches)
+        return list(self._cache_nodes)
 
     def has_cache(self, node: int) -> bool:
         """Whether *node* carries a cache."""
@@ -284,6 +366,17 @@ class NetworkModel:
                 f"no route from node {source} to node {target}"
             ) from None
 
+    def route(self, receiver: int) -> Route:
+        """The compiled route from RSU *receiver* to the origin.
+
+        The origin is every content's source (see :meth:`content_source`),
+        so this is the path every request entering at *receiver* takes.
+        """
+        try:
+            return self._routes[receiver]
+        except KeyError:
+            raise ValidationError(f"node {receiver} is not a receiver") from None
+
     def path_delay(self, source: int, target: int) -> float:
         """Total delay along the routed *source*→*target* path."""
         try:
@@ -295,9 +388,10 @@ class NetworkModel:
 
     def edge_delay(self, u: int, v: int) -> float:
         """Delay of the direct link between *u* and *v*."""
-        if not self._graph.has_edge(u, v):
-            raise ValidationError(f"nodes {u} and {v} are not adjacent")
-        return float(self._graph.edges[u, v]["delay"])
+        try:
+            return self._edge_delays[u, v]
+        except KeyError:
+            raise ValidationError(f"nodes {u} and {v} are not adjacent") from None
 
     def content_source(self, content_id: int) -> int:
         """The node guaranteed to hold a fresh copy of *content_id*."""

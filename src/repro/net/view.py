@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.net.model import NetworkModel
+from repro.net.model import NetworkModel, Route
 
 
 class NetworkView:
@@ -45,6 +45,11 @@ class NetworkView:
     def shortest_path(self, source: int, target: int) -> Tuple[int, ...]:
         """The precomputed route from *source* to *target* (inclusive)."""
         return self._model.shortest_path(source, target)
+
+    def route(self, receiver: int) -> Route:
+        """The compiled route from RSU *receiver* to the origin (the
+        source of every content); pass it to the controller to forward."""
+        return self._model.route(receiver)
 
     def path_delay(self, source: int, target: int) -> float:
         """Total delay along the routed *source*→*target* path."""

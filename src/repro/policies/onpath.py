@@ -2,9 +2,10 @@
 
 Ports the Icarus on-path strategy family (``icarus/models/strategy/
 onpath.py``) onto this library's NetworkView/NetworkController split: a
-request enters at its receiver RSU, walks the precomputed shortest path
-toward the content origin until a node holds a fresh-enough copy, and the
-strategy decides — per node on the delivery path — where to leave copies:
+request enters at its receiver RSU, walks its compiled
+:class:`~repro.net.model.Route` toward the content origin until a node
+holds a fresh-enough copy, and the strategy decides — per node on the
+delivery path — where to leave copies:
 
 * ``lce`` — Leave Copy Everywhere: every cache on the delivery path.
 * ``lcd`` — Leave Copy Down: only the cache one hop below the serving node,
@@ -33,6 +34,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.net.controller import NetworkController, SessionResult
+from repro.net.model import Route
 from repro.net.view import NetworkView
 from repro.policies.registry import register_policy
 from repro.utils.rng import RandomSource, ensure_rng
@@ -99,8 +101,8 @@ class OnPathStrategy:
         max_age: Optional[float] = None,
     ) -> SessionResult:
         """Route one request and return the controller's accounting."""
-        path, serving_index = self._route(time_slot, receiver, content_id, max_age)
-        self._deliver(path, serving_index)
+        route, serving_index = self._route(time_slot, receiver, content_id, max_age)
+        self._deliver(route, serving_index)
         return self.controller.end_session()
 
     def _route(
@@ -109,37 +111,28 @@ class OnPathStrategy:
         receiver: int,
         content_id: int,
         max_age: Optional[float],
-    ) -> Tuple[Tuple[int, ...], int]:
+    ) -> Tuple[Route, int]:
         """Walk the request toward the origin until some node serves it."""
-        view, controller = self.view, self.controller
-        source = view.content_source(content_id)
-        path = view.shortest_path(receiver, source)
+        route = self.view.route(receiver)
+        controller = self.controller
         controller.start_session(time_slot, receiver, content_id, max_age=max_age)
-        if controller.get_content(receiver):
-            return path, 0
-        for index in range(1, len(path)):
-            controller.forward_request_hop(path[index - 1], path[index])
-            if controller.get_content(path[index]):
-                return path, index
-        raise SimulationError(  # pragma: no cover - origin always serves
-            f"request for content {content_id} reached no serving node"
-        )
+        serving_index = controller.find_content(route)
+        controller.forward_request_path(route, serving_index)
+        return route, serving_index
 
-    def _deliver(self, path: Tuple[int, ...], serving_index: int) -> None:
+    def _deliver(self, route: Route, serving_index: int) -> None:
         """Carry the content back to the receiver, placing copies en route."""
         controller = self.controller
-        for index in range(serving_index, 0, -1):
-            controller.forward_content_hop(path[index], path[index - 1])
-            node = path[index - 1]
-            if self.view.has_cache(node) and self.should_cache(
-                path, serving_index, index - 1
+        controller.forward_content_path()
+        caches = route.caches
+        for index in range(serving_index - 1, -1, -1):
+            if caches[index] is not None and self.should_cache(
+                route, serving_index, index
             ):
-                controller.put_content(node)
+                controller.put_content(route.nodes[index])
 
-    def should_cache(
-        self, path: Tuple[int, ...], serving_index: int, node_index: int
-    ) -> bool:
-        """Whether to leave a copy at ``path[node_index]`` on delivery.
+    def should_cache(self, route: Route, serving_index: int, node_index: int) -> bool:
+        """Whether to leave a copy at ``route.nodes[node_index]`` on delivery.
 
         Called once per cache-capable node, in content travel order (from
         just below the serving node down to the receiver).
@@ -155,7 +148,7 @@ class LeaveCopyEverywhere(OnPathStrategy):
 
     name = "lce"
 
-    def should_cache(self, path, serving_index, node_index) -> bool:
+    def should_cache(self, route, serving_index, node_index) -> bool:
         return True
 
 
@@ -164,7 +157,7 @@ class LeaveCopyDown(OnPathStrategy):
 
     name = "lcd"
 
-    def should_cache(self, path, serving_index, node_index) -> bool:
+    def should_cache(self, route, serving_index, node_index) -> bool:
         return node_index == serving_index - 1
 
 
@@ -173,7 +166,7 @@ class EdgeCaching(OnPathStrategy):
 
     name = "edge"
 
-    def should_cache(self, path, serving_index, node_index) -> bool:
+    def should_cache(self, route, serving_index, node_index) -> bool:
         return node_index == 0
 
 
@@ -182,22 +175,31 @@ class CacheLessForMore(OnPathStrategy):
 
     name = "cl4m"
 
-    def _target_index(self, path, serving_index) -> int:
+    def __init__(self) -> None:
+        super().__init__()
+        self._target: int = -1
+
+    def _target_index(self, route: Route, serving_index: int) -> int:
         view = self.view
         best_index = -1
         best_score = -1.0
         # Scan from the receiver up so ties pick the node closest to it.
         for index in range(serving_index):
-            if not view.has_cache(path[index]):
+            if route.caches[index] is None:
                 continue
-            score = view.betweenness(path[index])
+            score = view.betweenness(route.nodes[index])
             if score > best_score:
                 best_score = score
                 best_index = index
         return best_index
 
-    def should_cache(self, path, serving_index, node_index) -> bool:
-        return node_index == self._target_index(path, serving_index)
+    def _route(self, time_slot, receiver, content_id, max_age):
+        route, serving_index = super()._route(time_slot, receiver, content_id, max_age)
+        self._target = self._target_index(route, serving_index)
+        return route, serving_index
+
+    def should_cache(self, route, serving_index, node_index) -> bool:
+        return node_index == self._target
 
 
 class PartitionedCaching(OnPathStrategy):
@@ -207,18 +209,18 @@ class PartitionedCaching(OnPathStrategy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._session_content: Optional[int] = None
+        self._designated: Optional[int] = None
 
     def designated_node(self, content_id: int) -> int:
         """The one cache node allowed to hold *content_id*."""
         cache_nodes = self.view.cache_nodes()
         return cache_nodes[int(content_id) % len(cache_nodes)]
 
-    def should_cache(self, path, serving_index, node_index) -> bool:
-        return path[node_index] == self.designated_node(self._session_content)
+    def should_cache(self, route, serving_index, node_index) -> bool:
+        return route.nodes[node_index] == self._designated
 
     def _route(self, time_slot, receiver, content_id, max_age):
-        self._session_content = int(content_id)
+        self._designated = self.designated_node(content_id)
         return super()._route(time_slot, receiver, content_id, max_age)
 
 
@@ -245,28 +247,16 @@ class ProbCache(OnPathStrategy):
         """The cache-weighting time window."""
         return self._t_tw
 
-    def should_cache(self, path, serving_index, node_index) -> bool:
-        view = self.view
-        node = path[node_index]
+    def should_cache(self, route, serving_index, node_index) -> bool:
         hops = serving_index  # delivery path length in hops
         if hops == 0:
             return False
         # Caches the content has passed so far (serving side, exclusive,
         # down to and including this node).
-        passed = sum(
-            1
-            for index in range(node_index, serving_index)
-            if view.has_cache(path[index])
-        )
+        passed = route.cache_counts[serving_index] - route.cache_counts[node_index]
         # Remaining capacity from here toward the receiver (inclusive).
-        remaining = float(
-            sum(
-                view.cache_capacity(path[index])
-                for index in range(0, node_index + 1)
-                if view.has_cache(path[index])
-            )
-        )
-        capacity = float(view.cache_capacity(node))
+        remaining = float(route.capacity_sums[node_index + 1])
+        capacity = float(route.caches[node_index].capacity)
         probability = (
             remaining / (self._t_tw * capacity) * (passed / hops) ** hops
         )

@@ -85,19 +85,6 @@ def _warm_network_caches(
             node_cache.put(content_id, age=cache.age_of(content_id))
 
 
-def _route_request(
-    strategy: OnPathStrategy,
-    state: SystemState,
-    time_slot: int,
-    receiver: int,
-    content_id: int,
-) -> SessionResult:
-    max_age = float(state.catalog.max_ages[int(content_id)])
-    return strategy.process_request(
-        time_slot, receiver, int(content_id), max_age=max_age
-    )
-
-
 class MultihopStepper:
     """Resumable one-slot-at-a-time execution of the multihop loop.
 
@@ -137,6 +124,9 @@ class MultihopStepper:
         _warm_network_caches(config, self.state, self.network, self.role)
         self.view = NetworkView(self.network)
         self.controller = NetworkController(self.network)
+        # Per-content freshness bounds, read once (the catalog rebuilds its
+        # array from the descriptors on every access).
+        self._max_ages = self.state.catalog.max_ages.tolist()
         self.metrics = MultihopMetrics(
             mode=check_metrics_mode(metrics), expected_slots=expected
         )
@@ -148,7 +138,6 @@ class MultihopStepper:
             self._step_slot = self._step_onpath
         elif self.role == "caching":
             self._content_ids = self.state.content_ids
-            self._probe = _StaticProbe(self.view, self.controller)
             self._step_slot = self._step_caching
         else:
             self._queues: List[deque] = [deque() for _ in range(config.num_rsus)]
@@ -169,15 +158,38 @@ class MultihopStepper:
         self.time_slot = t + 1
         return row
 
+    def _route(
+        self, strategy: OnPathStrategy, t: int, receiver: int, content_id
+    ) -> SessionResult:
+        content_id = int(content_id)
+        return strategy.process_request(
+            t, receiver, content_id, max_age=self._max_ages[content_id]
+        )
+
+    def _route_static(self, t: int, receiver: int, content_id) -> SessionResult:
+        """Route a request over static caches without inserting copies.
+
+        Used by caching-role runs: serve at the first node on the route
+        with a fresh-enough copy and account the delivery leg back, but
+        never place a copy, so the cache state remains exactly what the
+        caching policy dictates.
+        """
+        content_id = int(content_id)
+        controller = self.controller
+        route = self.view.route(receiver)
+        controller.start_session(
+            t, receiver, content_id, max_age=self._max_ages[content_id]
+        )
+        controller.forward_request_path(route, controller.find_content(route))
+        controller.forward_content_path()
+        return controller.end_session()
+
     def _step_onpath(self, t: int, batches) -> dict:
-        state = self.state
         strategy = self.policy
         sessions: List[SessionResult] = []
         for receiver, contents in batches:
             for content_id in contents:
-                sessions.append(
-                    _route_request(strategy, state, t, receiver, content_id)
-                )
+                sessions.append(self._route(strategy, t, receiver, content_id))
         hits = sum(1 for s in sessions if s.hit)
         latency = float(sum(s.latency for s in sessions))
         hops = sum(s.hops for s in sessions)
@@ -235,7 +247,7 @@ class MultihopStepper:
         sessions: List[SessionResult] = []
         for receiver, contents in batches:
             for content_id in contents:
-                sessions.append(self._probe.route(state, t, receiver, content_id))
+                sessions.append(self._route_static(t, receiver, content_id))
         hits = sum(1 for s in sessions if s.hit)
         latency = float(sum(s.latency for s in sessions))
         hops = sum(s.hops for s in sessions)
@@ -266,7 +278,6 @@ class MultihopStepper:
         ``queue_backlog``/``departure`` fields carry the queue's total
         waiting time, and a ``True`` decision drains the whole queue.
         """
-        state = self.state
         policy = self.policy
         view = self.view
         queues = self._queues
@@ -290,7 +301,7 @@ class MultihopStepper:
                 age = view.cache_age(k, head_content)
                 if age is not None:
                     head_age = float(age)
-                    head_max = float(state.catalog.max_ages[head_content])
+                    head_max = self._max_ages[head_content]
             observation = ServiceObservation(
                 time_slot=t,
                 rsu_id=k,
@@ -305,7 +316,7 @@ class MultihopStepper:
                 continue
             while queue:
                 issue_slot, content_id = queue.popleft()
-                session = _route_request(self._edge, state, t, k, content_id)
+                session = self._route(self._edge, t, k, content_id)
                 sessions.append(session)
                 served += 1
                 hits += int(session.hit)
@@ -415,37 +426,3 @@ class MultihopSimulator(_Simulator):
             )
             for config, policy in zip(self._seed_configs(seeds), policies)
         ]
-
-
-class _StaticProbe:
-    """Routes a request over static caches without inserting copies.
-
-    Used by caching-role runs: walk the precomputed path toward the
-    origin, serve at the first node with a fresh-enough copy, account the
-    delivery leg back — but never call ``put_content``, so the cache state
-    remains exactly what the caching policy dictates.
-    """
-
-    def __init__(self, view: NetworkView, controller: NetworkController) -> None:
-        self._view = view
-        self._controller = controller
-
-    def route(
-        self, state: SystemState, time_slot: int, receiver: int, content_id: int
-    ) -> SessionResult:
-        view, controller = self._view, self._controller
-        content_id = int(content_id)
-        max_age = float(state.catalog.max_ages[content_id])
-        source = view.content_source(content_id)
-        path = view.shortest_path(receiver, source)
-        controller.start_session(time_slot, receiver, content_id, max_age=max_age)
-        serving_index = 0
-        if not controller.get_content(receiver):
-            for index in range(1, len(path)):
-                controller.forward_request_hop(path[index - 1], path[index])
-                if controller.get_content(path[index]):
-                    serving_index = index
-                    break
-        for index in range(serving_index, 0, -1):
-            controller.forward_content_hop(path[index], path[index - 1])
-        return controller.end_session()

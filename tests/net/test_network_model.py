@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError, ValidationError
+from repro.net.channel import DistanceCostModel
 from repro.net.controller import NetworkController
 from repro.net.model import (
     TOPOLOGY_KINDS,
@@ -144,6 +145,65 @@ class TestDeterministicShortestPaths:
                 assert delays[source][target] == pytest.approx(total)
 
 
+def hop_by_hop(graph, path, index):
+    """Latency of walking *path* up to ``path[index]``, and of walking back
+    down too, summed link by link in travel order."""
+    latency = 0.0
+    for u, v in zip(path[:index], path[1:index + 1]):
+        latency += float(graph.edges[u, v]["delay"])
+    request = latency
+    for u, v in reversed(list(zip(path[:index], path[1:index + 1]))):
+        latency += float(graph.edges[v, u]["delay"])
+    return request, latency
+
+
+class TestCompiledRoutes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_rsus=st.integers(min_value=1, max_value=9),
+        regions_per_rsu=st.integers(min_value=1, max_value=4),
+        kind=st.sampled_from(TOPOLOGY_KINDS),
+        base=st.floats(min_value=0.05, max_value=5.0),
+        slope=st.floats(min_value=0.0, max_value=0.01),
+        hop_delay=st.floats(min_value=0.01, max_value=3.0),
+    )
+    def test_routes_match_the_hop_by_hop_walk(
+        self, num_rsus, regions_per_rsu, kind, base, slope, hop_delay
+    ):
+        model = NetworkModel(
+            make_topology(num_rsus, regions_per_rsu),
+            kind=kind,
+            cost_model=DistanceCostModel(base=base, slope=slope),
+            hop_delay=hop_delay,
+        )
+        graph = model.graph
+        for u, v, delay in graph.edges(data="delay"):
+            assert model.edge_delay(u, v) == model.edge_delay(v, u) == delay
+        for receiver in range(num_rsus):
+            route = model.route(receiver)
+            path = model.shortest_path(receiver, model.origin)
+            assert route.nodes == path
+            assert route.caches == tuple(
+                model.cache(node) if model.has_cache(node) else None
+                for node in path
+            )
+            for index in range(len(path) + 1):
+                held = [node for node in path[:index] if model.has_cache(node)]
+                assert route.cache_counts[index] == len(held)
+                assert route.capacity_sums[index] == sum(
+                    model.cache(node).capacity for node in held
+                )
+            for index in range(len(path)):
+                request, round_trip = hop_by_hop(graph, path, index)
+                assert route.request_latency[index].hex() == request.hex()
+                assert route.round_trip[index].hex() == round_trip.hex()
+
+    def test_origin_is_not_a_receiver(self):
+        model = NetworkModel(make_topology(3))
+        with pytest.raises(ValidationError):
+            model.route(model.origin)
+
+
 class TestNetworkController:
     def make(self, kind="line"):
         model = NetworkModel(make_topology(4), kind=kind)
@@ -152,16 +212,50 @@ class TestNetworkController:
     def test_origin_always_serves(self):
         model, view, controller = self.make()
         path = view.shortest_path(0, model.origin)
+        route = view.route(0)
+        assert route.nodes == path
         controller.start_session(0, 0, 0)
         assert not controller.get_content(0)  # cold cache
-        for u, v in zip(path, path[1:]):
-            controller.forward_request_hop(u, v)
-        assert controller.get_content(model.origin)
+        index = controller.find_content(route)
+        assert index == len(path) - 1
+        controller.forward_request_path(route, index)
         result = controller.end_session()
         assert not result.hit
         assert result.serving_node == model.origin
         assert result.hops == len(path) - 1
         assert result.path == path
+        assert result.latency == route.request_latency[-1]
+
+    def test_round_trip_accounting(self):
+        model, view, controller = self.make()
+        route = view.route(0)
+        middle = len(route.nodes) // 2
+        model.cache(route.nodes[middle]).put(7, age=2.0)
+        controller.start_session(0, 0, 7)
+        assert controller.find_content(route) == middle
+        controller.forward_request_path(route, middle)
+        controller.forward_content_path()
+        controller.put_content(0)
+        result = controller.end_session()
+        assert result.hit and result.served_age == 2.0
+        assert result.hops == 2 * middle
+        assert result.latency == route.round_trip[middle]
+        assert result.path == route.nodes[: middle + 1]
+        assert model.cache(0).age_of(7) == 2.0
+
+    def test_forwarding_is_checked(self):
+        model, view, controller = self.make()
+        controller.start_session(0, 1, 0)
+        with pytest.raises(SimulationError):
+            controller.forward_content_path()  # nothing forwarded yet
+        with pytest.raises(SimulationError):
+            controller.forward_request_path(view.route(0), 0)  # wrong receiver
+        controller.forward_request_path(view.route(1), 1)
+        with pytest.raises(SimulationError):
+            controller.forward_request_path(view.route(1), 1)
+        controller.forward_content_path()
+        with pytest.raises(SimulationError):
+            controller.forward_content_path()
 
     def test_cache_hit_accounting(self):
         model, view, controller = self.make()

@@ -13,11 +13,11 @@ from repro.exceptions import ConfigurationError
 from repro.net.model import NetworkModel
 from repro.policies.onpath import EdgeCaching, LeaveCopyEverywhere
 from repro.policies.registry import PolicySpec
-from repro.sim.multihop_sim import MultihopSimulator
+from repro.sim.multihop_sim import MultihopSimulator, MultihopStepper
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.system import SystemState
 
-pytest.importorskip("networkx")
+nx = pytest.importorskip("networkx")
 
 
 def single_rsu_replay(config: ScenarioConfig, num_slots: int):
@@ -344,3 +344,42 @@ class TestNonUnitDelayFingerprints:
         latencies = [s.latency for s in result.metrics.sessions()]
         assert any(latency != int(latency) for latency in latencies)
         assert session_fingerprint(result) == self.EXPECTED[kind, policy]
+
+
+class TestNetworkxOnlyAtConstruction:
+    """Once a stepper is built, routing never touches the networkx graph."""
+
+    @staticmethod
+    def forbid_networkx(monkeypatch) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("networkx was called after construction")
+
+        for name in ("has_edge", "neighbors"):
+            monkeypatch.setattr(nx.Graph, name, refuse)
+        # nodes/edges are cached properties; a data descriptor on the class
+        # takes precedence over the copy cached on each instance.
+        for name in ("nodes", "edges"):
+            monkeypatch.setattr(nx.Graph, name, property(refuse))
+
+    @pytest.mark.parametrize("kind", ("star", "line", "ring"))
+    @pytest.mark.parametrize("policy", TestNonUnitDelayFingerprints.POLICIES)
+    def test_steps_without_networkx(self, kind, policy, monkeypatch):
+        # Costly updates keep mdp from refreshing and a small V makes
+        # lyapunov serve early, so every role routes misses within 20 slots.
+        config = ScenarioConfig(
+            num_rsus=5, contents_per_rsu=3, num_slots=20, seed=7,
+            topology_kind=kind, zipf_exponent=0.8, update_cost=50.0,
+            tradeoff_v=0.5,
+        )
+        stepper = MultihopStepper(config, PolicySpec.coerce(policy).build(config))
+        graph = stepper.network.graph
+        self.forbid_networkx(monkeypatch)
+        probes = (
+            lambda: graph.nodes, lambda: graph.edges, lambda: graph.has_edge(0, 1)
+        )
+        for probe in probes:
+            with pytest.raises(AssertionError, match="after construction"):
+                probe()
+        for _ in range(20):
+            stepper.step()
+        assert stepper.metrics.total_hops > 0

@@ -233,10 +233,22 @@ class TestRemovedIn30:
 class TestRemovedIn40:
     """4.0 has one grid dispatch path: no per-run/seed-batched switch."""
 
-    def test_version(self):
-        assert repro.__version__ == "4.0.0"
-
     def test_run_grid_has_no_seed_batching(self):
         parameters = inspect.signature(repro.ExperimentRunner.run_grid).parameters
         assert "seed_batching" not in parameters
         assert set(parameters) == {"self", "specs", "num_seeds", "store"}
+
+
+class TestRemovedIn50:
+    """5.0 forwards along compiled routes: no per-hop controller calls."""
+
+    def test_version(self):
+        assert repro.__version__ == "5.0.0"
+
+    def test_controller_forwards_whole_paths(self):
+        controller = repro.NetworkController
+        for name in ("forward_request_hop", "forward_content_hop", "_traverse"):
+            assert not hasattr(controller, name), name
+        assert callable(controller.forward_request_path)
+        assert callable(controller.forward_content_path)
+        assert callable(repro.NetworkView.route)
