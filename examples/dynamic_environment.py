@@ -2,13 +2,13 @@
 """Rapidly changing road conditions: adaptive caching under drifting demand.
 
 The paper motivates its controllers with "rapidly changed road environment
-and user mobility".  This example makes that concrete: each region's traffic
-condition evolves as a Markov chain (free flow -> dense -> congested ->
-incident), congested regions generate more requests and need fresher
-information, and the MBS re-prioritises its per-slot update budget
-accordingly.
+and user mobility".  This example runs the Fig. 1a scenario under the
+registered ``drift`` workload, whose per-RSU content popularity re-ranks
+itself every ``period`` slots by a log-space random walk, so the value of
+keeping each content fresh keeps moving.
 
-Two controllers are compared under the same environment sample path:
+Two controllers are compared through ``simulate()`` on the same workload
+sample path:
 
 * the model-based MDP policy, re-planned whenever the popularity profile
   drifts, and
@@ -24,79 +24,27 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
-
-from repro import MDPCachingPolicy, ScenarioConfig
-from repro.analysis import format_table, render_series
+from repro import MDPCachingPolicy, ScenarioConfig, simulate
+from repro.analysis import render_series
 from repro.core.online import OnlineLearningConfig, QLearningCachingPolicy
-from repro.core.policies import CacheObservation
-from repro.core.reward import UtilityFunction
-from repro.net.cache import RSUCache
-from repro.net.environment import DynamicPopularityModel, RegionStateProcess
-from repro.utils.rng import ensure_rng
-
-
-def simulate(policy, config, num_slots: int, seed: int = 0):
-    """Drive *policy* against a dynamically re-weighted caching environment."""
-    rng = ensure_rng(seed)
-    topology = config.build_topology()
-    catalog = config.build_catalog(rng)
-    process = RegionStateProcess(config.num_regions, rng=seed)
-    popularity_model = DynamicPopularityModel(process)
-    caches = [
-        RSUCache(rsu.rsu_id, rsu.covered_regions, catalog) for rsu in topology.rsus
-    ]
-    for cache in caches:
-        cache.randomize_ages(rng)
-    rsu_regions = [list(rsu.covered_regions) for rsu in topology.rsus]
-    max_ages = np.stack([cache.max_ages for cache in caches])
-    costs = np.full_like(max_ages, config.update_cost)
-    utility = UtilityFunction(max_ages, costs, weight=config.aoi_weight)
-
-    rewards = []
-    for t in range(num_slots):
-        popularity = popularity_model.popularity_matrix(rsu_regions)
-        observation = CacheObservation(
-            time_slot=t,
-            ages=np.stack([cache.ages for cache in caches]),
-            max_ages=max_ages,
-            popularity=popularity,
-            update_costs=costs,
-        )
-        actions = policy.decide(observation)
-        rewards.append(utility.evaluate(observation.ages, actions, popularity).total)
-        for k, rsu in enumerate(topology.rsus):
-            for slot, content_id in enumerate(rsu.covered_regions):
-                if actions[k, slot]:
-                    caches[k].apply_update(content_id)
-            caches[k].tick(1)
-        process.step()
-    return np.cumsum(rewards), process
 
 
 def main(num_slots: int = 400) -> None:
-    """Compare the MDP and online learners under drifting road conditions."""
-    config = ScenarioConfig.fig1a(seed=2).with_overrides(num_slots=num_slots)
-
-    mdp_rewards, process = simulate(
-        MDPCachingPolicy(config.build_mdp_config()), config, num_slots
+    """Compare the MDP and online learners under drifting popularity."""
+    config = ScenarioConfig.fig1a(seed=2).with_overrides(
+        num_slots=num_slots, workload="drift:period=25,step=0.6"
     )
-    online_rewards, _ = simulate(
-        QLearningCachingPolicy(OnlineLearningConfig(weight=config.aoi_weight), rng=0),
+    mdp = simulate(config, MDPCachingPolicy(config.build_mdp_config()))
+    online = simulate(
         config,
-        num_slots,
+        QLearningCachingPolicy(OnlineLearningConfig(weight=config.aoi_weight), rng=0),
     )
+    mdp_rewards = mdp.cumulative_reward
+    online_rewards = online.cumulative_reward
 
-    occupancy = process.occupancy()
-    print(f"Dynamic environment over {num_slots} slots "
+    print(f"Workload {config.workload.label()} over {num_slots} slots "
           f"({config.num_regions} regions)\n")
-    print("Traffic-condition occupancy over the run:")
-    print(format_table([
-        {"condition": state.name.lower(), "fraction_of_time": fraction}
-        for state, fraction in occupancy.items()
-    ]))
-
-    print("\nCumulative Eq. (1) reward under drifting popularity")
+    print("Cumulative Eq. (1) reward under drifting popularity")
     print(render_series(
         {
             "mdp (model-based)": mdp_rewards,

@@ -73,7 +73,6 @@ from repro.core import (
     ContentUpdateMDP,
     LyapunovServiceController,
     MDPCachingPolicy,
-    QLearningSolver,
     RSUCachingMDP,
     ServiceObservation,
     ServicePolicy,
@@ -101,7 +100,6 @@ from repro.net import (
     RequestGenerator,
     RoadTopology,
     RSUCache,
-    VehicleFleet,
 )
 from repro.policies import (
     PolicySpec,
@@ -150,7 +148,7 @@ from repro.workloads import (
     workload_names,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AlwaysServePolicy",
@@ -175,7 +173,6 @@ __all__ = [
     "ContentUpdateMDP",
     "LyapunovServiceController",
     "MDPCachingPolicy",
-    "QLearningSolver",
     "RSUCachingMDP",
     "ServiceObservation",
     "ServicePolicy",
@@ -199,7 +196,6 @@ __all__ = [
     "RequestGenerator",
     "RoadTopology",
     "RSUCache",
-    "VehicleFleet",
     "CacheSimulationResult",
     "CacheSimulator",
     "JointSimulationResult",

@@ -20,9 +20,6 @@ from repro.analysis.stats import (
     is_non_decreasing,
     linear_trend,
     mean_confidence_interval,
-    moving_average,
-    relative_improvement,
-    tail_mean,
 )
 from repro.analysis.sweep import (
     caching_policy_comparison,
@@ -50,9 +47,6 @@ __all__ = [
     "is_non_decreasing",
     "linear_trend",
     "mean_confidence_interval",
-    "moving_average",
-    "relative_improvement",
-    "tail_mean",
     "caching_policy_comparison",
     "format_table",
     "scalability_sweep",

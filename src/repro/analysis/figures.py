@@ -53,12 +53,6 @@ class Fig1aData:
     cumulative_reward: np.ndarray
     policy_name: str
 
-    def max_observed_age(self, label: str) -> float:
-        """Largest age reached by the tracked content *label*."""
-        if label not in self.content_ages:
-            raise ValidationError(f"unknown tracked content {label!r}")
-        return float(np.max(self.content_ages[label]))
-
     def violation_fraction(self, label: str) -> float:
         """Fraction of slots in which *label* exceeded its maximum age."""
         if label not in self.content_ages:

@@ -1,6 +1,6 @@
 """Statistical helpers for analysing simulation output.
 
-These are intentionally lightweight (mean/CI, moving averages, trend checks)
+These are intentionally lightweight (mean/CI, trend checks)
 — enough to turn a recorded sample path into the numbers the experiment
 reports quote, without pulling in a plotting or statistics dependency.
 """
@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.utils.validation import check_in_range, check_positive_int
+from repro.utils.validation import check_in_range
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class ConfidenceInterval:
     def high(self) -> float:
         """Upper bound of the interval."""
         return self.mean + self.half_width
-
-    def contains(self, value: float) -> bool:
-        """Whether *value* lies inside the interval."""
-        return self.low <= value <= self.high
 
     def __str__(self) -> str:  # pragma: no cover - formatting cosmetics
         return f"{self.mean:.4g} ± {self.half_width:.4g} ({self.confidence:.0%})"
@@ -80,25 +76,6 @@ def mean_confidence_interval(
     return ConfidenceInterval(mean, half_width, confidence, int(data.size))
 
 
-def moving_average(values: Sequence[float], window: int) -> np.ndarray:
-    """Return the centred moving average of *values* with the given window."""
-    window = check_positive_int(window, "window")
-    data = np.asarray(values, dtype=float)
-    if data.ndim != 1:
-        raise ValidationError(f"values must be 1-D, got shape {data.shape}")
-    if data.size == 0:
-        return data.copy()
-    if window > data.size:
-        window = data.size
-    kernel = np.ones(window)
-    # Normalise by the number of samples actually inside the window at each
-    # position so the edges are unbiased (a plain "same" convolution would
-    # drag the endpoints of a constant series towards zero).
-    sums = np.convolve(data, kernel, mode="same")
-    counts = np.convolve(np.ones_like(data), kernel, mode="same")
-    return sums / counts
-
-
 def linear_trend(values: Sequence[float]) -> Tuple[float, float]:
     """Return the least-squares ``(slope, intercept)`` of a sample path.
 
@@ -121,27 +98,3 @@ def is_non_decreasing(values: Sequence[float], *, tolerance: float = 1e-9) -> bo
     if data.size < 2:
         return True
     return bool(np.all(np.diff(data) >= -abs(tolerance)))
-
-
-def tail_mean(values: Sequence[float], *, fraction: float = 0.5) -> float:
-    """Mean of the trailing *fraction* of the sequence (steady-state estimate)."""
-    check_in_range(fraction, "fraction", 0.0, 1.0, inclusive=False)
-    data = np.asarray(values, dtype=float)
-    if data.ndim != 1 or data.size == 0:
-        raise ValidationError("values must be a non-empty 1-D sequence")
-    start = int(np.floor(data.size * (1.0 - fraction)))
-    start = min(start, data.size - 1)
-    return float(data[start:].mean())
-
-
-def relative_improvement(candidate: float, baseline: float) -> float:
-    """Return ``(baseline - candidate) / |baseline|`` — positive when candidate is lower.
-
-    Used for "policy X reduces cost by Y%" style report rows.  A zero
-    baseline returns 0.0 to avoid a division blow-up.
-    """
-    if not np.isfinite(candidate) or not np.isfinite(baseline):
-        raise ValidationError("candidate and baseline must be finite")
-    if baseline == 0.0:
-        return 0.0
-    return float((baseline - candidate) / abs(baseline))

@@ -3,10 +3,8 @@
 from repro.core.aoi import (
     AoICounter,
     AoIProcess,
-    AoIStatistics,
     AoIVector,
     aoi_utility,
-    aoi_violation,
 )
 from repro.core.caching_mdp import (
     AgeGrid,
@@ -34,11 +32,8 @@ from repro.core.online import OnlineLearningConfig, QLearningCachingPolicy
 from repro.core.mdp import (
     DiscreteSpace,
     MDPModel,
-    ProductSpace,
     TabularMDP,
-    Transition,
     build_tabular,
-    uniform_random_policy,
 )
 from repro.core.policies import (
     CacheObservation,
@@ -56,8 +51,6 @@ from repro.core.reward import (
     post_action_ages,
 )
 from repro.core.solvers import (
-    QLearningConfig,
-    QLearningSolver,
     SolverResult,
     policy_evaluation,
     policy_iteration,
@@ -67,10 +60,8 @@ from repro.core.solvers import (
 __all__ = [
     "AoICounter",
     "AoIProcess",
-    "AoIStatistics",
     "AoIVector",
     "aoi_utility",
-    "aoi_violation",
     "AgeGrid",
     "BatchedCacheDecider",
     "CachingMDPConfig",
@@ -91,11 +82,8 @@ __all__ = [
     "run_backlog_simulation",
     "DiscreteSpace",
     "MDPModel",
-    "ProductSpace",
     "TabularMDP",
-    "Transition",
     "build_tabular",
-    "uniform_random_policy",
     "CacheObservation",
     "CachingPolicy",
     "ServiceObservation",
@@ -107,8 +95,6 @@ __all__ = [
     "aoi_utility_term",
     "cost_term",
     "post_action_ages",
-    "QLearningConfig",
-    "QLearningSolver",
     "SolverResult",
     "policy_evaluation",
     "policy_iteration",

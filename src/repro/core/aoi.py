@@ -13,15 +13,14 @@ This module provides:
   configurable ceiling so state spaces stay finite.
 * :class:`AoIVector` — a vectorised collection of counters (one per content)
   used by the RSU caches and by the MDP state encoding.
-* :class:`AoIProcess` — a recorded AoI sample path with peak/average
-  statistics, used by the metric collectors and the figure reproduction code.
+* :class:`AoIProcess` — a recorded AoI sample path, used by the metric
+  collectors and the figure reproduction code.
 * :func:`aoi_utility` — the per-content AoI utility term
   ``A_max / A`` used by the paper's reward (Eq. 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,12 +51,6 @@ def aoi_utility(age: float, max_age: float) -> float:
         raise ValidationError(f"age must be finite, got {age}")
     effective_age = max(float(age), 1.0)
     return max_age / effective_age
-
-
-def aoi_violation(age: float, max_age: float) -> bool:
-    """Return ``True`` when a cached copy has exceeded its maximum age."""
-    max_age = check_positive(max_age, "max_age")
-    return float(age) > max_age
 
 
 class AoICounter:
@@ -128,18 +121,6 @@ class AoICounter:
     def utility(self) -> float:
         """AoI utility ``A_max / A`` of the current age (Eq. 2 term)."""
         return aoi_utility(self._age, self._max_age)
-
-    @property
-    def is_violating(self) -> bool:
-        """Whether the copy is older than its maximum tolerable age."""
-        return self._age > self._max_age
-
-    @property
-    def freshness(self) -> float:
-        """Normalised freshness in ``[0, 1]``: 1 when new, 0 at the ceiling."""
-        if self._ceiling <= self._reset_age:
-            return 1.0
-        return 1.0 - (self._age - self._reset_age) / (self._ceiling - self._reset_age)
 
     def tick(self, slots: int = 1) -> float:
         """Advance time by *slots* and return the new (saturated) age."""
@@ -274,21 +255,6 @@ class AoIVector:
         """Boolean mask of contents whose age exceeds their ``A_max``."""
         return self._ages > self._max_ages
 
-    @property
-    def violation_count(self) -> int:
-        """Number of contents currently violating their age limit."""
-        return int(np.count_nonzero(self.violations))
-
-    @property
-    def mean_age(self) -> float:
-        """Mean age across contents."""
-        return float(self._ages.mean())
-
-    @property
-    def peak_age(self) -> float:
-        """Maximum age across contents."""
-        return float(self._ages.max())
-
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
@@ -310,11 +276,6 @@ class AoIVector:
                 f"age_at_delivery must be finite and >= 1, got {age_at_delivery}"
             )
         self._ages[index] = min(float(age_at_delivery), self._ceiling)
-
-    def refresh_many(self, indices: Iterable[int], age_at_delivery: float = 1.0) -> None:
-        """Reset the ages of several contents at once."""
-        for index in indices:
-            self.refresh(index, age_at_delivery)
 
     def refresh_all(self, age_at_delivery: float = 1.0) -> None:
         """Reset every age in one vectorised assignment."""
@@ -347,34 +308,11 @@ class AoIVector:
         return f"AoIVector(ages={self._ages.tolist()})"
 
 
-@dataclass
-class AoIStatistics:
-    """Summary statistics of a recorded AoI sample path."""
-
-    mean_age: float
-    peak_age: float
-    mean_peak_age: float
-    violation_fraction: float
-    num_samples: int
-
-    def as_dict(self) -> dict:
-        """Return the statistics as a plain dictionary (for reports)."""
-        return {
-            "mean_age": self.mean_age,
-            "peak_age": self.peak_age,
-            "mean_peak_age": self.mean_peak_age,
-            "violation_fraction": self.violation_fraction,
-            "num_samples": self.num_samples,
-        }
-
-
 class AoIProcess:
     """A recorded AoI sample path for one content at one cache.
 
     The process records ``(t, age)`` samples appended by the simulator's
-    metric collector and computes the classic AoI statistics: time-average
-    age, peak age, mean peak age (average of the local maxima immediately
-    before refreshes), and the fraction of time the age exceeded ``A_max``.
+    metric collector.
     """
 
     def __init__(self, max_age: float, *, label: str = "") -> None:
@@ -424,44 +362,6 @@ class AoIProcess:
         """Append several ``(t, age)`` samples."""
         for time_slot, age in samples:
             self.record(time_slot, age)
-
-    def peaks(self) -> np.ndarray:
-        """Return the local AoI maxima (ages immediately before each refresh).
-
-        A refresh is detected as a strict decrease in age between consecutive
-        samples.  The final sample is included as a trailing peak if the path
-        ends on a rising segment, matching the usual mean-peak-age estimator.
-        """
-        ages = self.ages
-        if ages.size == 0:
-            return np.asarray([], dtype=float)
-        drops = np.flatnonzero(np.diff(ages) < 0)
-        peak_values = list(ages[drops])
-        if ages.size >= 2 and ages[-1] >= ages[-2]:
-            peak_values.append(float(ages[-1]))
-        elif ages.size == 1:
-            peak_values.append(float(ages[0]))
-        return np.asarray(peak_values, dtype=float)
-
-    def statistics(self) -> AoIStatistics:
-        """Return summary statistics of the recorded path."""
-        ages = self.ages
-        if ages.size == 0:
-            return AoIStatistics(
-                mean_age=float("nan"),
-                peak_age=float("nan"),
-                mean_peak_age=float("nan"),
-                violation_fraction=float("nan"),
-                num_samples=0,
-            )
-        peaks = self.peaks()
-        return AoIStatistics(
-            mean_age=float(ages.mean()),
-            peak_age=float(ages.max()),
-            mean_peak_age=float(peaks.mean()) if peaks.size else float(ages.max()),
-            violation_fraction=float(np.mean(ages > self._max_age)),
-            num_samples=int(ages.size),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

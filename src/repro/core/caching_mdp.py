@@ -25,7 +25,7 @@ exposes both granularities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -298,11 +298,6 @@ class RSUCachingMDP(MDPModel):
         return int(self._max_ages.size)
 
     @property
-    def grids(self) -> List[AgeGrid]:
-        """Per-content age grids."""
-        return list(self._grids)
-
-    @property
     def num_states(self) -> int:
         return self._num_states
 
@@ -389,11 +384,6 @@ class _SolvedContentModel:
 
     mdp: ContentUpdateMDP
     q_values: np.ndarray
-
-    def advantage(self, age: float) -> float:
-        """Q(update) - Q(skip) at the given current age."""
-        state = self.mdp.grid.index_of(age)
-        return float(self.q_values[state, 1] - self.q_values[state, 0])
 
 
 @dataclass
@@ -525,11 +515,6 @@ class MDPCachingPolicy(CachingPolicy):
             "limit": self._memo_limit,
         }
 
-    @property
-    def models_version(self) -> int:
-        """Counter bumped whenever the solved models are rebuilt."""
-        return self._models_version
-
     def reset(self) -> None:
         """Drop all solved models (they will be rebuilt on the next decide).
 
@@ -578,25 +563,6 @@ class MDPCachingPolicy(CachingPolicy):
             if self._rsu_mode[rsu] == "exact":
                 actions[rsu] = self._rsu_models[rsu].decide(ages[rsu])
         return self.validate_actions(actions, observation)
-
-    def update_advantages(self, observation: CacheObservation) -> np.ndarray:
-        """Return the per-(RSU, content) Q-advantage of updating right now.
-
-        Exposed for diagnostics and for the ablation experiments; positive
-        entries are contents the factored controller considers worth
-        refreshing.
-        """
-        self._ensure_models(observation)
-        advantages = np.zeros(
-            (observation.num_rsus, observation.contents_per_rsu), dtype=float
-        )
-        for rsu in range(observation.num_rsus):
-            for content in range(observation.contents_per_rsu):
-                model = self._content_models[(rsu, content)]
-                advantages[rsu, content] = model.advantage(
-                    float(observation.ages[rsu, content])
-                )
-        return advantages
 
     # ------------------------------------------------------------------
     # Internals

@@ -6,8 +6,8 @@ binary update decision, and whose reward combines AoI utility with MBS
 communication cost (Eqs. 1-3).  This module provides the generic machinery
 that the caching MDP (:mod:`repro.core.caching_mdp`) is built on:
 
-* :class:`DiscreteSpace` and :class:`ProductSpace` — enumerable state and
-  action spaces with index <-> element conversion.
+* :class:`DiscreteSpace` — enumerable state and action spaces with
+  index <-> element conversion.
 * :class:`TabularMDP` — an explicit (transition tensor, reward tensor) model
   with validation, expected-reward queries, and sparse-friendly accessors.
 * :class:`MDPModel` — an abstract interface for implicitly-defined models
@@ -20,9 +20,7 @@ that the caching MDP (:mod:`repro.core.caching_mdp`) is built on:
 from __future__ import annotations
 
 import abc
-import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -92,58 +90,6 @@ class DiscreteSpace:
         return f"DiscreteSpace(name={self._name!r}, size={len(self)})"
 
 
-class ProductSpace(DiscreteSpace):
-    """Cartesian product of several discrete factor spaces.
-
-    The elements are tuples with one component per factor, enumerated in
-    row-major (last factor fastest) order, mirroring ``numpy.unravel_index``.
-    """
-
-    def __init__(self, factors: Sequence[DiscreteSpace], *, name: str = "product") -> None:
-        if not factors:
-            raise ValidationError("ProductSpace requires at least one factor")
-        self._factors = list(factors)
-        elements = [tuple(combo) for combo in itertools.product(*self._factors)]
-        super().__init__(elements, name=name)
-
-    @property
-    def factors(self) -> List[DiscreteSpace]:
-        """The factor spaces."""
-        return list(self._factors)
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        """Sizes of the factor spaces."""
-        return tuple(len(factor) for factor in self._factors)
-
-    def ravel(self, factor_indices: Sequence[int]) -> int:
-        """Convert per-factor indices into a flat element index."""
-        if len(factor_indices) != len(self._factors):
-            raise ValidationError(
-                f"expected {len(self._factors)} factor indices, got {len(factor_indices)}"
-            )
-        return int(np.ravel_multi_index(tuple(factor_indices), self.shape))
-
-    def unravel(self, index: int) -> Tuple[int, ...]:
-        """Convert a flat element index into per-factor indices."""
-        if not 0 <= index < len(self):
-            raise ValidationError(
-                f"index {index} out of range for {self.name} of size {len(self)}"
-            )
-        return tuple(int(i) for i in np.unravel_index(index, self.shape))
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One stochastic transition: probability of reaching a successor state."""
-
-    state: int
-    action: int
-    next_state: int
-    probability: float
-    reward: float
-
-
 class MDPModel(abc.ABC):
     """Abstract interface for a finite MDP.
 
@@ -173,13 +119,6 @@ class MDPModel(abc.ABC):
     def available_actions(self, state: int) -> Sequence[int]:
         """Return the actions admissible in *state* (default: all actions)."""
         return range(self.num_actions)
-
-    def successors(self, state: int, action: int) -> Iterator[Transition]:
-        """Yield :class:`Transition` records for (*state*, *action*)."""
-        reward = self.expected_reward(state, action)
-        for next_state, probability in self.transition_distribution(state, action).items():
-            yield Transition(state, action, next_state, probability, reward)
-
 
 class TabularMDP(MDPModel):
     """Explicit finite MDP defined by dense transition and reward arrays.
@@ -319,13 +258,6 @@ class TabularMDP(MDPModel):
         policy = self._check_policy(policy)
         return self._rewards[np.arange(self.num_states), policy]
 
-    def sample_next_state(
-        self, state: int, action: int, rng: np.random.Generator
-    ) -> int:
-        """Sample a successor state for (*state*, *action*) using *rng*."""
-        self._check_indices(state, action)
-        return int(rng.choice(self.num_states, p=self._transitions[state, action]))
-
     def _check_indices(self, state: int, action: int) -> None:
         if not 0 <= state < self.num_states:
             raise ValidationError(
@@ -380,14 +312,3 @@ def build_tabular(model: MDPModel, *, validate: bool = True) -> TabularMDP:
     floor = (finite.min() - 1.0) * 10.0 - 1.0 if finite.size else -1e9
     rewards[~np.isfinite(rewards)] = floor
     return TabularMDP(transitions, rewards, validate=validate)
-
-
-def uniform_random_policy(model: MDPModel) -> np.ndarray:
-    """Return a stochastic policy matrix assigning uniform mass to admissible actions."""
-    policy = np.zeros((model.num_states, model.num_actions), dtype=float)
-    for state in range(model.num_states):
-        actions = list(model.available_actions(state))
-        if not actions:
-            raise ModelError(f"state {state} has no admissible actions")
-        policy[state, actions] = 1.0 / len(actions)
-    return policy

@@ -1,4 +1,4 @@
-"""Dynamic-programming and reinforcement-learning solvers for finite MDPs.
+"""Dynamic-programming solvers for finite MDPs.
 
 The paper's cache-management stage computes an update policy that maximises
 the discounted sum of the utility in Eq. (1).  This module provides the
@@ -9,8 +9,6 @@ standard exact solvers used for that purpose:
 * :func:`policy_iteration` — Howard's policy iteration with exact linear
   policy evaluation.
 * :func:`policy_evaluation` — evaluate a fixed deterministic policy.
-* :class:`QLearningSolver` — a model-free learner used to validate the exact
-  solutions and to support the online variant of the caching controller.
 
 All solvers operate on the :class:`~repro.core.mdp.TabularMDP` explicit
 representation; implicit models should first be materialised with
@@ -26,7 +24,6 @@ import numpy as np
 
 from repro.core.mdp import MDPModel, TabularMDP, build_tabular
 from repro.exceptions import SolverError, ValidationError
-from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_in_range, check_positive, check_positive_int
 
 
@@ -322,124 +319,3 @@ def policy_iteration(
         residual=float(changes),
         history=history,
     )
-
-
-@dataclass
-class QLearningConfig:
-    """Hyper-parameters of :class:`QLearningSolver`."""
-
-    discount: float = 0.95
-    learning_rate: float = 0.1
-    epsilon: float = 0.1
-    epsilon_decay: float = 1.0
-    min_epsilon: float = 0.01
-
-    def validate(self) -> "QLearningConfig":
-        """Validate all hyper-parameters and return ``self``."""
-        check_in_range(self.discount, "discount", 0.0, 1.0)
-        check_in_range(self.learning_rate, "learning_rate", 0.0, 1.0, inclusive=False) \
-            if self.learning_rate != 1.0 else None
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValidationError(
-                f"learning_rate must be in (0, 1], got {self.learning_rate}"
-            )
-        check_in_range(self.epsilon, "epsilon", 0.0, 1.0)
-        check_in_range(self.epsilon_decay, "epsilon_decay", 0.0, 1.0)
-        check_in_range(self.min_epsilon, "min_epsilon", 0.0, 1.0)
-        return self
-
-
-class QLearningSolver:
-    """Tabular Q-learning against a known model used as a simulator.
-
-    The solver interacts with the model by sampling transitions, so it serves
-    both as an independent check on the exact solvers and as the learning
-    component for scenarios where the transition model is unknown (the online
-    variant discussed in the paper's future work).
-
-    Parameters
-    ----------
-    model:
-        The MDP used as the environment.
-    config:
-        Hyper-parameters; see :class:`QLearningConfig`.
-    rng:
-        Seed or generator for exploration and environment sampling.
-    """
-
-    def __init__(
-        self,
-        model: MDPModel,
-        *,
-        config: Optional[QLearningConfig] = None,
-        rng: RandomSource = None,
-    ) -> None:
-        self._mdp = _as_tabular(model)
-        self._config = (config or QLearningConfig()).validate()
-        self._rng = ensure_rng(rng)
-        self._q = np.zeros((self._mdp.num_states, self._mdp.num_actions), dtype=float)
-        self._epsilon = self._config.epsilon
-        self._episodes_run = 0
-
-    @property
-    def q_values(self) -> np.ndarray:
-        """Copy of the current state-action value estimates."""
-        return self._q.copy()
-
-    @property
-    def policy(self) -> np.ndarray:
-        """Greedy policy with respect to the current Q estimates."""
-        return np.asarray(self._q.argmax(axis=1), dtype=int)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Greedy state values with respect to the current Q estimates."""
-        return self._q.max(axis=1)
-
-    @property
-    def episodes_run(self) -> int:
-        """Number of episodes executed so far."""
-        return self._episodes_run
-
-    def select_action(self, state: int) -> int:
-        """Epsilon-greedy action selection in *state*."""
-        if self._rng.random() < self._epsilon:
-            return int(self._rng.integers(self._mdp.num_actions))
-        return int(self._q[state].argmax())
-
-    def update(self, state: int, action: int, reward: float, next_state: int) -> float:
-        """Apply one Q-learning update and return the temporal-difference error."""
-        target = reward + self._config.discount * self._q[next_state].max()
-        td_error = target - self._q[state, action]
-        self._q[state, action] += self._config.learning_rate * td_error
-        return float(td_error)
-
-    def run_episode(self, *, start_state: Optional[int] = None, horizon: int = 100) -> float:
-        """Run one episode of *horizon* steps and return the total reward."""
-        horizon = check_positive_int(horizon, "horizon")
-        if start_state is None:
-            state = int(self._rng.integers(self._mdp.num_states))
-        else:
-            if not 0 <= start_state < self._mdp.num_states:
-                raise ValidationError(
-                    f"start_state {start_state} out of range [0, {self._mdp.num_states})"
-                )
-            state = int(start_state)
-        total_reward = 0.0
-        for _ in range(horizon):
-            action = self.select_action(state)
-            reward = self._mdp.expected_reward(state, action)
-            next_state = self._mdp.sample_next_state(state, action, self._rng)
-            self.update(state, action, reward, next_state)
-            total_reward += reward
-            state = next_state
-        self._episodes_run += 1
-        self._epsilon = max(
-            self._config.min_epsilon, self._epsilon * self._config.epsilon_decay
-        )
-        return total_reward
-
-    def train(self, episodes: int, *, horizon: int = 100) -> List[float]:
-        """Run *episodes* episodes and return the per-episode total rewards."""
-        episodes = check_positive_int(episodes, "episodes")
-        return [self.run_episode(horizon=horizon) for _ in range(episodes)]

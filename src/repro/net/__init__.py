@@ -1,6 +1,6 @@
-"""Vehicular-network substrate: topology, contents, channels, mobility, queues."""
+"""Vehicular-network substrate: topology, contents, channels, queues, routing."""
 
-from repro.net.cache import CacheEntry, LruContentCache, MBSContentStore, RSUCache
+from repro.net.cache import LruContentCache, MBSContentStore, RSUCache
 from repro.net.channel import (
     ConstantCostModel,
     CostModel,
@@ -9,19 +9,6 @@ from repro.net.channel import (
     LinkBudget,
 )
 from repro.net.content import ContentCatalog, ContentDescriptor, zipf_popularity
-from repro.net.environment import (
-    DynamicContentRequirements,
-    DynamicPopularityModel,
-    RegionState,
-    RegionStateProcess,
-)
-from repro.net.mobility import (
-    MobilityModel,
-    RandomSpeedMobility,
-    UniformSpeedMobility,
-    Vehicle,
-    VehicleFleet,
-)
 from repro.net.queueing import BacklogQueue, RequestQueue, ServedRequest
 from repro.net.requests import (
     ArrivalProcess,
@@ -37,7 +24,6 @@ from repro.net.topology import MacroBaseStation, Region, RoadTopology, RSU
 from repro.net.view import NetworkView
 
 __all__ = [
-    "CacheEntry",
     "LruContentCache",
     "MBSContentStore",
     "RSUCache",
@@ -56,15 +42,6 @@ __all__ = [
     "ContentCatalog",
     "ContentDescriptor",
     "zipf_popularity",
-    "DynamicContentRequirements",
-    "DynamicPopularityModel",
-    "RegionState",
-    "RegionStateProcess",
-    "MobilityModel",
-    "RandomSpeedMobility",
-    "UniformSpeedMobility",
-    "Vehicle",
-    "VehicleFleet",
     "BacklogQueue",
     "RequestQueue",
     "ServedRequest",

@@ -10,8 +10,7 @@ constraint ("guaranteeing the valid content service").
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -20,25 +19,6 @@ from repro.exceptions import CacheError, ValidationError
 from repro.net.content import ContentCatalog
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_index, check_positive_int
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """A snapshot of one cached content copy."""
-
-    content_id: int
-    age: float
-    max_age: float
-
-    @property
-    def is_fresh(self) -> bool:
-        """Whether the copy is within its maximum tolerable age."""
-        return self.age <= self.max_age
-
-    @property
-    def utility(self) -> float:
-        """AoI utility ``A_max / A`` of this copy."""
-        return self.max_age / max(self.age, 1.0)
 
 
 class RSUCache:
@@ -83,7 +63,6 @@ class RSUCache:
         )
         self._slot_to_content = dict(enumerate(content_ids))
         self._content_to_slot = {h: i for i, h in self._slot_to_content.items()}
-        self._update_count = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -128,35 +107,13 @@ class RSUCache:
         """Boolean mask of cached copies exceeding their maximum age."""
         return self._aoi.violations
 
-    @property
-    def update_count(self) -> int:
-        """Number of MBS updates applied to this cache so far."""
-        return self._update_count
-
     def holds(self, content_id: int) -> bool:
         """Whether this cache holds a copy of *content_id*."""
         return content_id in self._content_to_slot
 
-    def entry(self, content_id: int) -> CacheEntry:
-        """Return a snapshot of the cached copy of *content_id*."""
-        slot = self._slot_of(content_id)
-        return CacheEntry(
-            content_id=content_id,
-            age=float(self._aoi[slot]),
-            max_age=float(self._aoi.max_ages[slot]),
-        )
-
-    def entries(self) -> List[CacheEntry]:
-        """Return snapshots of all cached copies."""
-        return [self.entry(h) for h in self._content_ids]
-
     def age_of(self, content_id: int) -> float:
         """Return the age of the cached copy of *content_id*."""
         return float(self._aoi[self._slot_of(content_id)])
-
-    def is_fresh(self, content_id: int) -> bool:
-        """Whether the cached copy of *content_id* is within its ``A_max``."""
-        return self.entry(content_id).is_fresh
 
     def slot_of(self, content_id: int) -> int:
         """Return the cache-slot index of *content_id*."""
@@ -173,7 +130,6 @@ class RSUCache:
         """Apply an MBS-pushed refresh of *content_id*."""
         slot = self._slot_of(content_id)
         self._aoi.refresh(slot, delivered_age)
-        self._update_count += 1
 
     def randomize_ages(
         self,
@@ -201,17 +157,6 @@ class RSUCache:
         ages = generator.uniform(low, highs)
         self._aoi.set_ages(np.maximum(ages, 1.0))
 
-    def snapshot(self) -> Dict[int, float]:
-        """Return ``{content_id: age}`` for all cached copies."""
-        return {h: self.age_of(h) for h in self._content_ids}
-
-    def restore(self, snapshot: Dict[int, float]) -> None:
-        """Restore ages from a :meth:`snapshot` dictionary."""
-        ages = self._aoi.ages
-        for content_id, age in snapshot.items():
-            ages[self._slot_of(content_id)] = float(age)
-        self._aoi.set_ages(ages)
-
     def _slot_of(self, content_id: int) -> int:
         try:
             return self._content_to_slot[int(content_id)]
@@ -222,8 +167,7 @@ class RSUCache:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
-            f"RSUCache(rsu_id={self._rsu_id}, capacity={self.capacity}, "
-            f"updates={self._update_count})"
+            f"RSUCache(rsu_id={self._rsu_id}, capacity={self.capacity})"
         )
 
 
@@ -310,10 +254,6 @@ class LruContentCache:
     def has(self, content_id: int) -> bool:
         """Whether a copy of *content_id* is held (no LRU promotion)."""
         return int(content_id) in self._entries
-
-    def contents(self) -> List[int]:
-        """Held content ids, least-recently-used first."""
-        return list(self._entries)
 
     def age_of(self, content_id: int) -> float:
         """Age of the held copy of *content_id*."""

@@ -206,11 +206,6 @@ class FadingCostModel(CostModel):
         """Standard deviation of the log-gain."""
         return self._sigma
 
-    @property
-    def current_gain(self) -> float:
-        """Channel gain in the most recently advanced slot."""
-        return self._gain
-
     def advance(self, time_slot: int) -> None:
         if time_slot < 0:
             raise ValidationError(f"time_slot must be >= 0, got {time_slot}")
@@ -249,21 +244,6 @@ class LinkBudget:
         cost = check_non_negative(cost, "cost")
         self.total_cost += cost
         self.num_transfers += 1
-
-    def charge_many(self, costs: Sequence) -> None:
-        """Record one transfer per entry of *costs* in a single update."""
-        costs_arr = np.asarray(costs, dtype=float)
-        if np.any(costs_arr < 0) or not np.all(np.isfinite(costs_arr)):
-            raise ValidationError("costs must be finite and >= 0")
-        self.total_cost += float(costs_arr.sum())
-        self.num_transfers += int(costs_arr.size)
-
-    @property
-    def mean_cost(self) -> float:
-        """Average cost per transfer (NaN when no transfer happened)."""
-        if self.num_transfers == 0:
-            return float("nan")
-        return self.total_cost / self.num_transfers
 
     def reset(self) -> None:
         """Clear the accumulated statistics."""

@@ -11,7 +11,7 @@ popularity, and is shared by the MBS, the RSU caches, and the MDP model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -218,18 +218,6 @@ class ContentCatalog:
     def popularity(self) -> np.ndarray:
         """Global request popularity distribution over contents."""
         return self._popularity.copy()
-
-    def for_regions(self, regions: Sequence[int]) -> List[ContentDescriptor]:
-        """Return the descriptors of the contents describing *regions*."""
-        by_region: Dict[int, ContentDescriptor] = {
-            d.region: d for d in self._descriptors
-        }
-        selected = []
-        for region in regions:
-            if region not in by_region:
-                raise ValidationError(f"no content describes region {region}")
-            selected.append(by_region[region])
-        return selected
 
     def subset_popularity(self, content_ids: Sequence[int]) -> np.ndarray:
         """Return the popularity of *content_ids* renormalised to sum to one."""

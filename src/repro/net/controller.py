@@ -129,27 +129,14 @@ class NetworkController:
     # ------------------------------------------------------------------
     # Content access and forwarding
     # ------------------------------------------------------------------
-    def get_content(self, node: int) -> bool:
-        """Probe *node* for a copy fresh enough to serve the session.
-
-        The origin always serves (age 1).  An RSU serves when it holds the
-        content within the session's freshness bound; probing a held copy
-        promotes it in LRU order whether or not it is fresh enough.
-        """
-        session = self._require_session()
-        if node == self._model.origin:
-            session.serving_node = int(node)
-            session.serving_age = 1.0
-            return True
-        cache = self._caches.get(node)
-        return cache is not None and self._serve_from(session, node, cache)
-
     def find_content(self, route: Route) -> int:
-        """Probe *route*'s nodes receiver first, as :meth:`get_content`
-        probes each, stopping at the first that serves.
+        """Probe *route*'s nodes receiver first, stopping at the first
+        that serves.
 
-        Returns the serving node's index on the route; the origin at its
-        end always serves.
+        The origin at the route's end always serves (age 1).  An RSU serves
+        when it holds the content within the session's freshness bound;
+        probing a held copy promotes it in LRU order whether or not it is
+        fresh enough.  Returns the serving node's index on the route.
         """
         session = self._require_session()
         nodes = route.nodes
@@ -249,10 +236,6 @@ class NetworkController:
             path=path,
             served_age=session.serving_age,
         )
-
-    def abort_session(self) -> None:
-        """Discard the open session without recording a result."""
-        self._session = None
 
     # ------------------------------------------------------------------
     # Slot maintenance

@@ -66,6 +66,15 @@ def build_network_graph(
     gateway; ``ring`` additionally closes the chain.  Each edge carries a
     ``delay`` attribute: ``hop_delay`` times the cost model's per-transfer
     cost at the link's geometric distance (size 1, slot 0).
+
+    The ring's wrap link (RSU 0 to RSU ``num_rsus - 1``) is priced like
+    every other link, at its geometric road distance, which spans the
+    whole chain.  So under distance costs no route to the origin uses it
+    and ``ring`` routes exactly like ``line``.  Under constant costs every
+    link costs the same, and the wrap link carries a route wherever it
+    ties the chain: with an even number of RSUs the far-end RSU reaches
+    the gateway in the same number of hops either way, and the
+    deterministic tie-break sends it across the wrap link.
     """
     _require_networkx()
     if kind not in TOPOLOGY_KINDS:
@@ -319,11 +328,6 @@ class NetworkModel:
         return self._origin
 
     @property
-    def num_nodes(self) -> int:
-        """RSU nodes plus the origin."""
-        return self._graph.number_of_nodes()
-
-    @property
     def cache_capacity(self) -> int:
         """Copies each RSU node can hold."""
         return self._cache_capacity
@@ -369,8 +373,8 @@ class NetworkModel:
     def route(self, receiver: int) -> Route:
         """The compiled route from RSU *receiver* to the origin.
 
-        The origin is every content's source (see :meth:`content_source`),
-        so this is the path every request entering at *receiver* takes.
+        The origin is every content's source, so this is the path every
+        request entering at *receiver* takes.
         """
         try:
             return self._routes[receiver]
@@ -392,15 +396,6 @@ class NetworkModel:
             return self._edge_delays[u, v]
         except KeyError:
             raise ValidationError(f"nodes {u} and {v} are not adjacent") from None
-
-    def content_source(self, content_id: int) -> int:
-        """The node guaranteed to hold a fresh copy of *content_id*."""
-        return self._origin
-
-    def reset_caches(self) -> None:
-        """Drop every cached copy at every node."""
-        for cache in self._caches.values():
-            cache.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

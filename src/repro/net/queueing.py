@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, List, Optional
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class RequestQueue:
     rsu_id:
         Identifier of the owning RSU.
     max_length:
-        Optional admission cap; arrivals beyond it are dropped and counted.
+        Optional admission cap; arrivals beyond it are dropped.
     """
 
     def __init__(self, rsu_id: int, *, max_length: Optional[int] = None) -> None:
@@ -54,8 +54,6 @@ class RequestQueue:
         self._max_length = max_length
         self._pending: Deque[Request] = deque()
         self._served: List[ServedRequest] = []
-        self._dropped = 0
-        self._expired = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -88,16 +86,6 @@ class RequestQueue:
         """All requests served so far, in service order."""
         return list(self._served)
 
-    @property
-    def dropped_count(self) -> int:
-        """Requests rejected at admission because the queue was full."""
-        return self._dropped
-
-    @property
-    def expired_count(self) -> int:
-        """Requests removed because their deadline passed before service."""
-        return self._expired
-
     def head(self) -> Optional[Request]:
         """The oldest pending request, or ``None``."""
         return self._pending[0] if self._pending else None
@@ -112,13 +100,6 @@ class RequestQueue:
             raise ValidationError(f"time_slot must be >= 0, got {time_slot}")
         return int(sum(time_slot - request.time_slot for request in self._pending))
 
-    def mean_service_latency(self) -> float:
-        """Mean waiting time of the requests served so far (NaN when none)."""
-        waits = [record.waiting_slots for record in self._served if not record.expired]
-        if not waits:
-            return float("nan")
-        return float(np.mean(waits))
-
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
@@ -129,17 +110,9 @@ class RequestQueue:
                 f"request targets RSU {request.rsu_id}, queue belongs to RSU {self._rsu_id}"
             )
         if self._max_length is not None and len(self._pending) >= self._max_length:
-            self._dropped += 1
             return False
         self._pending.append(request)
         return True
-
-    def enqueue_many(self, requests: Iterable[Request]) -> int:
-        """Admit several requests; return how many were accepted."""
-        accepted = 0
-        for request in requests:
-            accepted += int(self.enqueue(request))
-        return accepted
 
     def serve(self, time_slot: int, count: int = 1) -> List[ServedRequest]:
         """Serve up to *count* requests FIFO and return their records."""
@@ -177,7 +150,6 @@ class RequestQueue:
                     expired=True,
                 )
                 expired.append(record)
-                self._expired += 1
             else:
                 kept.append(request)
         self._pending = kept
@@ -205,8 +177,6 @@ class BacklogQueue:
     def __init__(self, *, initial_backlog: float = 0.0) -> None:
         self._backlog = check_non_negative(initial_backlog, "initial_backlog")
         self._history: List[float] = [self._backlog]
-        self._total_arrivals = 0.0
-        self._total_departures = 0.0
 
     @property
     def backlog(self) -> float:
@@ -218,21 +188,6 @@ class BacklogQueue:
         """Backlog sample path including the initial value."""
         return np.asarray(self._history, dtype=float)
 
-    @property
-    def total_arrivals(self) -> float:
-        """Total work that has arrived."""
-        return self._total_arrivals
-
-    @property
-    def total_departures(self) -> float:
-        """Total work that has departed (actual, not offered, service)."""
-        return self._total_departures
-
-    @property
-    def time_average(self) -> float:
-        """Time-average backlog ``(1/T) sum_t Q[t]``."""
-        return float(np.mean(self._history))
-
     def step(self, arrivals: float, departures: float) -> float:
         """Apply one slot of the queue recursion and return the new backlog.
 
@@ -241,11 +196,8 @@ class BacklogQueue:
         """
         arrivals = check_non_negative(arrivals, "arrivals")
         departures = check_non_negative(departures, "departures")
-        actual_departure = min(self._backlog, departures)
         self._backlog = max(self._backlog - departures, 0.0) + arrivals
         self._history.append(self._backlog)
-        self._total_arrivals += arrivals
-        self._total_departures += actual_departure
         return self._backlog
 
     def is_stable(self, *, threshold: Optional[float] = None) -> bool:
@@ -270,8 +222,6 @@ class BacklogQueue:
         """Reset the queue to *initial_backlog* and clear the history."""
         self._backlog = check_non_negative(initial_backlog, "initial_backlog")
         self._history = [self._backlog]
-        self._total_arrivals = 0.0
-        self._total_departures = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"BacklogQueue(backlog={self._backlog:g}, steps={len(self._history) - 1})"

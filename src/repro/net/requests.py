@@ -325,17 +325,6 @@ class RequestGenerator:
         """The arrival process applied at each RSU."""
         return self._arrivals
 
-    @property
-    def mean_load_per_rsu(self) -> float:
-        """Expected number of requests per RSU per slot."""
-        return self._arrivals.mean
-
-    def local_popularity(self, rsu_id: int) -> np.ndarray:
-        """Popularity distribution over RSU *rsu_id*'s cached contents."""
-        if rsu_id not in self._local_popularity:
-            raise ValidationError(f"unknown RSU id {rsu_id}")
-        return self._local_popularity[rsu_id].copy()
-
     def content_population(self, rsu_id: int) -> Dict[int, float]:
         """Return ``{content_id: probability}`` for RSU *rsu_id*.
 

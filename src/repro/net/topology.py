@@ -4,14 +4,14 @@ The paper's reference network model is a straight road divided into ``L``
 regions; ``N_R`` RSUs are placed at regular intervals, each covering ``L'``
 contiguous regions, and a single MBS at the centre of the road observes all
 RSU cache states and pushes content updates.  This module builds that
-geometry, answers coverage queries ("which RSU serves position x?"), and
-computes the MBS-to-RSU distances that the channel cost model depends on.
+geometry and computes the MBS-to-RSU distances that the channel cost model
+depends on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -43,20 +43,6 @@ class Region:
             raise ValidationError(
                 f"region end ({self.end}) must be > start ({self.start})"
             )
-
-    @property
-    def length(self) -> float:
-        """Length of the region in metres."""
-        return self.end - self.start
-
-    @property
-    def center(self) -> float:
-        """Centre position of the region in metres."""
-        return 0.5 * (self.start + self.end)
-
-    def contains(self, position: float) -> bool:
-        """Whether *position* lies inside this region (half-open interval)."""
-        return self.start <= position < self.end
 
 
 @dataclass(frozen=True)
@@ -91,15 +77,6 @@ class RSU:
                 f"coverage_end ({self.coverage_end}) must be > coverage_start "
                 f"({self.coverage_start})"
             )
-
-    @property
-    def num_cached_contents(self) -> int:
-        """Number of contents cached at this RSU (one per covered region)."""
-        return len(self.covered_regions)
-
-    def covers(self, position: float) -> bool:
-        """Whether *position* lies inside this RSU's coverage interval."""
-        return self.coverage_start <= position < self.coverage_end
 
 
 @dataclass(frozen=True)
@@ -180,13 +157,6 @@ class RoadTopology:
             position=0.5 * num_regions * region_length,
             num_contents=num_regions,
         )
-        self._region_to_rsu: Dict[int, int] = {}
-        for rsu in self._rsus:
-            for region_id in rsu.covered_regions:
-                self._region_to_rsu[region_id] = rsu.rsu_id
-        self._region_to_rsu_array = np.asarray(
-            [self._region_to_rsu[i] for i in range(num_regions)], dtype=np.int64
-        )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -217,11 +187,6 @@ class RoadTopology:
         return self._region_length
 
     @property
-    def regions(self) -> List[Region]:
-        """All regions, ordered along the road."""
-        return list(self._regions)
-
-    @property
     def rsus(self) -> List[RSU]:
         """All RSUs, ordered along the road."""
         return list(self._rsus)
@@ -241,49 +206,6 @@ class RoadTopology:
         check_index(rsu_id, self.num_rsus, label="rsu id")
         return self._rsus[rsu_id]
 
-    # ------------------------------------------------------------------
-    # Geometry queries
-    # ------------------------------------------------------------------
-    def region_at(self, position: float) -> Optional[Region]:
-        """Return the region containing *position*, or ``None`` if off-road."""
-        if position < 0 or position >= self.road_length:
-            return None
-        index = int(position // self._region_length)
-        index = min(index, self.num_regions - 1)
-        return self._regions[index]
-
-    def rsu_at(self, position: float) -> Optional[RSU]:
-        """Return the RSU whose coverage contains *position*, or ``None``."""
-        rsu_id = int(self.rsu_for_positions(np.asarray([position], dtype=float))[0])
-        if rsu_id < 0:
-            return None
-        return self._rsus[rsu_id]
-
-    def rsu_for_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorised coverage query: the serving RSU id for each position.
-
-        Off-road positions (negative, non-finite, or past the end of the
-        road) map to ``-1``.  This is the single lookup every scalar and
-        batched coverage query routes through.
-        """
-        positions = np.asarray(positions, dtype=float)
-        on_road = np.isfinite(positions)
-        on_road &= (positions >= 0.0) & (positions < self.road_length)
-        indices = np.zeros(positions.shape, dtype=np.int64)
-        np.floor_divide(
-            positions, self._region_length, out=indices, where=on_road, casting="unsafe"
-        )
-        np.clip(indices, 0, self.num_regions - 1, out=indices)
-        result = self._region_to_rsu_array[indices]
-        result[~on_road] = -1
-        return result
-
-    def rsu_for_region(self, region_id: int) -> RSU:
-        """Return the RSU that covers (and caches content for) *region_id*."""
-        if region_id not in self._region_to_rsu:
-            check_index(region_id, self.num_regions, label="region id")
-        return self._rsus[self._region_to_rsu[region_id]]
-
     def mbs_distance(self, rsu_id: int) -> float:
         """Return the distance in metres between the MBS and RSU *rsu_id*."""
         return abs(self.rsu(rsu_id).position - self._mbs.position)
@@ -293,10 +215,6 @@ class RoadTopology:
         return np.asarray(
             [self.mbs_distance(k) for k in range(self.num_rsus)], dtype=float
         )
-
-    def contents_of_rsu(self, rsu_id: int) -> Tuple[int, ...]:
-        """Return the content ids cached at RSU *rsu_id* (== covered regions)."""
-        return self.rsu(rsu_id).covered_regions
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

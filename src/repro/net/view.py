@@ -29,11 +29,6 @@ class NetworkView:
         return self._model.kind
 
     @property
-    def num_nodes(self) -> int:
-        """RSU nodes plus the origin."""
-        return self._model.num_nodes
-
-    @property
     def origin(self) -> int:
         """Node id of the origin (always fresh)."""
         return self._model.origin
@@ -55,17 +50,9 @@ class NetworkView:
         """Total delay along the routed *source*→*target* path."""
         return self._model.path_delay(source, target)
 
-    def edge_delay(self, u: int, v: int) -> float:
-        """Delay of the direct link between *u* and *v*."""
-        return self._model.edge_delay(u, v)
-
     def betweenness(self, node: int) -> float:
         """Routed-path betweenness count of *node*."""
         return self._model.betweenness(node)
-
-    def content_source(self, content_id: int) -> int:
-        """The node guaranteed to hold a fresh copy of *content_id*."""
-        return self._model.content_source(content_id)
 
     # ------------------------------------------------------------------
     # Cache inspection (peek only — never promotes or mutates)
@@ -81,10 +68,6 @@ class NetworkView:
     def cache_capacity(self, node: int) -> int:
         """Capacity of the cache at *node*."""
         return self._model.cache(node).capacity
-
-    def cache_contents(self, node: int) -> List[int]:
-        """Content ids held at *node*, least-recently-used first."""
-        return self._model.cache(node).contents()
 
     def cache_has(self, node: int, content_id: int) -> bool:
         """Whether *node* holds a copy of *content_id* (no LRU promotion)."""

@@ -270,10 +270,6 @@ class PolicySpec:
         """The canonical parameters as a plain dictionary."""
         return dict(self.params)
 
-    def canonical_key(self) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
-        """Hashable canonical identity: every equal spelling maps here."""
-        return (self.name, self.params)
-
     def label(self) -> str:
         """Compact label, e.g. ``mdp(mode=factored)``; defaults elided."""
         defaults = get_policy_entry(self.name).defaults

@@ -17,7 +17,6 @@ from repro.runtime.runner import (
     RunRecord,
     RunSpec,
     execute_batch,
-    execute_spec,
     expand_seeds,
     expand_workloads,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "RunSpec",
     "RunStore",
     "execute_batch",
-    "execute_spec",
     "expand_seeds",
     "expand_workloads",
     "load_specs",

@@ -378,15 +378,6 @@ def _run_record(spec: RunSpec, seed: int, result: Any) -> RunRecord:
     )
 
 
-def execute_spec(spec: RunSpec) -> RunRecord:
-    """Execute one :class:`RunSpec` and record its outcome.
-
-    A one-seed :func:`execute_batch`, for running a single spec outside a
-    grid; :meth:`ExperimentRunner.run_grid` dispatches whole seed groups.
-    """
-    return execute_batch((spec, [spec.seed]))[0]
-
-
 def execute_batch(task: "tuple") -> List[RunRecord]:
     """Execute one seed-batched task group and record its outcomes.
 
@@ -398,8 +389,8 @@ def execute_batch(task: "tuple") -> List[RunRecord]:
 
     The simulators' ``run_batch`` carries every seed of the group through one
     seed-axis stepper (see :meth:`repro.sim.cache_sim.CacheSimulator.run_batch`),
-    producing records bit-identical to running :func:`execute_spec` once per
-    seed.  Module-level and picklable so a process pool can run whole groups.
+    producing records bit-identical to running each seed as a group of one.
+    Module-level and picklable so a process pool can run whole groups.
     """
     spec, seeds = task[0], task[1]
     handle = task[2] if len(task) > 2 else None

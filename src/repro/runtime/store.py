@@ -214,14 +214,6 @@ def _digest(payload: Dict[str, Any]) -> Optional[str]:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def spec_hash(spec: RunSpec) -> Optional[str]:
-    """Content hash of the run configuration (all seeds of one grid cell group)."""
-    payload = spec_payload(spec)
-    if payload is None:
-        return None
-    return _digest(payload)
-
-
 def cell_key(spec: RunSpec, seed: int) -> Optional[str]:
     """Content hash of one ``(spec, seed)`` cell, or ``None`` if opaque."""
     payload = spec_payload(spec)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Dict, Iterable, Sequence
+from typing import Any, Dict
 
 from repro.exceptions import SimulationError
 from repro.workloads.codec import encode_meta, encode_record, iter_trace_records
@@ -45,16 +45,6 @@ class ServeClient:
     def ingest(self, time_slot: int, rsu_id: int, content_id: int) -> None:
         """Buffer one request record for the server."""
         self._send_line(encode_record(time_slot, rsu_id, content_id))
-
-    def ingest_records(
-        self, records: Iterable[Sequence[int]]
-    ) -> int:
-        """Buffer many ``(t, rsu, content)`` records; returns the count."""
-        count = 0
-        for time_slot, rsu_id, content_id in records:
-            self.ingest(time_slot, rsu_id, content_id)
-            count += 1
-        return count
 
     def replay(self, path: str, *, format: str = "auto") -> int:
         """Stream a trace file to the server; returns records sent.

@@ -382,25 +382,6 @@ class ScenarioConfig:
             age_ceiling=self.age_ceiling,
         )
 
-    def build_network_model(
-        self, topology: Optional[RoadTopology] = None, rng: RandomSource = None
-    ) -> "NetworkModel":
-        """Instantiate the multihop network model over this scenario.
-
-        Link delays come from the RSU->UV (service) cost model, scaled by
-        ``hop_delay``; per-node cache capacity defaults to the legacy fixed
-        cache size.
-        """
-        from repro.net.model import NetworkModel
-
-        return NetworkModel(
-            topology if topology is not None else self.build_topology(),
-            kind=self.topology_kind,
-            cost_model=self.build_service_cost_model(rng),
-            cache_capacity=self.cache_capacity,
-            hop_delay=self.hop_delay,
-        )
-
     def road_length(self) -> float:
         """Total road length in metres."""
         return self.num_regions * self.region_length

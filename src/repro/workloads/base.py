@@ -145,10 +145,6 @@ class WorkloadModel(RequestGenerator):
         interface = self._rng.bit_generator.ctypes
         return functools.partial(interface.next_double, interface.state)
 
-    def base_popularity(self, rsu_id: int) -> np.ndarray:
-        """The stationary (slot-0) popularity profile of RSU *rsu_id*."""
-        return self._base_popularity[self._check_rsu(rsu_id)].copy()
-
     @staticmethod
     def _normalized(weights: np.ndarray) -> np.ndarray:
         """Renormalise *weights* into an exact probability vector."""

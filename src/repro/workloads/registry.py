@@ -139,11 +139,6 @@ class WorkloadSpec:
             )
         return cls.create(str(data["name"]), **dict(data.get("params") or {}))
 
-    @property
-    def is_default(self) -> bool:
-        """Whether this is the stationary workload with default parameters."""
-        return self == WorkloadSpec()
-
     def label(self) -> str:
         """Compact human-readable label, e.g. ``drift(period=25,step=0.4)``.
 

@@ -216,7 +216,6 @@ class TraceWorkload(WorkloadModel):
         declared: Optional[int] = None
         max_slot = -1
         disorder = 0
-        replayed = 0
         for kind, payload in iter_trace_records(self._path, format=self._format):
             if kind == "meta":
                 if payload is not None:
@@ -241,7 +240,6 @@ class TraceWorkload(WorkloadModel):
             elif max_slot - t > disorder:
                 disorder = max_slot - t
             if limit is None or t < limit:
-                replayed += 1
                 counts[rsu_id][slot_of[rsu_id][content_id]] += 1.0
         inferred = max_slot + 1
         self._trace_slots = limit or max(declared or 0, inferred)
@@ -250,7 +248,6 @@ class TraceWorkload(WorkloadModel):
                 f"trace {self._path!r} is empty and declares no horizon; "
                 "pass num_slots explicitly"
             )
-        self._replayed_records = replayed
         self._window = disorder
         for rsu_id, bucket in counts.items():
             if bucket.sum() > 0:
@@ -272,13 +269,6 @@ class TraceWorkload(WorkloadModel):
     def trace_slots(self) -> int:
         """Horizon of the trace (slots it can replay)."""
         return self._trace_slots
-
-    @property
-    def mean_load_per_rsu(self) -> float:
-        """Average replayed requests per RSU per slot."""
-        return self._replayed_records / (
-            self._trace_slots * self._topology.num_rsus
-        )
 
     def _record_stream(self) -> Iterator[Tuple[int, int, int]]:
         for kind, payload in iter_trace_records(self._path, format=self._format):

@@ -46,7 +46,7 @@ class TestBuildFig1aData:
 
     def test_unknown_label_rejected(self, fig1a_data):
         with pytest.raises(ValidationError):
-            fig1a_data.max_observed_age("nope")
+            fig1a_data.violation_fraction("nope")
 
     def test_invalid_tracked_rsu_rejected(self):
         config = ScenarioConfig.fig1a(seed=1).with_overrides(num_slots=10)

@@ -11,9 +11,6 @@ from repro.analysis.stats import (
     is_non_decreasing,
     linear_trend,
     mean_confidence_interval,
-    moving_average,
-    relative_improvement,
-    tail_mean,
 )
 from repro.exceptions import ValidationError
 
@@ -29,11 +26,6 @@ class TestMeanConfidenceInterval:
     def test_single_sample_has_zero_width(self):
         ci = mean_confidence_interval([5.0])
         assert ci.half_width == 0.0
-
-    def test_contains(self):
-        ci = mean_confidence_interval([1.0, 2.0, 3.0])
-        assert ci.contains(ci.mean)
-        assert not ci.contains(ci.high + 1.0)
 
     def test_higher_confidence_wider(self):
         data = list(np.linspace(0, 10, 30))
@@ -58,30 +50,6 @@ class TestMeanConfidenceInterval:
     def test_property_mean_inside_interval(self, data):
         ci = mean_confidence_interval(data)
         assert ci.low <= ci.mean <= ci.high
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        data = [1.0, 5.0, 2.0]
-        np.testing.assert_allclose(moving_average(data, 1), data)
-
-    def test_smooths_constant_series(self):
-        np.testing.assert_allclose(moving_average([3.0] * 10, 4), 3.0)
-
-    def test_oversized_window_clamped(self):
-        result = moving_average([1.0, 2.0, 3.0], 100)
-        assert result.shape == (3,)
-
-    def test_empty_input(self):
-        assert moving_average([], 3).size == 0
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValidationError):
-            moving_average([1.0], 0)
-
-    def test_2d_rejected(self):
-        with pytest.raises(ValidationError):
-            moving_average(np.ones((2, 2)), 2)
 
 
 class TestLinearTrend:
@@ -116,32 +84,3 @@ class TestIsNonDecreasing:
 
     def test_short_series(self):
         assert is_non_decreasing([5.0])
-
-
-class TestTailMean:
-    def test_second_half_mean(self):
-        data = [0.0] * 5 + [10.0] * 5
-        assert tail_mean(data, fraction=0.5) == pytest.approx(10.0)
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ValidationError):
-            tail_mean([1.0, 2.0], fraction=1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            tail_mean([])
-
-
-class TestRelativeImprovement:
-    def test_lower_candidate_is_positive(self):
-        assert relative_improvement(5.0, 10.0) == pytest.approx(0.5)
-
-    def test_higher_candidate_is_negative(self):
-        assert relative_improvement(15.0, 10.0) == pytest.approx(-0.5)
-
-    def test_zero_baseline(self):
-        assert relative_improvement(5.0, 0.0) == 0.0
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValidationError):
-            relative_improvement(float("nan"), 1.0)

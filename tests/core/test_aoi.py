@@ -12,7 +12,6 @@ from repro.core.aoi import (
     AoIProcess,
     AoIVector,
     aoi_utility,
-    aoi_violation,
 )
 from repro.exceptions import ValidationError
 
@@ -38,14 +37,6 @@ class TestAoiUtility:
     def test_nan_age_rejected(self):
         with pytest.raises(ValidationError):
             aoi_utility(float("nan"), 5.0)
-
-
-class TestAoiViolation:
-    def test_below_limit_not_violating(self):
-        assert not aoi_violation(5.0, 5.0)
-
-    def test_above_limit_violating(self):
-        assert aoi_violation(5.1, 5.0)
 
 
 class TestAoICounter:
@@ -80,22 +71,10 @@ class TestAoICounter:
         with pytest.raises(ValidationError):
             counter.refresh(0.5)
 
-    def test_violation_flag(self):
-        counter = AoICounter(3.0)
-        assert not counter.is_violating
-        counter.tick(3)
-        assert counter.is_violating
-
     def test_utility_matches_function(self):
         counter = AoICounter(8.0)
         counter.tick(3)
         assert counter.utility == pytest.approx(aoi_utility(4.0, 8.0))
-
-    def test_freshness_bounds(self):
-        counter = AoICounter(5.0, ceiling=10.0)
-        assert counter.freshness == pytest.approx(1.0)
-        counter.tick(100)
-        assert counter.freshness == pytest.approx(0.0)
 
     def test_negative_tick_rejected(self):
         with pytest.raises(ValidationError):
@@ -136,12 +115,6 @@ class TestAoIVector:
         vector.refresh(1)
         np.testing.assert_array_equal(vector.ages, [5.0, 1.0])
 
-    def test_refresh_many(self):
-        vector = AoIVector([5.0, 5.0, 5.0])
-        vector.tick(4)
-        vector.refresh_many([0, 2])
-        np.testing.assert_array_equal(vector.ages, [1.0, 5.0, 1.0])
-
     def test_refresh_out_of_range(self):
         with pytest.raises(ValidationError):
             AoIVector([5.0]).refresh(1)
@@ -150,7 +123,6 @@ class TestAoIVector:
         vector = AoIVector([3.0, 10.0])
         vector.tick(4)
         np.testing.assert_array_equal(vector.violations, [True, False])
-        assert vector.violation_count == 1
 
     def test_utilities(self):
         vector = AoIVector([4.0, 8.0], initial_ages=[2.0, 4.0])
@@ -184,11 +156,6 @@ class TestAoIVector:
         clone = vector.copy()
         vector.tick(2)
         np.testing.assert_array_equal(clone.ages, [3.0, 3.0])
-
-    def test_mean_and_peak(self):
-        vector = AoIVector([10.0, 10.0], initial_ages=[2.0, 6.0])
-        assert vector.mean_age == pytest.approx(4.0)
-        assert vector.peak_age == pytest.approx(6.0)
 
     @given(
         slots=st.integers(min_value=0, max_value=50),
@@ -229,40 +196,3 @@ class TestAoIProcess:
         process.extend([(0, 1.0), (1, 2.0), (2, 3.0)])
         assert len(process) == 3
 
-    def test_peaks_detects_refreshes(self):
-        process = AoIProcess(10.0)
-        process.extend([(0, 1), (1, 2), (2, 3), (3, 1), (4, 2)])
-        peaks = process.peaks()
-        assert 3.0 in peaks
-        assert peaks[-1] == 2.0
-
-    def test_statistics_of_sawtooth(self):
-        process = AoIProcess(4.0)
-        process.extend([(t, 1 + (t % 3)) for t in range(12)])
-        stats = process.statistics()
-        assert stats.mean_age == pytest.approx(2.0)
-        assert stats.peak_age == pytest.approx(3.0)
-        assert stats.violation_fraction == 0.0
-        assert stats.num_samples == 12
-
-    def test_statistics_empty(self):
-        stats = AoIProcess(4.0).statistics()
-        assert np.isnan(stats.mean_age)
-        assert stats.num_samples == 0
-
-    def test_violation_fraction(self):
-        process = AoIProcess(2.0)
-        process.extend([(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert process.statistics().violation_fraction == pytest.approx(0.5)
-
-    def test_as_dict_round_trip(self):
-        process = AoIProcess(4.0)
-        process.extend([(0, 1), (1, 2)])
-        payload = process.statistics().as_dict()
-        assert set(payload) == {
-            "mean_age",
-            "peak_age",
-            "mean_peak_age",
-            "violation_fraction",
-            "num_samples",
-        }

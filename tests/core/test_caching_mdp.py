@@ -330,17 +330,12 @@ class TestMDPCachingPolicy:
         )
         assert policy._content_models != before
 
-    def test_update_advantages_shape(self):
-        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
-        observation = make_observation(np.full((2, 3), 4.0))
-        advantages = policy.update_advantages(observation)
-        assert advantages.shape == (2, 3)
-
     def test_advantage_increases_with_age(self):
         policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
-        fresh = policy.update_advantages(make_observation(np.full((1, 2), 1.0)))
-        stale = policy.update_advantages(make_observation(np.full((1, 2), 8.0)))
-        assert np.all(stale >= fresh)
+        policy.decide(make_observation(np.full((1, 2), 1.0)))
+        for model in policy._content_models.values():
+            advantage = model.q_values[:, 1] - model.q_values[:, 0]
+            assert np.all(np.diff(advantage) >= -1e-9)
 
     def test_reset_clears_models(self):
         policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.mdp import (
     DiscreteSpace,
     MDPModel,
-    ProductSpace,
     TabularMDP,
     build_tabular,
-    uniform_random_policy,
 )
 from repro.exceptions import ModelError, ValidationError
 
@@ -55,30 +51,6 @@ class TestDiscreteSpace:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValidationError):
             DiscreteSpace(["a"]).element(3)
-
-
-class TestProductSpace:
-    def test_size_is_product(self):
-        space = ProductSpace([DiscreteSpace([0, 1]), DiscreteSpace("xyz")])
-        assert len(space) == 6
-
-    def test_ravel_unravel_round_trip(self):
-        space = ProductSpace([DiscreteSpace(range(3)), DiscreteSpace(range(4))])
-        for index in range(len(space)):
-            assert space.ravel(space.unravel(index)) == index
-
-    def test_elements_are_tuples(self):
-        space = ProductSpace([DiscreteSpace([0, 1]), DiscreteSpace(["a"])])
-        assert space.element(0) == (0, "a")
-
-    def test_wrong_factor_count_rejected(self):
-        space = ProductSpace([DiscreteSpace([0, 1])])
-        with pytest.raises(ValidationError):
-            space.ravel([0, 1])
-
-    def test_empty_factor_list_rejected(self):
-        with pytest.raises(ValidationError):
-            ProductSpace([])
 
 
 class TestTabularMDP:
@@ -156,18 +128,6 @@ class TestTabularMDP:
         chain = mdp.transition_matrix(np.ones(4, dtype=int))
         np.testing.assert_allclose(chain.sum(axis=1), 1.0)
 
-    def test_sample_next_state_follows_support(self, rng):
-        mdp = simple_chain()
-        for _ in range(10):
-            assert mdp.sample_next_state(0, 1, rng) == 1
-
-    def test_successors_iterator(self):
-        mdp = simple_chain()
-        transitions = list(mdp.successors(0, 1))
-        assert len(transitions) == 1
-        assert transitions[0].next_state == 1
-        assert transitions[0].probability == pytest.approx(1.0)
-
     def test_state_space_size_mismatch_rejected(self):
         transitions = np.zeros((2, 1, 2))
         transitions[:, 0, 0] = 1.0
@@ -214,19 +174,3 @@ class TestBuildTabular:
     def test_result_passes_validation(self):
         tab = build_tabular(_ImplicitModel())
         np.testing.assert_allclose(tab.transition_tensor.sum(axis=2), 1.0)
-
-
-class TestUniformRandomPolicy:
-    def test_uniform_over_admissible(self):
-        policy = uniform_random_policy(_ImplicitModel())
-        np.testing.assert_allclose(policy[0], [0.5, 0.5])
-        np.testing.assert_allclose(policy[1], [1.0, 0.0])
-
-    @given(num_states=st.integers(2, 6), num_actions=st.integers(1, 4))
-    @settings(max_examples=25, deadline=None)
-    def test_property_rows_sum_to_one(self, num_states, num_actions):
-        transitions = np.zeros((num_states, num_actions, num_states))
-        transitions[:, :, 0] = 1.0
-        mdp = TabularMDP(transitions, np.zeros((num_states, num_actions)))
-        policy = uniform_random_policy(mdp)
-        np.testing.assert_allclose(policy.sum(axis=1), 1.0)

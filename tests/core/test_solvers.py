@@ -1,4 +1,4 @@
-"""Tests for repro.core.solvers (value iteration, policy iteration, Q-learning)."""
+"""Tests for repro.core.solvers (value iteration and policy iteration)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.mdp import TabularMDP
 from repro.core.solvers import (
-    QLearningConfig,
-    QLearningSolver,
     policy_evaluation,
     policy_iteration,
     value_iteration,
@@ -133,59 +131,3 @@ class TestPolicyIteration:
         vi = value_iteration(mdp, discount=0.9, tolerance=1e-10)
         pi = policy_iteration(mdp, discount=0.9)
         np.testing.assert_allclose(vi.values, pi.values, atol=1e-4)
-
-
-class TestQLearningConfig:
-    def test_default_is_valid(self):
-        QLearningConfig().validate()
-
-    def test_bad_learning_rate_rejected(self):
-        with pytest.raises(ValidationError):
-            QLearningConfig(learning_rate=0.0).validate()
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValidationError):
-            QLearningConfig(epsilon=1.5).validate()
-
-
-class TestQLearningSolver:
-    def test_learns_simple_policy(self):
-        solver = QLearningSolver(
-            two_state_mdp(),
-            config=QLearningConfig(discount=0.9, learning_rate=0.2, epsilon=0.2),
-            rng=0,
-        )
-        solver.train(150, horizon=30)
-        assert solver.policy[0] == 1
-        assert solver.episodes_run == 150
-
-    def test_values_approach_exact(self):
-        mdp = two_state_mdp()
-        exact = value_iteration(mdp, discount=0.9, tolerance=1e-10)
-        solver = QLearningSolver(
-            mdp,
-            config=QLearningConfig(discount=0.9, learning_rate=0.3, epsilon=0.3),
-            rng=1,
-        )
-        solver.train(300, horizon=40)
-        assert np.max(np.abs(solver.values - exact.values)) < 2.0
-
-    def test_update_returns_td_error(self):
-        solver = QLearningSolver(two_state_mdp(), rng=0)
-        error = solver.update(0, 1, reward=1.0, next_state=1)
-        assert error == pytest.approx(1.0)
-
-    def test_bad_start_state_rejected(self):
-        solver = QLearningSolver(two_state_mdp(), rng=0)
-        with pytest.raises(ValidationError):
-            solver.run_episode(start_state=10)
-
-    def test_bad_horizon_rejected(self):
-        solver = QLearningSolver(two_state_mdp(), rng=0)
-        with pytest.raises(ValidationError):
-            solver.run_episode(horizon=0)
-
-    def test_train_returns_reward_per_episode(self):
-        solver = QLearningSolver(two_state_mdp(), rng=0)
-        rewards = solver.train(5, horizon=10)
-        assert len(rewards) == 5

@@ -37,7 +37,6 @@ class TestRSUCache:
         cache.apply_update(1)
         assert cache.age_of(0) == 6.0
         assert cache.age_of(1) == 1.0
-        assert cache.update_count == 1
 
     def test_update_unknown_content_rejected(self, cache):
         with pytest.raises(CacheError):
@@ -46,19 +45,6 @@ class TestRSUCache:
     def test_holds(self, cache):
         assert cache.holds(0)
         assert not cache.holds(2)
-
-    def test_entry_snapshot(self, cache):
-        cache.tick(5)
-        entry = cache.entry(0)
-        assert entry.age == 6.0
-        assert entry.max_age == 4.0
-        assert not entry.is_fresh
-        assert entry.utility == pytest.approx(4.0 / 6.0)
-
-    def test_is_fresh(self, cache):
-        assert cache.is_fresh(0)
-        cache.tick(10)
-        assert not cache.is_fresh(0)
 
     def test_violations_mask(self, catalog):
         cache = RSUCache(0, [0, 3], catalog)
@@ -81,14 +67,6 @@ class TestRSUCache:
     def test_randomize_ages_bad_low_rejected(self, cache):
         with pytest.raises(ValidationError):
             cache.randomize_ages(rng=0, low=0.0)
-
-    def test_snapshot_restore_round_trip(self, cache):
-        cache.tick(4)
-        cache.apply_update(0)
-        snapshot = cache.snapshot()
-        cache.tick(7)
-        cache.restore(snapshot)
-        assert cache.snapshot() == snapshot
 
     def test_duplicate_content_ids_rejected(self, catalog):
         with pytest.raises(CacheError):

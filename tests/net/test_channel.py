@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,10 +104,6 @@ class TestLinkBudget:
         budget.charge(3.0)
         assert budget.total_cost == pytest.approx(5.0)
         assert budget.num_transfers == 2
-        assert budget.mean_cost == pytest.approx(2.5)
-
-    def test_mean_of_empty_budget_is_nan(self):
-        assert np.isnan(LinkBudget().mean_cost)
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValidationError):

@@ -76,15 +76,6 @@ class TestContentCatalog:
         catalog = ContentCatalog.uniform(4)
         assert [d.content_id for d in catalog] == [0, 1, 2, 3]
 
-    def test_for_regions(self):
-        catalog = ContentCatalog.uniform(4)
-        selected = catalog.for_regions([2, 0])
-        assert [d.region for d in selected] == [2, 0]
-
-    def test_for_regions_unknown_rejected(self):
-        with pytest.raises(ValidationError):
-            ContentCatalog.uniform(2).for_regions([5])
-
     def test_subset_popularity_renormalised(self):
         catalog = ContentCatalog.uniform(4)
         subset = catalog.subset_popularity([0, 1])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError, ValidationError
-from repro.net.channel import DistanceCostModel
+from repro.net.channel import ConstantCostModel, DistanceCostModel
 from repro.net.controller import NetworkController
 from repro.net.model import (
     TOPOLOGY_KINDS,
@@ -204,6 +204,32 @@ class TestCompiledRoutes:
             model.route(model.origin)
 
 
+class TestRingWrapLink:
+    """The wrap link is priced at its road distance (the whole chain)."""
+
+    @staticmethod
+    def routes(kind, cost_model, num_rsus):
+        view = NetworkView(
+            NetworkModel(make_topology(num_rsus), kind=kind, cost_model=cost_model)
+        )
+        return [view.route(r).nodes for r in range(num_rsus)]
+
+    @pytest.mark.parametrize("num_rsus", [3, 4, 5, 8, 16])
+    def test_distance_costs_route_ring_like_line(self, num_rsus):
+        ring = self.routes("ring", DistanceCostModel(), num_rsus)
+        assert ring == self.routes("line", DistanceCostModel(), num_rsus)
+
+    @pytest.mark.parametrize("num_rsus", [4, 8, 16])
+    def test_constant_costs_route_across_the_wrap_link(self, num_rsus):
+        wrap = {0, num_rsus - 1}
+        crossings = [
+            nodes
+            for nodes in self.routes("ring", ConstantCostModel(1.0), num_rsus)
+            if any({u, v} == wrap for u, v in zip(nodes, nodes[1:]))
+        ]
+        assert crossings
+
+
 class TestNetworkController:
     def make(self, kind="line"):
         model = NetworkModel(make_topology(4), kind=kind)
@@ -215,7 +241,6 @@ class TestNetworkController:
         route = view.route(0)
         assert route.nodes == path
         controller.start_session(0, 0, 0)
-        assert not controller.get_content(0)  # cold cache
         index = controller.find_content(route)
         assert index == len(path) - 1
         controller.forward_request_path(route, index)
@@ -261,7 +286,7 @@ class TestNetworkController:
         model, view, controller = self.make()
         model.cache(2).put(7, age=1.0)
         controller.start_session(0, 2, 7)
-        assert controller.get_content(2)
+        assert controller.find_content(view.route(2)) == 0
         result = controller.end_session()
         assert result.hit and result.hops == 0 and result.latency == 0.0
 
@@ -269,8 +294,9 @@ class TestNetworkController:
         model, view, controller = self.make()
         model.cache(1).put(3, age=9.0)
         controller.start_session(0, 1, 3, max_age=5.0)
-        assert not controller.get_content(1)
-        controller.abort_session()
+        route = view.route(1)
+        assert controller.find_content(route) == len(route.nodes) - 1
+        assert not controller.end_session().hit
 
     def test_double_start_rejected(self):
         _, _, controller = self.make()

@@ -93,7 +93,7 @@ class TestRequestGenerator:
             topology, catalog, arrivals=DeterministicArrivals(2), rng=0
         )
         for request in generator.generate_trace(20):
-            assert request.content_id in topology.contents_of_rsu(request.rsu_id)
+            assert request.content_id in topology.rsu(request.rsu_id).covered_regions
 
     def test_request_ids_unique(self, topology, catalog):
         generator = RequestGenerator(
@@ -133,13 +133,13 @@ class TestRequestGenerator:
 
     def test_zipf_exponent_skews_local_popularity(self, topology, catalog):
         generator = RequestGenerator(topology, catalog, zipf_exponent=1.5, rng=0)
-        popularity = generator.local_popularity(0)
-        assert popularity[0] > popularity[-1]
+        popularity = generator.content_population(0)
+        assert popularity[min(popularity)] > popularity[max(popularity)]
 
     def test_unknown_rsu_rejected(self, topology, catalog):
         generator = RequestGenerator(topology, catalog, rng=0)
         with pytest.raises(ValidationError):
-            generator.local_popularity(99)
+            generator.content_population(99)
 
     def test_deterministic_given_seed(self, topology, catalog):
         def run(seed):
@@ -149,12 +149,6 @@ class TestRequestGenerator:
             return [(r.rsu_id, r.content_id) for r in generator.generate_trace(40)]
 
         assert run(11) == run(11)
-
-    def test_mean_load_per_rsu(self, topology, catalog):
-        generator = RequestGenerator(
-            topology, catalog, arrivals=PoissonArrivals(1.5), rng=0
-        )
-        assert generator.mean_load_per_rsu == 1.5
 
     def test_negative_time_slot_rejected(self, topology, catalog):
         generator = RequestGenerator(topology, catalog, rng=0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,13 +11,6 @@ from repro.net.topology import Region, RoadTopology, RSU
 
 
 class TestRegion:
-    def test_geometry(self):
-        region = Region(region_id=1, start=100.0, end=200.0)
-        assert region.length == 100.0
-        assert region.center == 150.0
-        assert region.contains(150.0)
-        assert not region.contains(200.0)
-
     def test_bad_interval_rejected(self):
         with pytest.raises(ValidationError):
             Region(region_id=0, start=10.0, end=10.0)
@@ -37,9 +29,8 @@ class TestRSU:
             coverage_start=0.0,
             coverage_end=200.0,
         )
-        assert rsu.covers(50.0)
-        assert not rsu.covers(200.0)
-        assert rsu.num_cached_contents == 2
+        assert rsu.covered_regions == (0, 1)
+        assert (rsu.coverage_start, rsu.coverage_end) == (0.0, 200.0)
 
     def test_empty_coverage_rejected(self):
         with pytest.raises(ValidationError):
@@ -74,31 +65,6 @@ class TestRoadTopology:
         assert topology.mbs.position == 500.0
         assert topology.mbs.num_contents == 10
 
-    def test_region_at_positions(self):
-        topology = RoadTopology(4, 2, region_length=100.0)
-        assert topology.region_at(0.0).region_id == 0
-        assert topology.region_at(399.0).region_id == 3
-        assert topology.region_at(400.0) is None
-        assert topology.region_at(-1.0) is None
-
-    def test_rsu_at_positions(self):
-        topology = RoadTopology(4, 2, region_length=100.0)
-        assert topology.rsu_at(50.0).rsu_id == 0
-        assert topology.rsu_at(350.0).rsu_id == 1
-        assert topology.rsu_at(500.0) is None
-
-    def test_rsu_for_region(self):
-        topology = RoadTopology(6, 3)
-        assert topology.rsu_for_region(0).rsu_id == 0
-        assert topology.rsu_for_region(5).rsu_id == 2
-        with pytest.raises(ValidationError):
-            topology.rsu_for_region(6)
-
-    def test_contents_of_rsu_match_regions(self):
-        topology = RoadTopology(6, 2)
-        assert topology.contents_of_rsu(0) == (0, 1, 2)
-        assert topology.contents_of_rsu(1) == (3, 4, 5)
-
     def test_mbs_distances_symmetry(self):
         topology = RoadTopology(4, 2, region_length=100.0)
         distances = topology.mbs_distances()
@@ -119,52 +85,14 @@ class TestRoadTopology:
     @settings(max_examples=30, deadline=None)
     def test_property_coverage_partition(self, regions_per_rsu, num_rsus):
         topology = RoadTopology(regions_per_rsu * num_rsus, num_rsus)
-        # Every position on the road maps to exactly one RSU.
-        for position in np.linspace(0, topology.road_length - 1e-6, 25):
-            rsu = topology.rsu_at(float(position))
-            assert rsu is not None
-            region = topology.region_at(float(position))
-            assert region.region_id in rsu.covered_regions
-
-
-class TestRsuForPositions:
-    """The vectorised coverage query every scalar lookup routes through."""
-
-    def test_matches_scalar_lookup(self):
-        topology = RoadTopology(20, 4, region_length=50.0)
-        positions = np.array([0.0, 49.9, 250.0, 999.9, 1000.0, -1.0, np.nan])
-        expected = []
-        for position in positions:
-            rsu = topology.rsu_at(float(position))
-            expected.append(-1 if rsu is None else rsu.rsu_id)
-        assert topology.rsu_for_positions(positions).tolist() == expected
-
-    def test_off_road_maps_to_minus_one(self):
-        topology = RoadTopology(12, 3)
-        out = topology.rsu_for_positions(
-            np.array([-0.001, topology.road_length, np.inf, -np.inf, np.nan])
-        )
-        assert out.tolist() == [-1, -1, -1, -1, -1]
-
-    def test_dtype_and_shape(self):
-        topology = RoadTopology(12, 3)
-        positions = np.linspace(0.0, topology.road_length - 1.0, 7)
-        out = topology.rsu_for_positions(positions)
-        assert out.shape == positions.shape
-        assert out.dtype == np.int64
-        assert (out >= 0).all()
-
-    @given(
-        position=st.floats(
-            min_value=-100.0, max_value=1200.0, allow_nan=False
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_agrees_with_region_arithmetic(self, position):
-        topology = RoadTopology(20, 4, region_length=50.0)
-        result = int(topology.rsu_for_positions(np.array([position]))[0])
-        if 0.0 <= position < topology.road_length:
-            region = topology.region_at(position)
-            assert result == topology.rsu_for_region(region.region_id).rsu_id
-        else:
-            assert result == -1
+        # The RSU coverage intervals tile the road end to end, and each
+        # covers exactly the regions inside its interval.
+        edges = [0.0]
+        for rsu in topology.rsus:
+            assert rsu.coverage_start == edges[-1]
+            edges.append(rsu.coverage_end)
+            for region_id in rsu.covered_regions:
+                region = topology.region(region_id)
+                assert rsu.coverage_start <= region.start < region.end
+                assert region.end <= rsu.coverage_end
+        assert edges[-1] == pytest.approx(topology.road_length)

@@ -70,7 +70,7 @@ class TestPolicySpec:
         b = PolicySpec("mdp")
         assert a == b
         assert hash(a) == hash(b)
-        assert a.canonical_key() == b.canonical_key()
+        assert a.params == b.params
 
     def test_int_coerced_to_float_default(self):
         # threshold's default is the float 0.8, so integer spellings

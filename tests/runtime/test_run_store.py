@@ -22,7 +22,6 @@ from repro.runtime.store import (
     RunStore,
     cell_key,
     resolve_store,
-    spec_hash,
     spec_payload,
 )
 from repro.sim.scenario import ScenarioConfig
@@ -94,7 +93,6 @@ class TestCellKeys:
 
         spec = make_spec(tiny_scenario, policy=PeriodicUpdatePolicy(period=2))
         assert spec_payload(spec) is None
-        assert spec_hash(spec) is None
         assert cell_key(spec, 3) is None
 
     def test_policy_spec_and_name_agree(self, tiny_scenario):

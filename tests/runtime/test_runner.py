@@ -24,8 +24,8 @@ from repro.runtime.runner import (
     ExperimentRunner,
     RunRecord,
     RunSpec,
+    execute_batch,
     expand_seeds,
-    execute_spec,
     expand_workloads,
     _run_record,
 )
@@ -108,7 +108,7 @@ class TestExecuteSpec:
         from repro.sim import CacheSimulator
 
         spec = cache_grid(tiny_scenario)[0]
-        record = execute_spec(spec)
+        (record,) = execute_batch((spec, [spec.seed]))
         direct = CacheSimulator(
             tiny_scenario.with_overrides(seed=spec.seed), make_periodic_policy(None)
         ).run()
@@ -120,8 +120,8 @@ class TestExecuteSpec:
         # deep-copied per run, so serial re-use equals parallel pickling.
         policy = RandomUpdatePolicy(rate=0.5, rng=99)
         spec = RunSpec(kind="cache", scenario=tiny_scenario, policy=policy, seed=1)
-        first = execute_spec(spec)
-        second = execute_spec(spec)
+        (first,) = execute_batch((spec, [spec.seed]))
+        (second,) = execute_batch((spec, [spec.seed]))
         assert first.matches(second)
 
 

@@ -53,7 +53,8 @@ class TestServerRoundTrip:
         config, path = trace_env
         with BackgroundServer(config, "lyapunov") as server:
             with ServeClient(server.host, server.port) as client:
-                client.ingest_records([(0, 0, 0), (1, 0, 0)])
+                client.ingest(0, 0, 0)
+                client.ingest(1, 0, 0)
                 snapshot = client.snapshot()
                 assert snapshot["op"] == "snapshot"
                 # Slot 0 ran (a slot-1 record arrived); slot 1 is pending.
@@ -66,7 +67,8 @@ class TestServerRoundTrip:
         with BackgroundServer(config, "lyapunov") as server:
             with ServeClient(server.host, server.port) as first:
                 with ServeClient(server.host, server.port) as second:
-                    first.ingest_records([(0, 0, 0), (1, 0, 0)])
+                    first.ingest(0, 0, 0)
+                    first.ingest(1, 0, 0)
                     assert first.snapshot()["requests"] == 1
                     assert second.snapshot()["requests"] == 0
 

@@ -93,21 +93,11 @@ def test_tick_monotone_until_saturation_without_refresh(max_ages, ticks):
     )
 )
 def test_link_budget_equals_sum_of_charges(costs):
-    sequential = LinkBudget()
-    batched = LinkBudget()
+    budget = LinkBudget()
     for cost in costs:
-        sequential.charge(cost)
-    batched.charge_many(costs)
-    assert sequential.num_transfers == batched.num_transfers == len(costs)
-    assert sequential.total_cost == pytest.approx(sum(costs))
-    assert batched.total_cost == pytest.approx(sum(costs))
-
-
-def test_link_budget_rejects_negative_batch():
-    from repro.exceptions import ValidationError
-
-    with pytest.raises(ValidationError):
-        LinkBudget().charge_many([1.0, -0.5])
+        budget.charge(cost)
+    assert budget.num_transfers == len(costs)
+    assert budget.total_cost == pytest.approx(sum(costs))
 
 
 @settings(max_examples=15, deadline=None)

@@ -44,7 +44,6 @@ EXPECTED_ALL = {
     "ContentUpdateMDP",
     "LyapunovServiceController",
     "MDPCachingPolicy",
-    "QLearningSolver",
     "RSUCachingMDP",
     "ServiceObservation",
     "ServicePolicy",
@@ -70,7 +69,6 @@ EXPECTED_ALL = {
     "RequestGenerator",
     "RoadTopology",
     "RSUCache",
-    "VehicleFleet",
     # policies
     "PolicySpec",
     "available_policies",
@@ -132,6 +130,23 @@ EXPECTED_ONPATH_POLICIES = [
 ]
 
 
+# Every package whose ``__all__`` re-exports names: a name left there after
+# its definition is deleted must fail here, not only at import time.
+PACKAGES = [
+    "repro",
+    "repro.analysis",
+    "repro.baselines",
+    "repro.core",
+    "repro.net",
+    "repro.policies",
+    "repro.runtime",
+    "repro.serve",
+    "repro.sim",
+    "repro.utils",
+    "repro.workloads",
+]
+
+
 class TestApiSurface:
     def test_all_snapshot(self):
         actual = set(repro.__all__)
@@ -144,8 +159,10 @@ class TestApiSurface:
         )
 
     def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        for package in PACKAGES:
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                assert hasattr(module, name), f"{package}.{name}"
 
     def test_no_duplicate_exports(self):
         assert len(repro.__all__) == len(set(repro.__all__))
@@ -242,9 +259,6 @@ class TestRemovedIn40:
 class TestRemovedIn50:
     """5.0 forwards along compiled routes: no per-hop controller calls."""
 
-    def test_version(self):
-        assert repro.__version__ == "5.0.0"
-
     def test_controller_forwards_whole_paths(self):
         controller = repro.NetworkController
         for name in ("forward_request_hop", "forward_content_hop", "_traverse"):
@@ -252,3 +266,107 @@ class TestRemovedIn50:
         assert callable(controller.forward_request_path)
         assert callable(controller.forward_content_path)
         assert callable(repro.NetworkView.route)
+
+
+class TestRemovedIn60:
+    """6.0 deletes the surface no simulation, runner, CLI or serve path reaches."""
+
+    def test_version(self):
+        assert repro.__version__ == "6.0.0"
+
+    @pytest.mark.parametrize("module", ["repro.net.mobility", "repro.net.environment"])
+    def test_mobility_and_environment_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize(
+        "owner, names",
+        [
+            ("repro.analysis.figures.Fig1aData", ["max_observed_age"]),
+            ("repro.analysis.stats.ConfidenceInterval", ["contains"]),
+            ("repro.core.aoi.AoICounter", ["is_violating", "freshness"]),
+            (
+                "repro.core.aoi.AoIVector",
+                ["violation_count", "refresh_many", "mean_age", "peak_age"],
+            ),
+            ("repro.core.aoi.AoIProcess", ["statistics", "peaks"]),
+            ("repro.core.caching_mdp.RSUCachingMDP", ["grids"]),
+            (
+                "repro.core.caching_mdp.MDPCachingPolicy",
+                ["models_version", "update_advantages"],
+            ),
+            ("repro.core.mdp.MDPModel", ["successors"]),
+            ("repro.core.mdp.TabularMDP", ["sample_next_state"]),
+            (
+                "repro.net.cache.RSUCache",
+                ["update_count", "entry", "entries", "is_fresh", "snapshot", "restore"],
+            ),
+            ("repro.net.cache.LruContentCache", ["contents"]),
+            ("repro.net.channel.FadingCostModel", ["current_gain"]),
+            ("repro.net.channel.LinkBudget", ["charge_many", "mean_cost"]),
+            ("repro.net.content.ContentCatalog", ["for_regions"]),
+            ("repro.net.controller.NetworkController", ["get_content", "abort_session"]),
+            (
+                "repro.net.model.NetworkModel",
+                ["reset_caches", "num_nodes", "content_source"],
+            ),
+            (
+                "repro.net.queueing.RequestQueue",
+                ["dropped_count", "expired_count", "mean_service_latency", "enqueue_many"],
+            ),
+            (
+                "repro.net.queueing.BacklogQueue",
+                ["total_arrivals", "total_departures", "time_average"],
+            ),
+            (
+                "repro.net.requests.RequestGenerator",
+                ["mean_load_per_rsu", "local_popularity"],
+            ),
+            ("repro.net.topology.Region", ["length", "center", "contains"]),
+            ("repro.net.topology.RSU", ["num_cached_contents", "covers"]),
+            (
+                "repro.net.topology.RoadTopology",
+                [
+                    "regions",
+                    "region_at",
+                    "rsu_at",
+                    "rsu_for_positions",
+                    "rsu_for_region",
+                    "contents_of_rsu",
+                ],
+            ),
+            (
+                "repro.net.view.NetworkView",
+                ["num_nodes", "edge_delay", "content_source", "cache_contents"],
+            ),
+            ("repro.policies.registry.PolicySpec", ["canonical_key"]),
+            ("repro.serve.client.ServeClient", ["ingest_records"]),
+            ("repro.sim.scenario.ScenarioConfig", ["build_network_model"]),
+            ("repro.workloads.base.WorkloadModel", ["base_popularity"]),
+            ("repro.workloads.registry.WorkloadSpec", ["is_default"]),
+            ("repro.workloads.trace.TraceWorkload", ["mean_load_per_rsu"]),
+        ],
+    )
+    def test_deleted_methods_are_absent(self, owner, names):
+        module_name, class_name = owner.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module_name), class_name)
+        for name in names:
+            assert not hasattr(cls, name), f"{owner}.{name}"
+
+    @pytest.mark.parametrize(
+        "module, names",
+        [
+            ("repro", ["VehicleFleet", "QLearningSolver"]),
+            ("repro.analysis.stats", ["moving_average", "tail_mean", "relative_improvement"]),
+            ("repro.core.aoi", ["aoi_violation", "AoIStatistics"]),
+            ("repro.core.mdp", ["ProductSpace", "Transition", "uniform_random_policy"]),
+            ("repro.core.solvers", ["QLearningSolver", "QLearningConfig"]),
+            ("repro.net.cache", ["CacheEntry"]),
+            ("repro.runtime.runner", ["execute_spec"]),
+            ("repro.runtime.store", ["spec_hash"]),
+        ],
+    )
+    def test_deleted_functions_and_classes_are_absent(self, module, names):
+        loaded = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(loaded, name), f"{module}.{name}"

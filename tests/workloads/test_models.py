@@ -338,14 +338,14 @@ class TestEvolutionMatchesScalarLoops:
 class TestDriftWorkload:
     def test_weights_static_before_first_period(self, topology, catalog):
         model = build("drift:period=10,step=0.8", topology, catalog)
-        base = model.base_popularity(0)
+        base = model._base_popularity[0]
         for t in range(10):
             model.generate_slot_contents(t)
             assert np.array_equal(model._weights(0, t), base)
 
     def test_weights_shift_at_period_boundaries(self, topology, catalog):
         model = build("drift:period=10,step=0.8", topology, catalog)
-        base = model.base_popularity(0)
+        base = model._base_popularity[0]
         for t in range(15):
             model.generate_slot_contents(t)
         shifted = model._weights(0, 14)
@@ -392,7 +392,7 @@ class TestFlashCrowdWorkload:
         model = build(
             "flash-crowd:burst_prob=0.0,duration=2", topology, catalog
         )
-        base = model.base_popularity(0)
+        base = model._base_popularity[0]
         for t in range(5):
             model.generate_slot_contents(t)
         assert np.array_equal(model._weights(0, 4), base)
@@ -408,14 +408,14 @@ class TestShotNoiseWorkload:
         )
         model.generate_slot_contents(0)
         weights = model._weights(0, 0)
-        base = model.base_popularity(0)
+        base = model._base_popularity[0]
         assert weights.max() > base.max()
         assert weights.sum() == pytest.approx(1.0)
         assert model.active_contents(0).size >= 1
 
     def test_no_events_keeps_base_popularity(self, topology, catalog):
         model = build("shot-noise:event_rate=0.0", topology, catalog)
-        base = model.base_popularity(0)
+        base = model._base_popularity[0]
         for t in range(10):
             model.generate_slot_contents(t)
         assert np.array_equal(model._weights(0, 9), base)

@@ -59,7 +59,7 @@ class TestWorkloadSpec:
     def test_default_is_stationary(self):
         spec = WorkloadSpec()
         assert spec.name == "stationary"
-        assert spec.is_default
+        assert spec.params == ()
 
     def test_parse_name_only(self):
         assert WorkloadSpec.parse("drift").name == "drift"

@@ -143,11 +143,3 @@ class TestStreamingReplay:
             assert_batches_equal(
                 horizon.slot_batches(t), replay.generate_slot_contents(t)
             )
-
-    def test_mean_load_counts_only_replayed_records(self, tmp_path, topology, catalog):
-        path = str(tmp_path / "trace.jsonl")
-        build_trace(path, topology, [(0, 0), (1, 1), (7, 0)])
-        replay = replay_workload(path, topology, catalog, num_slots=2)
-        assert replay.mean_load_per_rsu == pytest.approx(
-            2 / (2 * topology.num_rsus)
-        )
