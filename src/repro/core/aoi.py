@@ -117,11 +117,6 @@ class AoICounter:
         """Saturation value of the counter."""
         return self._ceiling
 
-    @property
-    def utility(self) -> float:
-        """AoI utility ``A_max / A`` of the current age (Eq. 2 term)."""
-        return aoi_utility(self._age, self._max_age)
-
     def tick(self, slots: int = 1) -> float:
         """Advance time by *slots* and return the new (saturated) age."""
         if slots < 0:
@@ -204,19 +199,9 @@ class AoIVector:
         self._ceiling = check_positive(ceiling, "ceiling")
         if self._ceiling < float(max_arr.max()):
             raise ValidationError("ceiling must be >= max(max_ages)")
-        if initial_ages is None:
-            ages = np.ones_like(max_arr)
-        else:
-            ages = np.asarray(initial_ages, dtype=float)
-            if ages.shape != max_arr.shape:
-                raise ValidationError(
-                    f"initial_ages shape {ages.shape} does not match "
-                    f"max_ages shape {max_arr.shape}"
-                )
-            if np.any(ages < 1.0) or not np.all(np.isfinite(ages)):
-                raise ValidationError("initial_ages must be finite and >= 1")
-            ages = ages.copy()
-        self._ages = np.minimum(ages, self._ceiling)
+        self._ages = np.minimum(np.ones_like(max_arr), self._ceiling)
+        if initial_ages is not None:
+            self.set_ages(initial_ages)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -286,7 +271,7 @@ class AoIVector:
         self._ages.fill(min(float(age_at_delivery), self._ceiling))
 
     def set_ages(self, ages: Sequence[float]) -> None:
-        """Overwrite all ages (used when restoring a recorded state)."""
+        """Overwrite all ages, saturating at the ceiling."""
         arr = np.asarray(ages, dtype=float)
         if arr.shape != self._ages.shape:
             raise ValidationError(

@@ -432,7 +432,7 @@ class MDPCachingPolicy(CachingPolicy):
     name = "mdp"
 
     #: Default cap on memoised single-content solutions; see
-    #: _build_content_models and the ``memo_limit`` parameter.
+    #: _solved_content and the ``memo_limit`` parameter.
     _SOLUTION_MEMO_LIMIT = 4096
 
     def __init__(
@@ -460,14 +460,11 @@ class MDPCachingPolicy(CachingPolicy):
         self._use_solve_cache = bool(use_solve_cache)
         self._memo_hits = 0
         self._memo_misses = 0
-        # Bumped on every full model rebuild; lets batched callers detect
-        # when their stacked advantage tables went stale.
-        self._models_version = 0
         self._rebuild_count = 0
-        self._content_models: Dict[Tuple[int, int], _SolvedContentModel] = {}
         self._rsu_models: Dict[int, _SolvedRSUModel] = {}
-        self._rsu_mode: Dict[int, str] = {}
-        self._params_signature: Optional[Tuple] = None
+        # Whether each RSU runs the factored controller (else exact).
+        self._factored: Optional[np.ndarray] = None
+        self._signature = _Signature()
         # Memo of solved single-content MDPs keyed by their defining
         # parameters.  Catalogs draw integer maximum ages from a narrow
         # range, so large systems contain many (RSU, content) pairs with
@@ -522,10 +519,9 @@ class MDPCachingPolicy(CachingPolicy):
         single-content MDP yields the identical Q-table, so reusing it
         changes nothing but the rebuild cost.
         """
-        self._content_models.clear()
         self._rsu_models.clear()
-        self._rsu_mode.clear()
-        self._params_signature = None
+        self._factored = None
+        self._signature = _Signature()
         self._advantage_table = None
         self._grid_ceilings = None
 
@@ -540,16 +536,11 @@ class MDPCachingPolicy(CachingPolicy):
         actions = np.zeros(
             (observation.num_rsus, observation.contents_per_rsu), dtype=int
         )
-        factored = [
-            rsu
-            for rsu in range(observation.num_rsus)
-            if self._rsu_mode[rsu] == "factored"
-        ]
-        if factored:
+        rows = np.flatnonzero(self._factored)
+        if rows.size:
             # One gather + argmax across all factored RSUs replaces the old
             # per-(RSU, content) advantage loop; np.rint matches the
             # half-to-even rounding of AgeGrid.index_of.
-            rows = np.asarray(factored, dtype=int)
             indices = (
                 np.clip(np.rint(ages[rows]), 1.0, self._grid_ceilings[rows]) - 1.0
             ).astype(int)
@@ -559,154 +550,84 @@ class MDPCachingPolicy(CachingPolicy):
             best = np.argmax(advantages, axis=1)
             positive = advantages[np.arange(rows.size), best] > 1e-12
             actions[rows[positive], best[positive]] = 1
-        for rsu in range(observation.num_rsus):
-            if self._rsu_mode[rsu] == "exact":
-                actions[rsu] = self._rsu_models[rsu].decide(ages[rsu])
+        for rsu in np.flatnonzero(~self._factored):
+            actions[rsu] = self._rsu_models[rsu].decide(ages[rsu])
         return self.validate_actions(actions, observation)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _ensure_models(self, observation: CacheObservation) -> None:
-        self._ensure_params(
-            np.asarray(observation.max_ages, dtype=float),
-            np.asarray(observation.popularity, dtype=float),
-            np.asarray(observation.update_costs, dtype=float),
-        )
+        """Solve the models for the observation's parameters, unless current."""
+        max_ages = np.asarray(observation.max_ages, dtype=float)
+        popularity = np.asarray(observation.popularity, dtype=float)
+        costs = np.asarray(observation.update_costs, dtype=float)
+        params = (max_ages[np.newaxis], popularity[np.newaxis], costs[np.newaxis])
+        moved = self._signature.moved(params)
+        if moved is None:
+            return
+        if moved[0]:
+            self._rebuild_count += 1
+            self._rsu_models.clear()
+            self._advantage_table, self._grid_ceilings = _advantage_tables(
+                self, max_ages, popularity, costs, persist=self._rebuild_count <= 2
+            )
+            self._factored = self._factored_rows(max_ages)
+            for rsu in np.flatnonzero(~self._factored):
+                self._build_rsu_model(rsu, max_ages[rsu], popularity[rsu], costs[rsu])
+        self._signature.record(params)
 
-    def _ensure_params(
-        self,
-        max_ages: np.ndarray,
-        popularity: np.ndarray,
-        costs: np.ndarray,
-    ) -> None:
-        """Array-level twin of :meth:`_ensure_models`.
+    def _factored_rows(self, max_ages: np.ndarray) -> np.ndarray:
+        """Whether each RSU — each row of *max_ages* — runs the factored controller.
 
-        Takes the three parameter matrices directly so the seed-batched
-        simulator path can ensure per-seed models without constructing
-        per-slot :class:`CacheObservation` objects.
+        ``mode="auto"`` picks it when the RSU's joint state space, the
+        product of its contents' grid ceilings
+        (:meth:`CachingMDPConfig.ceiling_for`, element-wise), exceeds
+        *exact_state_limit*.
         """
-        num_rsus, contents_per_rsu = max_ages.shape
-        signature = self._params_signature
-        shape_matches = (
-            signature is not None
-            and signature[0] == num_rsus
-            and signature[1] == contents_per_rsu
-        )
-        # Fast path for the per-slot hot loop: parameters are usually reused
-        # verbatim, so exact array equality short-circuits the rounding.
-        if (
-            shape_matches
-            and np.array_equal(max_ages, signature[2])
-            and np.array_equal(popularity, signature[3])
-            and np.array_equal(costs, signature[4])
-        ):
-            return
-        # Tolerate sub-1e-9 jitter (the historical signature granularity)
-        # before paying for a full re-solve.
-        if (
-            shape_matches
-            and max_ages.shape == signature[2].shape
-            and np.array_equal(np.round(max_ages, 9), np.round(signature[2], 9))
-            and np.array_equal(np.round(popularity, 9), np.round(signature[3], 9))
-            and np.array_equal(np.round(costs, 9), np.round(signature[4], 9))
-        ):
-            self._params_signature = (
-                num_rsus,
-                contents_per_rsu,
-                max_ages.copy(),
-                popularity.copy(),
-                costs.copy(),
-            )
-            return
-        self.reset()
-        self._params_signature = (
-            num_rsus,
-            contents_per_rsu,
-            max_ages.copy(),
-            popularity.copy(),
-            costs.copy(),
-        )
-        self._rebuild_count += 1
-        for rsu in range(num_rsus):
-            rsu_max_ages = np.asarray(max_ages[rsu], dtype=float)
-            rsu_popularity = np.asarray(popularity[rsu], dtype=float)
-            rsu_costs = np.asarray(costs[rsu], dtype=float)
-            self._build_content_models(rsu, rsu_max_ages, rsu_popularity, rsu_costs)
-            self._rsu_mode[rsu] = self._select_mode(rsu_max_ages)
-            if self._rsu_mode[rsu] == "exact":
-                self._build_rsu_model(rsu, rsu_max_ages, rsu_popularity, rsu_costs)
-        self._build_advantage_table(num_rsus, contents_per_rsu)
-        self._models_version += 1
+        if self._mode != "auto":
+            return np.full(max_ages.shape[:-1], self._mode == "factored")
+        config = self._config
+        if config.age_ceiling is not None:
+            ceilings = np.full(max_ages.shape, int(config.age_ceiling))
+        else:
+            derived = np.minimum(np.ceil(2.0 * max_ages), config.max_age_ceiling)
+            ceilings = np.maximum(derived, 2).astype(int)
+        # Products of Python ints: np.prod in int64 would overflow for a few
+        # dozen contents and silently go negative, mis-selecting the exact
+        # mode on exactly the instances it cannot handle.
+        joint = np.prod(ceilings.astype(object), axis=-1)
+        return joint > self._exact_state_limit
 
-    def _build_advantage_table(self, num_rsus: int, contents_per_rsu: int) -> None:
-        levels = max(
-            model.mdp.grid.num_levels for model in self._content_models.values()
+    def _solved_content(
+        self, key: Tuple[float, float, float], persist: bool
+    ) -> _SolvedContentModel:
+        """The solved single-content MDP of one ``(max_age, popularity, cost)`` key.
+
+        Served from the memo, else from the shared solve cache, else by
+        value iteration (*persist* lets the solve cache write it to disk).
+        """
+        solved = self._solution_memo.get(key)
+        if solved is not None:
+            self._memo_hits += 1
+            return solved
+        self._memo_misses += 1
+        mdp = ContentUpdateMDP(
+            max_age=key[0], popularity=key[1], update_cost=key[2], config=self._config
         )
-        table = np.zeros((num_rsus, contents_per_rsu, levels), dtype=float)
-        ceilings = np.zeros((num_rsus, contents_per_rsu), dtype=float)
-        for (rsu, content), model in self._content_models.items():
-            diff = model.q_values[:, 1] - model.q_values[:, 0]
-            table[rsu, content, : diff.size] = diff
-            # Indices are clamped to the grid ceiling before lookup, so the
-            # padding beyond a shorter grid is never read; fill it with the
-            # saturated value anyway to keep the table self-consistent.
-            table[rsu, content, diff.size :] = diff[-1]
-            ceilings[rsu, content] = model.mdp.grid.ceiling
-        self._advantage_table = table
-        self._grid_ceilings = ceilings
-
-    def _select_mode(self, max_ages: np.ndarray) -> str:
-        if self._mode in ("exact", "factored"):
-            return self._mode
-        # Accumulate with Python ints and bail out early: np.prod would
-        # overflow int64 for a few dozen contents and silently go negative,
-        # mis-selecting the exact mode on exactly the instances it cannot
-        # handle.
-        joint_states = 1
-        for age in max_ages:
-            joint_states *= self._config.ceiling_for(age)
-            if joint_states > self._exact_state_limit:
-                return "factored"
-        return "exact"
-
-    def _build_content_models(
-        self,
-        rsu: int,
-        max_ages: np.ndarray,
-        popularity: np.ndarray,
-        costs: np.ndarray,
-    ) -> None:
-        for content in range(max_ages.size):
-            key = (
-                float(max_ages[content]),
-                float(popularity[content]),
-                float(costs[content]),
-            )
-            solved = self._solution_memo.get(key)
-            if solved is None:
-                self._memo_misses += 1
-                mdp = ContentUpdateMDP(
-                    max_age=key[0],
-                    popularity=key[1],
-                    update_cost=key[2],
-                    config=self._config,
-                )
-                q_values = self._solve_content(mdp, key)
-                solved = _SolvedContentModel(mdp=mdp, q_values=q_values)
-                # Bound the memo: time-varying costs mint fresh keys every
-                # re-solve, and an uncapped memo would grow for the whole
-                # run.  FIFO eviction keeps the static-cost fast path (few
-                # recurring keys) intact.
-                if len(self._solution_memo) >= self._memo_limit:
-                    self._solution_memo.pop(next(iter(self._solution_memo)))
-                self._solution_memo[key] = solved
-            else:
-                self._memo_hits += 1
-            self._content_models[(rsu, content)] = solved
+        solved = _SolvedContentModel(
+            mdp=mdp, q_values=self._solve_content(mdp, key, persist)
+        )
+        # Bound the memo: time-varying costs mint fresh keys every re-solve,
+        # and an uncapped memo would grow for the whole run.  FIFO eviction
+        # keeps the static-cost fast path (few recurring keys) intact.
+        if len(self._solution_memo) >= self._memo_limit:
+            self._solution_memo.pop(next(iter(self._solution_memo)))
+        self._solution_memo[key] = solved
+        return solved
 
     def _solve_content(
-        self, mdp: ContentUpdateMDP, key: Tuple[float, float, float]
+        self, mdp: ContentUpdateMDP, key: Tuple[float, float, float], persist: bool
     ) -> np.ndarray:
         """Solve one single-content MDP, going through the shared solve cache."""
         if not self._use_solve_cache:
@@ -720,9 +641,9 @@ class MDPCachingPolicy(CachingPolicy):
             return cached.q_values
         result = value_iteration(mdp, discount=self._config.discount, tolerance=1e-9)
         # Runs with time-varying costs mint fresh keys every slot; after a
-        # few rebuilds stop persisting those one-shot solves so the disk
-        # layer holds only keys that can actually recur across runs.
-        cache.put(cache_key, result, persist=self._rebuild_count <= 2)
+        # few rebuilds callers stop persisting those one-shot solves so the
+        # disk layer holds only keys that can actually recur across runs.
+        cache.put(cache_key, result, persist=persist)
         return result.q_values
 
     def _content_cache_key(self, key: Tuple[float, float, float]) -> str:
@@ -790,12 +711,12 @@ class BatchedCacheDecider:
     """One vectorised decide across a batch of per-seed MDP caching policies.
 
     The seed-batched simulator keeps one :class:`MDPCachingPolicy` per seed
-    (each solved against that seed's catalog parameters, so results stay
-    bit-identical to per-seed execution) but wants a single tensor operation
-    per slot.  This helper stacks the per-policy factored advantage tables
-    into an ``(S, num_rsus, contents_per_rsu, levels)`` tensor and replays
-    exactly the gather + argmax of :meth:`MDPCachingPolicy.decide` along a
-    leading seed axis.
+    but wants a single tensor operation per slot.  This helper builds one
+    ``(S, num_rsus, contents_per_rsu, levels)`` advantage table for the
+    whole batch — each seed's rows are exactly the ones its own policy
+    would solve for its parameters, so results stay bit-identical to
+    per-seed execution — and replays the gather + argmax of
+    :meth:`MDPCachingPolicy.decide` along a leading seed axis.
 
     Only the all-factored case batches; if any policy selects the exact
     per-RSU mode for any RSU, :meth:`prepare` reports ``False`` and the
@@ -806,19 +727,25 @@ class BatchedCacheDecider:
         if not policies:
             raise ValidationError("policies must be non-empty")
         self._policies = list(policies)
-        self._versions: Optional[Tuple[int, ...]] = None
+        self._signature = _Signature()
+        # The per-seed parameters the tables were solved for.
+        self._solved: Tuple[np.ndarray, ...] = ()
+        self._rebuilds = 0
         self._tables: Optional[np.ndarray] = None
         self._ceilings: Optional[np.ndarray] = None
 
     @staticmethod
     def supports(policies: Sequence) -> bool:
-        """Whether every policy is a plain :class:`MDPCachingPolicy`.
+        """Whether every policy is a plain :class:`MDPCachingPolicy` of one config.
 
         Subclasses may override ``decide``, so only exact instances are
-        eligible for the stacked fast path.
+        eligible for the stacked fast path; one shared MDP configuration
+        lets the batch solve each distinct content model once.
         """
-        return bool(policies) and all(
-            type(policy) is MDPCachingPolicy for policy in policies
+        return (
+            bool(policies)
+            and all(type(policy) is MDPCachingPolicy for policy in policies)
+            and len({policy.config for policy in policies}) == 1
         )
 
     def prepare(
@@ -827,36 +754,39 @@ class BatchedCacheDecider:
         popularity: np.ndarray,
         update_costs: np.ndarray,
     ) -> bool:
-        """Ensure per-seed models for the given ``(S, R, C)`` parameter tensors.
+        """Build the advantage tables for the given ``(S, R, C)`` parameter tensors.
 
-        Returns ``True`` when every seed's every RSU runs the factored
-        controller (the stacked tables are then current), ``False`` when the
-        caller must fall back to per-seed ``decide`` calls.
+        Resolves the distinct ``(max_age, popularity, cost)`` keys of the
+        whole batch once — through the first policy's memo, the shared
+        solve cache, then value iteration — and fills the stacked table
+        with one gather.  Like its own policy, a seed keeps its tables
+        while its parameters stay within 1e-9 of the last ones.  Returns
+        ``True`` when every seed's every RSU runs the factored controller
+        (the stacked tables are then current), ``False`` when the caller
+        must fall back to per-seed ``decide`` calls.
         """
+        params = tuple(
+            np.asarray(array, dtype=float)
+            for array in (max_ages, popularity, update_costs)
+        )
+        moved = self._signature.moved(params)
+        if moved is None:
+            return True
         for s, policy in enumerate(self._policies):
-            policy._ensure_params(max_ages[s], popularity[s], update_costs[s])
-            if any(mode != "factored" for mode in policy._rsu_mode.values()):
+            if not policy._factored_rows(params[0][s]).all():
                 return False
-        versions = tuple(policy._models_version for policy in self._policies)
-        if versions != self._versions:
-            self._stack_tables()
-            self._versions = versions
+        if moved.any():
+            if moved.all():
+                self._solved = tuple(array.copy() for array in params)
+            else:
+                for solved, new in zip(self._solved, params):
+                    solved[moved] = new[moved]
+            self._rebuilds += 1
+            self._tables, self._ceilings = _advantage_tables(
+                self._policies[0], *self._solved, persist=self._rebuilds <= 2
+            )
+        self._signature.record(params)
         return True
-
-    def _stack_tables(self) -> None:
-        tables = [policy._advantage_table for policy in self._policies]
-        levels = max(table.shape[2] for table in tables)
-        # Indices are clamped to each content's own grid ceiling before the
-        # gather, so the edge padding beyond a shorter table is never read.
-        self._tables = np.stack(
-            [
-                np.pad(table, ((0, 0), (0, 0), (0, levels - table.shape[2])), mode="edge")
-                for table in tables
-            ]
-        )
-        self._ceilings = np.stack(
-            [policy._grid_ceilings for policy in self._policies]
-        )
 
     def decide(self, ages: np.ndarray) -> np.ndarray:
         """Return the stacked ``(S, R, C)`` update decisions for *ages*.
@@ -883,3 +813,80 @@ class BatchedCacheDecider:
         seed_rows, rsu_rows = np.nonzero(best_advantage > 1e-12)
         actions[seed_rows, rsu_rows, best[seed_rows, rsu_rows]] = 1
         return actions
+
+
+class _Signature:
+    """The parameters models were last made current for; sub-1e-9 jitter
+    (the historical signature granularity) does not pay for a re-solve."""
+
+    def __init__(self) -> None:
+        self._params: Optional[Tuple[np.ndarray, ...]] = None
+
+    def moved(self, params: Tuple[np.ndarray, ...]) -> Optional[np.ndarray]:
+        """Per leading-axis row of *params*, whether it moved past 1e-9.
+
+        Returns ``None`` when *params* equal the recorded ones exactly, and
+        all-``True`` when none are recorded or their shape differs.
+        """
+        previous = self._params
+        if previous is not None and all(
+            np.array_equal(new, old) for new, old in zip(params, previous)
+        ):
+            return None
+        rows = len(params[0])
+        if previous is None or previous[0].shape != params[0].shape:
+            return np.ones(rows, dtype=bool)
+        moved = np.zeros(rows, dtype=bool)
+        for new, old in zip(params, previous):
+            changed = np.round(new, 9) != np.round(old, 9)
+            moved |= changed.reshape(rows, -1).any(axis=1)
+        return moved
+
+    def record(self, params: Tuple[np.ndarray, ...]) -> None:
+        """Keep a copy of *params*, the models now being current for them."""
+        self._params = tuple(np.array(array, dtype=float) for array in params)
+
+
+def _advantage_tables(
+    policy: MDPCachingPolicy,
+    max_ages: np.ndarray,
+    popularity: np.ndarray,
+    costs: np.ndarray,
+    *,
+    persist: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Advantage rows and grid ceilings for every cell of the parameter arrays.
+
+    Resolves each distinct ``(max_age, popularity, cost)`` key once through
+    *policy* (:meth:`MDPCachingPolicy._solved_content`), then gathers:
+    entry ``[..., i]`` of the table is ``Q(update) - Q(skip)`` at
+    discretised age ``i + 1``, and the ceilings array holds each cell's
+    grid ceiling.  Lookups clamp to a cell's own ceiling, so the padding
+    past a shorter grid is never read; it repeats the saturated value to
+    keep the table self-consistent.
+    """
+    keys = np.stack((max_ages, popularity, costs), axis=-1).reshape(-1, 3)
+    # The distinct rows of keys, like np.unique(keys, axis=0), but by
+    # 1-D uniques: inverse numbers the distinct prefixes of the rows, one
+    # column at a time (sorting whole rows is several times slower).
+    inverse = np.zeros(len(keys), dtype=np.intp)
+    for column in keys.T:
+        values, codes = np.unique(column, return_inverse=True)
+        # The inverse's shape differs across numpy 2.0.x releases; flatten it.
+        prefixes = inverse * values.size + codes.reshape(-1)
+        inverse = np.unique(prefixes, return_inverse=True)[1].reshape(-1)
+    first = np.empty(inverse.max() + 1, dtype=np.intp)
+    first[inverse] = np.arange(len(keys))
+    models = [
+        policy._solved_content(tuple(key), persist) for key in keys[first].tolist()
+    ]
+    levels = max(model.mdp.grid.num_levels for model in models)
+    table = np.empty((len(models), levels))
+    ceilings = np.empty(len(models))
+    for row, model in enumerate(models):
+        diff = model.q_values[:, 1] - model.q_values[:, 0]
+        table[row, : diff.size] = diff
+        table[row, diff.size :] = diff[-1]
+        ceilings[row] = model.mdp.grid.ceiling
+    inverse = inverse.reshape(max_ages.shape)
+    return table[inverse], ceilings[inverse]

@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.aoi import AoIVector
 from repro.exceptions import CacheError, ValidationError
 from repro.net.content import ContentCatalog
-from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_index, check_positive_int
 
 
@@ -34,7 +33,8 @@ class RSUCache:
         Content catalog, providing per-content maximum ages.
     initial_ages:
         Optional starting ages (defaults to all fresh).  The paper's
-        evaluation draws them at random; use :meth:`randomize_ages`.
+        evaluation draws them at random (see
+        :class:`~repro.sim.system.SystemState`).
     age_ceiling:
         Saturation value for ages; defaults to twice the largest ``A_max``
         among the cached contents.
@@ -61,8 +61,7 @@ class RSUCache:
         self._aoi = AoIVector(
             max_ages, initial_ages=initial_ages, ceiling=age_ceiling
         )
-        self._slot_to_content = dict(enumerate(content_ids))
-        self._content_to_slot = {h: i for i, h in self._slot_to_content.items()}
+        self._content_to_slot = {h: i for i, h in enumerate(content_ids)}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -130,32 +129,6 @@ class RSUCache:
         """Apply an MBS-pushed refresh of *content_id*."""
         slot = self._slot_of(content_id)
         self._aoi.refresh(slot, delivered_age)
-
-    def randomize_ages(
-        self,
-        rng: RandomSource = None,
-        *,
-        low: float = 1.0,
-        high: Optional[float] = None,
-    ) -> None:
-        """Draw every cached copy's age uniformly at random.
-
-        Mirrors the paper's evaluation setup where "the initial content AoI
-        value of the MBS and RSU ... [is] determined as random".  Ages are
-        drawn uniformly from ``[low, high]`` per content; *high* defaults to
-        each content's own maximum age so the initial state is feasible.
-        """
-        generator = ensure_rng(rng)
-        if low < 1.0:
-            raise ValidationError(f"low must be >= 1, got {low}")
-        max_ages = self._aoi.max_ages
-        highs = np.full_like(max_ages, float(high)) if high is not None else max_ages
-        if np.any(highs < low):
-            raise ValidationError(
-                f"high ({high}) must be >= low ({low}) for every content"
-            )
-        ages = generator.uniform(low, highs)
-        self._aoi.set_ages(np.maximum(ages, 1.0))
 
     def _slot_of(self, content_id: int) -> int:
         try:

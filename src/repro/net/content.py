@@ -49,21 +49,22 @@ class ContentDescriptor:
     label: str = ""
 
     def __post_init__(self) -> None:
-        # Inline checks: catalogs build one descriptor per content, so at
-        # production grid sizes (thousands of contents per scenario seed)
-        # the generic checker call chain is measurable scenario-setup cost.
         if self.content_id < 0:
             raise ValidationError(f"content_id must be >= 0, got {self.content_id}")
         if self.region < 0:
             raise ValidationError(f"region must be >= 0, got {self.region}")
-        if type(self.max_age) is not float or not 0 < self.max_age < float("inf"):
-            check_positive(self.max_age, "max_age")
-        if type(self.size) is not float or not 0 < self.size < float("inf"):
-            check_positive(self.size, "size")
+        check_positive(self.max_age, "max_age")
+        check_positive(self.size, "size")
 
 
 class ContentCatalog:
     """The set of all contents in the system, indexed by content id.
+
+    The catalog is a struct of arrays — per-content maximum ages, sizes and
+    popularity, built once and returned read-only by :attr:`max_ages`,
+    :attr:`sizes` and :attr:`popularity`.  The factories keep no
+    :class:`ContentDescriptor` records; indexing or iterating makes them
+    on demand.
 
     Parameters
     ----------
@@ -92,15 +93,31 @@ class ContentCatalog:
                 "content ids must be contiguous starting at 0, got "
                 f"{actual_ids}"
             )
-        self._descriptors: List[ContentDescriptor] = descriptors
+        self._set_arrays(
+            [d.max_age for d in descriptors],
+            [d.size for d in descriptors],
+            popularity,
+        )
+        self._descriptors: Optional[List[ContentDescriptor]] = descriptors
+
+    def _set_arrays(
+        self,
+        max_ages: Sequence[float],
+        sizes: Sequence[float],
+        popularity: Optional[Sequence[float]],
+    ) -> None:
+        self._max_ages = _positive_array(max_ages, "max_age")
+        self._sizes = _positive_array(sizes, "size")
+        count = self._max_ages.size
         if popularity is None:
-            popularity = np.full(len(descriptors), 1.0 / len(descriptors))
+            popularity = np.full(count, 1.0 / count)
         self._popularity = check_probability_vector(popularity, "popularity")
-        if self._popularity.size != len(descriptors):
+        if self._popularity.size != count:
             raise ConfigurationError(
                 f"popularity has {self._popularity.size} entries for "
-                f"{len(descriptors)} contents"
+                f"{count} contents"
             )
+        self._popularity.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -116,17 +133,7 @@ class ContentCatalog:
         """Create a catalog of *num_contents* identical contents."""
         num_contents = check_positive_int(num_contents, "num_contents")
         check_positive(max_age, "max_age")
-        descriptors = [
-            ContentDescriptor(
-                content_id=h,
-                region=h,
-                max_age=float(max_age),
-                size=float(size),
-                label=f"content-{h}",
-            )
-            for h in range(num_contents)
-        ]
-        return cls(descriptors)
+        return cls.heterogeneous(np.full(num_contents, float(max_age)), size=size)
 
     @classmethod
     def heterogeneous(
@@ -136,21 +143,17 @@ class ContentCatalog:
         size: float = 1.0,
         popularity: Optional[Sequence[float]] = None,
     ) -> "ContentCatalog":
-        """Create a catalog with the given per-content maximum ages."""
-        max_ages = list(max_ages)
-        if not max_ages:
+        """Create a catalog with the given per-content maximum ages.
+
+        Content ``h`` describes region ``h`` and is labelled ``content-h``.
+        """
+        max_ages = np.asarray(max_ages, dtype=float)
+        if not max_ages.size:
             raise ConfigurationError("max_ages must be non-empty")
-        descriptors = [
-            ContentDescriptor(
-                content_id=h,
-                region=h,
-                max_age=float(age),
-                size=float(size),
-                label=f"content-{h}",
-            )
-            for h, age in enumerate(max_ages)
-        ]
-        return cls(descriptors, popularity=popularity)
+        catalog = cls.__new__(cls)
+        catalog._set_arrays(max_ages, np.full(max_ages.size, float(size)), popularity)
+        catalog._descriptors = None
+        return catalog
 
     @classmethod
     def random(
@@ -187,58 +190,77 @@ class ContentCatalog:
     # Accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._descriptors)
+        return self._max_ages.size
 
     def __iter__(self) -> Iterator[ContentDescriptor]:
-        return iter(self._descriptors)
+        return (self[h] for h in range(len(self)))
 
     def __getitem__(self, content_id: int) -> ContentDescriptor:
-        if not 0 <= content_id < len(self._descriptors):
-            raise ValidationError(
-                f"content id {content_id} out of range [0, {len(self._descriptors)})"
-            )
-        return self._descriptors[content_id]
+        h = self._check_id(content_id)
+        if self._descriptors is not None:
+            return self._descriptors[h]
+        return ContentDescriptor(
+            content_id=h,
+            region=h,
+            max_age=float(self._max_ages[h]),
+            size=float(self._sizes[h]),
+            label=f"content-{h}",
+        )
 
     @property
     def num_contents(self) -> int:
         """Number of contents in the catalog."""
-        return len(self._descriptors)
+        return self._max_ages.size
 
     @property
     def max_ages(self) -> np.ndarray:
-        """Per-content maximum tolerable ages ``A_max_h``."""
-        return np.asarray([d.max_age for d in self._descriptors], dtype=float)
+        """Per-content maximum tolerable ages ``A_max_h`` (read-only)."""
+        return self._max_ages
 
     @property
     def sizes(self) -> np.ndarray:
-        """Per-content file sizes."""
-        return np.asarray([d.size for d in self._descriptors], dtype=float)
+        """Per-content file sizes (read-only)."""
+        return self._sizes
 
     @property
     def popularity(self) -> np.ndarray:
-        """Global request popularity distribution over contents."""
-        return self._popularity.copy()
+        """Global request popularity distribution over contents (read-only)."""
+        return self._popularity
 
     def subset_popularity(self, content_ids: Sequence[int]) -> np.ndarray:
-        """Return the popularity of *content_ids* renormalised to sum to one."""
-        ids = list(content_ids)
-        if not ids:
+        """Return the popularity of *content_ids* renormalised to sum to one.
+
+        A matrix of ids is renormalised row by row, in one array pass.
+        """
+        ids = np.asarray(content_ids, dtype=int)
+        if not ids.size:
             raise ValidationError("content_ids must be non-empty")
-        weights = np.asarray([self._popularity[self._check_id(h)] for h in ids])
-        total = weights.sum()
-        if total <= 0:
-            return np.full(len(ids), 1.0 / len(ids))
-        return weights / total
+        bad = (ids < 0) | (ids >= self._max_ages.size)
+        if bad.any():
+            self._check_id(int(ids[bad].flat[0]))
+        weights = self._popularity[ids]
+        totals = weights.sum(axis=-1, keepdims=True)
+        uniform = np.full(weights.shape, 1.0 / ids.shape[-1])
+        return np.divide(weights, totals, out=uniform, where=totals > 0)
 
     def _check_id(self, content_id: int) -> int:
-        if not 0 <= content_id < len(self._descriptors):
+        if not 0 <= content_id < self._max_ages.size:
             raise ValidationError(
-                f"content id {content_id} out of range [0, {len(self._descriptors)})"
+                f"content id {content_id} out of range [0, {self._max_ages.size})"
             )
         return int(content_id)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"ContentCatalog(num_contents={self.num_contents})"
+
+
+def _positive_array(values: Sequence[float], name: str) -> np.ndarray:
+    """*values* as a read-only float array; raises like :func:`check_positive`."""
+    array = np.array(values, dtype=float)
+    for value in array[~((array > 0) & (array < np.inf))][:1]:
+        check_positive(float(value), name)
+    array.flags.writeable = False
+    return array
 
 
 def zipf_popularity(num_contents: int, exponent: float) -> np.ndarray:

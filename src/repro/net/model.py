@@ -350,10 +350,6 @@ class NetworkModel:
             raise ValidationError(f"node {node} has no cache")
         return self._caches[node]
 
-    def position(self, node: int) -> float:
-        """Road position of *node* in metres."""
-        return float(self._graph.nodes[node]["position"])
-
     def betweenness(self, node: int) -> float:
         """Routed-path betweenness count of *node*."""
         return self._betweenness[node]

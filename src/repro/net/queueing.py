@@ -53,7 +53,6 @@ class RequestQueue:
         self._rsu_id = int(rsu_id)
         self._max_length = max_length
         self._pending: Deque[Request] = deque()
-        self._served: List[ServedRequest] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -80,11 +79,6 @@ class RequestQueue:
     def pending(self) -> List[Request]:
         """The pending requests in FIFO order."""
         return list(self._pending)
-
-    @property
-    def served(self) -> List[ServedRequest]:
-        """All requests served so far, in service order."""
-        return list(self._served)
 
     def head(self) -> Optional[Request]:
         """The oldest pending request, or ``None``."""
@@ -131,7 +125,6 @@ class RequestQueue:
                 waiting_slots=int(time_slot - request.time_slot),
                 expired=False,
             )
-            self._served.append(record)
             records.append(record)
         return records
 

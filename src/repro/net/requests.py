@@ -21,11 +21,7 @@ from repro.exceptions import ConfigurationError, ValidationError
 from repro.net.content import ContentCatalog, zipf_popularity
 from repro.net.topology import RoadTopology
 from repro.utils.rng import RandomSource, ensure_rng
-from repro.utils.validation import (
-    check_non_negative,
-    check_probability,
-    check_probability_vector,
-)
+from repro.utils.validation import check_non_negative, check_probability
 
 
 @dataclass(frozen=True)
@@ -301,24 +297,25 @@ class RequestGenerator:
         self._rng = ensure_rng(rng)
         self._id_counter = itertools.count()
         self._local_popularity: Dict[int, np.ndarray] = {}
-        self._local_contents: Dict[int, Tuple[int, ...]] = {}
-        # Cached integer arrays of each RSU's contents so the hot path can
+        # Each RSU's contents as an integer row, so the hot path can
         # fancy-index the chosen contents instead of round-tripping through
         # a Python list comprehension.
         self._local_content_arrays: Dict[int, np.ndarray] = {}
         # Per-RSU ``(weights, cdf)`` of the content sampler; see _slot_batches.
         self._cdfs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for rsu in topology.rsus:
-            contents = rsu.covered_regions
-            self._local_contents[rsu.rsu_id] = contents
-            self._local_content_arrays[rsu.rsu_id] = np.asarray(contents, dtype=int)
-            if zipf_exponent is None:
-                weights = catalog.subset_popularity(contents)
-            else:
-                weights = zipf_popularity(len(contents), zipf_exponent)
-            self._local_popularity[rsu.rsu_id] = check_probability_vector(
-                weights, f"popularity of RSU {rsu.rsu_id}"
+        contents = topology.rsu_contents
+        if zipf_exponent is None:
+            weights = catalog.subset_popularity(contents)
+        else:
+            weights = np.tile(
+                zipf_popularity(contents.shape[1], zipf_exponent), (len(contents), 1)
             )
+        # Each row is a distribution by construction; dividing by its sum
+        # once more is the renormalisation check_probability_vector applies.
+        weights = weights / weights.sum(axis=1, keepdims=True)
+        for k, rsu in enumerate(topology.rsus):
+            self._local_content_arrays[rsu.rsu_id] = contents[k]
+            self._local_popularity[rsu.rsu_id] = weights[k]
 
     @property
     def arrivals(self) -> ArrivalProcess:
@@ -332,9 +329,14 @@ class RequestGenerator:
         and of the Eq. (2) reward: the weight the MBS puts on keeping each
         RSU content fresh, proportional to how often it is requested.
         """
-        contents = self._local_contents[self._check_rsu(rsu_id)]
-        weights = self._local_popularity[rsu_id]
-        return {int(h): float(w) for h, w in zip(contents, weights)}
+        contents = self._local_content_arrays[self._check_rsu(rsu_id)]
+        return dict(zip(contents.tolist(), self._local_popularity[rsu_id].tolist()))
+
+    def popularity_matrix(self) -> np.ndarray:
+        """:meth:`content_population` of every RSU, one row each in topology order."""
+        return np.stack(
+            [self._local_popularity[rsu.rsu_id] for rsu in self._topology.rsus]
+        )
 
     # ------------------------------------------------------------------
     # Hooks for non-stationary request-process models (repro.workloads)
@@ -477,7 +479,7 @@ class RequestGenerator:
         return trace
 
     def _check_rsu(self, rsu_id: int) -> int:
-        if rsu_id not in self._local_contents:
+        if rsu_id not in self._local_content_arrays:
             raise ValidationError(f"unknown RSU id {rsu_id}")
         return int(rsu_id)
 

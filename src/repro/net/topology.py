@@ -153,6 +153,11 @@ class RoadTopology:
                     coverage_end=end,
                 )
             )
+        self._positions = np.asarray([rsu.position for rsu in self._rsus])
+        self._rsu_contents = np.asarray(
+            [rsu.covered_regions for rsu in self._rsus], dtype=int
+        )
+        self._rsu_contents.flags.writeable = False
         self._mbs = MacroBaseStation(
             position=0.5 * num_regions * region_length,
             num_contents=num_regions,
@@ -196,11 +201,6 @@ class RoadTopology:
         """The macro base station."""
         return self._mbs
 
-    def region(self, region_id: int) -> Region:
-        """Return the region with index *region_id*."""
-        check_index(region_id, self.num_regions, label="region id")
-        return self._regions[region_id]
-
     def rsu(self, rsu_id: int) -> RSU:
         """Return the RSU with index *rsu_id*."""
         check_index(rsu_id, self.num_rsus, label="rsu id")
@@ -212,9 +212,15 @@ class RoadTopology:
 
     def mbs_distances(self) -> np.ndarray:
         """Return the MBS-to-RSU distances for all RSUs."""
-        return np.asarray(
-            [self.mbs_distance(k) for k in range(self.num_rsus)], dtype=float
-        )
+        return np.abs(self._positions - self._mbs.position)
+
+    @property
+    def rsu_contents(self) -> np.ndarray:
+        """``(num_rsus, regions_per_rsu)`` content ids each RSU caches (read-only).
+
+        Row ``k`` is RSU ``k``'s :attr:`RSU.covered_regions`.
+        """
+        return self._rsu_contents
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

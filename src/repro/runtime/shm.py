@@ -29,6 +29,7 @@ except ImportError:  # pragma: no cover
 
 from repro.net.requests import WorkloadHorizon
 from repro.sim.scenario import ScenarioConfig
+from repro.sim.system import build_run_parts
 
 __all__ = [
     "HorizonShipment",
@@ -52,16 +53,12 @@ def shared_memory_available() -> bool:
 def precompute_horizon(config: ScenarioConfig, num_slots: int) -> WorkloadHorizon:
     """Generate the arrival tensor of one seeded scenario, parent-side.
 
-    Replays exactly the RNG derivation of
-    :class:`~repro.sim.system.SystemState` — the same spawned streams feed
-    the catalog and workload builds — so the returned horizon is bit-
-    identical to the one a worker would generate inside ``run_batch``.
+    Builds the workload with :func:`~repro.sim.system.build_run_parts`, the
+    builder of :class:`~repro.sim.system.SystemState`, so the returned
+    horizon is bit-identical to the one a worker would generate inside
+    ``run_batch``.
     """
-    streams = config.spawn_rngs(6)
-    catalog_rng, workload_rng = streams[0], streams[2]
-    topology = config.build_topology()
-    catalog = config.build_catalog(catalog_rng)
-    workload = config.build_workload(topology, catalog, rng=workload_rng)
+    workload = build_run_parts(config)[3]
     return workload.generate_horizon(num_slots)
 
 

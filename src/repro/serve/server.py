@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.serve.protocol import encode_reply, parse_line
-from repro.serve.session import DEFAULT_MAX_PENDING, open_session
+from repro.serve.session import DEFAULT_MAX_PENDING, SimulationSession, open_session
 
 __all__ = ["BackgroundServer", "ServeServer", "run_server"]
 
@@ -35,7 +35,9 @@ class ServeServer:
 
     Every connection simulates the same ``(scenario, policies)``
     configuration independently — sessions share nothing, so concurrent
-    clients explore divergent what-if request streams in isolation.
+    clients explore divergent what-if request streams in isolation.  The
+    first connection takes the session :meth:`start` opened to check the
+    configuration; later connections open their own.
     """
 
     def __init__(
@@ -63,6 +65,8 @@ class ServeServer:
         self._requested_host = host
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        # The session start() opens to fail fast, until a connection takes it.
+        self._spare_session: Optional[SimulationSession] = None
         self._writers: set = set()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -73,10 +77,10 @@ class ServeServer:
         Port ``0`` asks the OS for an ephemeral port — the bound one is
         reported here (and printed by the CLI) for clients to connect to.
         """
-        # Fail fast on a bad configuration: opening a throwaway session
-        # surfaces scenario/policy errors at bind time, not on the first
-        # connection.
-        open_session(self._scenario, self._policies, **self._session_options)
+        # Fail fast on a bad configuration: opening a session surfaces
+        # scenario/policy errors at bind time, not on the first connection,
+        # which then takes this session instead of building its own.
+        self._spare_session = self._open_session()
         self._server = await asyncio.start_server(
             self._handle_connection, self._requested_host, self._requested_port
         )
@@ -84,6 +88,9 @@ class ServeServer:
         address = sockets[0].getsockname()
         self.host, self.port = address[0], int(address[1])
         return self.host, self.port
+
+    def _open_session(self) -> SimulationSession:
+        return open_session(self._scenario, self._policies, **self._session_options)
 
     async def serve_forever(self) -> None:
         """Serve until cancelled (``start()`` must have been awaited)."""
@@ -108,9 +115,9 @@ class ServeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        session = open_session(
-            self._scenario, self._policies, **self._session_options
-        )
+        session, self._spare_session = self._spare_session, None
+        if session is None:
+            session = self._open_session()
         declared = self._num_slots
         self._writers.add(writer)
 

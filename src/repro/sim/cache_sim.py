@@ -31,6 +31,7 @@ from repro.sim.system import (
     _policy_name,
     _SeedStepper,
     _Simulator,
+    cache_ages,
 )
 
 def _cache_metrics(state: SystemState, mode: str, num_slots: int) -> CacheMetrics:
@@ -65,7 +66,7 @@ class _BatchedCacheStage:
     def __init__(self, states: List[SystemState], policies: List) -> None:
         self.states = states
         self.policies = policies
-        self.ages = np.stack([state.ages_matrix() for state in states])
+        self.ages = np.stack([state.ages for state in states])
         self.max_ages = np.stack([state.max_ages for state in states])
         self.popularity = np.stack([state.popularity for state in states])
         self.ceilings = np.stack([state.cache_ceilings for state in states])
@@ -87,8 +88,11 @@ class _BatchedCacheStage:
     def slot_costs(self, time_slot: int) -> np.ndarray:
         """Stacked per-seed update costs for *time_slot* (cached when static)."""
         if self._costs is None or self.time_varying:
+            # Copying first leaves holes between the cached matrices that the
+            # per-slot temporaries of the per-seed decide path reuse; at the
+            # heap top glibc would trim and re-fault them every slot.
             self._costs = np.stack(
-                [state.update_costs_vector(time_slot) for state in self.states]
+                [state.update_costs_vector(time_slot).copy() for state in self.states]
             )
         return self._costs
 
@@ -108,9 +112,7 @@ class _BatchedCacheStage:
             # them is safe even for policies that retain observations; the
             # ages tensor *is* recycled in place across slots, so each
             # seed's slice is copied out.
-            observation = state.observation_vector(
-                time_slot, self.ages[s].copy(), copy=False
-            )
+            observation = state.observation_vector(time_slot, self.ages[s].copy())
             actions = self.policies[s].decide(observation)
             per_seed.append(CachingPolicy.validate_actions(actions, observation))
         return np.stack(per_seed)
@@ -308,12 +310,13 @@ class CacheSimulator(_Simulator):
         """
         num_slots = self._num_slots(num_slots)
         state = SystemState(self._config)
+        caches = state.reference_caches()
         metrics = _cache_metrics(state, self._metrics_mode, num_slots)
         self._policy.reset()
         mbs_budget = LinkBudget()
 
         for t in range(num_slots):
-            observation = state.observation(t)
+            observation = state.observation(t, caches)
             actions = self._policy.decide(observation)
             actions = CachingPolicy.validate_actions(actions, observation)
             costs = observation.update_costs
@@ -324,11 +327,11 @@ class CacheSimulator(_Simulator):
             for k, rsu in enumerate(state.topology.rsus):
                 for slot, content_id in enumerate(rsu.covered_regions):
                     if actions[k, slot]:
-                        state.caches[k].apply_update(content_id)
+                        caches[k].apply_update(content_id)
                         mbs_budget.charge(costs[k, slot])
-            metrics.record_slot(t, state.ages_matrix(), actions, breakdown)
+            metrics.record_slot(t, cache_ages(caches), actions, breakdown)
             # Advance time: cached copies age by one slot, the MBS regenerates.
-            for cache in state.caches:
+            for cache in caches:
                 cache.tick(1)
             state.mbs_store.tick(t + 1)
         return CacheSimulationResult(

@@ -36,6 +36,7 @@ from repro.sim.system import (
     _policy_name,
     _SeedStepper,
     _Simulator,
+    cache_ages,
 )
 
 class JointStepper(_SeedStepper):
@@ -208,6 +209,7 @@ class JointSimulator(_Simulator):
         """
         num_slots = self._num_slots(num_slots)
         state = SystemState(self._config)
+        caches = state.reference_caches()
         cache_metrics = _cache_metrics(state, self._metrics_mode, num_slots)
         service_metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
         self._caching_policy.reset()
@@ -216,7 +218,7 @@ class JointSimulator(_Simulator):
 
         for t in range(num_slots):
             # ---- Stage 1: cache management -------------------------------
-            observation = state.observation(t)
+            observation = state.observation(t, caches)
             actions = self._caching_policy.decide(observation)
             actions = CachingPolicy.validate_actions(actions, observation)
             costs = observation.update_costs
@@ -226,18 +228,18 @@ class JointSimulator(_Simulator):
             for k, rsu in enumerate(state.topology.rsus):
                 for slot, content_id in enumerate(rsu.covered_regions):
                     if actions[k, slot]:
-                        state.caches[k].apply_update(content_id)
-            cache_metrics.record_slot(t, state.ages_matrix(), actions, breakdown)
+                        caches[k].apply_update(content_id)
+            cache_metrics.record_slot(t, cache_ages(caches), actions, breakdown)
 
             # ---- Stage 2: content service ---------------------------------
             _reference_service_slot(
-                state, queues, self._service_policy, self._service_batch,
+                state, caches, queues, self._service_policy, self._service_batch,
                 service_metrics, t,
                 deadline_slots=self._config.deadline_slots,
             )
 
             # ---- Advance time ---------------------------------------------
-            for cache in state.caches:
+            for cache in caches:
                 cache.tick(1)
             state.mbs_store.tick(t + 1)
         return JointSimulationResult(

@@ -79,10 +79,10 @@ def _warm_network_caches(
             f"and need cache_capacity >= contents_per_rsu "
             f"({config.contents_per_rsu}), got {network.cache_capacity}"
         )
-    for k, cache in enumerate(state.caches):
+    for k, (contents, ages) in enumerate(zip(state.content_ids, state.ages)):
         node_cache = network.cache(k)
-        for content_id in cache.content_ids:
-            node_cache.put(content_id, age=cache.age_of(content_id))
+        for content_id, age in zip(contents.tolist(), ages.tolist()):
+            node_cache.put(content_id, age=age)
 
 
 class MultihopStepper:
@@ -124,8 +124,8 @@ class MultihopStepper:
         _warm_network_caches(config, self.state, self.network, self.role)
         self.view = NetworkView(self.network)
         self.controller = NetworkController(self.network)
-        # Per-content freshness bounds, read once (the catalog rebuilds its
-        # array from the descriptors on every access).
+        # Per-content freshness bounds as a list: the per-request reads
+        # are scalar.
         self._max_ages = self.state.catalog.max_ages.tolist()
         self.metrics = MultihopMetrics(
             mode=check_metrics_mode(metrics), expected_slots=expected

@@ -14,6 +14,7 @@ benchmark harness consume.  Factory methods reproduce the paper's two setups:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Union
 
@@ -311,10 +312,8 @@ class ScenarioConfig:
     # Component builders
     # ------------------------------------------------------------------
     def build_topology(self) -> RoadTopology:
-        """Instantiate the road topology described by this config."""
-        return RoadTopology(
-            self.num_regions, self.num_rsus, region_length=self.region_length
-        )
+        """The road topology of this config, shared by runs of one shape (immutable)."""
+        return _road_topology(self.num_regions, self.num_rsus, self.region_length)
 
     def build_catalog(self, rng: RandomSource = None) -> ContentCatalog:
         """Instantiate the content catalog (random per-content ``A_max``)."""
@@ -389,3 +388,10 @@ class ScenarioConfig:
     def spawn_rngs(self, count: int) -> list:
         """Derive *count* independent random streams from the master seed."""
         return spawn_streams(self.seed, count)
+
+
+@functools.lru_cache(maxsize=16)
+def _road_topology(
+    num_regions: int, num_rsus: int, region_length: float
+) -> RoadTopology:
+    return RoadTopology(num_regions, num_rsus, region_length=region_length)

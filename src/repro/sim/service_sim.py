@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.lyapunov import BatchedServiceDecider
 from repro.core.policies import ServiceObservation, ServicePolicy
 from repro.exceptions import ValidationError
+from repro.net.cache import RSUCache
 from repro.net.queueing import RequestQueue
 from repro.sim.metrics import ServiceMetrics
 from repro.sim.results import ServiceSimulationResult
@@ -349,6 +350,7 @@ def _enqueue_batches(queues: _VectorQueues, time_slot: int, arrivals: _SlotArriv
 
 def _reference_service_slot(
     state: SystemState,
+    caches: List[RSUCache],
     queues: List[RequestQueue],
     policy: ServicePolicy,
     service_batch: Optional[int],
@@ -362,7 +364,8 @@ def _reference_service_slot(
     The single source of truth for per-slot request sampling and per-RSU
     scalar service accounting, shared by ``ServiceSimulator._run_reference``
     and ``JointSimulator._run_reference`` (which previously carried
-    duplicated copies of this body).
+    duplicated copies of this body).  *caches* are the run's per-RSU
+    cache objects (:meth:`SystemState.reference_caches`).
     """
     t = time_slot
     requests = state.workload.generate_slot(
@@ -383,7 +386,7 @@ def _reference_service_slot(
         head = queue.head()
         head_age = head_max = slack = None
         if head is not None:
-            cache = state.caches[k]
+            cache = caches[k]
             if cache.holds(head.content_id):
                 head_age = cache.age_of(head.content_id)
                 head_max = state.catalog[head.content_id].max_age
@@ -551,7 +554,7 @@ class ServiceStepper(_SeedStepper):
         self._stage = _ServiceStage(
             self.states, self.policies, self.metrics, service_batch
         )
-        self._static_ages = np.stack([state.ages_matrix() for state in self.states])
+        self._static_ages = np.stack([state.ages for state in self.states])
 
     def step(self, batches=None) -> List[dict]:
         """Advance one slot; returns each seed's aggregate service metrics."""
@@ -668,13 +671,14 @@ class ServiceSimulator(_Simulator):
         """
         num_slots = self._num_slots(num_slots)
         state = SystemState(self._config)
+        caches = state.reference_caches()
         metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
         self._policy.reset()
         queues = [RequestQueue(rsu.rsu_id) for rsu in state.topology.rsus]
 
         for t in range(num_slots):
             _reference_service_slot(
-                state, queues, self._policy, self._service_batch, metrics, t,
+                state, caches, queues, self._policy, self._service_batch, metrics, t,
                 deadline_slots=self._config.deadline_slots,
             )
             # The stage-2-only simulator assumes cache management (stage 1)

@@ -1,36 +1,57 @@
 """Shared per-run system construction for all simulation kinds.
 
-:class:`SystemState` materialises one scenario — topology, catalog, caches,
-cost models, workload, and the static parameter/index matrices consumed by
-both the scalar reference loops and the vectorised hot loops.  It is
-internal plumbing shared by :mod:`repro.sim.cache_sim`,
-:mod:`repro.sim.service_sim`, :mod:`repro.sim.joint_sim`, and
-:mod:`repro.sim.multihop_sim`, together with the option handling of their
-simulators (:class:`_Simulator`) and the setup and slot loop of the
-seed-axis steppers (:class:`_SeedStepper`).
+:class:`SystemState` builds one scenario as arrays — topology, catalog,
+cost models, workload, the initial RSU ages and the static parameter/index
+matrices the vectorised hot loops read; the scalar reference loops build
+their per-RSU cache objects from it.  It is internal plumbing shared by
+:mod:`repro.sim.cache_sim`, :mod:`repro.sim.service_sim`,
+:mod:`repro.sim.joint_sim`, and :mod:`repro.sim.multihop_sim`, together
+with the option handling of their simulators (:class:`_Simulator`) and the
+setup and slot loop of the seed-axis steppers (:class:`_SeedStepper`).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.policies import CacheObservation
-from repro.core.reward import UtilityFunction
 from repro.exceptions import ValidationError
 from repro.net.cache import MBSContentStore, RSUCache
 from repro.sim.metrics import check_metrics_mode
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.validation import check_positive_int
 
+
+def build_run_parts(config: ScenarioConfig) -> Tuple[list, Any, Any, Any]:
+    """Spawn a run's six RNG streams; build its topology, catalog and workload.
+
+    The one builder behind :class:`SystemState` and the parent-side horizon
+    precompute of :mod:`repro.runtime.shm`, so both derive the workload
+    from the same streams.  Returns ``(streams, topology, catalog,
+    workload)``; the streams are, in order, the catalog, initial-age,
+    workload, update-cost, service-cost and policy streams.
+    """
+    streams = config.spawn_rngs(6)
+    topology = config.build_topology()
+    catalog = config.build_catalog(streams[0])
+    workload = config.build_workload(topology, catalog, rng=streams[2])
+    return streams, topology, catalog, workload
+
+
 class SystemState:
-    """Shared construction of topology, catalog, caches, and parameters."""
+    """One run's scenario as arrays: topology, catalog, workload and matrices.
+
+    Every per-(RSU, content-slot) quantity is a ``(num_rsus,
+    contents_per_rsu)`` matrix gathered from the catalog and workload
+    arrays — the RSU ages included, drawn by one ``uniform`` call.
+    """
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
-        streams = config.spawn_rngs(6)
+        streams, self.topology, self.catalog, self.workload = build_run_parts(config)
         (
             self.catalog_rng,
             self.init_rng,
@@ -39,136 +60,110 @@ class SystemState:
             self.service_cost_rng,
             self.policy_rng,
         ) = streams
-        self.topology = config.build_topology()
-        self.catalog = config.build_catalog(self.catalog_rng)
         self.update_cost_model = config.build_update_cost_model(self.update_cost_rng)
         self.service_cost_model = config.build_service_cost_model(self.service_cost_rng)
-        self.workload = config.build_workload(
-            self.topology, self.catalog, rng=self.workload_rng
-        )
         self.mbs_store = MBSContentStore(self.catalog)
-        self.caches: List[RSUCache] = []
-        for rsu in self.topology.rsus:
-            cache = RSUCache(rsu.rsu_id, rsu.covered_regions, self.catalog)
-            if config.random_initial_ages:
-                cache.randomize_ages(self.init_rng)
-            self.caches.append(cache)
-        # Static per-(RSU, content-slot) parameter matrices, gathered from
-        # one-pass catalog arrays (per-item catalog indexing is measurable
-        # setup cost at production grid sizes).
-        num_rsus = config.num_rsus
-        per_rsu = config.contents_per_rsu
-        self.content_ids = np.asarray(
-            [rsu.covered_regions for rsu in self.topology.rsus], dtype=int
-        )
-        self.max_ages = self.catalog.max_ages[self.content_ids]
-        self.popularity = np.zeros((num_rsus, per_rsu))
-        for k, rsu in enumerate(self.topology.rsus):
-            population = self.workload.content_population(rsu.rsu_id)
-            self.popularity[k] = [
-                population[content_id] for content_id in rsu.covered_regions
-            ]
-        self.utility = UtilityFunction(
-            self.max_ages,
-            np.zeros_like(self.max_ages),  # costs are supplied per slot
-            weight=config.aoi_weight,
-        )
-        # Static index/parameter arrays used by the vectorised hot loops.
-        self.content_sizes = self.catalog.sizes[self.content_ids]
-        self.mbs_distances = np.asarray(
-            [self.topology.mbs_distance(k) for k in range(num_rsus)], dtype=float
-        )[:, np.newaxis]
-        self.cache_ceilings = np.asarray(
-            [cache.age_ceiling for cache in self.caches], dtype=float
-        )[:, np.newaxis]
-        # Each content is cached by exactly one RSU; map it to its cache
-        # slot within that RSU.
+        # Row k holds RSU k's covered contents; each content is cached by
+        # exactly one RSU, so content_slot maps it to its slot in that row.
+        self.content_ids = self.topology.rsu_contents
         self.content_slot = np.zeros(self.catalog.num_contents, dtype=int)
-        self.content_slot[self.content_ids] = np.arange(per_rsu, dtype=int)
+        self.content_slot[self.content_ids] = np.arange(self.content_ids.shape[1])
+        self.max_ages = self.catalog.max_ages[self.content_ids]
+        self.content_sizes = self.catalog.sizes[self.content_ids]
+        self.popularity = self.workload.popularity_matrix()
+        self.mbs_distances = self.topology.mbs_distances()[:, np.newaxis]
+        # Each RSU's ages saturate at twice its largest A_max (the
+        # AoIVector default).  Random initial ages are uniform on
+        # [1, A_max) per content: one draw over the whole matrix takes the
+        # same variates, in the same order, as one draw per RSU row.
+        self.cache_ceilings = 2.0 * self.max_ages.max(axis=1, keepdims=True)
+        if config.random_initial_ages:
+            self.ages = self.init_rng.uniform(1.0, self.max_ages)
+        else:
+            self.ages = np.ones_like(self.max_ages)
         self._static_update_costs: Optional[np.ndarray] = None
 
-    def ages_matrix(self) -> np.ndarray:
-        """Current cache ages as a ``(num_rsus, contents_per_rsu)`` matrix."""
-        return np.stack([cache.ages for cache in self.caches])
+    def reference_caches(self) -> List[RSUCache]:
+        """Per-RSU cache objects at the initial ages, for the scalar oracle."""
+        return [
+            RSUCache(
+                rsu.rsu_id, rsu.covered_regions, self.catalog, initial_ages=self.ages[k]
+            )
+            for k, rsu in enumerate(self.topology.rsus)
+        ]
 
-    def update_costs_matrix(self, time_slot: int) -> np.ndarray:
-        """Per-(RSU, content) MBS->RSU transfer costs for *time_slot*."""
-        num_rsus = self.config.num_rsus
-        per_rsu = self.config.contents_per_rsu
-        costs = np.zeros((num_rsus, per_rsu))
-        for k in range(num_rsus):
-            distance = self.topology.mbs_distance(k)
-            for slot, content_id in enumerate(self.topology.rsus[k].covered_regions):
-                size = self.catalog[content_id].size
-                costs[k, slot] = self.update_cost_model.cost(
-                    distance=distance, size=size, time_slot=time_slot
-                )
-        return costs
+    def observation(
+        self, time_slot: int, caches: Sequence[RSUCache]
+    ) -> CacheObservation:
+        """The MDP observation of *time_slot*, read item by item.
 
-    def observation(self, time_slot: int) -> CacheObservation:
-        """Build the MDP observation for *time_slot*."""
-        mbs_ages = np.zeros_like(self.max_ages)
+        The scalar oracle's twin of :meth:`observation_vector`: ages come
+        from *caches*, and every parameter from the per-content catalog
+        descriptors, workload populations and cost-model calls rather than
+        from the state's matrices.
+        """
+        shape = self.max_ages.shape
+        max_ages, popularity, costs, mbs_ages = (np.zeros(shape) for _ in range(4))
         for k, rsu in enumerate(self.topology.rsus):
+            distance = self.topology.mbs_distance(k)
+            population = self.workload.content_population(rsu.rsu_id)
             for slot, content_id in enumerate(rsu.covered_regions):
+                content = self.catalog[content_id]
+                max_ages[k, slot] = content.max_age
+                popularity[k, slot] = population[content_id]
+                costs[k, slot] = self.update_cost_model.cost(
+                    distance=distance, size=content.size, time_slot=time_slot
+                )
                 mbs_ages[k, slot] = self.mbs_store.age_of(content_id)
         return CacheObservation(
             time_slot=time_slot,
-            ages=self.ages_matrix(),
-            max_ages=self.max_ages.copy(),
-            popularity=self.popularity.copy(),
-            update_costs=self.update_costs_matrix(time_slot),
+            ages=cache_ages(caches),
+            max_ages=max_ages,
+            popularity=popularity,
+            update_costs=costs,
             mbs_ages=mbs_ages,
         )
 
-    def update_costs_vector(self, time_slot: int, *, copy: bool = True) -> np.ndarray:
-        """Vectorised twin of :meth:`update_costs_matrix` (identical values).
+    def update_costs_vector(self, time_slot: int) -> np.ndarray:
+        """Per-(RSU, content) MBS->RSU transfer costs for *time_slot*.
 
-        Distances and sizes are static, so time-invariant cost models are
-        evaluated once and the matrix is reused (copied by default, so
-        callers may keep or mutate it; hot loops pass ``copy=False`` and
-        treat the result as read-only).
+        Distances and sizes are static, so a time-invariant cost model is
+        evaluated once and the matrix reused: callers treat it as read-only.
         """
-        if self.update_cost_model.time_varying:
-            return self.update_cost_model.cost_array(
-                distances=self.mbs_distances,
-                sizes=self.content_sizes,
-                time_slot=time_slot,
-            )
-        if self._static_update_costs is None:
-            self._static_update_costs = self.update_cost_model.cost_array(
-                distances=self.mbs_distances,
-                sizes=self.content_sizes,
-                time_slot=time_slot,
-            )
-        if copy:
-            return self._static_update_costs.copy()
-        return self._static_update_costs
+        if self._static_update_costs is not None:
+            return self._static_update_costs
+        costs = self.update_cost_model.cost_array(
+            distances=self.mbs_distances,
+            sizes=self.content_sizes,
+            time_slot=time_slot,
+        )
+        if not self.update_cost_model.time_varying:
+            self._static_update_costs = costs
+        return costs
 
-    def observation_vector(
-        self, time_slot: int, ages: np.ndarray, *, copy: bool = True
-    ) -> CacheObservation:
-        """Vectorised twin of :meth:`observation` for a given *ages* matrix.
+    def observation_vector(self, time_slot: int, ages: np.ndarray) -> CacheObservation:
+        """Array twin of :meth:`observation` for a given *ages* matrix.
 
         Builds the identical :class:`CacheObservation` (bit for bit) with
-        array gathers instead of per-(RSU, content) Python loops.  With
-        ``copy=False`` the observation aliases the static parameter
-        matrices instead of defensively copying them each slot, and uses
-        *ages* as passed.  The values are identical, and the statics are
-        never mutated over a run (so even policies that retain
-        observations stay correct); the hot loops use it to skip O(grid)
-        copies per slot, passing an *ages* array that is not mutated in
-        place afterwards.
+        array gathers instead of per-(RSU, content) Python loops.  It
+        aliases *ages* and the static parameter matrices rather than
+        copying them: the statics are never mutated over a run (so even
+        policies that retain observations stay correct), and callers pass
+        an *ages* array they do not mutate in place afterwards.
         """
-        if copy:
-            ages = ages.copy()
         return CacheObservation(
             time_slot=time_slot,
             ages=ages,
-            max_ages=self.max_ages.copy() if copy else self.max_ages,
-            popularity=self.popularity.copy() if copy else self.popularity,
-            update_costs=self.update_costs_vector(time_slot, copy=copy),
+            max_ages=self.max_ages,
+            popularity=self.popularity,
+            update_costs=self.update_costs_vector(time_slot),
             mbs_ages=self.mbs_store.ages[self.content_ids],
         )
+
+
+def cache_ages(caches: Sequence[RSUCache]) -> np.ndarray:
+    """The ages of *caches* as a ``(num_rsus, contents_per_rsu)`` matrix."""
+    return np.stack([cache.ages for cache in caches])
 
 
 def _expand_batch_policies(seeds: Sequence[int], policies, base_policy) -> List:

@@ -226,7 +226,7 @@ class TraceWorkload(WorkloadModel):
                 raise ConfigurationError(
                     f"trace {self._path!r}: negative time_slot {t}"
                 )
-            if rsu_id not in self._local_contents:
+            if rsu_id not in self._local_content_arrays:
                 raise ConfigurationError(
                     f"trace {self._path!r}: unknown rsu_id {rsu_id}"
                 )

@@ -71,11 +71,6 @@ class TestAoICounter:
         with pytest.raises(ValidationError):
             counter.refresh(0.5)
 
-    def test_utility_matches_function(self):
-        counter = AoICounter(8.0)
-        counter.tick(3)
-        assert counter.utility == pytest.approx(aoi_utility(4.0, 8.0))
-
     def test_negative_tick_rejected(self):
         with pytest.raises(ValidationError):
             AoICounter(5.0).tick(-1)

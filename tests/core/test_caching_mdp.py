@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.caching_mdp import (
     AgeGrid,
+    BatchedCacheDecider,
     CachingMDPConfig,
     ContentUpdateMDP,
     MDPCachingPolicy,
@@ -317,31 +318,29 @@ class TestMDPCachingPolicy:
         policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
         observation = make_observation(np.full((1, 2), 3.0))
         policy.decide(observation)
-        first_models = dict(policy._content_models)
+        first_table = policy._advantage_table
         policy.decide(make_observation(np.full((1, 2), 5.0)))
-        assert policy._content_models == first_models
+        assert policy._advantage_table is first_table
 
     def test_models_rebuilt_when_parameters_change(self):
         policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
         policy.decide(make_observation(np.full((1, 2), 3.0)))
-        before = dict(policy._content_models)
+        before = policy._advantage_table
         policy.decide(
             make_observation(np.full((1, 2), 3.0), costs=np.full((1, 2), 9.0))
         )
-        assert policy._content_models != before
+        assert not np.array_equal(policy._advantage_table, before)
 
     def test_advantage_increases_with_age(self):
         policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
         policy.decide(make_observation(np.full((1, 2), 1.0)))
-        for model in policy._content_models.values():
-            advantage = model.q_values[:, 1] - model.q_values[:, 0]
-            assert np.all(np.diff(advantage) >= -1e-9)
+        assert np.all(np.diff(policy._advantage_table, axis=-1) >= -1e-9)
 
     def test_reset_clears_models(self):
         policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
         policy.decide(make_observation(np.full((1, 2), 3.0)))
         policy.reset()
-        assert not policy._content_models
+        assert policy._advantage_table is None
 
     @given(age=st.floats(min_value=1.0, max_value=12.0))
     @settings(max_examples=25, deadline=None)
@@ -350,3 +349,56 @@ class TestMDPCachingPolicy:
         observation = make_observation(np.full((2, 2), age))
         actions = policy.decide(observation)
         assert set(np.unique(actions)).issubset({0, 1})
+
+
+class TestBatchedCacheDecider:
+    def _grid(self, seeds=3, rsus=2, contents=4):
+        rng = np.random.default_rng(3)
+        max_ages = rng.integers(3, 9, size=(seeds, rsus, contents)).astype(float)
+        popularity = rng.dirichlet(np.ones(contents), size=(seeds, rsus))
+        costs = rng.uniform(0.1, 2.0, size=(seeds, rsus, contents))
+        ages = rng.uniform(1.0, 12.0, size=(seeds, rsus, contents))
+        return max_ages, popularity, costs, ages
+
+    def test_matches_each_seed_policy_through_jitter_and_moves(self):
+        max_ages, popularity, costs, ages = self._grid()
+        config = CachingMDPConfig(weight=2.0)
+        decider = BatchedCacheDecider(
+            [MDPCachingPolicy(config, use_solve_cache=False) for _ in range(3)]
+        )
+        own = [MDPCachingPolicy(config, use_solve_cache=False) for _ in range(3)]
+        jittered = costs + 1e-12
+        moved = jittered.copy()
+        moved[1] += 0.5
+        tables = []
+        for step in (costs, jittered, moved):
+            assert decider.prepare(max_ages, popularity, step)
+            expected = np.stack(
+                [
+                    policy.decide(
+                        make_observation(ages[s], max_ages[s], popularity[s], step[s])
+                    )
+                    for s, policy in enumerate(own)
+                ]
+            )
+            np.testing.assert_array_equal(decider.decide(ages), expected)
+            tables.append(decider._tables)
+        # Sub-1e-9 jitter keeps the solved tables; a move re-solves only the
+        # seed that moved.
+        assert tables[1] is tables[0]
+        np.testing.assert_array_equal(tables[2][[0, 2]], tables[0][[0, 2]])
+        assert not np.array_equal(tables[2][1], tables[0][1])
+
+    def test_exact_mode_seed_falls_back(self):
+        max_ages, popularity, costs, _ = self._grid(rsus=1, contents=2)
+        policies = [MDPCachingPolicy(mode="factored") for _ in range(2)]
+        policies.append(MDPCachingPolicy(mode="auto"))
+        assert not BatchedCacheDecider(policies).prepare(max_ages, popularity, costs)
+
+    def test_mixed_configs_are_not_batched(self):
+        policies = [
+            MDPCachingPolicy(CachingMDPConfig(weight=1.0)),
+            MDPCachingPolicy(CachingMDPConfig(weight=2.0)),
+        ]
+        assert not BatchedCacheDecider.supports(policies)
+        assert BatchedCacheDecider.supports(policies[:1])

@@ -51,22 +51,9 @@ class TestRSUCache:
         cache.tick(5)  # ages 6; A_max 4 and 10
         np.testing.assert_array_equal(cache.violations, [True, False])
 
-    def test_randomize_ages_within_limits(self, catalog):
-        cache = RSUCache(0, [0, 1, 2, 3], catalog)
-        cache.randomize_ages(rng=0)
-        assert np.all(cache.ages >= 1.0)
-        assert np.all(cache.ages <= cache.max_ages)
-
-    def test_randomize_ages_deterministic(self, catalog):
-        a = RSUCache(0, [0, 1], catalog)
-        b = RSUCache(0, [0, 1], catalog)
-        a.randomize_ages(rng=9)
-        b.randomize_ages(rng=9)
-        np.testing.assert_array_equal(a.ages, b.ages)
-
-    def test_randomize_ages_bad_low_rejected(self, cache):
+    def test_initial_ages_below_one_rejected(self, catalog):
         with pytest.raises(ValidationError):
-            cache.randomize_ages(rng=0, low=0.0)
+            RSUCache(0, [0, 1], catalog, initial_ages=[0.0, 2.0])
 
     def test_duplicate_content_ids_rejected(self, catalog):
         with pytest.raises(CacheError):

@@ -98,6 +98,35 @@ class TestContentCatalog:
         catalog = ContentCatalog.uniform(3, size=2.5)
         np.testing.assert_allclose(catalog.sizes, 2.5)
 
+    @pytest.mark.parametrize("name", ["max_ages", "sizes", "popularity"])
+    def test_arrays_are_cached_and_read_only(self, name):
+        catalog = ContentCatalog.random(12, rng=4)
+        array = getattr(catalog, name)
+        assert getattr(catalog, name) is array
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+    def test_descriptors_are_made_from_the_arrays(self):
+        catalog = ContentCatalog.heterogeneous([4.0, 7.0, 9.0], size=2.0)
+        descriptor = catalog[1]
+        assert descriptor == ContentDescriptor(
+            content_id=1, region=1, max_age=7.0, size=2.0, label="content-1"
+        )
+        assert [d.max_age for d in catalog] == catalog.max_ages.tolist()
+
+    def test_non_positive_max_age_rejected_by_factories(self):
+        with pytest.raises(ValidationError):
+            ContentCatalog.heterogeneous([4.0, 0.0])
+
+    def test_subset_popularity_matrix_renormalises_rows(self):
+        catalog = ContentCatalog.random(6, zipf_exponent=1.0, rng=0)
+        rows = catalog.subset_popularity([[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(rows[0], catalog.subset_popularity([0, 1, 2]))
+        np.testing.assert_array_equal(rows[1], catalog.subset_popularity([3, 4, 5]))
+        with pytest.raises(ValidationError):
+            catalog.subset_popularity([[0, 6]])
+
 
 class TestZipfPopularity:
     def test_zero_exponent_is_uniform(self):

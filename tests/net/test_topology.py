@@ -74,9 +74,21 @@ class TestRoadTopology:
     def test_index_bounds(self):
         topology = RoadTopology(4, 2)
         with pytest.raises(ValidationError):
-            topology.region(4)
-        with pytest.raises(ValidationError):
             topology.rsu(2)
+
+    def test_mbs_distances_match_per_rsu_distance(self):
+        topology = RoadTopology(12, 4, region_length=37.5)
+        expected = [topology.mbs_distance(k) for k in range(4)]
+        assert topology.mbs_distances().tolist() == expected
+
+    def test_rsu_contents_rows_are_covered_regions(self):
+        topology = RoadTopology(12, 3)
+        contents = topology.rsu_contents
+        assert [tuple(row) for row in contents.tolist()] == [
+            rsu.covered_regions for rsu in topology.rsus
+        ]
+        with pytest.raises(ValueError):
+            contents[0, 0] = 5
 
     @given(
         regions_per_rsu=st.integers(min_value=1, max_value=6),
@@ -92,7 +104,7 @@ class TestRoadTopology:
             assert rsu.coverage_start == edges[-1]
             edges.append(rsu.coverage_end)
             for region_id in rsu.covered_regions:
-                region = topology.region(region_id)
-                assert rsu.coverage_start <= region.start < region.end
-                assert region.end <= rsu.coverage_end
+                start = region_id * topology.region_length
+                end = (region_id + 1) * topology.region_length
+                assert rsu.coverage_start <= start < end <= rsu.coverage_end
         assert edges[-1] == pytest.approx(topology.road_length)

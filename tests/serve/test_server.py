@@ -87,6 +87,37 @@ class TestServerRoundTrip:
             assert server.port > 0
 
 
+class TestBindTimeSession:
+    def test_first_connection_takes_the_bind_time_session(
+        self, trace_env, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        config, path = trace_env
+        opened = []
+        original = server_module.open_session
+
+        def counting_open_session(*args, **kwargs):
+            session = original(*args, **kwargs)
+            opened.append(session)
+            return session
+
+        monkeypatch.setattr(server_module, "open_session", counting_open_session)
+        offline = simulate(
+            config, ("myopic", "lyapunov"), num_slots=NUM_SLOTS, metrics="summary"
+        )
+        finals = []
+        with BackgroundServer(config, ("myopic", "lyapunov")) as server:
+            assert len(opened) == 1  # the bind-time session
+            for expected_sessions in (1, 2):
+                with ServeClient(server.host, server.port) as client:
+                    client.replay(path)
+                    finals.append(client.close())
+                assert len(opened) == expected_sessions
+        assert finals[0] == finals[1]
+        assert finals[0]["summary"] == offline.summary()
+
+
 class TestProtocolErrors:
     def test_malformed_line_keeps_the_connection_alive(self, trace_env):
         config, _ = trace_env

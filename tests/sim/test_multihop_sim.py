@@ -41,7 +41,7 @@ def single_rsu_replay(config: ScenarioConfig, num_slots: int):
     origin = model.origin
     ages = [
         {int(c): cache.age_of(int(c)) for c in cache.content_ids}
-        for cache in state.caches
+        for cache in state.reference_caches()
     ]
     max_ages = state.catalog.max_ages
     hits = served = hops = 0

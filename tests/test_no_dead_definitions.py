@@ -19,6 +19,7 @@ the list cannot go stale.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
@@ -238,3 +239,22 @@ def test_every_definition_is_named_in_src():
 def test_allowlist_entries_are_still_needed():
     dead = set(dead_definitions())
     assert sorted(set(ALLOWLIST) - dead) == []
+
+
+#: Methods no caller reached although their bare names occur in ``src/``
+#: as an attribute or a variable (an unread ``SystemState.utility``
+#: attribute hid ``AoICounter.utility``), so the scan above did not flag
+#: them.  They are gone.
+MASKED_AND_DELETED = [
+    ("repro.core.aoi", "AoICounter", "utility"),
+    ("repro.net.cache", "RSUCache", "randomize_ages"),
+    ("repro.net.model", "NetworkModel", "position"),
+    ("repro.net.queueing", "RequestQueue", "served"),
+    ("repro.net.topology", "RoadTopology", "region"),
+]
+
+
+def test_masked_unused_methods_are_deleted():
+    for module, owner, name in MASKED_AND_DELETED:
+        cls = getattr(importlib.import_module(module), owner)
+        assert not hasattr(cls, name), f"{module}.{owner}.{name}"
