@@ -317,13 +317,8 @@ class AoIProcess:
         return self._max_age
 
     @property
-    def times(self) -> np.ndarray:
-        """Recorded slot indices."""
-        return np.asarray(self._times, dtype=int)
-
-    @property
     def ages(self) -> np.ndarray:
-        """Recorded ages, aligned with :attr:`times`."""
+        """Recorded ages, in time order."""
         return np.asarray(self._ages, dtype=float)
 
     def __len__(self) -> int:

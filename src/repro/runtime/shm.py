@@ -109,9 +109,10 @@ class HorizonShipment:
     def handle_for(self, spec, seeds: Sequence[int]) -> Optional[Dict[str, Any]]:
         """Build (or reuse) the horizons for one task and pack them.
 
-        Returns ``None`` for tasks that do not replay arrival tensors
-        (cache and multihop runs, which draw per slot), or when shared
-        memory is unavailable.
+        Returns ``None`` for tasks that do not replay arrival tensors, or
+        when shared memory is unavailable.  Cache runs consume no
+        arrivals; multihop runs share the seed-axis stepper but their
+        ``run_batch`` takes no ``horizons``, so each seed draws per slot.
         """
         if not shared_memory_available():
             return None

@@ -1,12 +1,12 @@
 """Incremental simulation sessions: drive any kind one slot at a time.
 
 :func:`open_session` resolves a ``(scenario, policies)`` pair into the
-same stepper the batch :func:`~repro.sim.engine.simulate` loops run on —
-the seed-axis :class:`~repro.sim.cache_sim.CacheStepper`,
-:class:`~repro.sim.service_sim.ServiceStepper`, or
-:class:`~repro.sim.joint_sim.JointStepper` with one seed, or
-:class:`~repro.sim.multihop_sim.MultihopStepper` — and wraps it in a
-:class:`SimulationSession`::
+same seed-axis stepper the batch :func:`~repro.sim.engine.simulate` loops
+run on — :class:`~repro.sim.cache_sim.CacheStepper`,
+:class:`~repro.sim.service_sim.ServiceStepper`,
+:class:`~repro.sim.joint_sim.JointStepper` or
+:class:`~repro.sim.multihop_sim.MultihopStepper`, with one seed — and
+wraps it in a :class:`SimulationSession`::
 
     session = open_session(scenario, ("mdp", "lyapunov"))
     for slot_requests in live_feed:          # [(rsu_id, content_id), ...]
@@ -54,7 +54,6 @@ from repro.sim.engine import (
     _resolve_kind,
     _simulator,
 )
-from repro.sim.multihop_sim import MultihopStepper
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import ScenarioConfig
 from repro.workloads.codec import group_record_batches
@@ -144,24 +143,16 @@ def open_session(
     ``"summary"`` — sessions are open-ended, so the memory-flat collector
     is the natural choice; pass ``"full"`` to keep per-slot trajectories.
     """
-    kind, policy, service_policy = _resolve_kind(
+    kind, runs, _ = _resolve_kind(
         policies,
         kind=kind,
         metrics=metrics,
         service_batch=service_batch,
         noun="sessions",
     )
-    if kind == "multihop":
-        if isinstance(policies, (list, tuple)):
-            if len(policies) != 1:
-                raise ConfigurationError(
-                    "a multihop session takes exactly one policy"
-                )
-            policies = policies[0]
-        stepper = MultihopStepper(
-            scenario, _materialize(policies, scenario), metrics=metrics
-        )
-        return SimulationSession(stepper, max_pending=max_pending)
+    if len(runs) != 1:
+        raise ConfigurationError(f"a {kind} session takes exactly one policy")
+    ((policy, service_policy),) = runs
     simulator = _simulator(
         kind,
         scenario,
@@ -170,42 +161,17 @@ def open_session(
         service_batch=service_batch,
         metrics=metrics,
     )
-    return SimulationSession(
-        _OneSeed(simulator._stepper(None)), max_pending=max_pending
-    )
-
-
-class _OneSeed:
-    """The single-run stepper surface over a one-seed seed-axis stepper.
-
-    Sessions drive the cache/service/joint steppers at ``S = 1`` through
-    this view, which gives them the surface of
-    :class:`~repro.sim.multihop_sim.MultihopStepper`.
-    """
-
-    def __init__(self, stepper: Any) -> None:
-        self._stepper = stepper
-        self.kind = stepper.kind
-        self.state = stepper.states[0]
-
-    @property
-    def time_slot(self) -> int:
-        return self._stepper.time_slot
-
-    def step(self, batches=None) -> Dict[str, float]:
-        return self._stepper.step(None if batches is None else [batches])[0]
-
-    def result(self) -> SimulationResult:
-        return self._stepper.results()[0]
+    return SimulationSession(simulator._stepper(None), max_pending=max_pending)
 
 
 class SimulationSession:
-    """A resumable simulation over one of the per-slot steppers.
+    """A resumable simulation over a one-seed seed-axis stepper.
 
     Construct through :func:`open_session`.  The session owns a stepper
     (which owns the :class:`~repro.sim.system.SystemState`, policies, and
-    streaming metrics), a bounded buffer of fed-but-unexecuted requests,
-    and the ingest counters surfaced by :meth:`snapshot`.
+    streaming metrics) carrying exactly one seed, a bounded buffer of
+    fed-but-unexecuted requests, and the ingest counters surfaced by
+    :meth:`snapshot`.
     """
 
     def __init__(self, stepper: Any, *, max_pending: int = DEFAULT_MAX_PENDING) -> None:
@@ -221,7 +187,7 @@ class SimulationSession:
         self._max_pending = max_pending
         # A session fed by rsu/content records validates them against the
         # topology's content placement, exactly like a trace file replay.
-        state = stepper.state
+        state = stepper.states[0]
         self._rsu_contents: Dict[int, set] = {
             rsu.rsu_id: {int(c) for c in rsu.covered_regions}
             for rsu in state.topology.rsus
@@ -293,7 +259,7 @@ class SimulationSession:
             self._pending_count -= len(pairs)
         if requests is None:
             if not self._externally_driven and not pairs:
-                metrics = self._stepper.step(None)
+                metrics = self._stepper.step(None)[0]
                 return SlotResult(time_slot=t, requests=0, metrics=metrics)
         else:
             self._externally_driven = True
@@ -302,7 +268,7 @@ class SimulationSession:
                 self._check_pair(*pair)
                 pairs.append(pair)
         self._requests += len(pairs)
-        metrics = self._stepper.step(group_record_batches(pairs))
+        metrics = self._stepper.step([group_record_batches(pairs)])[0]
         return SlotResult(time_slot=t, requests=len(pairs), metrics=metrics)
 
     def feed(self, records: Iterable[RecordLike]) -> List[SlotResult]:
@@ -345,7 +311,7 @@ class SimulationSession:
         executed slot.
         """
         self._ensure_open()
-        summary = self._stepper.result().summary()
+        summary = self._stepper.results()[0].summary()
         if self.kind == "joint":
             policy: Any = {
                 "caching": summary["caching_policy"],
@@ -378,9 +344,9 @@ class SimulationSession:
             self._step_pending()
         if num_slots is not None:
             while self.time_slot < num_slots:
-                self._stepper.step([] if self._externally_driven else None)
+                self._stepper.step([[]] if self._externally_driven else None)
         self._closed = True
-        return self._stepper.result()
+        return self._stepper.results()[0]
 
     # ------------------------------------------------------------------
     # Internals
@@ -406,7 +372,7 @@ class SimulationSession:
         if pairs:
             self._pending_count -= len(pairs)
         self._requests += len(pairs)
-        metrics = self._stepper.step(group_record_batches(pairs))
+        metrics = self._stepper.step([group_record_batches(pairs)])[0]
         return SlotResult(time_slot=t, requests=len(pairs), metrics=metrics)
 
     def _drop_oldest(self) -> None:

@@ -27,7 +27,6 @@ from repro.sim.results import CacheSimulationResult
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.system import (
     SystemState,
-    _expand_batch_policies,
     _policy_name,
     _SeedStepper,
     _Simulator,
@@ -264,42 +263,6 @@ class CacheSimulator(_Simulator):
             metrics=self._metrics_mode,
             expected_slots=num_slots,
         )
-
-    def run(self, *, num_slots: Optional[int] = None) -> CacheSimulationResult:
-        """Run the simulation and return the recorded result."""
-        num_slots = self._num_slots(num_slots)
-        return self._stepper(num_slots).drive(num_slots)[0]
-
-    def run_batch(
-        self,
-        seeds: Sequence[int],
-        *,
-        policies: Optional[Sequence[CachingPolicy]] = None,
-        num_slots: Optional[int] = None,
-    ) -> List[CacheSimulationResult]:
-        """Run one simulation per seed through a single seed-batched loop.
-
-        Equivalent — bit for bit — to calling :meth:`run` once per seed on
-        ``config.with_overrides(seed=seed)``, but the hot loop carries all
-        seeds through ``(num_seeds, num_rsus, contents_per_rsu)`` tensors, so
-        one vectorised slot replaces ``len(seeds)`` separate ones.
-
-        Parameters
-        ----------
-        seeds:
-            Master scenario seeds, one per run.
-        policies:
-            Optional per-seed policy instances (e.g. factory-built); omitted,
-            each run gets a deep copy of the simulator's policy, exactly as
-            the per-run path would.
-        num_slots:
-            Optional horizon override shared by every run.
-        """
-        num_slots = self._num_slots(num_slots)
-        seeds = [int(seed) for seed in seeds]
-        policies = _expand_batch_policies(seeds, policies, self._policy)
-        configs = self._seed_configs(seeds)
-        return self._stepper(num_slots, configs, policies).drive(num_slots)
 
     def _run_reference(
         self, num_slots: Optional[int] = None

@@ -21,13 +21,14 @@ Policies may be registered names / ``"name:k=v,..."`` strings /
 registry) or ready policy instances (used exactly as the per-kind
 simulator classes use them, so results are bit-identical to those).
 
-There is one execution path.  The cache, service and joint kinds each have
-one vectorised per-slot body, a seed-axis stepper
-(:class:`~repro.sim.cache_sim.CacheStepper`,
+There is one execution path.  Every kind has one per-slot body, a
+seed-axis stepper (:class:`~repro.sim.cache_sim.CacheStepper`,
 :class:`~repro.sim.service_sim.ServiceStepper`,
-:class:`~repro.sim.joint_sim.JointStepper`): a single run drives it with
-one seed, *seeds* drives it with every seed at once.  The multihop kind
-runs its per-request graph walk.
+:class:`~repro.sim.joint_sim.JointStepper`,
+:class:`~repro.sim.multihop_sim.MultihopStepper`): a single run drives it
+with one seed, *seeds* drives it with every seed at once.  The multihop
+kind takes a flat collection of policies of any role, so ``simulate()``
+runs once per entry; results are ordered policy-major, seed-minor.
 
 The original scalar loops survive only as the private test oracle,
 :func:`_reference`, which the equivalence suites compare every path
@@ -187,13 +188,16 @@ def simulate(
     policies:
         What to evaluate: a single policy (kind inferred from its role), a
         ``(caching, service)`` pair or ``{"caching": ..., "service": ...}``
-        dict for the coupled two-stage simulation.  Each entry may be a
-        policy instance, a registered name, a ``"name:k=v,..."`` string, or
-        a :class:`~repro.policies.PolicySpec`.
+        dict for the coupled two-stage simulation, or — for the multihop
+        kind, implied by any on-path strategy — a list of policies of any
+        role, one run each (``simulate(scenario, ["lce",
+        "probcache:t_tw=10", "mdp"])`` compares the family on identical
+        workloads).  Each entry may be a policy instance, a registered
+        name, a ``"name:k=v,..."`` string, or a
+        :class:`~repro.policies.PolicySpec`.
     kind:
-        Optional explicit simulation kind (``"cache"``, ``"service"``,
-        ``"joint"``); checked against the supplied policies.  Normally
-        inferred.
+        Optional explicit simulation kind (one of :data:`SIMULATION_KINDS`);
+        checked against the supplied policies.  Normally inferred.
     seeds:
         ``None`` for one run on the scenario's own seed; an int ``N`` for
         ``N`` replicates on seeds derived from the scenario seed (the same
@@ -226,32 +230,26 @@ def simulate(
     Returns
     -------
     A single kind-specific :class:`~repro.sim.results.SimulationResult`
-    when *seeds* is ``None``, else a list of them.
+    when *seeds* is ``None``, else a list of them.  A list of multihop
+    policies always returns a list, ordered policy-major, seed-minor.
     """
-    kind, main, second = _resolve_kind(
+    kind, runs, single = _resolve_kind(
         policies, kind=kind, metrics=metrics, service_batch=service_batch, noun="runs"
     )
-    if kind == "multihop":
-        return _simulate_multihop(
+    results: List[SimulationResult] = []
+    for policy, service_policy in runs:
+        results += _run(
+            kind,
             scenario,
-            policies,
+            policy,
+            service_policy,
             seeds=seeds,
             num_slots=num_slots,
-            metrics=metrics,
             store=store,
+            service_batch=service_batch,
+            metrics=metrics,
         )
-    results = _run(
-        kind,
-        scenario,
-        main,
-        second,
-        seeds=seeds,
-        num_slots=num_slots,
-        store=store,
-        service_batch=service_batch,
-        metrics=metrics,
-    )
-    return results[0] if seeds is None else results
+    return results[0] if seeds is None and single else results
 
 
 def _resolve_kind(
@@ -261,14 +259,17 @@ def _resolve_kind(
     metrics: str,
     service_batch: Optional[int],
     noun: str,
-) -> Tuple[str, Optional[PolicyLike], Optional[PolicyLike]]:
+) -> Tuple[str, List[Tuple[Any, Any]], bool]:
     """Check the options shared by ``simulate()`` and sessions; infer the kind.
 
-    Returns ``(kind, policy, service_policy)``: the main policy is the
-    caching one for the cache and joint kinds and the service one for the
-    service kind; *service_policy* is the joint kind's second stage.  The
-    multihop kind returns ``("multihop", None, None)`` — its *policies*
-    are a flat collection.  *noun* names the caller's runs in messages.
+    Returns ``(kind, runs, single)``.  *runs* lists one
+    ``(policy, service_policy)`` pair per policy to evaluate: the main
+    policy is the caching one for the cache and joint kinds, the service
+    one for the service kind and any role's for the multihop kind, whose
+    *policies* are a flat collection (one run per entry);
+    *service_policy* is the joint kind's second stage.  *single* is false
+    when *policies* listed multihop runs, whose results stay a list.
+    *noun* names the caller's runs in messages.
     """
     if metrics not in METRICS_MODES:
         raise ConfigurationError(
@@ -288,7 +289,11 @@ def _resolve_kind(
             raise ConfigurationError(
                 f"service_batch does not apply to multihop {noun}"
             )
-        return "multihop", None, None
+        single = not isinstance(policies, (list, tuple))
+        entries = [policies] if single else list(policies)
+        if not entries:
+            raise ConfigurationError("at least one policy is required")
+        return "multihop", [(policy, None) for policy in entries], single
     caching, service = _split_policies(policies)
     inferred = (
         "joint"
@@ -304,8 +309,8 @@ def _resolve_kind(
     if service_batch is not None and inferred == "cache":
         raise ConfigurationError(f"service_batch does not apply to cache {noun}")
     if inferred == "service":
-        return inferred, service, None
-    return inferred, caching, service
+        return inferred, [(service, None)], True
+    return inferred, [(caching, service)], True
 
 
 def _simulator(
@@ -422,45 +427,6 @@ def _run(
     return results
 
 
-def _simulate_multihop(
-    scenario: ScenarioConfig,
-    policies: Union[PolicyLike, Sequence[PolicyLike]],
-    *,
-    seeds: Union[None, int, Sequence[int]],
-    num_slots: Optional[int],
-    metrics: str,
-    store: Any,
-) -> Union[SimulationResult, List[SimulationResult]]:
-    """Run the multihop kind: any number of policies, any role, one loop.
-
-    Unlike the other kinds, *policies* is a flat collection — on-path
-    strategies, caching policies, and service policies all route through
-    the one :class:`~repro.sim.multihop_sim.MultihopSimulator` grid, so
-    ``simulate(scenario, ["lce", "probcache:t_tw=10", "mdp"])`` compares
-    the whole family on identical workloads.  Results are ordered
-    policy-major, seed-minor.
-    """
-    single_policy = not isinstance(policies, (list, tuple))
-    policy_list = [policies] if single_policy else list(policies)
-    if not policy_list:
-        raise ConfigurationError("at least one policy is required")
-    results: List[SimulationResult] = []
-    for policy in policy_list:
-        results += _run(
-            "multihop",
-            scenario,
-            policy,
-            None,
-            seeds=seeds,
-            num_slots=num_slots,
-            store=store,
-            metrics=metrics,
-        )
-    if seeds is None and single_policy:
-        return results[0]
-    return results
-
-
 def _reference(
     scenario: ScenarioConfig,
     policies: Union[PolicyLike, Sequence[PolicyLike], Dict[str, PolicyLike]],
@@ -478,11 +444,12 @@ def _reference(
     writes nothing to any store.  Every execution path must reproduce it
     byte for byte.  The multihop kind has no scalar loop.
     """
-    kind, main, second = _resolve_kind(
+    kind, runs, _ = _resolve_kind(
         policies, kind=None, metrics=metrics, service_batch=service_batch, noun="runs"
     )
     if kind == "multihop":
         raise ConfigurationError("the multihop kind has no scalar reference loop")
+    ((main, second),) = runs
     if seeds is None:
         scenarios = [scenario]
         mains = [_materialize(main, scenario)]

@@ -162,11 +162,6 @@ class JointSimulator(_Simulator):
             expected_slots=num_slots,
         )
 
-    def run(self, *, num_slots: Optional[int] = None) -> JointSimulationResult:
-        """Run the coupled simulation and return both stages' metrics."""
-        num_slots = self._num_slots(num_slots)
-        return self._stepper(num_slots).drive(num_slots)[0]
-
     def run_batch(
         self,
         seeds: Sequence[int],

@@ -23,8 +23,11 @@ on-path family and the paper's controllers compare on one grid:
   deferred queue accrues waiting latency, a served queue routes each
   request edge-style (receiver-only placement).
 
-There is a single execution path and no scalar reference loop: the
-per-request graph walk has no tensor twin to check against one.
+Like the other kinds, the loop is one seed-axis stepper,
+:class:`MultihopStepper`: ``run()`` drives it with one seed, ``run_batch``
+with every seed at once, each seed routing over its own network.  There is
+no scalar reference loop: the per-request graph walk has no tensor twin to
+check against one.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from repro.net.controller import NetworkController, SessionResult
 from repro.net.model import NetworkModel
 from repro.net.view import NetworkView
 from repro.policies.onpath import EdgeCaching, OnPathStrategy
-from repro.sim.metrics import MultihopMetrics, check_metrics_mode
+from repro.sim.metrics import MultihopMetrics
 from repro.sim.results import MultihopSimulationResult
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.system import SystemState, _expand_batch_policies, _Simulator
+from repro.sim.system import SystemState, _policy_name, _SeedStepper, _Simulator
 
 MultihopPolicy = Union[OnPathStrategy, CachingPolicy, ServicePolicy]
 
@@ -85,77 +88,65 @@ def _warm_network_caches(
             node_cache.put(content_id, age=age)
 
 
-class MultihopStepper:
-    """Resumable one-slot-at-a-time execution of the multihop loop.
+class _SeedNetwork:
+    """One seed's network and the slot body of its policy's role.
 
-    Construction replays exactly what :meth:`MultihopSimulator.run` builds
-    up front (network graph, warm caches, view/controller, role dispatch);
-    :meth:`step` then runs one slot of the role-specific body, so driving
-    a stepper to the horizon is byte-identical to ``run()`` — which is now
-    a thin driver over this class.  ``batches=None`` draws the slot's
-    requests from the scenario workload; a live session passes explicit
-    ``(receiver, content_ids)`` batches instead.
+    Owns what the multihop loop keeps per run: the network graph with its
+    warm caches, the read-only view and the controller the policy routes
+    through, and the role state (per-RSU queues for service policies).
+    Each seed gets its own, so no cache, controller or policy instance is
+    shared between seeds — the Icarus strategies attach to one view and
+    controller per network.
     """
-
-    kind = "multihop"
 
     def __init__(
         self,
         config: ScenarioConfig,
+        state: SystemState,
         policy: MultihopPolicy,
-        *,
-        metrics: str = "full",
-        expected_slots: Optional[int] = None,
+        metrics: MultihopMetrics,
     ) -> None:
-        expected = int(
-            expected_slots if expected_slots is not None else config.num_slots
-        )
         self.config = config
+        self.state = state
         self.policy = policy
-        self.role = _policy_role(policy)
-        self.state = SystemState(config)
+        self.metrics = metrics
+        role = _policy_role(policy)
         self.network = NetworkModel(
-            self.state.topology,
+            state.topology,
             kind=config.topology_kind,
-            cost_model=self.state.service_cost_model,
+            cost_model=state.service_cost_model,
             cache_capacity=config.cache_capacity,
             hop_delay=config.hop_delay,
         )
-        _warm_network_caches(config, self.state, self.network, self.role)
+        _warm_network_caches(config, state, self.network, role)
         self.view = NetworkView(self.network)
         self.controller = NetworkController(self.network)
         # Per-content freshness bounds as a list: the per-request reads
         # are scalar.
-        self._max_ages = self.state.catalog.max_ages.tolist()
-        self.metrics = MultihopMetrics(
-            mode=check_metrics_mode(metrics), expected_slots=expected
-        )
+        self._max_ages = state.catalog.max_ages.tolist()
         policy_reset = getattr(policy, "reset", None)
         if callable(policy_reset):
             policy_reset()
-        if self.role == "onpath":
+        # The role's slot body is kept unbound: a bound method would tie
+        # the seed's network into a reference cycle, which outlives the run
+        # until a full garbage collection.
+        if role == "onpath":
             policy.attach(self.view, self.controller)
-            self._step_slot = self._step_onpath
-        elif self.role == "caching":
-            self._content_ids = self.state.content_ids
-            self._step_slot = self._step_caching
+            self._step_slot = _SeedNetwork._step_onpath
+        elif role == "caching":
+            self._step_slot = _SeedNetwork._step_caching
         else:
             self._queues: List[deque] = [deque() for _ in range(config.num_rsus)]
             self._edge = EdgeCaching()
             self._edge.attach(self.view, self.controller)
             self._origin = self.view.origin
-            self._step_slot = self._step_service
-        self.time_slot = 0
+            self._step_slot = _SeedNetwork._step_service
 
-    def step(self, batches=None) -> dict:
-        """Advance one slot; returns the slot's routing aggregates."""
-        t = self.time_slot
-        if batches is None:
-            batches = self.state.workload.generate_slot_contents(t)
-        row = self._step_slot(t, batches)
+    def step(self, t: int, batches) -> dict:
+        """Run slot *t* on *batches*, then age the caches; returns its row."""
+        row = self._step_slot(self, t, batches)
         self.controller.tick(1)
         self.state.mbs_store.tick(t + 1)
-        self.time_slot = t + 1
         return row
 
     def _route(
@@ -221,7 +212,7 @@ class MultihopStepper:
         policy = self.policy
         network = self.network
         controller = self.controller
-        content_ids = self._content_ids
+        content_ids = state.content_ids
         num_rsus, per_rsu = content_ids.shape
         # 1. The MBS decides and pushes refreshes (stage-1 semantics).
         ages = np.empty((num_rsus, per_rsu), dtype=float)
@@ -341,15 +332,71 @@ class MultihopStepper:
             "waiting": waiting,
         }
 
-    def result(self) -> MultihopSimulationResult:
-        """The run so far, wrapped exactly like :meth:`MultihopSimulator.run`."""
-        return MultihopSimulationResult(
-            config=self.config,
-            policy_name=getattr(self.policy, "name", type(self.policy).__name__),
-            metrics=self.metrics,
-            catalog=self.state.catalog,
-            topology=self.state.topology,
-        )
+
+class MultihopStepper(_SeedStepper):
+    """Resumable slot-by-slot execution of the multihop loop along a seed axis.
+
+    Carries one run per ``(config, policy)`` pair (``S >= 1``); each seed
+    routes over its own :class:`_SeedNetwork`, built from its
+    :class:`~repro.sim.system.SystemState`.  The per-request graph walk has
+    no tensor twin, so a slot walks the seeds one after another.  It is the
+    only multihop body: :meth:`MultihopSimulator.run` (``S = 1``),
+    :meth:`MultihopSimulator.run_batch` and multihop sessions (explicit
+    batches) all drive it.  ``batches=None`` draws each seed's slot from its
+    own workload.
+    """
+
+    kind = "multihop"
+
+    def __init__(
+        self,
+        configs: Sequence[ScenarioConfig],
+        policies: Sequence[MultihopPolicy],
+        *,
+        metrics: str = "full",
+        expected_slots: Optional[int] = None,
+    ) -> None:
+        super().__init__(configs, metrics=metrics, expected_slots=expected_slots)
+        self.policies = list(policies)
+        self.metrics = [
+            MultihopMetrics(mode=self.metrics_mode, expected_slots=self.expected_slots)
+            for _ in self.states
+        ]
+        self.runs = [
+            _SeedNetwork(config, state, policy, metric)
+            for config, state, policy, metric in zip(
+                self.configs, self.states, self.policies, self.metrics
+            )
+        ]
+
+    def step(self, batches=None) -> List[dict]:
+        """Advance one slot; returns each seed's routing aggregates."""
+        t = self.time_slot
+        if batches is None:
+            batches = [
+                state.workload.generate_slot_contents(t) for state in self.states
+            ]
+        rows = [
+            run.step(t, seed_batches)
+            for run, seed_batches in zip(self.runs, batches)
+        ]
+        self.time_slot = t + 1
+        return rows
+
+    def results(self) -> List[MultihopSimulationResult]:
+        """The runs so far, one result per seed."""
+        return [
+            MultihopSimulationResult(
+                config=config,
+                policy_name=_policy_name(policy),
+                metrics=metric,
+                catalog=state.catalog,
+                topology=state.topology,
+            )
+            for config, policy, metric, state in zip(
+                self.configs, self.policies, self.metrics, self.states
+            )
+        ]
 
 
 class MultihopSimulator(_Simulator):
@@ -376,8 +423,8 @@ class MultihopSimulator(_Simulator):
         metrics: str = "full",
     ) -> None:
         super().__init__(config, metrics=metrics)
-        # The role is resolved lazily (in run()): batch callers construct
-        # the simulator with a placeholder policy and pass the per-seed
+        # The role is resolved by the stepper: batch callers construct the
+        # simulator with a placeholder policy and pass the per-seed
         # instances to run_batch(policies=...), like the other simulators.
         self._policy = policy
 
@@ -386,43 +433,13 @@ class MultihopSimulator(_Simulator):
         """The policy under evaluation."""
         return self._policy
 
-    @property
-    def role(self) -> str:
-        """``"onpath"``, ``"caching"``, or ``"service"``."""
-        return _policy_role(self._policy)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(self, *, num_slots: Optional[int] = None) -> MultihopSimulationResult:
-        """Run the simulation and return the recorded result."""
-        num_slots = self._num_slots(num_slots)
-        stepper = MultihopStepper(
-            self._config,
-            self._policy,
+    def _stepper(
+        self, num_slots: Optional[int], configs=None, policies=None
+    ) -> MultihopStepper:
+        """A stepper over *configs* (default: this scenario and policy)."""
+        return MultihopStepper(
+            configs or [self._config],
+            policies or [self._policy],
             metrics=self._metrics_mode,
             expected_slots=num_slots,
         )
-        for _ in range(num_slots):
-            stepper.step()
-        return stepper.result()
-
-    def run_batch(
-        self,
-        seeds: Sequence[int],
-        *,
-        policies: Optional[Sequence[MultihopPolicy]] = None,
-        num_slots: Optional[int] = None,
-    ) -> List[MultihopSimulationResult]:
-        """Run one simulation per seed (the per-request loop has no tensor
-        twin, so this is an exact per-seed replay — trivially bit-identical
-        to per-run execution)."""
-        num_slots = self._num_slots(num_slots)
-        seeds = [int(seed) for seed in seeds]
-        policies = _expand_batch_policies(seeds, policies, self._policy)
-        return [
-            MultihopSimulator(config, policy, metrics=self._metrics_mode).run(
-                num_slots=num_slots
-            )
-            for config, policy in zip(self._seed_configs(seeds), policies)
-        ]

@@ -627,11 +627,6 @@ class ServiceSimulator(_Simulator):
             expected_slots=num_slots,
         )
 
-    def run(self, *, num_slots: Optional[int] = None) -> ServiceSimulationResult:
-        """Run the simulation and return the recorded result."""
-        num_slots = self._num_slots(num_slots)
-        return self._stepper(num_slots).drive(num_slots)[0]
-
     def run_batch(
         self,
         seeds: Sequence[int],

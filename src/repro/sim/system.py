@@ -194,7 +194,15 @@ def _policy_name(policy: Any) -> str:
 
 
 class _Simulator:
-    """Options and properties shared by the per-kind simulators."""
+    """Options, properties and drivers shared by the per-kind simulators.
+
+    Each kind supplies ``_stepper(num_slots, configs=None, ...)``, its
+    seed-axis stepper over *configs* (default: its own scenario and
+    policies).  :meth:`run` drives that stepper with one seed;
+    :meth:`run_batch` drives it with every seed at once for the kinds with
+    one policy per seed that replay no precomputed arrivals (cache and
+    multihop) — the service and joint kinds override it.
+    """
 
     def __init__(
         self,
@@ -227,6 +235,41 @@ class _Simulator:
 
     def _seed_configs(self, seeds: Sequence[int]) -> List[ScenarioConfig]:
         return [self._config.with_overrides(seed=seed) for seed in seeds]
+
+    def run(self, *, num_slots: Optional[int] = None) -> Any:
+        """Run the simulation and return the recorded result."""
+        num_slots = self._num_slots(num_slots)
+        return self._stepper(num_slots).drive(num_slots)[0]
+
+    def run_batch(
+        self,
+        seeds: Sequence[int],
+        *,
+        policies: Optional[Sequence[Any]] = None,
+        num_slots: Optional[int] = None,
+    ) -> List[Any]:
+        """Run one simulation per seed through one seed-axis stepper.
+
+        Equivalent — bit for bit — to calling :meth:`run` once per seed on
+        ``config.with_overrides(seed=seed)``, but one stepper carries every
+        seed, so one slot of the loop advances all of them.
+
+        Parameters
+        ----------
+        seeds:
+            Master scenario seeds, one per run.
+        policies:
+            Optional per-seed policy instances (e.g. factory-built); omitted,
+            each run gets a deep copy of the simulator's policy, exactly as
+            the per-run path would.
+        num_slots:
+            Optional horizon override shared by every run.
+        """
+        num_slots = self._num_slots(num_slots)
+        seeds = [int(seed) for seed in seeds]
+        policies = _expand_batch_policies(seeds, policies, self._policy)
+        configs = self._seed_configs(seeds)
+        return self._stepper(num_slots, configs, policies).drive(num_slots)
 
 
 class _SeedStepper:

@@ -13,6 +13,7 @@ from repro.exceptions import ConfigurationError
 from repro.net.model import NetworkModel
 from repro.policies.onpath import EdgeCaching, LeaveCopyEverywhere
 from repro.policies.registry import PolicySpec
+from repro.serve.session import open_session
 from repro.sim.multihop_sim import MultihopSimulator, MultihopStepper
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.system import SystemState
@@ -195,20 +196,43 @@ class TestRolesAndBatch:
         assert result.metrics.total_requests > 0
 
     def test_run_batch_matches_per_run(self):
-        config = ScenarioConfig(
-            num_rsus=3, contents_per_rsu=3, num_slots=20, seed=1,
-            topology_kind="ring",
-        )
+        """Every multihop path replays the per-seed run byte for byte.
+
+        For every policy and topology of the non-unit-delay fingerprints,
+        one ``run()`` per seed, one ``run_batch`` over all seeds (per-seed
+        spec-built policies, so each ProbCache draws from its own seeded
+        RNG) and a slot-stepped session agree on every session record.
+        A batch whose seeds shared a network or a policy instance would
+        interleave their cache states and diverge here.
+        """
         seeds = [5, 6, 7]
-        batch = MultihopSimulator(config, LeaveCopyEverywhere()).run_batch(seeds)
-        for seed, batched in zip(seeds, batch):
-            single = MultihopSimulator(
-                config.with_overrides(seed=seed), LeaveCopyEverywhere()
-            ).run()
-            assert batched.summary() == single.summary()
-            assert np.array_equal(
-                batched.latency_history, single.latency_history
-            )
+        for kind in ("star", "line", "ring"):
+            config = TestNonUnitDelayFingerprints.scenario(kind)
+            configs = [config.with_overrides(seed=seed) for seed in seeds]
+            for policy in TestNonUnitDelayFingerprints.POLICIES:
+                spec = PolicySpec.coerce(policy)
+                batch = MultihopSimulator(config, None).run_batch(
+                    seeds, policies=[spec.build(c) for c in configs]
+                )
+                for seed_config, batched in zip(configs, batch):
+                    single = MultihopSimulator(
+                        seed_config, spec.build(seed_config)
+                    ).run()
+                    session = open_session(
+                        seed_config, policy, kind="multihop", metrics="full"
+                    )
+                    for _ in range(seed_config.num_slots):
+                        session.step()
+                    stepped = session.close()
+                    case = (kind, policy, seed_config.seed)
+                    for other in (batched, stepped):
+                        assert other.summary() == single.summary(), case
+                        assert session_fingerprint(other) == session_fingerprint(
+                            single
+                        ), case
+                        assert np.array_equal(
+                            other.latency_history, single.latency_history
+                        ), case
 
     def test_summary_metrics_mode_matches_full(self):
         config = ScenarioConfig(
@@ -371,8 +395,10 @@ class TestNetworkxOnlyAtConstruction:
             topology_kind=kind, zipf_exponent=0.8, update_cost=50.0,
             tradeoff_v=0.5,
         )
-        stepper = MultihopStepper(config, PolicySpec.coerce(policy).build(config))
-        graph = stepper.network.graph
+        stepper = MultihopStepper(
+            [config], [PolicySpec.coerce(policy).build(config)]
+        )
+        graph = stepper.runs[0].network.graph
         self.forbid_networkx(monkeypatch)
         probes = (
             lambda: graph.nodes, lambda: graph.edges, lambda: graph.has_edge(0, 1)
@@ -382,4 +408,4 @@ class TestNetworkxOnlyAtConstruction:
                 probe()
         for _ in range(20):
             stepper.step()
-        assert stepper.metrics.total_hops > 0
+        assert stepper.metrics[0].total_hops > 0

@@ -87,6 +87,9 @@ ALLOWLIST: Dict[str, str] = {
     "repro.sim.metrics:CacheMetrics.action_matrix_history": (
         "the equivalence suites compare full trajectories through it"
     ),
+    "repro.sim.metrics:ServiceMetrics.backlog_history": (
+        "the equivalence suites compare full trajectories through it"
+    ),
     "repro.sim.metrics:ServiceMetrics.cost_history": (
         "the equivalence suites compare full trajectories through it"
     ),
@@ -156,13 +159,21 @@ def _references(path: Path) -> Iterator[Tuple[str, int]]:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     package = path.name == "__init__.py"
     skip: Set[int] = set()
+    # An assignment target is no use of its name (``self.x = ...`` must
+    # not hide a method ``x`` nothing calls); an augmented one reads it.
+    augmented: Set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = getattr(node, "targets", None) or [node.target]
             if any(getattr(t, "id", None) == "__all__" for t in targets):
                 skip.update(id(inner) for inner in ast.walk(node))
+        if isinstance(node, ast.AugAssign):
+            augmented.add(id(node.target))
     for node in ast.walk(tree):
         if id(node) in skip:
+            continue
+        stored = isinstance(getattr(node, "ctx", None), ast.Store)
+        if stored and id(node) not in augmented:
             continue
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -225,7 +236,13 @@ def test_scanner_flags_a_definition_nothing_names(tmp_path):
         "        return 3\n"
         "    def unused(self):\n"
         "        return self.unused()\n"
-        "Live().used()\n",
+        "    def assigned(self):\n"
+        "        self.unused = 1\n"
+        "        self.count += 1\n"
+        "    def count(self):\n"
+        "        return 4\n"
+        "Live().used()\n"
+        "Live().assigned()\n",
         encoding="utf-8",
     )
     assert dead_definitions(package) == ["pkg.mod:dead", "pkg.mod:Live.unused"]
@@ -244,13 +261,15 @@ def test_allowlist_entries_are_still_needed():
 #: Methods no caller reached although their bare names occur in ``src/``
 #: as an attribute or a variable (an unread ``SystemState.utility``
 #: attribute hid ``AoICounter.utility``), so the scan above did not flag
-#: them.  They are gone.
+#: them before it stopped counting assignment targets.  They are gone.
 MASKED_AND_DELETED = [
     ("repro.core.aoi", "AoICounter", "utility"),
+    ("repro.core.aoi", "AoIProcess", "times"),
     ("repro.net.cache", "RSUCache", "randomize_ages"),
     ("repro.net.model", "NetworkModel", "position"),
     ("repro.net.queueing", "RequestQueue", "served"),
     ("repro.net.topology", "RoadTopology", "region"),
+    ("repro.sim.multihop_sim", "MultihopSimulator", "role"),
 ]
 
 
