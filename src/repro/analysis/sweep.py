@@ -32,6 +32,7 @@ from repro.exceptions import ValidationError
 from repro.policies.registry import PolicySpec, create_policy
 from repro.runtime.runner import ExperimentRunner, RunSpec
 from repro.sim import CacheSimulator, ScenarioConfig
+from repro.sim.engine import KINDS
 from repro.utils.rng import spawn_run_seeds
 from repro.utils.validation import check_positive_int
 from repro.workloads import WorkloadSpec
@@ -366,42 +367,23 @@ def workload_sweep(
         )
     if config is None:
         config = ScenarioConfig.fig1a() if kind == "cache" else ScenarioConfig.fig1b()
+    # The paper's controller of each role the kind takes.
+    factories = {"caching": mdp_policy_factory, "service": lyapunov_policy_factory}
+    policies = KINDS[kind].spec_fields([factories[role] for role in KINDS[kind].roles])
     specs_workloads = [WorkloadSpec.coerce(workload) for workload in workloads]
     seed = config.seed if config.seed is not None else 0
-    specs = []
-    for index, workload in enumerate(specs_workloads):
-        scenario = config.with_overrides(workload=workload)
-        # Index-prefixed for uniqueness; see weight_sweep.
-        label = f"{index}:{workload.label()}"
-        if kind == "cache":
-            spec = RunSpec(
-                kind="cache",
-                scenario=scenario,
-                policy=mdp_policy_factory,
-                seed=seed,
-                label=label,
-                num_slots=num_slots,
-            )
-        elif kind == "service":
-            spec = RunSpec(
-                kind="service",
-                scenario=scenario,
-                policy=lyapunov_policy_factory,
-                seed=seed,
-                label=label,
-                num_slots=num_slots,
-            )
-        else:
-            spec = RunSpec(
-                kind="joint",
-                scenario=scenario,
-                policy=mdp_policy_factory,
-                service_policy=lyapunov_policy_factory,
-                seed=seed,
-                label=label,
-                num_slots=num_slots,
-            )
-        specs.append(spec)
+    specs = [
+        RunSpec(
+            kind=kind,
+            scenario=config.with_overrides(workload=workload),
+            seed=seed,
+            # Index-prefixed for uniqueness; see weight_sweep.
+            label=f"{index}:{workload.label()}",
+            num_slots=num_slots,
+            **policies,
+        )
+        for index, workload in enumerate(specs_workloads)
+    ]
     batch = ExperimentRunner(workers).run_grid(specs, num_seeds=num_seeds)
     return [
         _row_from_aggregate(

@@ -61,6 +61,7 @@ from repro.analysis.figures import (
     render_fig1a,
     render_fig1b,
 )
+from repro.sim.engine import KINDS, SIMULATION_KINDS
 from repro.sim.scenario import ScenarioConfig
 
 
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     results_parser.add_argument(
         "--kind",
-        choices=["cache", "service", "joint", "multihop"],
+        choices=SIMULATION_KINDS,
         default=None,
         help="only rows of this simulation kind",
     )
@@ -499,22 +500,22 @@ def _override_spec(spec, workload, policy):
     if workload is not None:
         overrides["scenario"] = spec.scenario.with_overrides(workload=workload)
     if policy is not None:
-        main_role = "service" if spec.kind == "service" else "caching"
         auto_label = spec.auto_label()
-        if spec.kind == "multihop":
-            # Multihop accepts every role on one grid.
-            overrides["policy"] = policy
-        elif policy.role == main_role:
-            overrides["policy"] = policy
-        elif spec.kind == "joint":
-            overrides["service_policy"] = policy
-        else:
+        # The policy replaces the spec's first one of a matching role; a
+        # ``None`` role (multihop) matches every role.
+        fields = [
+            name
+            for name, role in zip(("policy", "service_policy"), KINDS[spec.kind].roles)
+            if role in (None, policy.role)
+        ]
+        if not fields:
             from repro.exceptions import ConfigurationError
 
             raise ConfigurationError(
                 f"--policy {policy.name!r} is a {policy.role} policy but "
                 f"experiment {spec.label!r} is kind={spec.kind!r}"
             )
+        overrides[fields[0]] = policy
         if spec.label == auto_label:
             # The label tracked the policy; let it regenerate.
             overrides["label"] = ""
@@ -523,7 +524,6 @@ def _override_spec(spec, workload, policy):
 
 def _run_spec_file(arguments, out) -> int:
     """Execute a declarative ExperimentSpec file through the runner."""
-    from repro.analysis.sweep import format_table
     from repro.policies import PolicySpec
     from repro.runtime import ExperimentRunner, load_specs
 
@@ -557,23 +557,31 @@ def _run_spec_file(arguments, out) -> int:
                 rate=100.0 * store_stats["hit_rate"], **store_stats
             )
         )
-    # One table per simulation kind: kinds report different metric columns,
-    # and format_table takes its header from the first row.
     kind_of_label = {
         label: records[0].kind for label, records in batch.by_label().items()
     }
-    aggregated = batch.aggregate()
-    for kind in ("cache", "service", "joint", "multihop"):
-        rows = [row for row in aggregated if kind_of_label[row["label"]] == kind]
-        if rows:
-            out.write(f"\n[{kind}]\n")
-            out.write(format_table(rows) + "\n")
+    _write_kind_tables(
+        batch.aggregate(), lambda row: kind_of_label[row["label"]], out
+    )
     if arguments.out is not None:
         batch.to_json(arguments.out)
         out.write(f"\nWrote per-seed rows and aggregate to {arguments.out}\n")
     if arguments.profile and runner.last_dispatch_stats is not None:
         _write_dispatch_report(runner.last_dispatch_stats, out)
     return 0
+
+
+def _write_kind_tables(rows, kind_of, out) -> None:
+    """Write *rows* as one table per simulation kind (*kind_of* maps a row
+    to its kind): kinds report different metric columns, and
+    ``format_table`` takes its header from the first row."""
+    from repro.analysis.sweep import format_table
+
+    for kind in SIMULATION_KINDS:
+        group = [row for row in rows if kind_of(row) == kind]
+        if group:
+            out.write(f"\n[{kind}]\n")
+            out.write(format_table(group) + "\n")
 
 
 def _write_dispatch_report(stats, out) -> None:
@@ -730,8 +738,6 @@ def _command_results(arguments, out) -> int:
     import csv
     import json
 
-    from repro.analysis.sweep import format_table
-
     if arguments.out is not None and not (arguments.json or arguments.csv):
         out.write("error: --out needs --json or --csv\n")
         return 2
@@ -770,33 +776,17 @@ def _command_results(arguments, out) -> int:
         writer.writerows(export)
         _write_export(buffer.getvalue(), arguments.out, out)
         return 0
-    display = aggregate if aggregate is not None else rows
-    kinds: List[str] = []
-    for row in display:
-        kind = row.get("kind") or "aggregate"
-        if kind not in kinds:
-            kinds.append(kind)
     if aggregate is not None:
         # Aggregate rows drop the per-seed provenance; group them by the
         # kind of their first underlying row.
         kind_of_label = {row["label"]: row["kind"] for row in reversed(rows)}
         out.write(f"{len(rows)} row(s), {len(aggregate)} label(s)\n")
-        for kind in ("cache", "service", "joint", "multihop"):
-            group = [
-                row
-                for row in aggregate
-                if kind_of_label.get(row["label"]) == kind
-            ]
-            if group:
-                out.write(f"\n[{kind}]\n")
-                out.write(format_table(group) + "\n")
+        _write_kind_tables(
+            aggregate, lambda row: kind_of_label.get(row["label"]), out
+        )
         return 0
     out.write(f"{len(rows)} row(s)\n")
-    for kind in ("cache", "service", "joint", "multihop"):
-        group = [row for row in rows if row.get("kind") == kind]
-        if group:
-            out.write(f"\n[{kind}]\n")
-            out.write(format_table(group) + "\n")
+    _write_kind_tables(rows, lambda row: row.get("kind"), out)
     return 0
 
 

@@ -6,7 +6,6 @@ from repro.net.channel import (
     CostModel,
     DistanceCostModel,
     FadingCostModel,
-    LinkBudget,
 )
 from repro.net.content import ContentCatalog, ContentDescriptor, zipf_popularity
 from repro.net.queueing import BacklogQueue, RequestQueue, ServedRequest
@@ -38,7 +37,6 @@ __all__ = [
     "CostModel",
     "DistanceCostModel",
     "FadingCostModel",
-    "LinkBudget",
     "ContentCatalog",
     "ContentDescriptor",
     "zipf_popularity",

@@ -18,7 +18,6 @@ scheme is supposed to adapt to.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -231,21 +230,3 @@ class FadingCostModel(CostModel):
             f"sigma={self._sigma:g})"
         )
 
-
-@dataclass
-class LinkBudget:
-    """Aggregate accounting of the cost spent on a link over a simulation run."""
-
-    total_cost: float = 0.0
-    num_transfers: int = 0
-
-    def charge(self, cost: float) -> None:
-        """Record one transfer of the given *cost*."""
-        cost = check_non_negative(cost, "cost")
-        self.total_cost += cost
-        self.num_transfers += 1
-
-    def reset(self) -> None:
-        """Clear the accumulated statistics."""
-        self.total_cost = 0.0
-        self.num_transfers = 0

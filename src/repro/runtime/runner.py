@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.runtime.shm import HorizonShipment, attach_horizons, shared_memory_available
+from repro.sim.engine import KINDS, SIMULATION_KINDS, _run_seeds
 from repro.sim.metrics import METRICS_MODES
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.rng import spawn_run_seeds
@@ -43,8 +44,6 @@ from repro.workloads import WorkloadSpec
 #: example a sweep executed inside a parallel experiment task) degrade to the
 #: serial path instead of spawning a pool of pools.
 _WORKER_ENV_FLAG = "REPRO_RUNNER_IN_WORKER"
-
-_KINDS = ("cache", "service", "joint", "multihop")
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,8 @@ class RunSpec:
     num_slots:
         Optional horizon override.
     service_policy:
-        Second-stage policy (instance or factory) for ``kind="joint"``.
+        Second-stage policy (instance or factory) for ``kind="joint"``;
+        the other kinds take one policy and reject it.
     service_batch:
         Optional per-slot service batch limit of the service simulators.
     metrics:
@@ -92,14 +92,13 @@ class RunSpec:
     metrics: str = "full"
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValidationError(
-                f"kind must be one of {_KINDS}, got {self.kind!r}"
+                f"kind must be one of {SIMULATION_KINDS}, got {self.kind!r}"
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.kind == "joint" and self.service_policy is None:
-            raise ValidationError("joint runs need a service_policy")
+        KINDS[self.kind].policies(self.policy, self.service_policy)
         if self.metrics not in METRICS_MODES:
             raise ValidationError(
                 f"metrics must be one of {METRICS_MODES}, got {self.metrics!r}"
@@ -358,23 +357,17 @@ def _materialize_memoized(policy: Any, scenario: ScenarioConfig) -> Any:
 def _run_record(spec: RunSpec, seed: int, result: Any) -> RunRecord:
     """The record of one finished run of *spec* on *seed*.
 
-    The one place the stored trace is chosen per kind — the cumulative
-    reward for cache runs, the latency history for service and multihop
-    runs, none for joint runs — read by both :func:`execute_batch` and the
-    ``simulate()`` store write-through.
+    Keeps the result attribute its kind names as the trace (see
+    :data:`~repro.sim.engine.KINDS`); read by both :func:`execute_batch`
+    and the ``simulate()`` store write-through.
     """
-    if spec.kind == "cache":
-        trace = result.cumulative_reward
-    elif spec.kind == "joint":
-        trace = None
-    else:
-        trace = result.latency_history
+    trace = KINDS[spec.kind].trace
     return RunRecord(
         label=spec.label,
         seed=int(seed),
         kind=spec.kind,
         summary=result.summary(),
-        trace=trace,
+        trace=None if trace is None else getattr(result, trace),
     )
 
 
@@ -387,17 +380,14 @@ def execute_batch(task: "tuple") -> List[RunRecord]:
     precomputed arrival tensors — attached here as zero-copy views instead
     of regenerating (or pickling) them per task.
 
-    The simulators' ``run_batch`` carries every seed of the group through one
-    seed-axis stepper (see :meth:`repro.sim.cache_sim.CacheSimulator.run_batch`),
-    producing records bit-identical to running each seed as a group of one.
-    Module-level and picklable so a process pool can run whole groups.
+    The simulators' shared ``run_batch`` carries every seed of the group
+    through one seed-axis stepper (see
+    :meth:`repro.sim.system._Simulator.run_batch`), producing records
+    bit-identical to running each seed as a group of one.  Module-level and
+    picklable so a process pool can run whole groups.
     """
     spec, seeds = task[0], task[1]
     handle = task[2] if len(task) > 2 else None
-    # Imported here to keep the runner importable without pulling the whole
-    # simulator stack at module import time.
-    from repro.sim.engine import _run_seeds
-
     attached = attach_horizons(handle) if handle is not None else None
     try:
         scenarios = [spec.scenario.with_overrides(seed=seed) for seed in seeds]
@@ -405,13 +395,12 @@ def execute_batch(task: "tuple") -> List[RunRecord]:
             spec.kind,
             spec.scenario,
             seeds,
-            [_materialize_memoized(spec.policy, scenario) for scenario in scenarios],
             [
-                _materialize_memoized(spec.service_policy, scenario)
-                for scenario in scenarios
-            ]
-            if spec.kind == "joint"
-            else None,
+                [_materialize_memoized(policy, scenario) for scenario in scenarios]
+                for policy in KINDS[spec.kind].policies(
+                    spec.policy, spec.service_policy
+                )
+            ],
             num_slots=spec.num_slots,
             horizons=attached.horizons if attached is not None else None,
             service_batch=spec.service_batch,

@@ -28,6 +28,7 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 from repro.net.requests import WorkloadHorizon
+from repro.sim.engine import KINDS
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.system import build_run_parts
 
@@ -109,14 +110,15 @@ class HorizonShipment:
     def handle_for(self, spec, seeds: Sequence[int]) -> Optional[Dict[str, Any]]:
         """Build (or reuse) the horizons for one task and pack them.
 
-        Returns ``None`` for tasks that do not replay arrival tensors, or
-        when shared memory is unavailable.  Cache runs consume no
-        arrivals; multihop runs share the seed-axis stepper but their
-        ``run_batch`` takes no ``horizons``, so each seed draws per slot.
+        Returns ``None`` when shared memory is unavailable, or for tasks
+        whose kind's ``run_batch`` replays no precomputed arrival horizons
+        (``replays_horizons`` in :data:`~repro.sim.engine.KINDS`): stage 1
+        alone consumes no arrivals, and each multihop seed draws its own
+        per slot.
         """
         if not shared_memory_available():
             return None
-        if spec.kind in ("cache", "multihop"):
+        if not KINDS[spec.kind].replays_horizons:
             return None
         num_slots = (
             spec.num_slots if spec.num_slots is not None else spec.scenario.num_slots

@@ -34,13 +34,12 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.policies.registry import PolicySpec
 from repro.runtime.runner import RunSpec
+from repro.sim.engine import KINDS, SIMULATION_KINDS
 from repro.sim.metrics import METRICS_MODES
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ExperimentSpec", "load_specs", "save_specs"]
-
-_KINDS = ("cache", "service", "joint", "multihop")
 
 
 @dataclass(frozen=True)
@@ -96,36 +95,29 @@ class ExperimentSpec:
     store: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValidationError(
+                f"kind must be one of {SIMULATION_KINDS}, got {self.kind!r}"
+            )
         if not isinstance(self.scenario, ScenarioConfig):
             raise ValidationError(
                 "scenario must be a ScenarioConfig "
                 f"(use ScenarioConfig.from_dict for dicts), got "
                 f"{type(self.scenario).__name__}"
             )
-        if self.kind == "multihop":
-            # Any role routes through the multihop simulator (on-path
-            # strategies, caching policies, and service policies compare on
-            # one grid), so no role restriction applies.
-            object.__setattr__(self, "policy", PolicySpec.coerce(self.policy))
-        else:
-            main_role = "service" if self.kind == "service" else "caching"
-            object.__setattr__(
-                self, "policy", PolicySpec.coerce(self.policy, role=main_role)
-            )
-        if self.kind == "joint":
-            if self.service_policy is None:
-                raise ValidationError("joint experiments need a service_policy")
-            object.__setattr__(
-                self,
-                "service_policy",
-                PolicySpec.coerce(self.service_policy, role="service"),
-            )
-        elif self.service_policy is not None:
-            raise ValidationError(
-                f"service_policy only applies to kind='joint', not {self.kind!r}"
-            )
+        # Each policy is coerced to its role; a ``None`` role (multihop)
+        # admits on-path strategies, caching and service policies alike.
+        kind = KINDS[self.kind]
+        coerced = kind.spec_fields(
+            [
+                PolicySpec.coerce(policy, role=role)
+                for policy, role in zip(
+                    kind.policies(self.policy, self.service_policy), kind.roles
+                )
+            ]
+        )
+        for name, policy in coerced.items():
+            object.__setattr__(self, name, policy)
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         check_positive_int(self.num_seeds, "num_seeds")

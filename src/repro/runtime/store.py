@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.runtime.runner import RunRecord, RunSpec, _jsonify
+from repro.sim.engine import KINDS
 from repro.utils.cachedir import (
     env_disabled,
     resolve_cache_dir,
@@ -173,21 +174,14 @@ def spec_payload(spec: RunSpec) -> Optional[Dict[str, Any]]:
     The payload folds in :data:`STORE_SCHEMA_VERSION` and the package
     version, so both invalidate every key when bumped.
     """
-    if spec.kind == "multihop":
-        # Multihop accepts every role (on-path, caching, service) on one
-        # grid, so the policy is coerced without a role restriction.
-        main_role: Optional[str] = None
-    else:
-        main_role = "service" if spec.kind == "service" else "caching"
-    policy = _coerce_policy_dict(spec.policy, main_role)
-    if policy is None:
-        return None
-    service_policy: Optional[Dict[str, Any]] = None
-    if spec.kind == "joint":
-        service_policy = _coerce_policy_dict(spec.service_policy, "service")
-        if service_policy is None:
-            return None
-    elif spec.service_policy is not None:
+    kind = KINDS[spec.kind]
+    policies = [
+        _coerce_policy_dict(policy, role)
+        for policy, role in zip(
+            kind.policies(spec.policy, spec.service_policy), kind.roles
+        )
+    ]
+    if any(policy is None for policy in policies):
         return None
     scenario = spec.scenario.to_dict()
     # The run seed (not the scenario's own) is what executes; it enters the
@@ -198,8 +192,7 @@ def spec_payload(spec: RunSpec) -> Optional[Dict[str, Any]]:
         "package_version": _package_version(),
         "kind": spec.kind,
         "scenario": scenario,
-        "policy": policy,
-        "service_policy": service_policy,
+        **kind.spec_fields(policies),
         "num_slots": spec.num_slots,
         "service_batch": spec.service_batch,
         "metrics": spec.metrics,

@@ -49,6 +49,7 @@ from typing import (
 
 from repro.exceptions import ConfigurationError, SimulationError, ValidationError
 from repro.sim.engine import (
+    KINDS,
     PolicyLike,
     _materialize,
     _resolve_kind,
@@ -152,12 +153,11 @@ def open_session(
     )
     if len(runs) != 1:
         raise ConfigurationError(f"a {kind} session takes exactly one policy")
-    ((policy, service_policy),) = runs
+    (run_policies,) = runs
     simulator = _simulator(
         kind,
         scenario,
-        _materialize(policy, scenario),
-        _materialize(service_policy, scenario),
+        [_materialize(policy, scenario) for policy in run_policies],
         service_batch=service_batch,
         metrics=metrics,
     )
@@ -312,13 +312,12 @@ class SimulationSession:
         """
         self._ensure_open()
         summary = self._stepper.results()[0].summary()
-        if self.kind == "joint":
-            policy: Any = {
-                "caching": summary["caching_policy"],
-                "service": summary["service_policy"],
-            }
-        else:
-            policy = summary["policy"]
+        roles = KINDS[self.kind].roles
+        policy: Any = (
+            summary["policy"]
+            if len(roles) == 1
+            else {role: summary[f"{role}_policy"] for role in roles}
+        )
         return {
             "kind": self.kind,
             "time_slot": self.time_slot,

@@ -1,7 +1,9 @@
 """Stage-1 simulator: MBS cache management over the RSU caches.
 
 Stage 1 has one vectorised per-slot body, :class:`_BatchedCacheStage`,
-driven slot by slot along a seed axis by :class:`CacheStepper`:
+driven slot by slot along a seed axis by :class:`CacheStepper` (and, with
+stage 2 after it, by the joint kind's stepper) through the shared slot
+loop of :class:`~repro.sim.system._StagedStepper`:
 :meth:`CacheSimulator.run` and cache sessions run it with one seed,
 :meth:`CacheSimulator.run_batch` with every seed at once.  Per slot it
 makes the policy decision, does the element-wise reward math, and records
@@ -21,17 +23,24 @@ import numpy as np
 from repro.core.caching_mdp import BatchedCacheDecider
 from repro.core.policies import CachingPolicy
 from repro.core.reward import UtilityFunction
-from repro.net.channel import LinkBudget
 from repro.sim.metrics import CacheMetrics
 from repro.sim.results import CacheSimulationResult
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.system import (
     SystemState,
     _policy_name,
-    _SeedStepper,
     _Simulator,
+    _StagedStepper,
     cache_ages,
 )
+
+def _cache_metrics_per_seed(stepper: _StagedStepper) -> List[CacheMetrics]:
+    """One stage-1 collector per seed of *stepper*."""
+    return [
+        _cache_metrics(state, stepper.metrics_mode, stepper.expected_slots)
+        for state in stepper.states
+    ]
+
 
 def _cache_metrics(state: SystemState, mode: str, num_slots: int) -> CacheMetrics:
     """A stage-1 collector sized for *state*'s grid and *num_slots* slots."""
@@ -149,8 +158,8 @@ class _BatchedCacheStage:
         )
         return aoi_totals, cost_totals, totals
 
-    def advance(self, time_slot: int) -> None:
-        """Age every cached copy by one slot and regenerate the MBS copies.
+    def advance(self) -> None:
+        """Age every cached copy by one slot.
 
         In place: every same-slot consumer (collectors, the joint service
         stage's AoI guard) has already read — or copied — the post-update
@@ -158,21 +167,20 @@ class _BatchedCacheStage:
         """
         np.add(self.ages, 1.0, out=self.ages)
         np.minimum(self.ages, self.ceilings, out=self.ages)
-        for state in self.states:
-            state.mbs_store.tick(time_slot + 1)
 
 
-class CacheStepper(_SeedStepper):
+class CacheStepper(_StagedStepper):
     """Resumable slot-by-slot execution of the stage-1 loop along a seed axis.
 
     Carries one run per ``(config, policy)`` pair (``S >= 1``) through
-    :class:`_BatchedCacheStage` with one metrics collector per seed.
+    :class:`_BatchedCacheStage` with one metrics collector per seed, in the
+    shared slot loop of :class:`~repro.sim.system._StagedStepper`.
     It is the only vectorised stage-1 body: :meth:`CacheSimulator.run`
     (``S = 1``), :meth:`CacheSimulator.run_batch`, and cache sessions all
     drive it.  Taking configs rather than seeds, it also runs a scenario
     with ``seed=None``.  Stage 1 consumes no request arrivals, so the
-    ``batches`` argument is accepted (for a uniform stepper surface) and
-    ignored.
+    ``batches`` argument of ``step`` is accepted (for a uniform stepper
+    surface) and ignored.
     """
 
     kind = "cache"
@@ -187,24 +195,10 @@ class CacheStepper(_SeedStepper):
     ) -> None:
         super().__init__(configs, metrics=metrics, expected_slots=expected_slots)
         self.policies = list(policies)
-        self.metrics = [
-            _cache_metrics(state, self.metrics_mode, self.expected_slots)
-            for state in self.states
-        ]
+        self.metrics = self.cache_metrics = _cache_metrics_per_seed(self)
         for policy in self.policies:
             policy.reset()
-        self._stage = _BatchedCacheStage(self.states, self.policies)
-
-    def step(self, batches=None) -> List[dict]:
-        """Advance one slot; returns each seed's reward components."""
-        t = self.time_slot
-        aoi, cost, reward = self._stage.step(t, self.metrics)
-        self._stage.advance(t)
-        self.time_slot = t + 1
-        return [
-            {"aoi_utility": float(a), "update_cost": float(c), "reward": float(r)}
-            for a, c, r in zip(aoi, cost, reward)
-        ]
+        self._cache_stage = _BatchedCacheStage(self.states, self.policies)
 
     def results(self) -> List[CacheSimulationResult]:
         """The runs so far, one result per seed."""
@@ -238,6 +232,8 @@ class CacheSimulator(_Simulator):
         byte-identical; ``"summary"`` keeps memory flat in the grid size.
     """
 
+    _stepper_class = CacheStepper
+
     def __init__(
         self,
         config: ScenarioConfig,
@@ -245,24 +241,12 @@ class CacheSimulator(_Simulator):
         *,
         metrics: str = "full",
     ) -> None:
-        super().__init__(config, metrics=metrics)
-        self._policy = policy
+        super().__init__(config, (policy,), metrics=metrics)
 
     @property
     def policy(self) -> CachingPolicy:
         """The caching policy under evaluation."""
-        return self._policy
-
-    def _stepper(
-        self, num_slots: Optional[int], configs=None, policies=None
-    ) -> CacheStepper:
-        """A stepper over *configs* (default: this scenario and policy)."""
-        return CacheStepper(
-            configs or [self._config],
-            policies or [self._policy],
-            metrics=self._metrics_mode,
-            expected_slots=num_slots,
-        )
+        return self._policies[0]
 
     def _run_reference(
         self, num_slots: Optional[int] = None
@@ -275,12 +259,12 @@ class CacheSimulator(_Simulator):
         state = SystemState(self._config)
         caches = state.reference_caches()
         metrics = _cache_metrics(state, self._metrics_mode, num_slots)
-        self._policy.reset()
-        mbs_budget = LinkBudget()
+        policy = self.policy
+        policy.reset()
 
         for t in range(num_slots):
             observation = state.observation(t, caches)
-            actions = self._policy.decide(observation)
+            actions = policy.decide(observation)
             actions = CachingPolicy.validate_actions(actions, observation)
             costs = observation.update_costs
             breakdown = UtilityFunction(
@@ -291,7 +275,6 @@ class CacheSimulator(_Simulator):
                 for slot, content_id in enumerate(rsu.covered_regions):
                     if actions[k, slot]:
                         caches[k].apply_update(content_id)
-                        mbs_budget.charge(costs[k, slot])
             metrics.record_slot(t, cache_ages(caches), actions, breakdown)
             # Advance time: cached copies age by one slot, the MBS regenerates.
             for cache in caches:
@@ -299,7 +282,7 @@ class CacheSimulator(_Simulator):
             state.mbs_store.tick(t + 1)
         return CacheSimulationResult(
             config=self._config,
-            policy_name=_policy_name(self._policy),
+            policy_name=_policy_name(policy),
             metrics=metrics,
             catalog=state.catalog,
             topology=state.topology,

@@ -21,14 +21,22 @@ Policies may be registered names / ``"name:k=v,..."`` strings /
 registry) or ready policy instances (used exactly as the per-kind
 simulator classes use them, so results are bit-identical to those).
 
+What a kind is lives in one table, :data:`KINDS`: its simulator class,
+the role of each policy it takes, whether its ``run_batch`` replays
+precomputed arrival horizons, and which result its run record keeps as
+the trace.  The runner, specs, run store, shared-memory shipment, serve
+sessions and CLI all read it instead of branching on kind names.
+
 There is one execution path.  Every kind has one per-slot body, a
 seed-axis stepper (:class:`~repro.sim.cache_sim.CacheStepper`,
 :class:`~repro.sim.service_sim.ServiceStepper`,
 :class:`~repro.sim.joint_sim.JointStepper`,
-:class:`~repro.sim.multihop_sim.MultihopStepper`): a single run drives it
-with one seed, *seeds* drives it with every seed at once.  The multihop
-kind takes a flat collection of policies of any role, so ``simulate()``
-runs once per entry; results are ordered policy-major, seed-minor.
+:class:`~repro.sim.multihop_sim.MultihopStepper`; the first three share
+one slot loop, stage 1 and then stage 2): a single run drives it with one
+seed through the simulators' shared ``run``, *seeds* with every seed at
+once through their shared ``run_batch``.  The multihop kind takes a flat
+collection of policies of any role, so ``simulate()`` runs once per entry;
+results are ordered policy-major, seed-minor.
 
 The original scalar loops survive only as the private test oracle,
 :func:`_reference`, which the equivalence suites compare every path
@@ -38,7 +46,9 @@ against byte for byte.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.policies import CachingPolicy, ServicePolicy
 from repro.exceptions import ConfigurationError, ValidationError
@@ -47,7 +57,7 @@ from repro.policies.registry import PolicySpec
 from repro.sim.cache_sim import CacheSimulator
 from repro.sim.joint_sim import JointSimulator
 from repro.sim.metrics import METRICS_MODES
-from repro.sim.multihop_sim import MultihopSimulator
+from repro.sim.multihop_sim import MultihopSimulator, _policy_role
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.service_sim import ServiceSimulator
@@ -55,7 +65,83 @@ from repro.utils.rng import spawn_run_seeds
 
 __all__ = ["METRICS_MODES", "SIMULATION_KINDS", "simulate"]
 
-SIMULATION_KINDS = ("cache", "service", "joint", "multihop")
+
+@dataclass(frozen=True)
+class SimulationKind:
+    """What one simulation kind is, as every layer reads it.
+
+    Attributes
+    ----------
+    name:
+        The kind's key in :data:`KINDS`.
+    simulator:
+        The simulator class; it takes the scenario and then one policy per
+        role.
+    roles:
+        The policy role of each policy the kind takes, in order: a
+        ``RunSpec``/``ExperimentSpec`` fills them from ``policy`` and then
+        ``service_policy``.  ``None`` admits any role (on-path, caching or
+        service).
+    replays_horizons:
+        Whether ``run_batch`` replays precomputed arrival horizons (which
+        the parallel runner may ship through shared memory).
+    trace:
+        The result attribute a :class:`~repro.runtime.runner.RunRecord`
+        keeps as its trace, or ``None`` to keep none.
+    """
+
+    name: str
+    simulator: type
+    roles: Tuple[Optional[str], ...]
+    replays_horizons: bool
+    trace: Optional[str]
+
+    def policies(self, policy: Any, service_policy: Any) -> Tuple[Any, ...]:
+        """The per-role policies of a spec's ``policy``/``service_policy`` pair.
+
+        Raises :class:`~repro.exceptions.ValidationError` when the pair does
+        not fit the roles: a second policy the kind has no role for, or a
+        missing one it needs.
+        """
+        if service_policy is None and len(self.roles) > 1:
+            raise ValidationError(f"{self.name} runs need a service_policy")
+        if service_policy is not None and len(self.roles) == 1:
+            takers = " or ".join(
+                f"kind={kind.name!r}" for kind in KINDS.values() if len(kind.roles) > 1
+            )
+            raise ValidationError(
+                f"service_policy only applies to {takers}, not {self.name!r}"
+            )
+        return (policy, service_policy)[: len(self.roles)]
+
+    def spec_fields(self, policies: Sequence[Any]) -> Dict[str, Any]:
+        """The ``policy``/``service_policy`` fields holding *policies*, one
+        per role — the inverse of :meth:`policies`."""
+        return dict(zip(("policy", "service_policy"), (*policies, None)))
+
+
+#: The simulation kinds, keyed by name — the one place a kind is defined.
+KINDS: Mapping[str, SimulationKind] = MappingProxyType(
+    {
+        kind.name: kind
+        for kind in (
+            SimulationKind(
+                "cache", CacheSimulator, ("caching",), False, "cumulative_reward"
+            ),
+            SimulationKind(
+                "service", ServiceSimulator, ("service",), True, "latency_history"
+            ),
+            SimulationKind(
+                "joint", JointSimulator, ("caching", "service"), True, None
+            ),
+            SimulationKind(
+                "multihop", MultihopSimulator, (None,), False, "latency_history"
+            ),
+        )
+    }
+)
+
+SIMULATION_KINDS = tuple(KINDS)
 
 #: Accepted policy references: a ready instance, a registered name /
 #: ``"name:k=v,..."`` string, or a validated spec.
@@ -65,13 +151,9 @@ PolicyLike = Union[CachingPolicy, ServicePolicy, OnPathStrategy, PolicySpec, str
 def _role_of(policy: PolicyLike) -> str:
     """The role a policy reference plays: ``"caching"``, ``"service"``, or
     ``"onpath"``."""
-    if isinstance(policy, OnPathStrategy):
-        return "onpath"
-    if isinstance(policy, CachingPolicy):
-        return "caching"
-    if isinstance(policy, ServicePolicy):
-        return "service"
-    return PolicySpec.coerce(policy).role
+    if isinstance(policy, (str, PolicySpec)):
+        return PolicySpec.coerce(policy).role
+    return _policy_role(policy)
 
 
 def _wants_multihop(
@@ -237,12 +319,11 @@ def simulate(
         policies, kind=kind, metrics=metrics, service_batch=service_batch, noun="runs"
     )
     results: List[SimulationResult] = []
-    for policy, service_policy in runs:
+    for run_policies in runs:
         results += _run(
             kind,
             scenario,
-            policy,
-            service_policy,
+            run_policies,
             seeds=seeds,
             num_slots=num_slots,
             store=store,
@@ -259,23 +340,21 @@ def _resolve_kind(
     metrics: str,
     service_batch: Optional[int],
     noun: str,
-) -> Tuple[str, List[Tuple[Any, Any]], bool]:
+) -> Tuple[str, List[Tuple[Any, ...]], bool]:
     """Check the options shared by ``simulate()`` and sessions; infer the kind.
 
-    Returns ``(kind, runs, single)``.  *runs* lists one
-    ``(policy, service_policy)`` pair per policy to evaluate: the main
-    policy is the caching one for the cache and joint kinds, the service
-    one for the service kind and any role's for the multihop kind, whose
-    *policies* are a flat collection (one run per entry);
-    *service_policy* is the joint kind's second stage.  *single* is false
-    when *policies* listed multihop runs, whose results stay a list.
-    *noun* names the caller's runs in messages.
+    Returns ``(kind, runs, single)``.  *runs* lists one tuple per run to
+    evaluate, holding one policy per role of the kind (see
+    :data:`KINDS`); the multihop kind's *policies* are a flat collection,
+    one run per entry.  *single* is false when *policies* listed multihop
+    runs, whose results stay a list.  *noun* names the caller's runs in
+    messages.
     """
     if metrics not in METRICS_MODES:
         raise ConfigurationError(
             f"metrics must be one of {METRICS_MODES}, got {metrics!r}"
         )
-    if kind is not None and kind not in SIMULATION_KINDS:
+    if kind is not None and kind not in KINDS:
         raise ConfigurationError(
             f"kind must be one of {SIMULATION_KINDS}, got {kind!r}"
         )
@@ -285,68 +364,55 @@ def _resolve_kind(
                 f"kind={kind!r} does not match the supplied policies "
                 "(an on-path strategy implies 'multihop')"
             )
-        if service_batch is not None:
-            raise ConfigurationError(
-                f"service_batch does not apply to multihop {noun}"
-            )
         single = not isinstance(policies, (list, tuple))
-        entries = [policies] if single else list(policies)
-        if not entries:
+        runs = [(policy,) for policy in ([policies] if single else policies)]
+        if not runs:
             raise ConfigurationError("at least one policy is required")
-        return "multihop", [(policy, None) for policy in entries], single
-    caching, service = _split_policies(policies)
-    inferred = (
-        "joint"
-        if caching is not None and service is not None
-        else ("cache" if caching is not None else "service")
-    )
-    if kind is not None and kind != inferred:
-        raise ConfigurationError(
-            f"kind={kind!r} does not match the supplied policies "
-            f"(which imply {inferred!r}); pass both a caching and a "
-            "service policy for 'joint'"
-        )
-    if service_batch is not None and inferred == "cache":
-        raise ConfigurationError(f"service_batch does not apply to cache {noun}")
-    if inferred == "service":
-        return inferred, [(service, None)], True
-    return inferred, [(caching, service)], True
+        inferred = "multihop"
+    else:
+        slots = [
+            (role, policy)
+            for role, policy in zip(("caching", "service"), _split_policies(policies))
+            if policy is not None
+        ]
+        roles = tuple(role for role, _ in slots)
+        inferred = next(name for name, entry in KINDS.items() if entry.roles == roles)
+        if kind is not None and kind != inferred:
+            raise ConfigurationError(
+                f"kind={kind!r} does not match the supplied policies "
+                f"(which imply {inferred!r}); pass both a caching and a "
+                "service policy for 'joint'"
+            )
+        runs, single = [tuple(policy for _, policy in slots)], True
+    if service_batch is not None and "service" not in KINDS[inferred].roles:
+        raise ConfigurationError(f"service_batch does not apply to {inferred} {noun}")
+    return inferred, runs, single
 
 
 def _simulator(
     kind: str,
     scenario: ScenarioConfig,
-    policy: Any,
-    service_policy: Any = None,
+    policies: Sequence[Any],
     *,
     service_batch: Optional[int] = None,
     **options: Any,
 ) -> Any:
-    """The simulator of *kind* — the one place the per-kind classes are built.
+    """The simulator of *kind* over *policies*, one per role of the kind.
 
-    *policy* is the caching policy (cache, joint), the service policy
-    (service) or the multihop policy; *service_policy* is the joint kind's
-    second stage.  *options* hold ``metrics``.
+    *options* hold ``metrics``; *service_batch* reaches only the kinds with
+    a service role.
     """
-    if kind == "cache":
-        return CacheSimulator(scenario, policy, **options)
-    if kind == "service":
-        return ServiceSimulator(
-            scenario, policy, service_batch=service_batch, **options
-        )
-    if kind == "joint":
-        return JointSimulator(
-            scenario, policy, service_policy, service_batch=service_batch, **options
-        )
-    return MultihopSimulator(scenario, policy, **options)
+    entry = KINDS[kind]
+    if "service" in entry.roles:
+        options["service_batch"] = service_batch
+    return entry.simulator(scenario, *policies, **options)
 
 
 def _run_seeds(
     kind: str,
     scenario: ScenarioConfig,
     seeds: Sequence[int],
-    policies: Sequence[Any],
-    service_policies: Optional[Sequence[Any]] = None,
+    policies: Sequence[Sequence[Any]],
     *,
     num_slots: Optional[int] = None,
     horizons: Optional[Sequence] = None,
@@ -355,37 +421,33 @@ def _run_seeds(
     """One seed group of any kind through its simulator's ``run_batch``.
 
     Shared by :func:`simulate` and :func:`repro.runtime.runner.execute_batch`.
-    *policies* / *service_policies* are the per-seed instances; *horizons*
-    the optional precomputed arrival tensors (service and joint kinds).
+    *policies* holds the per-seed instances of each role of the kind;
+    *horizons* the optional precomputed arrival tensors (kinds that replay
+    them only).  A kind with several roles names each role's instances
+    (``caching_policies=``, ``service_policies=``).
     """
-    simulator = _simulator(kind, scenario, None, None, **options)
-    if kind == "joint":
-        return simulator.run_batch(
-            seeds,
-            caching_policies=policies,
-            service_policies=service_policies,
-            num_slots=num_slots,
-            horizons=horizons,
-        )
-    if kind == "service":
-        return simulator.run_batch(
-            seeds, policies=policies, num_slots=num_slots, horizons=horizons
-        )
-    return simulator.run_batch(seeds, policies=policies, num_slots=num_slots)
+    roles = KINDS[kind].roles
+    simulator = _simulator(kind, scenario, [None] * len(roles), **options)
+    if len(roles) == 1:
+        keywords = {"policies": policies[0]}
+    else:
+        keywords = {f"{role}_policies": group for role, group in zip(roles, policies)}
+    return simulator.run_batch(
+        seeds, num_slots=num_slots, horizons=horizons, **keywords
+    )
 
 
 def _run(
     kind: str,
     scenario: ScenarioConfig,
-    policy: PolicyLike,
-    service_policy: Optional[PolicyLike],
+    policies: Tuple[PolicyLike, ...],
     *,
     seeds: Union[None, int, Sequence[int]],
     num_slots: Optional[int],
     store: Any,
     **options: Any,
 ) -> List[SimulationResult]:
-    """Run one policy (pair) of *kind*: one run, or one seed-axis batch.
+    """Run one policy tuple of *kind*: one run, or one seed-axis batch.
 
     The finished runs are written through to *store*.
     """
@@ -394,8 +456,7 @@ def _run(
             _simulator(
                 kind,
                 scenario,
-                _materialize(policy, scenario),
-                _materialize(service_policy, scenario),
+                [_materialize(policy, scenario) for policy in policies],
                 **options,
             ).run(num_slots=num_slots)
         ]
@@ -409,16 +470,14 @@ def _run(
             kind,
             scenario,
             seed_list,
-            _replicate(policy, scenarios),
-            _replicate(service_policy, scenarios) if kind == "joint" else None,
+            [_replicate(policy, scenarios) for policy in policies],
             num_slots=num_slots,
             **options,
         )
     _store_write_through(
         store,
         kind=kind,
-        policy=policy,
-        service_policy=service_policy,
+        policies=policies,
         results=results,
         num_slots=num_slots,
         service_batch=options.get("service_batch"),
@@ -449,24 +508,21 @@ def _reference(
     )
     if kind == "multihop":
         raise ConfigurationError("the multihop kind has no scalar reference loop")
-    ((main, second),) = runs
+    (run_policies,) = runs
     if seeds is None:
         scenarios = [scenario]
-        mains = [_materialize(main, scenario)]
-        seconds = [_materialize(second, scenario)]
+        per_seed = [[_materialize(policy, scenario) for policy in run_policies]]
     else:
         scenarios = [
             scenario.with_overrides(seed=seed)
             for seed in _normalize_seeds(seeds, scenario)
         ]
-        mains = _replicate(main, scenarios)
-        seconds = _replicate(second, scenarios)
+        per_seed = zip(*(_replicate(policy, scenarios) for policy in run_policies))
     results = [
         _simulator(
-            kind, config, policy, service_policy,
-            service_batch=service_batch, metrics=metrics,
+            kind, config, seed_policies, service_batch=service_batch, metrics=metrics
         )._run_reference(num_slots)
-        for config, policy, service_policy in zip(scenarios, mains, seconds)
+        for config, seed_policies in zip(scenarios, per_seed)
     ]
     return results[0] if seeds is None else results
 
@@ -475,8 +531,7 @@ def _store_write_through(
     store: Any,
     *,
     kind: str,
-    policy: Optional[PolicyLike],
-    service_policy: Optional[PolicyLike],
+    policies: Sequence[PolicyLike],
     results: Sequence[SimulationResult],
     **run_options: Any,
 ) -> None:
@@ -485,33 +540,28 @@ def _store_write_through(
     Uses exactly the cell keys :meth:`ExperimentRunner.run_grid
     <repro.runtime.runner.ExperimentRunner.run_grid>` computes, so a
     ``simulate()`` call warms the same cells a later sweep would hit.
-    *run_options* are the remaining :class:`~repro.runtime.runner.RunSpec`
-    fields (``num_slots``, ``service_batch``, ``metrics``).
+    *policies* holds one reference per role of *kind*; *run_options* are
+    the remaining :class:`~repro.runtime.runner.RunSpec` fields
+    (``num_slots``, ``service_batch``, ``metrics``).
     Silently skips runs it cannot address: opaque policy instances,
     seedless scenarios, or a store disabled by the environment.
     """
     if store is None or store is False:
         return
+    if not all(isinstance(policy, (str, PolicySpec)) for policy in policies):
+        return
     # Imported lazily — repro.runtime imports the sim package.
     from repro.runtime.runner import RunSpec, _run_record
     from repro.runtime.store import RunStore, resolve_store
 
-    def spec_of(reference: Optional[PolicyLike], role: Optional[str]):
-        if not isinstance(reference, (str, PolicySpec)):
-            return None
-        return PolicySpec.coerce(reference, role=role)
-
-    role = {"cache": "caching", "service": "service", "joint": "caching"}.get(kind)
-    main = spec_of(policy, role)
-    second = spec_of(service_policy, "service") if kind == "joint" else None
-    if main is None or (kind == "joint" and second is None):
-        return
+    specs = [
+        PolicySpec.coerce(policy, role=role)
+        for policy, role in zip(policies, KINDS[kind].roles)
+    ]
     resolved = resolve_store(store)
     if resolved is None:
         return
-    label = f"{kind}:{main.label()}"
-    if second is not None:
-        label += f"+{second.label()}"
+    label = f"{kind}:" + "+".join(spec.label() for spec in specs)
     try:
         items = []
         for result in results:
@@ -521,10 +571,9 @@ def _store_write_through(
             spec = RunSpec(
                 kind=kind,
                 scenario=result.config,
-                policy=main,
                 seed=int(seed),
                 label=label,
-                service_policy=second,
+                **KINDS[kind].spec_fields(specs),
                 **run_options,
             )
             items.append((spec, int(seed), _run_record(spec, seed, result)))

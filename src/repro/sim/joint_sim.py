@@ -1,11 +1,13 @@
 """Full two-stage simulator coupling cache management and content service.
 
-The coupled loop has one vectorised per-slot body, :class:`JointStepper`,
-which runs along a seed axis: :meth:`JointSimulator.run` and joint
-sessions drive it with one seed, :meth:`JointSimulator.run_batch` with
-every seed at once.  Both stages record every slot straight into their
-collectors through the same bodies as the per-slot reference accounting
-(see :mod:`repro.sim.cache_sim` and :mod:`repro.sim.service_sim`).
+The joint kind is stage 1 followed by stage 2 in one slot: its stepper,
+:class:`JointStepper`, sets up both stages and runs them in the slot loop
+the cache and service kinds share (:class:`~repro.sim.system._StagedStepper`),
+along a seed axis: :meth:`JointSimulator.run` and joint sessions drive it
+with one seed, :meth:`JointSimulator.run_batch` with every seed at once.
+Both stages record every slot straight into their collectors through the
+same bodies as the per-slot reference accounting (see
+:mod:`repro.sim.cache_sim` and :mod:`repro.sim.service_sim`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ from typing import List, Optional, Sequence
 from repro.core.policies import CachingPolicy, ServicePolicy
 from repro.core.reward import UtilityFunction
 from repro.net.queueing import RequestQueue
-from repro.sim.cache_sim import _BatchedCacheStage, _cache_metrics
+from repro.sim.cache_sim import (
+    _BatchedCacheStage,
+    _cache_metrics,
+    _cache_metrics_per_seed,
+)
 from repro.sim.results import JointSimulationResult
 from repro.sim.scenario import ScenarioConfig
 # _enqueue_batches and _vector_service_slot run inside _ServiceStage (in
@@ -25,21 +31,20 @@ from repro.sim.scenario import ScenarioConfig
 from repro.sim.service_sim import (  # noqa: F401
     _enqueue_batches,
     _reference_service_slot,
-    _seed_horizons,
     _service_metrics,
+    _service_metrics_per_seed,
     _ServiceStage,
     _vector_service_slot,
 )
 from repro.sim.system import (
     SystemState,
-    _expand_batch_policies,
     _policy_name,
-    _SeedStepper,
     _Simulator,
+    _StagedStepper,
     cache_ages,
 )
 
-class JointStepper(_SeedStepper):
+class JointStepper(_StagedStepper):
     """Resumable slot-by-slot execution of the coupled loop along a seed axis.
 
     Carries one run per ``(config, caching policy, service policy)``
@@ -68,40 +73,14 @@ class JointStepper(_SeedStepper):
         super().__init__(configs, metrics=metrics, expected_slots=expected_slots)
         self.caching_policies = list(caching_policies)
         self.service_policies = list(service_policies)
-        mode, expected = self.metrics_mode, self.expected_slots
-        self.cache_metrics = [
-            _cache_metrics(state, mode, expected) for state in self.states
-        ]
-        self.service_metrics = [
-            _service_metrics(config, mode, expected) for config in self.configs
-        ]
+        self.cache_metrics = _cache_metrics_per_seed(self)
+        self.service_metrics = _service_metrics_per_seed(self)
         for policy in self.caching_policies:
             policy.reset()
         self._cache_stage = _BatchedCacheStage(self.states, self.caching_policies)
         self._service_stage = _ServiceStage(
             self.states, self.service_policies, self.service_metrics, service_batch
         )
-
-    def step(self, batches=None) -> List[dict]:
-        """Advance one slot; returns each seed's per-slot aggregates of both stages."""
-        t = self.time_slot
-        stage = self._cache_stage
-        # ---- Stage 1: cache management (seed-batched) --------------------
-        aoi, cost, reward = stage.step(t, self.cache_metrics)
-        # ---- Stage 2: content service, AoI guard on live ages ------------
-        served = self._service_stage.step(t, batches, stage.ages)
-        # ---- Advance time ------------------------------------------------
-        stage.advance(t)
-        self.time_slot = t + 1
-        return [
-            {
-                "aoi_utility": float(a),
-                "update_cost": float(c),
-                "reward": float(r),
-                **service,
-            }
-            for a, c, r, service in zip(aoi, cost, reward, served)
-        ]
 
     def results(self) -> List[JointSimulationResult]:
         """The runs so far, one result per seed."""
@@ -132,6 +111,8 @@ class JointSimulator(_Simulator):
     argues for.
     """
 
+    _stepper_class = JointStepper
+
     def __init__(
         self,
         config: ScenarioConfig,
@@ -141,25 +122,11 @@ class JointSimulator(_Simulator):
         service_batch: Optional[int] = None,
         metrics: str = "full",
     ) -> None:
-        super().__init__(config, service_batch=service_batch, metrics=metrics)
-        self._caching_policy = caching_policy
-        self._service_policy = service_policy
-
-    def _stepper(
-        self,
-        num_slots: Optional[int],
-        configs=None,
-        caching_policies=None,
-        service_policies=None,
-    ) -> JointStepper:
-        """A stepper over *configs* (default: this scenario and policies)."""
-        return JointStepper(
-            configs or [self._config],
-            caching_policies or [self._caching_policy],
-            service_policies or [self._service_policy],
-            service_batch=self._service_batch,
-            metrics=self._metrics_mode,
-            expected_slots=num_slots,
+        super().__init__(
+            config,
+            (caching_policy, service_policy),
+            service_batch=service_batch,
+            metrics=metrics,
         )
 
     def run_batch(
@@ -173,27 +140,16 @@ class JointSimulator(_Simulator):
     ) -> List[JointSimulationResult]:
         """Run one coupled simulation per seed through one seed-axis stepper.
 
-        Stage 1 (cache management) runs on the stacked
-        ``(num_seeds, num_rsus, contents_per_rsu)`` ages tensor exactly like
-        :meth:`CacheSimulator.run_batch`; stage 2 reads each seed's live
-        post-update slice of that tensor, preserving the AoI-guard coupling.
-        Bit-identical to per-seed :meth:`run` calls.  *horizons* optionally
-        supplies per-seed precomputed arrival tensors (see
-        :meth:`ServiceSimulator.run_batch`).
+        The shared ``run_batch`` body of
+        :class:`~repro.sim.system._Simulator`, with the per-seed policies
+        named per role: bit-identical to per-seed :meth:`run` calls.
         """
-        num_slots = self._num_slots(num_slots)
-        seeds = [int(seed) for seed in seeds]
-        caching_policies = _expand_batch_policies(
-            seeds, caching_policies, self._caching_policy
+        return super().run_batch(
+            seeds,
+            policies=(caching_policies, service_policies),
+            num_slots=num_slots,
+            horizons=horizons,
         )
-        service_policies = _expand_batch_policies(
-            seeds, service_policies, self._service_policy
-        )
-        configs = self._seed_configs(seeds)
-        stepper = self._stepper(
-            num_slots, configs, caching_policies, service_policies
-        )
-        return stepper.drive(num_slots, _seed_horizons(stepper, horizons, num_slots))
 
     def _run_reference(
         self, num_slots: Optional[int] = None
@@ -207,14 +163,15 @@ class JointSimulator(_Simulator):
         caches = state.reference_caches()
         cache_metrics = _cache_metrics(state, self._metrics_mode, num_slots)
         service_metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
-        self._caching_policy.reset()
-        self._service_policy.reset()
+        caching_policy, service_policy = self._policies
+        caching_policy.reset()
+        service_policy.reset()
         queues = [RequestQueue(rsu.rsu_id) for rsu in state.topology.rsus]
 
         for t in range(num_slots):
             # ---- Stage 1: cache management -------------------------------
             observation = state.observation(t, caches)
-            actions = self._caching_policy.decide(observation)
+            actions = caching_policy.decide(observation)
             actions = CachingPolicy.validate_actions(actions, observation)
             costs = observation.update_costs
             breakdown = UtilityFunction(
@@ -228,7 +185,7 @@ class JointSimulator(_Simulator):
 
             # ---- Stage 2: content service ---------------------------------
             _reference_service_slot(
-                state, caches, queues, self._service_policy, self._service_batch,
+                state, caches, queues, service_policy, self._service_batch,
                 service_metrics, t,
                 deadline_slots=self._config.deadline_slots,
             )
@@ -239,8 +196,8 @@ class JointSimulator(_Simulator):
             state.mbs_store.tick(t + 1)
         return JointSimulationResult(
             config=self._config,
-            caching_policy_name=_policy_name(self._caching_policy),
-            service_policy_name=_policy_name(self._service_policy),
+            caching_policy_name=_policy_name(caching_policy),
+            service_policy_name=_policy_name(service_policy),
             cache_metrics=cache_metrics,
             service_metrics=service_metrics,
         )

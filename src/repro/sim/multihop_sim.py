@@ -52,6 +52,7 @@ MultihopPolicy = Union[OnPathStrategy, CachingPolicy, ServicePolicy]
 
 
 def _policy_role(policy: MultihopPolicy) -> str:
+    """The role of a policy instance: ``"onpath"``, ``"caching"`` or ``"service"``."""
     if isinstance(policy, OnPathStrategy):
         return "onpath"
     if isinstance(policy, CachingPolicy):
@@ -59,8 +60,9 @@ def _policy_role(policy: MultihopPolicy) -> str:
     if isinstance(policy, ServicePolicy):
         return "service"
     raise ConfigurationError(
-        "a multihop policy must be an OnPathStrategy, CachingPolicy, or "
-        f"ServicePolicy instance; got {type(policy).__name__}"
+        "a policy must be a registered name, a 'name:k=v,...' string, a "
+        "PolicySpec, or an OnPathStrategy, CachingPolicy or ServicePolicy "
+        f"instance; got {type(policy).__name__}"
     )
 
 
@@ -402,6 +404,11 @@ class MultihopStepper(_SeedStepper):
 class MultihopSimulator(_Simulator):
     """Simulator for the ``multihop`` scenario kind.
 
+    Like the other simulators it drives its stepper through the shared
+    ``run``/``run_batch`` bodies of :class:`~repro.sim.system._Simulator`;
+    each seed draws its arrivals per slot, so ``run_batch`` takes no
+    precomputed ``horizons``.
+
     Parameters
     ----------
     config:
@@ -415,6 +422,8 @@ class MultihopSimulator(_Simulator):
         ``"summary"`` keeps per-slot aggregates only.
     """
 
+    _stepper_class = MultihopStepper
+
     def __init__(
         self,
         config: ScenarioConfig,
@@ -422,24 +431,12 @@ class MultihopSimulator(_Simulator):
         *,
         metrics: str = "full",
     ) -> None:
-        super().__init__(config, metrics=metrics)
         # The role is resolved by the stepper: batch callers construct the
         # simulator with a placeholder policy and pass the per-seed
         # instances to run_batch(policies=...), like the other simulators.
-        self._policy = policy
+        super().__init__(config, (policy,), metrics=metrics)
 
     @property
     def policy(self) -> MultihopPolicy:
         """The policy under evaluation."""
-        return self._policy
-
-    def _stepper(
-        self, num_slots: Optional[int], configs=None, policies=None
-    ) -> MultihopStepper:
-        """A stepper over *configs* (default: this scenario and policy)."""
-        return MultihopStepper(
-            configs or [self._config],
-            policies or [self._policy],
-            metrics=self._metrics_mode,
-            expected_slots=num_slots,
-        )
+        return self._policies[0]

@@ -8,11 +8,12 @@ grid (:class:`~repro.core.lyapunov.BatchedServiceDecider`); any other
 service policy is asked per RSU, reading the same array queues.
 
 :meth:`ServiceSimulator.run` drives the stepper with one seed and draws
-arrivals slot by slot; :meth:`ServiceSimulator.run_batch` drives it with
-every seed at once over precomputed
-:class:`~repro.net.requests.WorkloadHorizon` arrival tensors (optionally
-supplied by the caller — e.g. shipped through shared memory by the
-parallel runner).  Every slot is recorded through
+arrivals slot by slot; ``run_batch`` (the shared body of
+:class:`~repro.sim.system._Simulator`) drives it with every seed at once
+over the precomputed :class:`~repro.net.requests.WorkloadHorizon` arrival
+tensors of :meth:`_ServiceStage.arrival_replay` (optionally supplied by
+the caller — e.g. shipped through shared memory by the parallel runner).
+Every slot is recorded through
 :meth:`~repro.sim.metrics.ServiceMetrics.record_slot`, the same body the
 per-slot reference accounting uses, so all paths are byte-identical.
 """
@@ -33,10 +34,9 @@ from repro.sim.results import ServiceSimulationResult
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.system import (
     SystemState,
-    _expand_batch_policies,
     _policy_name,
-    _SeedStepper,
     _Simulator,
+    _StagedStepper,
 )
 
 #: Initial per-queue capacity of :class:`_VectorQueues` (doubled on demand).
@@ -421,25 +421,6 @@ def _reference_service_slot(
     metrics.record_slot(backlogs, latencies, costs, decisions, served_counts)
 
 
-def _seed_horizons(
-    stepper, horizons: Optional[Sequence], num_slots: int
-) -> _HorizonReplay:
-    """The arrival replay of a batch run, from validated or generated horizons.
-
-    The batch hot loop replays precomputed tensors and never calls back
-    into the workload models (the tensors either arrive from the
-    dispatching runner or are generated here, identically).
-    """
-    if horizons is None:
-        horizons = [state.workload.generate_horizon(num_slots) for state in stepper.states]
-    elif len(horizons) != len(stepper.states):
-        raise ValidationError(
-            f"got {len(horizons)} precomputed horizons for "
-            f"{len(stepper.states)} seeds"
-        )
-    return _HorizonReplay(horizons, stepper.configs[0].num_rsus, num_slots)
-
-
 class _ServiceStage:
     """Stage 2 for ``S`` seeds: one slot of service over all RSUs per call.
 
@@ -484,6 +465,24 @@ class _ServiceStage:
         self.content_slot = np.stack([state.content_slot for state in states])
         self.max_ages = np.stack([state.max_ages for state in states]).reshape(-1)
 
+    def arrival_replay(
+        self, horizons: Optional[Sequence], num_slots: int
+    ) -> _HorizonReplay:
+        """The arrival replay of a batch run, from validated or generated horizons.
+
+        The batch hot loop replays precomputed tensors and never calls back
+        into the workload models (the tensors either arrive from the
+        dispatching runner or are generated here, identically).
+        """
+        if horizons is None:
+            horizons = [state.workload.generate_horizon(num_slots) for state in self.states]
+        elif len(horizons) != len(self.states):
+            raise ValidationError(
+                f"got {len(horizons)} precomputed horizons for "
+                f"{len(self.states)} seeds"
+            )
+        return _HorizonReplay(horizons, self.shape[1], num_slots)
+
     def step(self, time_slot: int, batches, ages: np.ndarray) -> List[dict]:
         """Enqueue and serve one slot of every seed; *ages* is ``(S, R, C)``.
 
@@ -518,19 +517,28 @@ class _ServiceStage:
         ]
 
 
+def _service_metrics_per_seed(stepper: _StagedStepper) -> List[ServiceMetrics]:
+    """One stage-2 collector per seed of *stepper*."""
+    return [
+        _service_metrics(config, stepper.metrics_mode, stepper.expected_slots)
+        for config in stepper.configs
+    ]
+
+
 def _service_metrics(config: ScenarioConfig, mode: str, num_slots: int) -> ServiceMetrics:
     """A stage-2 collector sized for *config*'s RSUs and *num_slots* slots."""
     return ServiceMetrics(config.num_rsus, mode=mode, expected_slots=num_slots)
 
 
-class ServiceStepper(_SeedStepper):
+class ServiceStepper(_StagedStepper):
     """Resumable slot-by-slot execution of the stage-2 loop along a seed axis.
 
     Carries one run per ``(config, policy)`` pair (``S >= 1``) through
     :class:`_ServiceStage` with the cache ages frozen at their initial
-    values.  It is the only vectorised stage-2 body:
-    :meth:`ServiceSimulator.run` (``S = 1``, per-slot workload draws),
-    :meth:`ServiceSimulator.run_batch` (precomputed horizons), and service
+    values, in the shared slot loop of
+    :class:`~repro.sim.system._StagedStepper`.  It is the only vectorised
+    stage-2 body: :meth:`ServiceSimulator.run` (``S = 1``, per-slot
+    workload draws), ``run_batch`` (precomputed horizons), and service
     sessions (explicit batches) all drive it.
     """
 
@@ -547,23 +555,11 @@ class ServiceStepper(_SeedStepper):
     ) -> None:
         super().__init__(configs, metrics=metrics, expected_slots=expected_slots)
         self.policies = list(policies)
-        self.metrics = [
-            _service_metrics(config, self.metrics_mode, self.expected_slots)
-            for config in self.configs
-        ]
-        self._stage = _ServiceStage(
+        self.metrics = _service_metrics_per_seed(self)
+        self._service_stage = _ServiceStage(
             self.states, self.policies, self.metrics, service_batch
         )
-        self._static_ages = np.stack([state.ages for state in self.states])
-
-    def step(self, batches=None) -> List[dict]:
-        """Advance one slot; returns each seed's aggregate service metrics."""
-        t = self.time_slot
-        slot = self._stage.step(t, batches, self._static_ages)
-        for state in self.states:
-            state.mbs_store.tick(t + 1)
-        self.time_slot = t + 1
-        return slot
+        self._frozen_ages = np.stack([state.ages for state in self.states])
 
     def results(self) -> List[ServiceSimulationResult]:
         """The runs so far, one result per seed."""
@@ -599,6 +595,8 @@ class ServiceSimulator(_Simulator):
         see :mod:`repro.sim.metrics`.
     """
 
+    _stepper_class = ServiceStepper
+
     def __init__(
         self,
         config: ScenarioConfig,
@@ -607,55 +605,14 @@ class ServiceSimulator(_Simulator):
         service_batch: Optional[int] = None,
         metrics: str = "full",
     ) -> None:
-        super().__init__(config, service_batch=service_batch, metrics=metrics)
-        self._policy = policy
+        super().__init__(
+            config, (policy,), service_batch=service_batch, metrics=metrics
+        )
 
     @property
     def policy(self) -> ServicePolicy:
         """The service policy under evaluation."""
-        return self._policy
-
-    def _stepper(
-        self, num_slots: Optional[int], configs=None, policies=None
-    ) -> ServiceStepper:
-        """A stepper over *configs* (default: this scenario and policy)."""
-        return ServiceStepper(
-            configs or [self._config],
-            policies or [self._policy],
-            service_batch=self._service_batch,
-            metrics=self._metrics_mode,
-            expected_slots=num_slots,
-        )
-
-    def run_batch(
-        self,
-        seeds: Sequence[int],
-        *,
-        policies: Optional[Sequence[ServicePolicy]] = None,
-        num_slots: Optional[int] = None,
-        horizons: Optional[Sequence] = None,
-    ) -> List[ServiceSimulationResult]:
-        """Run one simulation per seed through one seed-axis stepper.
-
-        Bit-identical to per-seed :meth:`run` calls.  Each slot runs the
-        whole ``(seeds, RSUs)`` grid through one stage-2 kernel on the
-        stacked array queues.
-
-        Parameters
-        ----------
-        horizons:
-            Optional per-seed precomputed
-            :class:`~repro.net.requests.WorkloadHorizon` arrival tensors
-            (e.g. attached from shared memory by the parallel runner).
-            Must match what ``generate_horizon`` would produce for each
-            seed; omitted, the horizons are generated here.
-        """
-        num_slots = self._num_slots(num_slots)
-        seeds = [int(seed) for seed in seeds]
-        policies = _expand_batch_policies(seeds, policies, self._policy)
-        configs = self._seed_configs(seeds)
-        stepper = self._stepper(num_slots, configs, policies)
-        return stepper.drive(num_slots, _seed_horizons(stepper, horizons, num_slots))
+        return self._policies[0]
 
     def _run_reference(
         self, num_slots: Optional[int] = None
@@ -668,12 +625,13 @@ class ServiceSimulator(_Simulator):
         state = SystemState(self._config)
         caches = state.reference_caches()
         metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
-        self._policy.reset()
+        policy = self.policy
+        policy.reset()
         queues = [RequestQueue(rsu.rsu_id) for rsu in state.topology.rsus]
 
         for t in range(num_slots):
             _reference_service_slot(
-                state, caches, queues, self._policy, self._service_batch, metrics, t,
+                state, caches, queues, policy, self._service_batch, metrics, t,
                 deadline_slots=self._config.deadline_slots,
             )
             # The stage-2-only simulator assumes cache management (stage 1)
@@ -682,6 +640,6 @@ class ServiceSimulator(_Simulator):
             state.mbs_store.tick(t + 1)
         return ServiceSimulationResult(
             config=self._config,
-            policy_name=_policy_name(self._policy),
+            policy_name=_policy_name(policy),
             metrics=metrics,
         )

@@ -6,8 +6,10 @@ matrices the vectorised hot loops read; the scalar reference loops build
 their per-RSU cache objects from it.  It is internal plumbing shared by
 :mod:`repro.sim.cache_sim`, :mod:`repro.sim.service_sim`,
 :mod:`repro.sim.joint_sim`, and :mod:`repro.sim.multihop_sim`, together
-with the option handling of their simulators (:class:`_Simulator`) and the
-setup and slot loop of the seed-axis steppers (:class:`_SeedStepper`).
+with the option handling and the one ``run``/``run_batch`` body of their
+simulators (:class:`_Simulator`), the setup of the seed-axis steppers
+(:class:`_SeedStepper`) and the one slot loop of the cache, service and
+joint kinds (:class:`_StagedStepper`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.policies import CacheObservation
-from repro.exceptions import ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.net.cache import MBSContentStore, RSUCache
 from repro.sim.metrics import check_metrics_mode
 from repro.sim.scenario import ScenarioConfig
@@ -196,17 +198,19 @@ def _policy_name(policy: Any) -> str:
 class _Simulator:
     """Options, properties and drivers shared by the per-kind simulators.
 
-    Each kind supplies ``_stepper(num_slots, configs=None, ...)``, its
-    seed-axis stepper over *configs* (default: its own scenario and
-    policies).  :meth:`run` drives that stepper with one seed;
-    :meth:`run_batch` drives it with every seed at once for the kinds with
-    one policy per seed that replay no precomputed arrivals (cache and
-    multihop) — the service and joint kinds override it.
+    A simulator holds its scenario and one policy per role of its kind;
+    its class names the seed-axis stepper it drives (``_stepper_class``),
+    built over the simulator's options by :meth:`_stepper`.  :meth:`run`
+    drives that stepper with one seed and :meth:`run_batch` with every seed
+    at once — one body each for all four kinds.
     """
+
+    _stepper_class: type
 
     def __init__(
         self,
         config: ScenarioConfig,
+        policies: Sequence[Any],
         *,
         service_batch: Optional[int] = None,
         metrics: str = "full",
@@ -214,6 +218,7 @@ class _Simulator:
         if service_batch is not None:
             check_positive_int(service_batch, "service_batch")
         self._config = config
+        self._policies = tuple(policies)
         self._service_batch = service_batch
         self._metrics_mode = check_metrics_mode(metrics)
 
@@ -233,8 +238,24 @@ class _Simulator:
             "num_slots",
         )
 
-    def _seed_configs(self, seeds: Sequence[int]) -> List[ScenarioConfig]:
-        return [self._config.with_overrides(seed=seed) for seed in seeds]
+    def _stepper(
+        self,
+        num_slots: Optional[int],
+        configs: Optional[Sequence[ScenarioConfig]] = None,
+        *policies: Sequence[Any],
+    ) -> "_SeedStepper":
+        """A stepper over *configs* and *policies*, one per-seed sequence per
+        role (default: this scenario and its policies)."""
+        options = {}
+        if self._service_batch is not None:
+            options["service_batch"] = self._service_batch
+        return self._stepper_class(
+            configs or [self._config],
+            *(policies or [[policy] for policy in self._policies]),
+            metrics=self._metrics_mode,
+            expected_slots=num_slots,
+            **options,
+        )
 
     def run(self, *, num_slots: Optional[int] = None) -> Any:
         """Run the simulation and return the recorded result."""
@@ -247,6 +268,7 @@ class _Simulator:
         *,
         policies: Optional[Sequence[Any]] = None,
         num_slots: Optional[int] = None,
+        horizons: Optional[Sequence] = None,
     ) -> List[Any]:
         """Run one simulation per seed through one seed-axis stepper.
 
@@ -261,15 +283,31 @@ class _Simulator:
         policies:
             Optional per-seed policy instances (e.g. factory-built); omitted,
             each run gets a deep copy of the simulator's policy, exactly as
-            the per-run path would.
+            the per-run path would.  A simulator of several roles (the joint
+            kind) takes one such sequence (or ``None``) per role, in role
+            order: :meth:`JointSimulator.run_batch
+            <repro.sim.joint_sim.JointSimulator.run_batch>` names them.
         num_slots:
             Optional horizon override shared by every run.
+        horizons:
+            Optional per-seed precomputed
+            :class:`~repro.net.requests.WorkloadHorizon` arrival tensors
+            (e.g. attached from shared memory by the parallel runner), for
+            the kinds whose stepper replays arrivals (service and joint);
+            they must match what ``generate_horizon`` would produce for each
+            seed, and are generated here when omitted.  The other kinds
+            raise :class:`~repro.exceptions.ConfigurationError` on them.
         """
         num_slots = self._num_slots(num_slots)
         seeds = [int(seed) for seed in seeds]
-        policies = _expand_batch_policies(seeds, policies, self._policy)
-        configs = self._seed_configs(seeds)
-        return self._stepper(num_slots, configs, policies).drive(num_slots)
+        per_role = [policies] if len(self._policies) == 1 else policies
+        groups = [
+            _expand_batch_policies(seeds, given, base)
+            for given, base in zip(per_role, self._policies)
+        ]
+        configs = [self._config.with_overrides(seed=seed) for seed in seeds]
+        stepper = self._stepper(num_slots, configs, *groups)
+        return stepper.drive(num_slots, stepper.arrival_replay(horizons, num_slots))
 
 
 class _SeedStepper:
@@ -282,9 +320,9 @@ class _SeedStepper:
     Subclasses implement ``step(batches=None)``, where *batches* is
     ``None`` (each seed draws its slot's arrivals from its own workload),
     one ``(rsu_id, content_ids)`` batch list per seed, or what the
-    *arrivals* replay of :meth:`drive` returns for the slot, returning one
-    per-slot metrics dict per seed; and ``results()``, the per-seed results
-    of the run so far.
+    :meth:`arrival_replay` given to :meth:`drive` returns for the slot,
+    returning one per-slot metrics dict per seed; and ``results()``, the
+    per-seed results of the run so far.
     """
 
     def __init__(
@@ -302,14 +340,80 @@ class _SeedStepper:
         self.states = [SystemState(config) for config in self.configs]
         self.time_slot = 0
 
+    def arrival_replay(
+        self, horizons: Optional[Sequence], num_slots: int
+    ) -> Optional[Callable]:
+        """The arrivals a batch run replays: none, unless a stage 2 runs.
+
+        Steppers that draw each seed's arrivals per slot take no
+        precomputed *horizons*.
+        """
+        if horizons is not None:
+            raise ConfigurationError(
+                f"{self.kind} runs replay no precomputed arrival horizons"
+            )
+        return None
+
     def drive(self, num_slots: int, arrivals: Optional[Callable] = None) -> List:
         """Step a fresh stepper through *num_slots* slots; return its results.
 
         The one slot loop behind every simulator's ``run()`` (one seed,
-        per-slot workload draws) and ``run_batch()`` (replaying per-seed
-        precomputed :class:`~repro.net.requests.WorkloadHorizon` tensors:
-        ``arrivals(t)`` is slot ``t``'s ``batches`` argument of ``step``).
+        per-slot workload draws) and ``run_batch()`` (for the kinds with a
+        stage 2, replaying per-seed precomputed
+        :class:`~repro.net.requests.WorkloadHorizon` tensors: ``arrivals(t)``
+        is slot ``t``'s ``batches`` argument of ``step``).
         """
         for t in range(num_slots):
             self.step(None if arrivals is None else arrivals(t))
         return self.results()
+
+
+class _StagedStepper(_SeedStepper):
+    """The one slot loop of the cache, service and joint kinds.
+
+    A subclass sets up stage 1 (``_cache_stage``, a
+    :class:`~repro.sim.cache_sim._BatchedCacheStage` recording into
+    ``cache_metrics``), stage 2 (``_service_stage``, a
+    :class:`~repro.sim.service_sim._ServiceStage`) or both.  Per slot, stage 1 decides and refreshes; stage 2 serves,
+    its AoI guard reading stage 1's live post-update ages — or, without a
+    stage 1, the ``_frozen_ages`` of the service kind; then the cached
+    copies age and the MBS regenerates.
+    """
+
+    _cache_stage: Any = None
+    _service_stage: Any = None
+    _frozen_ages: Optional[np.ndarray] = None
+
+    def step(self, batches=None) -> List[dict]:
+        """Advance one slot; returns each seed's per-slot aggregates."""
+        t = self.time_slot
+        cache_stage = self._cache_stage
+        rows: List[dict] = []
+        if cache_stage is not None:
+            aoi, cost, reward = cache_stage.step(t, self.cache_metrics)
+            rows = [
+                {"aoi_utility": float(a), "update_cost": float(c), "reward": float(r)}
+                for a, c, r in zip(aoi, cost, reward)
+            ]
+        if self._service_stage is not None:
+            ages = self._frozen_ages if cache_stage is None else cache_stage.ages
+            served = self._service_stage.step(t, batches, ages)
+            rows = (
+                served
+                if cache_stage is None
+                else [{**row, **slot} for row, slot in zip(rows, served)]
+            )
+        if cache_stage is not None:
+            cache_stage.advance()
+        for state in self.states:
+            state.mbs_store.tick(t + 1)
+        self.time_slot = t + 1
+        return rows
+
+    def arrival_replay(
+        self, horizons: Optional[Sequence], num_slots: int
+    ) -> Optional[Callable]:
+        """Stage 2's replay of the given or generated *horizons*."""
+        if self._service_stage is None:
+            return super().arrival_replay(horizons, num_slots)
+        return self._service_stage.arrival_replay(horizons, num_slots)

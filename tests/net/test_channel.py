@@ -1,4 +1,4 @@
-"""Tests for repro.net.channel (cost models and link budgets)."""
+"""Tests for repro.net.channel (cost models)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.net.channel import (
     ConstantCostModel,
     DistanceCostModel,
     FadingCostModel,
-    LinkBudget,
 )
 
 
@@ -96,22 +95,3 @@ class TestFadingCostModel:
         with pytest.raises(ValidationError):
             FadingCostModel(rng=0).advance(-1)
 
-
-class TestLinkBudget:
-    def test_accumulates_cost_and_count(self):
-        budget = LinkBudget()
-        budget.charge(2.0)
-        budget.charge(3.0)
-        assert budget.total_cost == pytest.approx(5.0)
-        assert budget.num_transfers == 2
-
-    def test_negative_charge_rejected(self):
-        with pytest.raises(ValidationError):
-            LinkBudget().charge(-1.0)
-
-    def test_reset(self):
-        budget = LinkBudget()
-        budget.charge(1.0)
-        budget.reset()
-        assert budget.total_cost == 0.0
-        assert budget.num_transfers == 0

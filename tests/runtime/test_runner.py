@@ -92,6 +92,18 @@ class TestRunSpec:
         with pytest.raises(ValidationError):
             RunSpec(kind="joint", scenario=tiny_scenario, policy=make_periodic_policy)
 
+    @pytest.mark.parametrize("kind", ["cache", "service", "multihop"])
+    def test_service_policy_rejected_off_joint(self, tiny_scenario, kind):
+        # A one-policy kind would drop the second policy without a word and
+        # its cell would bypass the run store.
+        with pytest.raises(ValidationError, match="joint"):
+            RunSpec(
+                kind=kind,
+                scenario=tiny_scenario,
+                policy="never" if kind == "cache" else "lyapunov",
+                service_policy="lyapunov",
+            )
+
     def test_expand_seeds_single_is_identity(self, tiny_scenario):
         specs = cache_grid(tiny_scenario)
         assert expand_seeds(specs, 1) == specs

@@ -303,7 +303,6 @@ class TestRemovedIn60:
             ),
             ("repro.net.cache.LruContentCache", ["contents"]),
             ("repro.net.channel.FadingCostModel", ["current_gain"]),
-            ("repro.net.channel.LinkBudget", ["charge_many", "mean_cost"]),
             ("repro.net.content.ContentCatalog", ["for_regions"]),
             ("repro.net.controller.NetworkController", ["get_content", "abort_session"]),
             (
@@ -362,6 +361,7 @@ class TestRemovedIn60:
             ("repro.core.mdp", ["ProductSpace", "Transition", "uniform_random_policy"]),
             ("repro.core.solvers", ["QLearningSolver", "QLearningConfig"]),
             ("repro.net.cache", ["CacheEntry"]),
+            ("repro.net.channel", ["LinkBudget"]),
             ("repro.runtime.runner", ["execute_spec"]),
             ("repro.runtime.store", ["spec_hash"]),
         ],
