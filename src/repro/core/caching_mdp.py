@@ -25,7 +25,7 @@ exposes both granularities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,12 @@ from repro.core.policies import CacheObservation, CachingPolicy
 from repro.core.reward import UtilityFunction
 from repro.core.solve_cache import global_solve_cache, solve_key
 from repro.core.solvers import SolverResult, value_iteration
-from repro.exceptions import ConfigurationError, ModelError, ValidationError
+from repro.exceptions import (
+    ConfigurationError,
+    ModelError,
+    SolverError,
+    ValidationError,
+)
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -379,14 +384,6 @@ class RSUCachingMDP(MDPModel):
 
 
 @dataclass
-class _SolvedContentModel:
-    """Optimal Q-values of one :class:`ContentUpdateMDP` (internal cache)."""
-
-    mdp: ContentUpdateMDP
-    q_values: np.ndarray
-
-
-@dataclass
 class _SolvedRSUModel:
     """Optimal policy of one :class:`RSUCachingMDP` (internal cache)."""
 
@@ -432,7 +429,7 @@ class MDPCachingPolicy(CachingPolicy):
     name = "mdp"
 
     #: Default cap on memoised single-content solutions; see
-    #: _solved_content and the ``memo_limit`` parameter.
+    #: _content_q_values and the ``memo_limit`` parameter.
     _SOLUTION_MEMO_LIMIT = 4096
 
     def __init__(
@@ -473,7 +470,8 @@ class MDPCachingPolicy(CachingPolicy):
         # O(num_rsus * contents_per_rsu) value iterations to a handful.
         # Solutions are pure functions of the key, so the memo survives
         # :meth:`reset` without affecting results.
-        self._solution_memo: Dict[Tuple[float, float, float], _SolvedContentModel] = {}
+        # Values are the solved Q-tables, one row per grid age.
+        self._solution_memo: Dict[Tuple[float, float, float], np.ndarray] = {}
         # Per-(RSU, content) advantage lookup table over the age grid,
         # rebuilt with the models: entry [k, h, i] is Q(update) - Q(skip)
         # at discretised age i + 1.  The factored decision then becomes a
@@ -502,8 +500,8 @@ class MDPCachingPolicy(CachingPolicy):
 
         A hit means a requested single-content model was served without any
         solver work *and* without consulting the shared solve cache; misses
-        count the lookups that had to go further (shared cache or a fresh
-        value iteration — the shared cache's own stats distinguish the two).
+        count the lookups that had to go further (shared cache or the
+        stacked solve — the shared cache's own stats distinguish the two).
         """
         return {
             "hits": self._memo_hits,
@@ -599,52 +597,77 @@ class MDPCachingPolicy(CachingPolicy):
         joint = np.prod(ceilings.astype(object), axis=-1)
         return joint > self._exact_state_limit
 
-    def _solved_content(
-        self, key: Tuple[float, float, float], persist: bool
-    ) -> _SolvedContentModel:
-        """The solved single-content MDP of one ``(max_age, popularity, cost)`` key.
+    def _content_q_values(
+        self, keys: Sequence[Tuple[float, float, float]], persist: bool
+    ) -> List[np.ndarray]:
+        """The optimal Q-tables of distinct ``(max_age, popularity, cost)`` keys.
 
-        Served from the memo, else from the shared solve cache, else by
-        value iteration (*persist* lets the solve cache write it to disk).
+        Each key is served from the memo, else from the shared solve cache;
+        the keys left over are solved together by :func:`_solve_content_keys`
+        (*persist* lets the solve cache write them to disk).  Lookups,
+        counters, memo order and stored files are those of resolving the
+        keys one at a time: the memo evicts, before each later lookup, what
+        the earlier misses' insertions would have evicted.  The solve
+        cache's lookups all precede its stores, which only matters if its
+        memory layer fills up within one call (a memory hit may then count
+        where a per-key run would have read disk).
         """
-        solved = self._solution_memo.get(key)
-        if solved is not None:
-            self._memo_hits += 1
-            return solved
-        self._memo_misses += 1
-        mdp = ContentUpdateMDP(
-            max_age=key[0], popularity=key[1], update_cost=key[2], config=self._config
+        memo = self._solution_memo
+        cache = global_solve_cache() if self._use_solve_cache else None
+        q_values: List[Optional[np.ndarray]] = [None] * len(keys)
+        # Memo misses in key order, with their solve-cache keys, and the
+        # rows of the misses the solve cache does not hold either.
+        pending: List[Tuple[int, Optional[str]]] = []
+        unsolved: List[int] = []
+        for row, key in enumerate(keys):
+            solved = memo.get(key)
+            if solved is not None:
+                self._memo_hits += 1
+                q_values[row] = solved
+                continue
+            self._memo_misses += 1
+            check_positive(key[0], "max_age")
+            check_non_negative(key[1], "popularity")
+            check_non_negative(key[2], "update_cost")
+            cache_key = None
+            if cache is not None:
+                cache_key = self._content_cache_key(key)
+                cached = cache.get(cache_key)
+                if cached is not None:
+                    q_values[row] = cached.q_values
+            if q_values[row] is None:
+                unsolved.append(row)
+            # Inserting this key (after the solve) evicts the memo's oldest
+            # entry once it is full; drop that entry before the next lookup.
+            # Once the memo is empty, the evictions fall on pending keys and
+            # happen at insertion.
+            if memo and len(memo) + len(pending) >= self._memo_limit:
+                memo.pop(next(iter(memo)))
+            pending.append((row, cache_key))
+        results = dict(
+            zip(
+                unsolved,
+                _solve_content_keys([keys[row] for row in unsolved], self._config),
+            )
         )
-        solved = _SolvedContentModel(
-            mdp=mdp, q_values=self._solve_content(mdp, key, persist)
-        )
-        # Bound the memo: time-varying costs mint fresh keys every re-solve,
-        # and an uncapped memo would grow for the whole run.  FIFO eviction
-        # keeps the static-cost fast path (few recurring keys) intact.
-        if len(self._solution_memo) >= self._memo_limit:
-            self._solution_memo.pop(next(iter(self._solution_memo)))
-        self._solution_memo[key] = solved
-        return solved
-
-    def _solve_content(
-        self, mdp: ContentUpdateMDP, key: Tuple[float, float, float], persist: bool
-    ) -> np.ndarray:
-        """Solve one single-content MDP, going through the shared solve cache."""
-        if not self._use_solve_cache:
-            return value_iteration(
-                mdp, discount=self._config.discount, tolerance=1e-9
-            ).q_values
-        cache = global_solve_cache()
-        cache_key = self._content_cache_key(key)
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return cached.q_values
-        result = value_iteration(mdp, discount=self._config.discount, tolerance=1e-9)
-        # Runs with time-varying costs mint fresh keys every slot; after a
-        # few rebuilds callers stop persisting those one-shot solves so the
-        # disk layer holds only keys that can actually recur across runs.
-        cache.put(cache_key, result, persist=persist)
-        return result.q_values
+        for row, cache_key in pending:
+            result = results.get(row)
+            if result is not None:
+                q_values[row] = result.q_values
+                if cache is not None:
+                    # Runs with time-varying costs mint fresh keys every
+                    # slot; after a few rebuilds callers stop persisting
+                    # those one-shot solves so the disk layer holds only
+                    # keys that can actually recur across runs.
+                    cache.put(cache_key, result, persist=persist)
+            # Bound the memo: time-varying costs mint fresh keys every
+            # re-solve, and an uncapped memo would grow for the whole run.
+            # FIFO eviction keeps the static-cost fast path (few recurring
+            # keys) intact.
+            if len(memo) >= self._memo_limit:
+                memo.pop(next(iter(memo)))
+            memo[keys[row]] = q_values[row]
+        return q_values
 
     def _content_cache_key(self, key: Tuple[float, float, float]) -> str:
         return solve_key(
@@ -652,7 +675,7 @@ class MDPCachingPolicy(CachingPolicy):
             max_age=key[0],
             popularity=key[1],
             update_cost=key[2],
-            tolerance=1e-9,
+            tolerance=_CONTENT_TOLERANCE,
             **self._config_key_fields(),
         )
 
@@ -757,9 +780,10 @@ class BatchedCacheDecider:
         """Build the advantage tables for the given ``(S, R, C)`` parameter tensors.
 
         Resolves the distinct ``(max_age, popularity, cost)`` keys of the
-        whole batch once — through the first policy's memo, the shared
-        solve cache, then value iteration — and fills the stacked table
-        with one gather.  Like its own policy, a seed keeps its tables
+        whole batch once — through the first policy's memo, then the
+        shared solve cache, then one stacked value-iteration pass over all
+        the keys still missing — and fills the stacked table with one
+        gather.  Like its own policy, a seed keeps its tables
         while its parameters stay within 1e-9 of the last ones.  Returns
         ``True`` when every seed's every RSU runs the factored controller
         (the stacked tables are then current), ``False`` when the caller
@@ -858,7 +882,8 @@ def _advantage_tables(
     """Advantage rows and grid ceilings for every cell of the parameter arrays.
 
     Resolves each distinct ``(max_age, popularity, cost)`` key once through
-    *policy* (:meth:`MDPCachingPolicy._solved_content`), then gathers:
+    *policy* (:meth:`MDPCachingPolicy._content_q_values`: memo, solve cache,
+    then one stacked solve of every key still missing), then gathers:
     entry ``[..., i]`` of the table is ``Q(update) - Q(skip)`` at
     discretised age ``i + 1``, and the ceilings array holds each cell's
     grid ceiling.  Lookups clamp to a cell's own ceiling, so the padding
@@ -877,16 +902,132 @@ def _advantage_tables(
         inverse = np.unique(prefixes, return_inverse=True)[1].reshape(-1)
     first = np.empty(inverse.max() + 1, dtype=np.intp)
     first[inverse] = np.arange(len(keys))
-    models = [
-        policy._solved_content(tuple(key), persist) for key in keys[first].tolist()
-    ]
-    levels = max(model.mdp.grid.num_levels for model in models)
-    table = np.empty((len(models), levels))
-    ceilings = np.empty(len(models))
-    for row, model in enumerate(models):
-        diff = model.q_values[:, 1] - model.q_values[:, 0]
+    q_tables = policy._content_q_values(
+        [tuple(key) for key in keys[first].tolist()], persist
+    )
+    # A content MDP has one state per grid age: its ceiling.
+    levels = max(len(q_values) for q_values in q_tables)
+    table = np.empty((len(q_tables), levels))
+    ceilings = np.empty(len(q_tables))
+    for row, q_values in enumerate(q_tables):
+        diff = q_values[:, 1] - q_values[:, 0]
         table[row, : diff.size] = diff
         table[row, diff.size :] = diff[-1]
-        ceilings[row] = model.mdp.grid.ceiling
+        ceilings[row] = diff.size
     inverse = inverse.reshape(max_ages.shape)
     return table[inverse], ceilings[inverse]
+
+
+#: Convergence settings of every content-update solve (the tolerance is part
+#: of its solve-cache key).
+_CONTENT_TOLERANCE = 1e-9
+_CONTENT_MAX_ITERATIONS = 10_000
+
+#: Keys per stacked pass.  A pass keeps one residual per key per sweep for
+#: the histories, so this bounds its memory when convergence is slow.
+_CONTENT_BLOCK = 512
+
+
+def _solve_content_keys(
+    keys: Sequence[Tuple[float, float, float]], config: CachingMDPConfig
+) -> List[SolverResult]:
+    """Solve the :class:`ContentUpdateMDP` of each ``(max_age, popularity, cost)`` key.
+
+    Every result — values, policy, Q-values, iterations, residual and
+    history — is bit-identical to ``value_iteration(ContentUpdateMDP(...),
+    discount=config.discount, tolerance=1e-9)`` of its key, but the keys are
+    swept together: padded to the largest grid with zero-reward self-loops,
+    one Bellman backup ``Q = R + discount * V[successor]`` over all keys per
+    sweep, and a key stops updating (and recording history) once it has
+    converged.  The same :class:`SolverError` is raised if a key
+    does not converge within 10,000 sweeps.
+    """
+    results: List[SolverResult] = []
+    for start in range(0, len(keys), _CONTENT_BLOCK):
+        block = keys[start : start + _CONTENT_BLOCK]
+        results.extend(_solve_content_block(block, config))
+    return results
+
+
+def _solve_content_block(
+    keys: Sequence[Tuple[float, float, float]], config: CachingMDPConfig
+) -> List[SolverResult]:
+    """One stacked value-iteration pass of :func:`_solve_content_keys`.
+
+    Tables are laid out ``(action, state, key)``, so the per-state maximum
+    and the per-key residual are elementwise operations across keys.
+    """
+    if not keys:
+        return []
+    max_age, popularity, cost = np.array(keys, dtype=float).T
+    if config.age_ceiling is not None:
+        ceilings = np.full(len(keys), int(config.age_ceiling))
+    else:
+        derived = np.minimum(np.ceil(2.0 * max_age), config.max_age_ceiling)
+        ceilings = np.maximum(derived, 2).astype(int)
+    num_keys, levels = len(keys), int(ceilings.max())
+    states = np.arange(levels)[:, np.newaxis]
+    padded = states >= ceilings
+    # Successor grid indices (AgeGrid.index_of of the next age): a skip ages
+    # the copy by one slot, a refresh restarts it from the rounded refresh
+    # age; padded states loop on themselves.
+    successors = np.stack(
+        np.broadcast_arrays(
+            np.minimum(states + 1, ceilings - 1),
+            np.minimum(int(round(config.refresh_age)) + 1, ceilings) - 1,
+        )
+    )
+    successors = np.where(padded, states, successors)
+    # Flat indices into the (state, key) value matrix: one gather per sweep.
+    successors = successors * num_keys + np.arange(num_keys)
+    # ContentUpdateMDP.expected_reward, operation for operation.
+    post_age = np.stack(np.broadcast_arrays(states + 1.0, config.refresh_age))
+    charged = np.stack((np.zeros(num_keys), cost))[:, np.newaxis]
+    utility = (max_age / np.maximum(post_age, 1.0)) * popularity
+    rewards = config.weight * utility - charged
+    rewards = np.where(
+        post_age > max_age, rewards - config.violation_penalty, rewards
+    )
+    rewards = np.where(padded, 0.0, rewards)
+
+    discount = config.discount
+    values = np.zeros((levels, num_keys))
+    active = np.ones(num_keys, dtype=bool)
+    iterations = np.zeros(num_keys, dtype=int)
+    residuals: List[np.ndarray] = []
+    for sweep in range(1, _CONTENT_MAX_ITERATIONS + 1):
+        q_values = rewards + discount * values.take(successors)
+        new_values = np.maximum(q_values[0], q_values[1])
+        residual = np.abs(new_values - values).max(axis=0)
+        residuals.append(residual)
+        np.copyto(values, new_values, where=active)
+        done = active & (residual <= _CONTENT_TOLERANCE)
+        iterations[done] = sweep
+        active &= ~done
+        if not active.any():
+            break
+    else:
+        residual = residuals[-1][np.flatnonzero(active)[0]]
+        raise SolverError(
+            f"value iteration did not converge within {_CONTENT_MAX_ITERATIONS} "
+            f"iterations (residual {residual:.3e} > tolerance "
+            f"{_CONTENT_TOLERANCE:.3e})"
+        )
+
+    q_values = rewards + discount * values.take(successors)
+    policy = q_values.argmax(axis=0)
+    history = np.array(residuals)
+    results = []
+    for key, (size, sweeps) in enumerate(zip(ceilings.tolist(), iterations.tolist())):
+        results.append(
+            SolverResult(
+                values=values[:size, key].copy(),
+                policy=policy[:size, key].astype(int),
+                q_values=q_values[:, :size, key].T.copy(),
+                iterations=sweeps,
+                converged=True,
+                residual=float(history[sweeps - 1, key]),
+                history=history[:sweeps, key].tolist(),
+            )
+        )
+    return results

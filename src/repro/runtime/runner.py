@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.policies.registry import PolicySpec
 from repro.runtime.shm import HorizonShipment, attach_horizons, shared_memory_available
 from repro.sim.engine import KINDS, SIMULATION_KINDS, _run_seeds
 from repro.sim.metrics import METRICS_MODES
@@ -58,8 +59,10 @@ class RunSpec:
     scenario:
         The scenario configuration.  Its seed is overridden by :attr:`seed`.
     policy:
-        The (caching or service) policy to evaluate: either a policy
-        instance or a factory ``scenario -> policy``.  Factories must be
+        The (caching or service) policy to evaluate: a policy instance, a
+        factory ``scenario -> policy``, or a registered name /
+        ``"name:k=v,..."`` string (coerced to its
+        :class:`~repro.policies.PolicySpec` factory).  Factories must be
         picklable (module-level functions or :func:`functools.partial` of
         them) for the parallel path.
     seed:
@@ -73,7 +76,8 @@ class RunSpec:
         Second-stage policy (instance or factory) for ``kind="joint"``;
         the other kinds take one policy and reject it.
     service_batch:
-        Optional per-slot service batch limit of the service simulators.
+        Optional per-slot service batch limit of the kinds with a service
+        role; the others reject it.
     metrics:
         Metric collection mode, ``"full"`` (default) or ``"summary"`` —
         ``summary()`` / ``rows()`` output is byte-identical, ``"summary"``
@@ -98,7 +102,23 @@ class RunSpec:
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        KINDS[self.kind].policies(self.policy, self.service_policy)
+        # A registered name / "name:k=v,..." string becomes the PolicySpec
+        # factory it names, checked against its role; instances and
+        # factories run as given.
+        kind = KINDS[self.kind]
+        coerced = kind.spec_fields(
+            [
+                PolicySpec.coerce(policy, role=role)
+                if isinstance(policy, str)
+                else policy
+                for policy, role in zip(
+                    kind.policies(self.policy, self.service_policy), kind.roles
+                )
+            ]
+        )
+        for name, policy in coerced.items():
+            object.__setattr__(self, name, policy)
+        kind.check_service_batch(self.service_batch)
         if self.metrics not in METRICS_MODES:
             raise ValidationError(
                 f"metrics must be one of {METRICS_MODES}, got {self.metrics!r}"

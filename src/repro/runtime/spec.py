@@ -70,7 +70,8 @@ class ExperimentSpec:
     num_slots:
         Optional horizon override.
     service_batch:
-        Optional per-slot service batch limit.
+        Optional per-slot service batch limit of the kinds with a service
+        role; the others reject it.
     metrics:
         Metric collection mode, ``"full"`` (default) or ``"summary"`` —
         ``summary()`` / ``rows()`` output is byte-identical, ``"summary"``
@@ -125,6 +126,7 @@ class ExperimentSpec:
             check_positive_int(self.num_slots, "num_slots")
         if self.service_batch is not None:
             check_positive_int(self.service_batch, "service_batch")
+        kind.check_service_batch(self.service_batch)
         if self.metrics not in METRICS_MODES:
             raise ValidationError(
                 f"metrics must be one of {METRICS_MODES}, got {self.metrics!r}"

@@ -114,6 +114,16 @@ class SimulationKind:
             )
         return (policy, service_policy)[: len(self.roles)]
 
+    def check_service_batch(self, service_batch: Optional[int]) -> None:
+        """Raise :class:`~repro.exceptions.ValidationError` when a spec sets
+        *service_batch* on a kind with no service role: the run would ignore
+        it, yet it would still key the run's store cell."""
+        if service_batch is not None and "service" not in self.roles:
+            raise ValidationError(
+                f"service_batch only applies to kinds with a service role, "
+                f"not {self.name!r}"
+            )
+
     def spec_fields(self, policies: Sequence[Any]) -> Dict[str, Any]:
         """The ``policy``/``service_policy`` fields holding *policies*, one
         per role — the inverse of :meth:`policies`."""

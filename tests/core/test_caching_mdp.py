@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,11 @@ from repro.core.caching_mdp import (
     RSUCachingMDP,
 )
 from repro.core.policies import CacheObservation
+from repro.core.solve_cache import (
+    configure_solve_cache,
+    global_solve_cache,
+    reset_solve_cache,
+)
 from repro.core.solvers import value_iteration
 from repro.exceptions import ConfigurationError, ValidationError
 
@@ -402,3 +409,180 @@ class TestBatchedCacheDecider:
         ]
         assert not BatchedCacheDecider.supports(policies)
         assert BatchedCacheDecider.supports(policies[:1])
+
+
+def _per_key_q_values(policy, keys, persist):
+    """Resolve *keys* one at a time: memo, solve cache, then value iteration.
+
+    The reference the stacked ``MDPCachingPolicy._content_q_values`` must
+    reproduce in memo order, counters, solve-cache traffic and stored files.
+    """
+    memo = policy._solution_memo
+    q_tables = []
+    for key in keys:
+        if key in memo:
+            policy._memo_hits += 1
+            q_tables.append(memo[key])
+            continue
+        policy._memo_misses += 1
+        mdp = ContentUpdateMDP(
+            max_age=key[0], popularity=key[1], update_cost=key[2], config=policy.config
+        )
+        cache = global_solve_cache() if policy._use_solve_cache else None
+        cached = None
+        if cache is not None:
+            cache_key = policy._content_cache_key(key)
+            cached = cache.get(cache_key)
+        if cached is not None:
+            q_values = cached.q_values
+        else:
+            result = value_iteration(
+                mdp, discount=policy.config.discount, tolerance=1e-9
+            )
+            if cache is not None:
+                cache.put(cache_key, result, persist=persist)
+            q_values = result.q_values
+        if len(memo) >= policy.memo_limit:
+            memo.pop(next(iter(memo)))
+        memo[key] = q_values
+        q_tables.append(q_values)
+    return q_tables
+
+
+def _npz_members(directory):
+    """``{file name: [(member, bytes), ...]}`` of every stored solve.
+
+    Members are compared uncompressed: the zip headers carry the write time.
+    """
+    stored = {}
+    for path in sorted(directory.glob("*.npz")):
+        with zipfile.ZipFile(path) as archive:
+            stored[path.name] = [
+                (info.filename, archive.read(info)) for info in archive.infolist()
+            ]
+    return stored
+
+
+class TestColdPrepare:
+    """A cold prepare solves its misses in one stacked pass, yet leaves the
+    memo, the solve cache and its files exactly as per-key solves would."""
+
+    def _params(self, seed, seeds=2, rsus=4, contents=8):
+        rng = np.random.default_rng(seed)
+        max_ages = rng.integers(1, 9, size=(seeds, rsus, contents)).astype(float)
+        popularity = rng.dirichlet(np.ones(contents), size=(seeds, rsus))
+        costs = rng.uniform(0.1, 2.0, size=(seeds, rsus, contents))
+        return max_ages, popularity, costs
+
+    def _steps(self):
+        first = self._params(11)
+        # Half the cells keep their keys (memo or solve-cache hits, some
+        # evicted from the small memo), the other half move to fresh keys.
+        second = tuple(array.copy() for array in first)
+        second[2][:, :2] += 0.25
+        return [first, second, first]
+
+    def _run(self, tmp_path, name, monkeypatch, per_key, *, memo_limit=70):
+        directory = tmp_path / name
+        cache = configure_solve_cache(directory=str(directory))
+        with monkeypatch.context() as patch:
+            if per_key:
+                patch.setattr(MDPCachingPolicy, "_content_q_values", _per_key_q_values)
+            policies = [
+                MDPCachingPolicy(CachingMDPConfig(weight=2.0), memo_limit=memo_limit)
+                for _ in range(2)
+            ]
+            decider = BatchedCacheDecider(policies)
+            tables = []
+            for step in self._steps():
+                assert decider.prepare(*step)
+                tables.append((decider._tables, decider._ceilings))
+            # A later process starts with an empty memory layer: disk hits.
+            configure_solve_cache(directory=str(directory))
+            fresh = BatchedCacheDecider([MDPCachingPolicy(CachingMDPConfig(weight=2.0))])
+            assert fresh.prepare(*(array[:1] for array in self._steps()[1]))
+            tables.append((fresh._tables, fresh._ceilings))
+            disk_stats = global_solve_cache().stats.as_dict()
+        return {
+            "tables": tables,
+            "memo": list(policies[0]._solution_memo.items()),
+            "memo_stats": policies[0].memo_stats,
+            "stats": cache.stats.as_dict(),
+            "disk_stats": disk_stats,
+            "files": _npz_members(directory),
+        }
+
+    def test_matches_per_key_solves(self, tmp_path, monkeypatch):
+        try:
+            stacked = self._run(tmp_path, "stacked", monkeypatch, per_key=False)
+            per_key = self._run(tmp_path, "per-key", monkeypatch, per_key=True)
+        finally:
+            reset_solve_cache()
+        # Every path is exercised: memo hits and evictions, solve-cache
+        # memory hits, disk hits, and stacked solves of the misses.
+        assert stacked["memo_stats"]["hits"] > 0
+        assert stacked["memo_stats"]["misses"] > stacked["memo_stats"]["limit"]
+        assert stacked["stats"]["hits"] > 0
+        assert stacked["stats"]["misses"] > 50
+        assert stacked["disk_stats"]["disk_hits"] > 0
+        for name in ("memo_stats", "stats", "disk_stats"):
+            assert stacked[name] == per_key[name], name
+        assert [key for key, _ in stacked["memo"]] == [key for key, _ in per_key["memo"]]
+        for (_, got), (_, want) in zip(stacked["memo"], per_key["memo"]):
+            assert got.tobytes() == want.tobytes()
+        assert len(stacked["files"]) == stacked["stats"]["stores"]
+        assert stacked["files"] == per_key["files"]
+        for (table, ceilings), (want_table, want_ceilings) in zip(
+            stacked["tables"], per_key["tables"]
+        ):
+            np.testing.assert_array_equal(table, want_table)
+            np.testing.assert_array_equal(ceilings, want_ceilings)
+
+    def test_memo_smaller_than_one_batch(self, tmp_path, monkeypatch):
+        try:
+            stacked = self._run(tmp_path, "stacked", monkeypatch, False, memo_limit=1)
+            per_key = self._run(tmp_path, "per-key", monkeypatch, True, memo_limit=1)
+        finally:
+            reset_solve_cache()
+        assert stacked["memo_stats"] == per_key["memo_stats"]
+        assert [key for key, _ in stacked["memo"]] == [key for key, _ in per_key["memo"]]
+        assert stacked["stats"] == per_key["stats"]
+        assert stacked["files"] == per_key["files"]
+
+    def test_without_solve_cache(self, tmp_path, monkeypatch):
+        max_ages, popularity, costs = (array[0] for array in self._params(12))
+        ages = np.random.default_rng(4).uniform(1.0, 12.0, size=max_ages.shape)
+        observation = make_observation(ages, max_ages, popularity, costs)
+        cache = configure_solve_cache(directory=str(tmp_path / "unused"))
+        try:
+            runs = []
+            for per_key in (False, True):
+                with monkeypatch.context() as patch:
+                    if per_key:
+                        patch.setattr(
+                            MDPCachingPolicy, "_content_q_values", _per_key_q_values
+                        )
+                    policy = MDPCachingPolicy(
+                        CachingMDPConfig(weight=2.0),
+                        mode="factored",
+                        memo_limit=5,
+                        use_solve_cache=False,
+                    )
+                    actions = policy.decide(observation)
+                    runs.append(
+                        (
+                            actions,
+                            policy._advantage_table,
+                            policy._solution_memo,
+                            policy.memo_stats,
+                        )
+                    )
+        finally:
+            reset_solve_cache()
+        (actions, table, memo, stats), expected = runs
+        np.testing.assert_array_equal(actions, expected[0])
+        np.testing.assert_array_equal(table, expected[1])
+        assert list(memo) == list(expected[2])
+        assert stats == expected[3] == {"hits": 0, "misses": 32, "size": 5, "limit": 5}
+        assert cache.stats.solicitations == cache.stats.stores == 0
+        assert not (tmp_path / "unused").exists()

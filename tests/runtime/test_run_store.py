@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.policies import PolicySpec
 from repro.runtime.runner import RunRecord, RunSpec
 from repro.runtime.store import (
@@ -339,9 +339,10 @@ class TestMultihopCells:
 
     def test_onpath_policy_unaddressable_under_cache_kind(self, tiny_scenario):
         # Role coercion still applies outside multihop: an on-path name is
-        # not a caching policy, so the cell bypasses the store.
-        spec = make_spec(tiny_scenario, policy="lce")
-        assert spec_payload(spec) is None
+        # not a caching policy, so the spec is rejected before it can key a
+        # cell (or reach a simulator).
+        with pytest.raises(ConfigurationError, match="caching policy is required"):
+            make_spec(tiny_scenario, policy="lce")
 
     def test_round_trip(self, tmp_path, tiny_scenario):
         spec = make_spec(tiny_scenario, policy="lce", kind="multihop")

@@ -18,7 +18,8 @@ from repro.analysis.sweep import (
     weight_sweep,
 )
 from repro.baselines.caching import PeriodicUpdatePolicy, RandomUpdatePolicy
-from repro.exceptions import ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
+from repro.policies import PolicySpec
 from repro.runtime.runner import (
     BatchResult,
     ExperimentRunner,
@@ -30,7 +31,7 @@ from repro.runtime.runner import (
     _run_record,
 )
 from repro.runtime.spec import ExperimentSpec
-from repro.runtime.store import RunStore
+from repro.runtime.store import RunStore, cell_key
 from repro.sim.engine import _reference
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.rng import spawn_run_seeds
@@ -104,6 +105,29 @@ class TestRunSpec:
                 service_policy="lyapunov",
             )
 
+    @pytest.mark.parametrize("kind", ["cache", "multihop"])
+    def test_service_batch_rejected_without_a_service_role(self, tiny_scenario, kind):
+        # The run would ignore it, yet it would key a separate store cell.
+        with pytest.raises(ValidationError, match="service_batch"):
+            RunSpec(
+                kind=kind,
+                scenario=tiny_scenario,
+                policy="never" if kind == "cache" else "lce",
+                service_batch=3,
+            )
+        with pytest.raises(ValidationError, match="service_batch"):
+            ExperimentSpec(
+                kind=kind,
+                scenario=tiny_scenario,
+                policy="never" if kind == "cache" else "lce",
+                service_batch=3,
+            )
+
+    def test_service_batch_kept_with_a_service_role(self, tiny_scenario):
+        assert RunSpec(
+            kind="service", scenario=tiny_scenario, policy="lyapunov", service_batch=3
+        ).service_batch == 3
+
     def test_expand_seeds_single_is_identity(self, tiny_scenario):
         specs = cache_grid(tiny_scenario)
         assert expand_seeds(specs, 1) == specs
@@ -135,6 +159,49 @@ class TestExecuteSpec:
         (first,) = execute_batch((spec, [spec.seed]))
         (second,) = execute_batch((spec, [spec.seed]))
         assert first.matches(second)
+
+
+class TestNamedPolicies:
+    """A registered name in a RunSpec runs as the PolicySpec it names."""
+
+    @pytest.mark.parametrize(
+        "kind, policy, service_policy",
+        [
+            ("cache", "never", None),
+            ("service", "lyapunov:tradeoff_v=20", None),
+            ("joint", "mdp", "lyapunov"),
+            ("multihop", "lcd", None),
+        ],
+    )
+    def test_named_policy_runs_like_its_spec(
+        self, tiny_scenario, kind, policy, service_policy
+    ):
+        named = RunSpec(
+            kind=kind,
+            scenario=tiny_scenario,
+            policy=policy,
+            service_policy=service_policy,
+            seed=5,
+        )
+        explicit = RunSpec(
+            kind=kind,
+            scenario=tiny_scenario,
+            policy=PolicySpec.parse(policy),
+            service_policy=(
+                None if service_policy is None else PolicySpec.parse(service_policy)
+            ),
+            seed=5,
+        )
+        assert named == explicit
+        assert cell_key(named, 5) is not None
+        assert cell_key(named, 5) == cell_key(explicit, 5)
+        (record,) = execute_batch((named, [5]))
+        (expected,) = execute_batch((explicit, [5]))
+        assert record.matches(expected)
+
+    def test_wrong_role_name_rejected(self, tiny_scenario):
+        with pytest.raises(ConfigurationError, match="caching policy is required"):
+            RunSpec(kind="cache", scenario=tiny_scenario, policy="lyapunov")
 
 
 class TestRunnerDeterminism:

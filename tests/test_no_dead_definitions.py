@@ -32,6 +32,9 @@ _PUBLIC = "public API: in repro.__all__, pinned by test_api_surface.py"
 ALLOWLIST: Dict[str, str] = {
     "repro.baselines.service:standard_service_baselines": _PUBLIC,
     "repro.core.aoi:AoICounter": _PUBLIC,
+    "repro.core.caching_mdp:ContentUpdateMDP": (
+        _PUBLIC + "; the model the stacked content solver reproduces"
+    ),
     "repro.core.solvers:policy_iteration": _PUBLIC,
     "repro.runtime.runner:expand_seeds": _PUBLIC,
     "repro.runtime.runner:expand_workloads": _PUBLIC,
