@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Compare a BENCH_*.json results file against the committed baseline.
 
-CI runs the benchmark smoke, which emits ``BENCH_PR5.json`` (see
+CI runs the benchmark smoke, which emits ``BENCH_PR9.json`` (see
 ``benchmarks/conftest.py``), then calls this script to fail the job when a
 headline metric at its gated grid point regressed by more than the
 tolerance (25% by default).  Only *ratio* metrics (speedups) are compared —
@@ -9,7 +9,7 @@ absolute wall-clock times vary too much across runner hardware to gate on.
 
 Usage::
 
-    python benchmarks/check_regression.py BENCH_PR5.json \
+    python benchmarks/check_regression.py BENCH_PR9.json \
         benchmarks/baseline_bench.json --tolerance 0.25
 """
 
@@ -72,7 +72,7 @@ def check(measured: Dict, baseline: Dict, tolerance: float, out=sys.stdout) -> i
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("measured", help="benchmark results JSON (BENCH_PR5.json)")
+    parser.add_argument("measured", help="benchmark results JSON (BENCH_PR9.json)")
     parser.add_argument("baseline", help="committed baseline JSON")
     parser.add_argument(
         "--tolerance",

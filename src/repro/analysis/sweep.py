@@ -39,8 +39,8 @@ from repro.workloads import WorkloadSpec
 
 #: Canonical registry spec of the paper's MDP caching policy.  Building
 #: every sweep's policy through one spec keeps the constructor parameters
-#: canonical, so MDP solves are shared via the solve cache across all call
-#: sites regardless of how a sweep spelled the policy.
+#: canonical, so exact MDP solves are shared via the solve cache across all
+#: call sites regardless of how a sweep spelled the policy.
 _MDP_SPEC = PolicySpec("mdp")
 
 

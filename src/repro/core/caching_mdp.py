@@ -140,10 +140,19 @@ class CachingMDPConfig:
 
     def ceiling_for(self, max_age: float) -> int:
         """Return the discretisation ceiling to use for a content with *max_age*."""
+        return int(self.ceilings(max_age))
+
+    def ceilings(self, max_ages) -> np.ndarray:
+        """The discretisation ceilings of contents with *max_ages*, element-wise.
+
+        ``age_ceiling`` when set, else ``ceil(2 * A_max)`` clamped to
+        ``[2, max_age_ceiling]``; an integer array of *max_ages*' shape.
+        """
+        max_ages = np.asarray(max_ages, dtype=float)
         if self.age_ceiling is not None:
-            return int(self.age_ceiling)
-        derived = int(np.ceil(2.0 * float(max_age)))
-        return int(max(2, min(derived, self.max_age_ceiling)))
+            return np.full(max_ages.shape, int(self.age_ceiling))
+        derived = np.minimum(np.ceil(2.0 * max_ages), self.max_age_ceiling)
+        return np.maximum(derived, 2).astype(int)
 
 
 class ContentUpdateMDP(MDPModel):
@@ -424,6 +433,14 @@ class MDPCachingPolicy(CachingPolicy):
         ``"exact"``, ``"factored"``, or ``"auto"``.
     exact_state_limit:
         Joint-state-space threshold for the automatic mode.
+    memo_limit:
+        FIFO bound on the memo of solved single-content models (default
+        4096).
+    use_solve_cache:
+        Whether exact per-RSU solves go through the process-wide
+        :mod:`~repro.core.solve_cache` (memory, and disk unless disabled).
+        Single-content solves are cheaper than a cache lookup and never use
+        it.
     """
 
     name = "mdp"
@@ -499,9 +516,9 @@ class MDPCachingPolicy(CachingPolicy):
         """Hit/miss counters of the per-instance solved-model memo.
 
         A hit means a requested single-content model was served without any
-        solver work *and* without consulting the shared solve cache; misses
-        count the lookups that had to go further (shared cache or the
-        stacked solve — the shared cache's own stats distinguish the two).
+        solver work; misses count the models the stacked content-update
+        solve computed.  Single-content models never touch the shared
+        solve cache, which serves only exact per-RSU solves.
         """
         return {
             "hits": self._memo_hits,
@@ -536,18 +553,9 @@ class MDPCachingPolicy(CachingPolicy):
         )
         rows = np.flatnonzero(self._factored)
         if rows.size:
-            # One gather + argmax across all factored RSUs replaces the old
-            # per-(RSU, content) advantage loop; np.rint matches the
-            # half-to-even rounding of AgeGrid.index_of.
-            indices = (
-                np.clip(np.rint(ages[rows]), 1.0, self._grid_ceilings[rows]) - 1.0
-            ).astype(int)
-            advantages = np.take_along_axis(
-                self._advantage_table[rows], indices[:, :, np.newaxis], axis=2
-            )[:, :, 0]
-            best = np.argmax(advantages, axis=1)
-            positive = advantages[np.arange(rows.size), best] > 1e-12
-            actions[rows[positive], best[positive]] = 1
+            actions[rows] = _factored_decisions(
+                self._advantage_table[rows], self._grid_ceilings[rows], ages[rows]
+            )
         for rsu in np.flatnonzero(~self._factored):
             actions[rsu] = self._rsu_models[rsu].decide(ages[rsu])
         return self.validate_actions(actions, observation)
@@ -568,7 +576,7 @@ class MDPCachingPolicy(CachingPolicy):
             self._rebuild_count += 1
             self._rsu_models.clear()
             self._advantage_table, self._grid_ceilings = _advantage_tables(
-                self, max_ages, popularity, costs, persist=self._rebuild_count <= 2
+                self, max_ages, popularity, costs
             )
             self._factored = self._factored_rows(max_ages)
             for rsu in np.flatnonzero(~self._factored):
@@ -580,17 +588,12 @@ class MDPCachingPolicy(CachingPolicy):
 
         ``mode="auto"`` picks it when the RSU's joint state space, the
         product of its contents' grid ceilings
-        (:meth:`CachingMDPConfig.ceiling_for`, element-wise), exceeds
+        (:meth:`CachingMDPConfig.ceilings`), exceeds
         *exact_state_limit*.
         """
         if self._mode != "auto":
             return np.full(max_ages.shape[:-1], self._mode == "factored")
-        config = self._config
-        if config.age_ceiling is not None:
-            ceilings = np.full(max_ages.shape, int(config.age_ceiling))
-        else:
-            derived = np.minimum(np.ceil(2.0 * max_ages), config.max_age_ceiling)
-            ceilings = np.maximum(derived, 2).astype(int)
+        ceilings = self._config.ceilings(max_ages)
         # Products of Python ints: np.prod in int64 would overflow for a few
         # dozen contents and silently go negative, mis-selecting the exact
         # mode on exactly the instances it cannot handle.
@@ -598,27 +601,19 @@ class MDPCachingPolicy(CachingPolicy):
         return joint > self._exact_state_limit
 
     def _content_q_values(
-        self, keys: Sequence[Tuple[float, float, float]], persist: bool
+        self, keys: Sequence[Tuple[float, float, float]]
     ) -> List[np.ndarray]:
         """The optimal Q-tables of distinct ``(max_age, popularity, cost)`` keys.
 
-        Each key is served from the memo, else from the shared solve cache;
-        the keys left over are solved together by :func:`_solve_content_keys`
-        (*persist* lets the solve cache write them to disk).  Lookups,
-        counters, memo order and stored files are those of resolving the
-        keys one at a time: the memo evicts, before each later lookup, what
-        the earlier misses' insertions would have evicted.  The solve
-        cache's lookups all precede its stores, which only matters if its
-        memory layer fills up within one call (a memory hit may then count
-        where a per-key run would have read disk).
+        Each key is served from the memo; the misses are solved together by
+        :func:`_solve_content_keys` and inserted in key order.  Counters and
+        memo order are those of resolving the keys one at a time: the memo
+        evicts, before each later lookup, what the earlier misses'
+        insertions would have evicted.
         """
         memo = self._solution_memo
-        cache = global_solve_cache() if self._use_solve_cache else None
         q_values: List[Optional[np.ndarray]] = [None] * len(keys)
-        # Memo misses in key order, with their solve-cache keys, and the
-        # rows of the misses the solve cache does not hold either.
-        pending: List[Tuple[int, Optional[str]]] = []
-        unsolved: List[int] = []
+        misses: List[int] = []
         for row, key in enumerate(keys):
             solved = memo.get(key)
             if solved is not None:
@@ -629,37 +624,16 @@ class MDPCachingPolicy(CachingPolicy):
             check_positive(key[0], "max_age")
             check_non_negative(key[1], "popularity")
             check_non_negative(key[2], "update_cost")
-            cache_key = None
-            if cache is not None:
-                cache_key = self._content_cache_key(key)
-                cached = cache.get(cache_key)
-                if cached is not None:
-                    q_values[row] = cached.q_values
-            if q_values[row] is None:
-                unsolved.append(row)
             # Inserting this key (after the solve) evicts the memo's oldest
             # entry once it is full; drop that entry before the next lookup.
-            # Once the memo is empty, the evictions fall on pending keys and
-            # happen at insertion.
-            if memo and len(memo) + len(pending) >= self._memo_limit:
+            # Once the memo is empty, the evictions fall on earlier misses
+            # and happen at insertion.
+            if memo and len(memo) + len(misses) >= self._memo_limit:
                 memo.pop(next(iter(memo)))
-            pending.append((row, cache_key))
-        results = dict(
-            zip(
-                unsolved,
-                _solve_content_keys([keys[row] for row in unsolved], self._config),
-            )
-        )
-        for row, cache_key in pending:
-            result = results.get(row)
-            if result is not None:
-                q_values[row] = result.q_values
-                if cache is not None:
-                    # Runs with time-varying costs mint fresh keys every
-                    # slot; after a few rebuilds callers stop persisting
-                    # those one-shot solves so the disk layer holds only
-                    # keys that can actually recur across runs.
-                    cache.put(cache_key, result, persist=persist)
+            misses.append(row)
+        results = _solve_content_keys([keys[row] for row in misses], self._config)
+        for row, result in zip(misses, results):
+            q_values[row] = result.q_values
             # Bound the memo: time-varying costs mint fresh keys every
             # re-solve, and an uncapped memo would grow for the whole run.
             # FIFO eviction keeps the static-cost fast path (few recurring
@@ -668,16 +642,6 @@ class MDPCachingPolicy(CachingPolicy):
                 memo.pop(next(iter(memo)))
             memo[keys[row]] = q_values[row]
         return q_values
-
-    def _content_cache_key(self, key: Tuple[float, float, float]) -> str:
-        return solve_key(
-            "content-update",
-            max_age=key[0],
-            popularity=key[1],
-            update_cost=key[2],
-            tolerance=_CONTENT_TOLERANCE,
-            **self._config_key_fields(),
-        )
 
     def _config_key_fields(self) -> Dict[str, object]:
         config = self._config
@@ -721,6 +685,9 @@ class MDPCachingPolicy(CachingPolicy):
                 mdp, discount=self._config.discount, tolerance=1e-7
             )
             if cache_key is not None:
+                # Time-varying costs mint fresh keys every rebuild; only the
+                # first two rebuilds persist, so the disk holds keys that can
+                # recur across runs.
                 global_solve_cache().put(
                     cache_key, result, persist=self._rebuild_count <= 2
                 )
@@ -738,7 +705,7 @@ class BatchedCacheDecider:
     ``(S, num_rsus, contents_per_rsu, levels)`` advantage table for the
     whole batch — each seed's rows are exactly the ones its own policy
     would solve for its parameters, so results stay bit-identical to
-    per-seed execution — and replays the gather + argmax of
+    per-seed execution — and runs the gather + argmax of
     :meth:`MDPCachingPolicy.decide` along a leading seed axis.
 
     Only the all-factored case batches; if any policy selects the exact
@@ -753,7 +720,6 @@ class BatchedCacheDecider:
         self._signature = _Signature()
         # The per-seed parameters the tables were solved for.
         self._solved: Tuple[np.ndarray, ...] = ()
-        self._rebuilds = 0
         self._tables: Optional[np.ndarray] = None
         self._ceilings: Optional[np.ndarray] = None
 
@@ -780,11 +746,11 @@ class BatchedCacheDecider:
         """Build the advantage tables for the given ``(S, R, C)`` parameter tensors.
 
         Resolves the distinct ``(max_age, popularity, cost)`` keys of the
-        whole batch once — through the first policy's memo, then the
-        shared solve cache, then one stacked value-iteration pass over all
-        the keys still missing — and fills the stacked table with one
-        gather.  Like its own policy, a seed keeps its tables
-        while its parameters stay within 1e-9 of the last ones.  Returns
+        whole batch once — through the first policy's memo, then one
+        stacked value-iteration pass over all the keys still missing — and
+        fills the stacked table with one gather.  Like its own policy, a
+        seed keeps its tables while its parameters stay within 1e-9 of the
+        last ones.  Returns
         ``True`` when every seed's every RSU runs the factored controller
         (the stacked tables are then current), ``False`` when the caller
         must fall back to per-seed ``decide`` calls.
@@ -805,9 +771,8 @@ class BatchedCacheDecider:
             else:
                 for solved, new in zip(self._solved, params):
                     solved[moved] = new[moved]
-            self._rebuilds += 1
             self._tables, self._ceilings = _advantage_tables(
-                self._policies[0], *self._solved, persist=self._rebuilds <= 2
+                self._policies[0], *self._solved
             )
         self._signature.record(params)
         return True
@@ -825,18 +790,28 @@ class BatchedCacheDecider:
         ages = np.asarray(ages, dtype=float)
         if np.any(ages < 0) or not np.all(np.isfinite(ages)):
             raise ValidationError("ages must be finite and >= 0")
-        indices = (np.clip(np.rint(ages), 1.0, self._ceilings) - 1.0).astype(int)
-        advantages = np.take_along_axis(
-            self._tables, indices[..., np.newaxis], axis=3
-        )[..., 0]
-        best = np.argmax(advantages, axis=2)
-        best_advantage = np.take_along_axis(
-            advantages, best[..., np.newaxis], axis=2
-        )[..., 0]
-        actions = np.zeros(ages.shape, dtype=int)
-        seed_rows, rsu_rows = np.nonzero(best_advantage > 1e-12)
-        actions[seed_rows, rsu_rows, best[seed_rows, rsu_rows]] = 1
-        return actions
+        return _factored_decisions(self._tables, self._ceilings, ages)
+
+
+def _factored_decisions(
+    tables: np.ndarray, ceilings: np.ndarray, ages: np.ndarray
+) -> np.ndarray:
+    """The factored controller's binary updates for *ages* (``(..., C)``).
+
+    Each content's age is rounded (``np.rint``, the half-to-even rounding
+    of :meth:`AgeGrid.index_of`) and clamped to its grid ceiling, its
+    advantage is gathered from *tables* (``(..., C, levels)``), and every
+    row refreshes its content of largest advantage if that advantage is
+    positive.  One gather and one argmax serve any number of leading axes.
+    """
+    indices = (np.clip(np.rint(ages), 1.0, ceilings) - 1.0).astype(int)
+    advantages = np.take_along_axis(tables, indices[..., np.newaxis], axis=-1)[..., 0]
+    best = np.argmax(advantages, axis=-1)
+    best_advantage = np.take_along_axis(advantages, best[..., np.newaxis], axis=-1)
+    rows = np.nonzero(best_advantage[..., 0] > 1e-12)
+    actions = np.zeros(ages.shape, dtype=int)
+    actions[rows + (best[rows],)] = 1
+    return actions
 
 
 class _Signature:
@@ -876,14 +851,12 @@ def _advantage_tables(
     max_ages: np.ndarray,
     popularity: np.ndarray,
     costs: np.ndarray,
-    *,
-    persist: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Advantage rows and grid ceilings for every cell of the parameter arrays.
 
     Resolves each distinct ``(max_age, popularity, cost)`` key once through
-    *policy* (:meth:`MDPCachingPolicy._content_q_values`: memo, solve cache,
-    then one stacked solve of every key still missing), then gathers:
+    *policy* (:meth:`MDPCachingPolicy._content_q_values`: the memo, then
+    one stacked solve of every key still missing), then gathers:
     entry ``[..., i]`` of the table is ``Q(update) - Q(skip)`` at
     discretised age ``i + 1``, and the ceilings array holds each cell's
     grid ceiling.  Lookups clamp to a cell's own ceiling, so the padding
@@ -902,9 +875,7 @@ def _advantage_tables(
         inverse = np.unique(prefixes, return_inverse=True)[1].reshape(-1)
     first = np.empty(inverse.max() + 1, dtype=np.intp)
     first[inverse] = np.arange(len(keys))
-    q_tables = policy._content_q_values(
-        [tuple(key) for key in keys[first].tolist()], persist
-    )
+    q_tables = policy._content_q_values([tuple(key) for key in keys[first].tolist()])
     # A content MDP has one state per grid age: its ceiling.
     levels = max(len(q_values) for q_values in q_tables)
     table = np.empty((len(q_tables), levels))
@@ -918,8 +889,7 @@ def _advantage_tables(
     return table[inverse], ceilings[inverse]
 
 
-#: Convergence settings of every content-update solve (the tolerance is part
-#: of its solve-cache key).
+#: Convergence settings of every content-update solve.
 _CONTENT_TOLERANCE = 1e-9
 _CONTENT_MAX_ITERATIONS = 10_000
 
@@ -960,11 +930,7 @@ def _solve_content_block(
     if not keys:
         return []
     max_age, popularity, cost = np.array(keys, dtype=float).T
-    if config.age_ceiling is not None:
-        ceilings = np.full(len(keys), int(config.age_ceiling))
-    else:
-        derived = np.minimum(np.ceil(2.0 * max_age), config.max_age_ceiling)
-        ceilings = np.maximum(derived, 2).astype(int)
+    ceilings = config.ceilings(max_age)
     num_keys, levels = len(keys), int(ceilings.max())
     states = np.arange(levels)[:, np.newaxis]
     padded = states >= ceilings

@@ -1,14 +1,18 @@
 """Content-addressable cache of MDP solver results.
 
-Solving the cache-management MDPs is a pure function of the model parameters
-and the solver settings, so a solve never has to happen twice: this module
-keys every :class:`~repro.core.solvers.SolverResult` by a canonical hash of
-those inputs and stores it in a bounded in-memory map, optionally persisted
-to disk (``.repro_cache/mdp_solves/`` by default).  The in-memory layer makes
-seed batches and repeated sweeps within one process share solves; the disk
-layer makes separate processes — pool workers, successive CLI invocations,
-repeated benchmark runs — share them too, so a sweep only re-solves what
-actually changed.
+Solving an exact per-RSU cache-management MDP
+(:class:`~repro.core.caching_mdp.RSUCachingMDP`) is a pure function of the
+model parameters and the solver settings, and near the exact-mode state
+limit it costs about a second, against a millisecond or two to load: this
+module keys every :class:`~repro.core.solvers.SolverResult` by a canonical
+hash of those inputs and stores it in a bounded in-memory map, optionally
+persisted to disk (``.repro_cache/mdp_solves/`` by default).  The in-memory
+layer makes seed batches and repeated sweeps within one process share
+solves; the disk layer makes separate processes — pool workers, successive
+CLI invocations, repeated benchmark runs — share them too, so a sweep only
+re-solves what actually changed.  The single-content MDPs of the factored
+controller are solved in one stacked pass that is cheaper than a lookup,
+and never come here.
 
 The cache is exact: a hit returns arrays that are bit-for-bit identical to a
 fresh solve (value iteration is deterministic and the ``.npz`` round trip
@@ -31,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -40,7 +43,7 @@ import numpy as np
 
 from repro.core.solvers import SolverResult
 from repro.exceptions import ValidationError
-from repro.utils.cachedir import resolve_cache_dir, sweep_stale_tmp_files
+from repro.utils.cachedir import clear_npz_files, publish_npz, resolve_cache_dir
 from repro.utils.validation import check_positive_int
 
 #: Default on-disk location, relative to the working directory.
@@ -200,14 +203,8 @@ class SolveCache:
         interrupted before their atomic ``os.replace`` publish.
         """
         self._memory.clear()
-        if disk and self._directory is not None and os.path.isdir(self._directory):
-            for name in os.listdir(self._directory):
-                if name.endswith(".npz"):
-                    try:
-                        os.remove(os.path.join(self._directory, name))
-                    except OSError:  # pragma: no cover - best-effort cleanup
-                        pass
-            sweep_stale_tmp_files(self._directory, max_age_seconds=0.0)
+        if disk:
+            clear_npz_files(self._directory)
 
     def _insert(self, key: str, result: SolverResult) -> None:
         if key not in self._memory and len(self._memory) >= self._capacity:
@@ -225,29 +222,18 @@ class SolveCache:
         if not self._disk_ok:
             return
         try:
-            os.makedirs(self._directory, exist_ok=True)
-            # Atomic publish: concurrent pool workers may store the same key;
-            # writing to a private temp file and renaming over the target
-            # guarantees readers never observe a half-written entry.
-            fd, temp_path = tempfile.mkstemp(
-                suffix=".tmp", dir=self._directory
+            publish_npz(
+                self._path(key),
+                {
+                    "values": result.values,
+                    "policy": result.policy,
+                    "q_values": result.q_values,
+                    "iterations": np.asarray(result.iterations, dtype=np.int64),
+                    "converged": np.asarray(result.converged, dtype=bool),
+                    "residual": np.asarray(result.residual, dtype=float),
+                    "history": np.asarray(result.history, dtype=float),
+                },
             )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(
-                        handle,
-                        values=result.values,
-                        policy=result.policy,
-                        q_values=result.q_values,
-                        iterations=np.asarray(result.iterations, dtype=np.int64),
-                        converged=np.asarray(result.converged, dtype=bool),
-                        residual=np.asarray(result.residual, dtype=float),
-                        history=np.asarray(result.history, dtype=float),
-                    )
-                os.replace(temp_path, self._path(key))
-            except BaseException:
-                os.remove(temp_path)
-                raise
         except OSError:
             # Unwritable directory (read-only checkout, exhausted disk):
             # degrade to memory-only instead of failing the solve.

@@ -5,8 +5,8 @@ MDP cache-update controller and Lyapunov service controller, plus every
 baseline — is registered under a short name, and callers refer to one
 through a :class:`PolicySpec` (``"mdp"``, ``"lyapunov:tradeoff_v=50"``,
 ``"threshold:threshold=0.6"``).  Specs are frozen, picklable, and
-canonical: equal spellings hash equal, so MDP solves are shared through the
-solve cache from every call site.
+canonical: equal spellings hash equal, so exact MDP solves are shared
+through the solve cache from every call site.
 
 Quickstart::
 

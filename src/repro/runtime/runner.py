@@ -24,7 +24,6 @@ import copy
 import json
 import os
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -338,42 +337,6 @@ def _materialize(policy: Any, scenario: ScenarioConfig) -> Any:
     return copy.deepcopy(policy)
 
 
-#: Per-process memo of registry-built policy prototypes, keyed by
-#: (policy spec, seeded scenario).  Pool workers live across tasks, so
-#: repeated specs (benchmark repeats, regression re-runs, chunked seed
-#: groups) skip the registry build — and because a prototype is built once
-#: per distinct (policy, scenario), MDP solves keep hitting the in-process
-#: layer of :mod:`repro.core.solve_cache`.
-_POLICY_PROTO_MEMO: "OrderedDict[tuple, Any]" = OrderedDict()
-_POLICY_PROTO_MEMO_LIMIT = 32
-
-
-def _materialize_memoized(policy: Any, scenario: ScenarioConfig) -> Any:
-    """Like :func:`_materialize`, memoising registry-spec builds per worker.
-
-    Only :class:`~repro.policies.PolicySpec` references on seeded scenarios
-    are memoised — their builds are pure functions of ``(spec, scenario)``
-    (stochastic builders derive their RNG from the scenario seed), so a
-    deep copy of the pristine prototype is indistinguishable from a fresh
-    build.  Everything else falls through to :func:`_materialize`.
-    """
-    from repro.policies.registry import PolicySpec
-
-    if not isinstance(policy, PolicySpec) or scenario.seed is None:
-        return _materialize(policy, scenario)
-    key = (
-        json.dumps(policy.to_dict(), sort_keys=True),
-        json.dumps(scenario.to_dict(), sort_keys=True),
-    )
-    if key not in _POLICY_PROTO_MEMO:
-        _POLICY_PROTO_MEMO[key] = policy.build(scenario)
-        while len(_POLICY_PROTO_MEMO) > _POLICY_PROTO_MEMO_LIMIT:
-            _POLICY_PROTO_MEMO.popitem(last=False)
-    else:
-        _POLICY_PROTO_MEMO.move_to_end(key)
-    return copy.deepcopy(_POLICY_PROTO_MEMO[key])
-
-
 def _run_record(spec: RunSpec, seed: int, result: Any) -> RunRecord:
     """The record of one finished run of *spec* on *seed*.
 
@@ -416,7 +379,7 @@ def execute_batch(task: "tuple") -> List[RunRecord]:
             spec.scenario,
             seeds,
             [
-                [_materialize_memoized(policy, scenario) for scenario in scenarios]
+                [_materialize(policy, scenario) for scenario in scenarios]
                 for policy in KINDS[spec.kind].policies(
                     spec.policy, spec.service_policy
                 )

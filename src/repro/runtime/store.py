@@ -13,8 +13,9 @@ invalidated instead of silently served.
 Storage is a single SQLite database (stdlib :mod:`sqlite3`, WAL journal,
 busy timeout) under ``.repro_cache/runs/`` holding one row per cell — the
 ``rows()``-style summary metrics as canonical JSON — plus sidecar ``.npz``
-blobs for trajectory traces, published atomically with the same
-``tempfile`` + ``os.replace`` discipline as the solve cache.  WAL mode
+blobs for trajectory traces, published atomically by the same
+``tempfile`` + ``os.replace`` helper as the solve cache
+(:func:`repro.utils.cachedir.publish_npz`).  WAL mode
 lets concurrent sweep processes share one store without lost rows or
 ``database is locked`` failures.
 
@@ -47,7 +48,6 @@ import json
 import logging
 import os
 import sqlite3
-import tempfile
 import time
 import zipfile
 from dataclasses import dataclass
@@ -59,7 +59,9 @@ from repro.exceptions import ValidationError
 from repro.runtime.runner import RunRecord, RunSpec, _jsonify
 from repro.sim.engine import KINDS
 from repro.utils.cachedir import (
+    clear_npz_files,
     env_disabled,
+    publish_npz,
     resolve_cache_dir,
     sweep_stale_tmp_files,
 )
@@ -555,20 +557,7 @@ class RunStore:
 
     def _save_trace(self, key: str, trace: np.ndarray) -> bool:
         try:
-            os.makedirs(self.blob_directory, exist_ok=True)
-            # Atomic publish, exactly like the solve cache: concurrent
-            # writers may race on the same key; readers must never observe
-            # a half-written blob.
-            fd, temp_path = tempfile.mkstemp(
-                suffix=".tmp", dir=self.blob_directory
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(handle, trace=np.asarray(trace))
-                os.replace(temp_path, self._blob_path(key))
-            except BaseException:
-                os.remove(temp_path)
-                raise
+            publish_npz(self._blob_path(key), {"trace": np.asarray(trace)})
         except OSError as error:
             logger.warning("run store blob write failed (%s)", error)
             return False
@@ -692,14 +681,7 @@ class RunStore:
                 connection.execute("DELETE FROM cells")
         except sqlite3.DatabaseError as error:
             self._handle_database_error(error)
-        if os.path.isdir(self.blob_directory):
-            for name in os.listdir(self.blob_directory):
-                if name.endswith(".npz"):
-                    try:
-                        os.remove(os.path.join(self.blob_directory, name))
-                    except OSError:  # pragma: no cover - best-effort cleanup
-                        pass
-        sweep_stale_tmp_files(self.blob_directory, max_age_seconds=0.0)
+        clear_npz_files(self.blob_directory)
         return removed
 
     def vacuum(self) -> Dict[str, int]:

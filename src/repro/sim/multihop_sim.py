@@ -183,24 +183,7 @@ class _SeedNetwork:
         for receiver, contents in batches:
             for content_id in contents:
                 sessions.append(self._route(strategy, t, receiver, content_id))
-        hits = sum(1 for s in sessions if s.hit)
-        latency = float(sum(s.latency for s in sessions))
-        hops = sum(s.hops for s in sessions)
-        self.metrics.record_slot(
-            requests=len(sessions),
-            served=len(sessions),
-            hits=hits,
-            latency=latency,
-            hops=hops,
-            sessions=sessions,
-        )
-        return {
-            "requests": float(len(sessions)),
-            "served": float(len(sessions)),
-            "hits": float(hits),
-            "latency": latency,
-            "hops": float(hops),
-        }
+        return self._tally(len(sessions), sessions)
 
     def _step_caching(self, t: int, batches) -> dict:
         """Static placement + MDP-style refreshes, with on-path routing.
@@ -241,28 +224,9 @@ class _SeedNetwork:
         for receiver, contents in batches:
             for content_id in contents:
                 sessions.append(self._route_static(t, receiver, content_id))
-        hits = sum(1 for s in sessions if s.hit)
-        latency = float(sum(s.latency for s in sessions))
-        hops = sum(s.hops for s in sessions)
-        self.metrics.record_slot(
-            requests=len(sessions),
-            served=len(sessions),
-            hits=hits,
-            latency=latency,
-            hops=hops,
-            updates=updates,
-            update_cost=update_cost,
-            sessions=sessions,
+        return self._tally(
+            len(sessions), sessions, updates=updates, update_cost=update_cost
         )
-        return {
-            "requests": float(len(sessions)),
-            "served": float(len(sessions)),
-            "hits": float(hits),
-            "latency": latency,
-            "hops": float(hops),
-            "updates": float(updates),
-            "update_cost": update_cost,
-        }
 
     def _step_service(self, t: int, batches) -> dict:
         """Per-RSU queues gated by the service policy, edge-style routing.
@@ -279,11 +243,7 @@ class _SeedNetwork:
             for content_id in contents:
                 queues[receiver].append((t, int(content_id)))
                 arrivals += 1
-        served = 0
-        hits = 0
-        latency = 0.0
         waiting = 0.0
-        hops = 0
         sessions: List[SessionResult] = []
         for k in range(self.config.num_rsus):
             queue = queues[k]
@@ -309,30 +269,38 @@ class _SeedNetwork:
                 continue
             while queue:
                 issue_slot, content_id = queue.popleft()
-                session = self._route(self._edge, t, k, content_id)
-                sessions.append(session)
-                served += 1
-                hits += int(session.hit)
-                latency += session.latency
+                sessions.append(self._route(self._edge, t, k, content_id))
                 waiting += float(t - issue_slot)
-                hops += session.hops
+        return self._tally(arrivals, sessions, waiting=waiting)
+
+    def _tally(self, requests: int, sessions: List[SessionResult], **extra) -> dict:
+        """Record the slot's *sessions* (all served) and return its row.
+
+        *extra* carries the role's own slot totals (``waiting``, or
+        ``updates`` and ``update_cost``), recorded and reported after the
+        common ones.  Latencies are summed in session order.
+        """
+        hits = sum(1 for s in sessions if s.hit)
+        latency = float(sum(s.latency for s in sessions))
+        hops = sum(s.hops for s in sessions)
         self.metrics.record_slot(
-            requests=arrivals,
-            served=served,
+            requests=requests,
+            served=len(sessions),
             hits=hits,
             latency=latency,
-            waiting=waiting,
             hops=hops,
             sessions=sessions,
+            **extra,
         )
-        return {
-            "requests": float(arrivals),
-            "served": float(served),
+        row = {
+            "requests": float(requests),
+            "served": float(len(sessions)),
             "hits": float(hits),
             "latency": latency,
             "hops": float(hops),
-            "waiting": waiting,
         }
+        row.update((name, float(value)) for name, value in extra.items())
+        return row
 
 
 class MultihopStepper(_SeedStepper):

@@ -4,9 +4,10 @@ Two subsystems persist content-addressed artifacts under ``.repro_cache/``:
 the MDP solve cache (:mod:`repro.core.solve_cache`) and the experiment run
 store (:mod:`repro.runtime.store`).  Both follow the same conventions —
 an environment variable overriding the location, a falsey kill-switch
-variable disabling persistence, and atomic ``tempfile`` + ``os.replace``
-publishes — so the directory handling lives here once instead of being
-duplicated per subsystem.
+variable disabling persistence, atomic ``tempfile`` + ``os.replace``
+publishes of ``.npz`` files (:func:`publish_npz`), and a clear that removes
+them (:func:`clear_npz_files`) — so the directory handling lives here once
+instead of being duplicated per subsystem.
 
 A crash between ``tempfile.mkstemp`` and ``os.replace`` leaves an orphaned
 ``*.tmp`` file behind; :func:`sweep_stale_tmp_files` removes such leftovers
@@ -18,12 +19,17 @@ them) and is called from the CLI maintenance paths (``cache --clear``,
 from __future__ import annotations
 
 import os
+import tempfile
 import time
-from typing import Optional
+from typing import Mapping, Optional
+
+import numpy as np
 
 __all__ = [
     "FALSEY_VALUES",
+    "clear_npz_files",
     "env_disabled",
+    "publish_npz",
     "resolve_cache_dir",
     "sweep_stale_tmp_files",
 ]
@@ -111,3 +117,41 @@ def sweep_stale_tmp_files(
         except OSError:  # pragma: no cover - raced with another sweeper
             continue
     return removed
+
+
+def publish_npz(path: str, arrays: Mapping[str, np.ndarray]) -> None:
+    """Atomically write *arrays* to *path* as an ``np.savez`` archive.
+
+    Concurrent writers may store the same path; each writes a private
+    ``*.tmp`` file next to it and renames it over the target, so readers
+    never observe a half-written archive.  The temp file is removed if the
+    write fails.  Creates the directory; raises :class:`OSError` when it is
+    unwritable, and callers choose how to degrade.
+    """
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, temp_path = tempfile.mkstemp(suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, **arrays)
+        os.replace(temp_path, path)
+    except BaseException:
+        os.remove(temp_path)
+        raise
+
+
+def clear_npz_files(directory: Optional[str]) -> None:
+    """Remove every ``*.npz`` file of *directory*, then every ``*.tmp`` orphan.
+
+    Best effort: files that cannot be removed are left; a missing directory
+    is a no-op.
+    """
+    if directory is None or not os.path.isdir(directory):
+        return
+    for name in os.listdir(directory):
+        if name.endswith(".npz"):
+            try:
+                os.remove(os.path.join(directory, name))
+            except OSError:  # pragma: no cover - best-effort cleanup
+                pass
+    sweep_stale_tmp_files(directory, max_age_seconds=0.0)

@@ -411,11 +411,11 @@ class TestBatchedCacheDecider:
         assert BatchedCacheDecider.supports(policies[:1])
 
 
-def _per_key_q_values(policy, keys, persist):
-    """Resolve *keys* one at a time: memo, solve cache, then value iteration.
+def _per_key_q_values(policy, keys):
+    """Resolve *keys* one at a time: memo, then value iteration.
 
     The reference the stacked ``MDPCachingPolicy._content_q_values`` must
-    reproduce in memo order, counters, solve-cache traffic and stored files.
+    reproduce in memo order, counters and Q-tables.
     """
     memo = policy._solution_memo
     q_tables = []
@@ -428,20 +428,9 @@ def _per_key_q_values(policy, keys, persist):
         mdp = ContentUpdateMDP(
             max_age=key[0], popularity=key[1], update_cost=key[2], config=policy.config
         )
-        cache = global_solve_cache() if policy._use_solve_cache else None
-        cached = None
-        if cache is not None:
-            cache_key = policy._content_cache_key(key)
-            cached = cache.get(cache_key)
-        if cached is not None:
-            q_values = cached.q_values
-        else:
-            result = value_iteration(
-                mdp, discount=policy.config.discount, tolerance=1e-9
-            )
-            if cache is not None:
-                cache.put(cache_key, result, persist=persist)
-            q_values = result.q_values
+        q_values = value_iteration(
+            mdp, discount=policy.config.discount, tolerance=1e-9
+        ).q_values
         if len(memo) >= policy.memo_limit:
             memo.pop(next(iter(memo)))
         memo[key] = q_values
@@ -465,7 +454,8 @@ def _npz_members(directory):
 
 class TestColdPrepare:
     """A cold prepare solves its misses in one stacked pass, yet leaves the
-    memo, the solve cache and its files exactly as per-key solves would."""
+    memo exactly as per-key solves would, and never touches the solve
+    cache."""
 
     def _params(self, seed, seeds=2, rsus=4, contents=8):
         rng = np.random.default_rng(seed)
@@ -476,8 +466,8 @@ class TestColdPrepare:
 
     def _steps(self):
         first = self._params(11)
-        # Half the cells keep their keys (memo or solve-cache hits, some
-        # evicted from the small memo), the other half move to fresh keys.
+        # Half the cells keep their keys (memo hits, some evicted from the
+        # small memo), the other half move to fresh keys.
         second = tuple(array.copy() for array in first)
         second[2][:, :2] += 0.25
         return [first, second, first]
@@ -497,18 +487,15 @@ class TestColdPrepare:
             for step in self._steps():
                 assert decider.prepare(*step)
                 tables.append((decider._tables, decider._ceilings))
-            # A later process starts with an empty memory layer: disk hits.
-            configure_solve_cache(directory=str(directory))
+            # A later process starts with an empty memo: everything re-solves.
             fresh = BatchedCacheDecider([MDPCachingPolicy(CachingMDPConfig(weight=2.0))])
             assert fresh.prepare(*(array[:1] for array in self._steps()[1]))
             tables.append((fresh._tables, fresh._ceilings))
-            disk_stats = global_solve_cache().stats.as_dict()
         return {
             "tables": tables,
             "memo": list(policies[0]._solution_memo.items()),
             "memo_stats": policies[0].memo_stats,
             "stats": cache.stats.as_dict(),
-            "disk_stats": disk_stats,
             "files": _npz_members(directory),
         }
 
@@ -518,20 +505,17 @@ class TestColdPrepare:
             per_key = self._run(tmp_path, "per-key", monkeypatch, per_key=True)
         finally:
             reset_solve_cache()
-        # Every path is exercised: memo hits and evictions, solve-cache
-        # memory hits, disk hits, and stacked solves of the misses.
+        # Every memo path is exercised: hits, evictions, and stacked solves
+        # of the misses.
         assert stacked["memo_stats"]["hits"] > 0
         assert stacked["memo_stats"]["misses"] > stacked["memo_stats"]["limit"]
-        assert stacked["stats"]["hits"] > 0
-        assert stacked["stats"]["misses"] > 50
-        assert stacked["disk_stats"]["disk_hits"] > 0
-        for name in ("memo_stats", "stats", "disk_stats"):
-            assert stacked[name] == per_key[name], name
+        assert stacked["memo_stats"] == per_key["memo_stats"]
         assert [key for key, _ in stacked["memo"]] == [key for key, _ in per_key["memo"]]
         for (_, got), (_, want) in zip(stacked["memo"], per_key["memo"]):
             assert got.tobytes() == want.tobytes()
-        assert len(stacked["files"]) == stacked["stats"]["stores"]
-        assert stacked["files"] == per_key["files"]
+        # Content-update solves never reach the solve cache.
+        assert stacked["stats"]["solicitations"] == stacked["stats"]["stores"] == 0
+        assert stacked["files"] == {}
         for (table, ceilings), (want_table, want_ceilings) in zip(
             stacked["tables"], per_key["tables"]
         ):
@@ -546,8 +530,8 @@ class TestColdPrepare:
             reset_solve_cache()
         assert stacked["memo_stats"] == per_key["memo_stats"]
         assert [key for key, _ in stacked["memo"]] == [key for key, _ in per_key["memo"]]
-        assert stacked["stats"] == per_key["stats"]
-        assert stacked["files"] == per_key["files"]
+        assert stacked["stats"]["solicitations"] == 0
+        assert stacked["files"] == {}
 
     def test_without_solve_cache(self, tmp_path, monkeypatch):
         max_ages, popularity, costs = (array[0] for array in self._params(12))
@@ -586,3 +570,65 @@ class TestColdPrepare:
         assert stats == expected[3] == {"hits": 0, "misses": 32, "size": 5, "limit": 5}
         assert cache.stats.solicitations == cache.stats.stores == 0
         assert not (tmp_path / "unused").exists()
+
+
+class TestSolveCacheBoundary:
+    """The solve cache serves exact per-RSU solves only; factored prepares
+    solve their content-update MDPs in memory and never consult it."""
+
+    #: The rsu-joint keys of _exact_observation at weight 2.0.  Keys fold in
+    #: every solve parameter and SOLVER_CODE_VERSION, so a change here
+    #: orphans every persisted exact solve.
+    EXACT_KEYS = [
+        "077d1825a665b4c6e082a186b1a00f2194eb008ea1fa5142ecdfd7461f09593c.npz",
+        "3b3784e33831491a55818b35ee8342d51898c7e8bf3625d7a162a7236c6484b9.npz",
+    ]
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch):
+        directory = tmp_path / "solves"
+        monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(directory))
+        monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
+        reset_solve_cache()
+        yield directory
+        reset_solve_cache()
+
+    @staticmethod
+    def _exact_observation():
+        return make_observation(
+            [[1.0, 4.0], [3.0, 2.0]],
+            max_ages=[[3.0, 5.0], [4.0, 6.0]],
+            popularity=[[0.25, 0.75], [0.5, 0.5]],
+            costs=[[0.5, 1.0], [1.5, 0.25]],
+        )
+
+    def test_cold_factored_prepare_skips_the_solve_cache(self, cache_dir):
+        max_ages, popularity, costs = TestColdPrepare()._params(13)
+        policies = [MDPCachingPolicy(CachingMDPConfig(weight=2.0)) for _ in range(2)]
+        decider = BatchedCacheDecider(policies)
+        assert decider.prepare(max_ages, popularity, costs)
+        assert policies[0].memo_stats["misses"] > 0
+        stats = global_solve_cache().stats
+        assert stats.solicitations == stats.stores == 0
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+    def test_exact_solves_persist_and_reload_from_disk(self, cache_dir):
+        observation = self._exact_observation()
+        config = CachingMDPConfig(weight=2.0)
+        first = MDPCachingPolicy(config, mode="exact")
+        actions = first.decide(observation)
+        stats = global_solve_cache().stats
+        assert stats.misses == stats.stores == len(self.EXACT_KEYS)
+        assert sorted(path.name for path in cache_dir.iterdir()) == self.EXACT_KEYS
+        # A fresh cache over the same directory models a new process.
+        reset_solve_cache()
+        second = MDPCachingPolicy(config, mode="exact")
+        np.testing.assert_array_equal(second.decide(observation), actions)
+        stats = global_solve_cache().stats
+        assert stats.disk_hits == len(self.EXACT_KEYS)
+        assert stats.misses == stats.stores == 0
+        for rsu in range(2):
+            np.testing.assert_array_equal(
+                second._rsu_models[rsu].result.q_values,
+                first._rsu_models[rsu].result.q_values,
+            )

@@ -4,8 +4,8 @@ Covers the cache itself (keying, FIFO bound, disk round trip, counters), its
 integration into :class:`~repro.core.caching_mdp.MDPCachingPolicy` (memo
 bound, hit/miss counters, identical decisions with and without the cache),
 and the headline property the runtime relies on: a weight sweep performs
-exactly one solve per distinct MDP, within a process and across processes
-(via the disk layer).
+exactly one exact per-RSU solve per distinct MDP, within a process and
+across processes (via the disk layer).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import solve_cache
+from repro.core import caching_mdp, solve_cache
 from repro.core.caching_mdp import ContentUpdateMDP, MDPCachingPolicy
 from repro.core.solve_cache import SolveCache, solve_key
 from repro.core.solvers import value_iteration
@@ -177,37 +177,60 @@ class TestPolicyMemo:
 
 
 class TestSweepSolveSharing:
-    def test_weight_sweep_solves_each_distinct_mdp_once(self, isolated_cache):
+    """ScenarioConfig.small runs every RSU through the exact per-RSU MDP, the
+    solves that go through the cache."""
+
+    @pytest.fixture
+    def exact_solves(self, monkeypatch):
+        """Count the value-iteration calls of exact per-RSU solves."""
+        solved = []
+
+        def counting(mdp, **kwargs):
+            solved.append(type(mdp).__name__)
+            return value_iteration(mdp, **kwargs)
+
+        monkeypatch.setattr(caching_mdp, "value_iteration", counting)
+        return solved
+
+    def test_weight_sweep_solves_each_distinct_mdp_once(
+        self, isolated_cache, exact_solves
+    ):
         from repro.analysis.sweep import weight_sweep
 
         config = ScenarioConfig.small(seed=2, num_slots=20)
         first = weight_sweep([0.5, 2.0], config=config, num_seeds=2, workers=1)
         first_misses = isolated_cache.stats.misses
         assert first_misses > 0
-        # One store per miss == exactly one solve per distinct MDP.
+        # One solve and one store per miss == exactly one solve per
+        # distinct MDP, and every one of them an exact per-RSU solve.
+        assert exact_solves == ["RSUCachingMDP"] * first_misses
         assert isolated_cache.stats.stores == first_misses
         # Re-running the identical sweep re-solves nothing.
         second = weight_sweep([0.5, 2.0], config=config, num_seeds=2, workers=1)
         assert second == first
         assert isolated_cache.stats.misses == first_misses
         assert isolated_cache.stats.hits > 0
+        assert len(exact_solves) == first_misses
 
-    def test_disk_layer_shares_solves_across_processes(self, isolated_cache):
+    def test_disk_layer_shares_solves_across_processes(
+        self, isolated_cache, exact_solves
+    ):
         from repro.analysis.sweep import weight_sweep
 
         config = ScenarioConfig.small(seed=2, num_slots=20)
         weight_sweep([0.5, 2.0], config=config, num_seeds=2, workers=1)
         distinct = isolated_cache.stats.misses
         # A fresh cache over the same directory models a new process: every
-        # solve is answered from disk, none is recomputed.
+        # exact solve is answered from disk, none is recomputed.
         fresh = solve_cache.configure_solve_cache(
             directory=isolated_cache.directory
         )
         weight_sweep([0.5, 2.0], config=config, num_seeds=2, workers=1)
         assert fresh.stats.misses == 0
         assert fresh.stats.disk_hits == distinct
+        assert len(exact_solves) == distinct
 
-    def test_changed_parameters_re_solve(self, isolated_cache):
+    def test_changed_parameters_re_solve(self, isolated_cache, exact_solves):
         from repro.analysis.sweep import weight_sweep
 
         config = ScenarioConfig.small(seed=2, num_slots=20)
@@ -216,6 +239,7 @@ class TestSweepSolveSharing:
         # A new weight is a different MDP: it must miss (and only it).
         weight_sweep([0.75], config=config, workers=1)
         assert isolated_cache.stats.misses > before
+        assert len(exact_solves) == isolated_cache.stats.misses
 
 
 class TestDisableEnvSpellings:

@@ -4,18 +4,22 @@ Both on-disk caches — the MDP solve cache and the experiment run store —
 resolve their location and kill switches through these helpers, so the
 env-variable semantics are pinned here once: falsey spellings, opt-out
 versus opt-in resolution, and the stale ``*.tmp`` sweeper that cleans up
-after crashed atomic publishes.
+after crashed atomic publishes — and the atomic ``.npz`` publish and clear
+both caches share.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.utils.cachedir import (
     FALSEY_VALUES,
+    clear_npz_files,
     env_disabled,
+    publish_npz,
     resolve_cache_dir,
     sweep_stale_tmp_files,
 )
@@ -145,6 +149,36 @@ class TestSweepStaleTmpFiles:
             )
             == 1
         )
+
+
+class TestPublishNpz:
+    def test_publish_creates_the_directory_and_round_trips(self, tmp_path):
+        directory = tmp_path / "nested" / "blobs"
+        publish_npz(str(directory / "k.npz"), {"a": np.arange(3), "b": np.eye(2)})
+        assert sorted(os.listdir(directory)) == ["k.npz"]
+        with np.load(directory / "k.npz") as data:
+            assert data.files == ["a", "b"]
+            np.testing.assert_array_equal(data["b"], np.eye(2))
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def broken_savez(handle, **arrays):
+            handle.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError):
+            publish_npz(str(tmp_path / "k.npz"), {"a": np.arange(3)})
+        assert os.listdir(tmp_path) == []
+
+    def test_clear_removes_npz_and_tmp_files_only(self, tmp_path):
+        for name in ("a.npz", "b.npz", "c.tmp", "keep.db"):
+            (tmp_path / name).write_bytes(b"x")
+        clear_npz_files(str(tmp_path))
+        assert os.listdir(tmp_path) == ["keep.db"]
+
+    def test_clear_missing_or_none_directory_is_noop(self, tmp_path):
+        clear_npz_files(str(tmp_path / "missing"))
+        clear_npz_files(None)
 
 
 class TestSolveCacheIntegration:
