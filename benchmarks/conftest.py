@@ -20,11 +20,17 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
+from pathlib import Path
 from typing import Dict, List
 
 import pytest
 
 from repro.sim.scenario import ScenarioConfig
+
+# The scalar test oracle (tests/oracle) is the reference arm of the
+# scalability benchmark's speedup_vs_reference.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 #: Entries accumulated by the ``bench_record`` fixture over the session.
 _BENCH_RESULTS: List[Dict] = []

@@ -21,7 +21,8 @@ from repro.core.caching_mdp import CachingMDPConfig, MDPCachingPolicy
 from repro.runtime.runner import ExperimentRunner, RunSpec, expand_seeds
 from repro.sim.scenario import ScenarioConfig
 from repro.sim import CacheSimulator
-from repro.sim.engine import _reference
+
+from oracle import reference as _reference
 
 
 def mdp_policy_factory_without_cache(scenario):

@@ -99,7 +99,6 @@ from repro.net import (
     NetworkView,
     RequestGenerator,
     RoadTopology,
-    RSUCache,
 )
 from repro.policies import (
     PolicySpec,
@@ -148,7 +147,7 @@ from repro.workloads import (
     workload_names,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AlwaysServePolicy",
@@ -195,7 +194,6 @@ __all__ = [
     "NetworkView",
     "RequestGenerator",
     "RoadTopology",
-    "RSUCache",
     "CacheSimulationResult",
     "CacheSimulator",
     "JointSimulationResult",

@@ -491,8 +491,10 @@ class MDPCachingPolicy(CachingPolicy):
         self._solution_memo: Dict[Tuple[float, float, float], np.ndarray] = {}
         # Per-(RSU, content) advantage lookup table over the age grid,
         # rebuilt with the models: entry [k, h, i] is Q(update) - Q(skip)
-        # at discretised age i + 1.  The factored decision then becomes a
-        # single vectorised gather + argmax instead of a per-content loop.
+        # at discretised age i + 1 of the k-th factored RSU (exact RSUs
+        # have no rows; None when no RSU runs factored).  The factored
+        # decision then becomes a single vectorised gather + argmax
+        # instead of a per-content loop.
         self._advantage_table: Optional[np.ndarray] = None
         self._grid_ceilings: Optional[np.ndarray] = None
 
@@ -554,7 +556,7 @@ class MDPCachingPolicy(CachingPolicy):
         rows = np.flatnonzero(self._factored)
         if rows.size:
             actions[rows] = _factored_decisions(
-                self._advantage_table[rows], self._grid_ceilings[rows], ages[rows]
+                self._advantage_table, self._grid_ceilings, ages[rows]
             )
         for rsu in np.flatnonzero(~self._factored):
             actions[rsu] = self._rsu_models[rsu].decide(ages[rsu])
@@ -575,10 +577,13 @@ class MDPCachingPolicy(CachingPolicy):
         if moved[0]:
             self._rebuild_count += 1
             self._rsu_models.clear()
-            self._advantage_table, self._grid_ceilings = _advantage_tables(
-                self, max_ages, popularity, costs
-            )
             self._factored = self._factored_rows(max_ages)
+            rows = np.flatnonzero(self._factored)
+            self._advantage_table = self._grid_ceilings = None
+            if rows.size:
+                self._advantage_table, self._grid_ceilings = _advantage_tables(
+                    self, max_ages[rows], popularity[rows], costs[rows]
+                )
             for rsu in np.flatnonzero(~self._factored):
                 self._build_rsu_model(rsu, max_ages[rsu], popularity[rsu], costs[rsu])
         self._signature.record(params)

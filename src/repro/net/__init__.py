@@ -1,6 +1,6 @@
 """Vehicular-network substrate: topology, contents, channels, queues, routing."""
 
-from repro.net.cache import LruContentCache, MBSContentStore, RSUCache
+from repro.net.cache import LruContentCache, MBSContentStore
 from repro.net.channel import (
     ConstantCostModel,
     CostModel,
@@ -8,7 +8,7 @@ from repro.net.channel import (
     FadingCostModel,
 )
 from repro.net.content import ContentCatalog, ContentDescriptor, zipf_popularity
-from repro.net.queueing import BacklogQueue, RequestQueue, ServedRequest
+from repro.net.queueing import BacklogQueue
 from repro.net.requests import (
     ArrivalProcess,
     BernoulliArrivals,
@@ -25,7 +25,6 @@ from repro.net.view import NetworkView
 __all__ = [
     "LruContentCache",
     "MBSContentStore",
-    "RSUCache",
     "NetworkController",
     "NetworkModel",
     "NetworkView",
@@ -41,8 +40,6 @@ __all__ = [
     "ContentDescriptor",
     "zipf_popularity",
     "BacklogQueue",
-    "RequestQueue",
-    "ServedRequest",
     "ArrivalProcess",
     "BernoulliArrivals",
     "DeterministicArrivals",

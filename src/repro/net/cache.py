@@ -1,16 +1,16 @@
-"""RSU cache state.
+"""Content stores: the MBS's own copies and the multi-hop per-node caches.
 
-Each RSU caches exactly one copy of each content describing the regions it
-covers.  The cache tracks the age of every copy (via
-:class:`~repro.core.aoi.AoIVector`), applies MBS-pushed updates, and answers
-freshness queries used by both the MDP reward and the Lyapunov service
-constraint ("guaranteeing the valid content service").
+:class:`MBSContentStore` holds the macro base station's copy of every
+content and regenerates them (the ages the MDP state formally includes).
+:class:`LruContentCache` backs the multi-hop network core.  The RSU caches
+of the cache, service and joint kinds are rows of the simulators'
+``(RSUs, contents)`` age arrays (:class:`~repro.sim.system.SystemState`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -18,130 +18,6 @@ from repro.core.aoi import AoIVector
 from repro.exceptions import CacheError, ValidationError
 from repro.net.content import ContentCatalog
 from repro.utils.validation import check_index, check_positive_int
-
-
-class RSUCache:
-    """The cache of one RSU.
-
-    Parameters
-    ----------
-    rsu_id:
-        Identifier of the owning RSU.
-    content_ids:
-        Ids of the contents this RSU caches (the regions it covers).
-    catalog:
-        Content catalog, providing per-content maximum ages.
-    initial_ages:
-        Optional starting ages (defaults to all fresh).  The paper's
-        evaluation draws them at random (see
-        :class:`~repro.sim.system.SystemState`).
-    age_ceiling:
-        Saturation value for ages; defaults to twice the largest ``A_max``
-        among the cached contents.
-    """
-
-    def __init__(
-        self,
-        rsu_id: int,
-        content_ids: Sequence[int],
-        catalog: ContentCatalog,
-        *,
-        initial_ages: Optional[Sequence[float]] = None,
-        age_ceiling: Optional[float] = None,
-    ) -> None:
-        content_ids = [int(h) for h in content_ids]
-        if not content_ids:
-            raise CacheError(f"RSU {rsu_id} cache must hold at least one content")
-        if len(set(content_ids)) != len(content_ids):
-            raise CacheError(f"RSU {rsu_id} cache has duplicate content ids")
-        self._rsu_id = int(rsu_id)
-        self._content_ids: List[int] = content_ids
-        self._catalog = catalog
-        max_ages = [catalog[h].max_age for h in content_ids]
-        self._aoi = AoIVector(
-            max_ages, initial_ages=initial_ages, ceiling=age_ceiling
-        )
-        self._content_to_slot = {h: i for i, h in enumerate(content_ids)}
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def rsu_id(self) -> int:
-        """Identifier of the owning RSU."""
-        return self._rsu_id
-
-    @property
-    def content_ids(self) -> List[int]:
-        """Ids of the cached contents, in slot order."""
-        return list(self._content_ids)
-
-    @property
-    def capacity(self) -> int:
-        """Number of cache slots (== number of covered regions)."""
-        return len(self._content_ids)
-
-    @property
-    def ages(self) -> np.ndarray:
-        """Current ages of the cached copies, in slot order."""
-        return self._aoi.ages
-
-    @property
-    def max_ages(self) -> np.ndarray:
-        """Maximum tolerable ages of the cached contents, in slot order."""
-        return self._aoi.max_ages
-
-    @property
-    def age_ceiling(self) -> float:
-        """Saturation value of the cache's age counters."""
-        return self._aoi.ceiling
-
-    @property
-    def utilities(self) -> np.ndarray:
-        """Per-slot AoI utilities ``A_max / A``."""
-        return self._aoi.utilities
-
-    @property
-    def violations(self) -> np.ndarray:
-        """Boolean mask of cached copies exceeding their maximum age."""
-        return self._aoi.violations
-
-    def holds(self, content_id: int) -> bool:
-        """Whether this cache holds a copy of *content_id*."""
-        return content_id in self._content_to_slot
-
-    def age_of(self, content_id: int) -> float:
-        """Return the age of the cached copy of *content_id*."""
-        return float(self._aoi[self._slot_of(content_id)])
-
-    def slot_of(self, content_id: int) -> int:
-        """Return the cache-slot index of *content_id*."""
-        return self._slot_of(content_id)
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    def tick(self, slots: int = 1) -> None:
-        """Age every cached copy by *slots*."""
-        self._aoi.tick(slots)
-
-    def apply_update(self, content_id: int, *, delivered_age: float = 1.0) -> None:
-        """Apply an MBS-pushed refresh of *content_id*."""
-        slot = self._slot_of(content_id)
-        self._aoi.refresh(slot, delivered_age)
-
-    def _slot_of(self, content_id: int) -> int:
-        try:
-            return self._content_to_slot[int(content_id)]
-        except KeyError:
-            raise CacheError(
-                f"RSU {self._rsu_id} does not cache content {content_id}"
-            ) from None
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return (
-            f"RSUCache(rsu_id={self._rsu_id}, capacity={self.capacity})"
-        )
 
 
 class MBSContentStore:
@@ -199,8 +75,8 @@ class MBSContentStore:
 class LruContentCache:
     """A bounded per-node cache with LRU eviction and per-copy ages.
 
-    Unlike :class:`RSUCache` (a fixed content set whose ages the MDP
-    refreshes in place), this cache backs the multi-hop network core:
+    Unlike an RSU cache of the MDP kinds (a fixed content set whose ages the
+    MDP refreshes in place), this cache backs the multi-hop network core:
     on-path strategies insert arbitrary contents as they travel the
     delivery path, and the least-recently-used copy is evicted once the
     node is full.  Each copy carries the age it had at insertion time and

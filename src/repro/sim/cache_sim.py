@@ -8,10 +8,7 @@ loop of :class:`~repro.sim.system._StagedStepper`:
 :meth:`CacheSimulator.run_batch` with every seed at once.  Per slot it
 makes the policy decision, does the element-wise reward math, and records
 the slot of every seed into the collectors in one
-:meth:`~repro.sim.metrics.CacheMetrics.record_stacked_slot` call — the
-same recording body the private scalar oracle
-(:meth:`CacheSimulator._run_reference`) reaches through
-:meth:`~repro.sim.metrics.CacheMetrics.record_slot`.
+:meth:`~repro.sim.metrics.CacheMetrics.record_stacked_slot` call.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import numpy as np
 
 from repro.core.caching_mdp import BatchedCacheDecider
 from repro.core.policies import CachingPolicy
-from repro.core.reward import UtilityFunction
 from repro.sim.metrics import CacheMetrics
 from repro.sim.results import CacheSimulationResult
 from repro.sim.scenario import ScenarioConfig
@@ -31,27 +27,20 @@ from repro.sim.system import (
     _policy_name,
     _Simulator,
     _StagedStepper,
-    cache_ages,
 )
 
 def _cache_metrics_per_seed(stepper: _StagedStepper) -> List[CacheMetrics]:
     """One stage-1 collector per seed of *stepper*."""
     return [
-        _cache_metrics(state, stepper.metrics_mode, stepper.expected_slots)
+        CacheMetrics(
+            state.config.num_rsus,
+            state.config.contents_per_rsu,
+            state.max_ages,
+            mode=stepper.metrics_mode,
+            expected_slots=stepper.expected_slots,
+        )
         for state in stepper.states
     ]
-
-
-def _cache_metrics(state: SystemState, mode: str, num_slots: int) -> CacheMetrics:
-    """A stage-1 collector sized for *state*'s grid and *num_slots* slots."""
-    config = state.config
-    return CacheMetrics(
-        config.num_rsus,
-        config.contents_per_rsu,
-        state.max_ages,
-        mode=mode,
-        expected_slots=num_slots,
-    )
 
 
 class _BatchedCacheStage:
@@ -247,43 +236,3 @@ class CacheSimulator(_Simulator):
     def policy(self) -> CachingPolicy:
         """The caching policy under evaluation."""
         return self._policies[0]
-
-    def _run_reference(
-        self, num_slots: Optional[int] = None
-    ) -> CacheSimulationResult:
-        """The original scalar loop: one Python iteration per (RSU, slot).
-
-        The private test oracle behind ``repro.sim.engine._reference``.
-        """
-        num_slots = self._num_slots(num_slots)
-        state = SystemState(self._config)
-        caches = state.reference_caches()
-        metrics = _cache_metrics(state, self._metrics_mode, num_slots)
-        policy = self.policy
-        policy.reset()
-
-        for t in range(num_slots):
-            observation = state.observation(t, caches)
-            actions = policy.decide(observation)
-            actions = CachingPolicy.validate_actions(actions, observation)
-            costs = observation.update_costs
-            breakdown = UtilityFunction(
-                state.max_ages, costs, weight=self._config.aoi_weight
-            ).evaluate(observation.ages, actions, state.popularity)
-            # Apply the chosen updates to the caches.
-            for k, rsu in enumerate(state.topology.rsus):
-                for slot, content_id in enumerate(rsu.covered_regions):
-                    if actions[k, slot]:
-                        caches[k].apply_update(content_id)
-            metrics.record_slot(t, cache_ages(caches), actions, breakdown)
-            # Advance time: cached copies age by one slot, the MBS regenerates.
-            for cache in caches:
-                cache.tick(1)
-            state.mbs_store.tick(t + 1)
-        return CacheSimulationResult(
-            config=self._config,
-            policy_name=_policy_name(policy),
-            metrics=metrics,
-            catalog=state.catalog,
-            topology=state.topology,
-        )

@@ -38,9 +38,8 @@ once through their shared ``run_batch``.  The multihop kind takes a flat
 collection of policies of any role, so ``simulate()`` runs once per entry;
 results are ordered policy-major, seed-minor.
 
-The original scalar loops survive only as the private test oracle,
-:func:`_reference`, which the equivalence suites compare every path
-against byte for byte.
+The scalar test oracle that every path must reproduce byte for byte is
+not part of the package: it lives with the tests (``tests/oracle``).
 """
 
 from __future__ import annotations
@@ -494,47 +493,6 @@ def _run(
         metrics=options["metrics"],
     )
     return results
-
-
-def _reference(
-    scenario: ScenarioConfig,
-    policies: Union[PolicyLike, Sequence[PolicyLike], Dict[str, PolicyLike]],
-    *,
-    seeds: Union[None, int, Sequence[int]] = None,
-    num_slots: Optional[int] = None,
-    service_batch: Optional[int] = None,
-    metrics: str = "full",
-) -> Union[SimulationResult, List[SimulationResult]]:
-    """The scalar reference loops: the private test oracle.
-
-    Takes the arguments of :func:`simulate` (less ``kind`` and ``store``)
-    and resolves policies and seeds exactly as it does, but runs each seed
-    through its simulator's original scalar loop, one after another, and
-    writes nothing to any store.  Every execution path must reproduce it
-    byte for byte.  The multihop kind has no scalar loop.
-    """
-    kind, runs, _ = _resolve_kind(
-        policies, kind=None, metrics=metrics, service_batch=service_batch, noun="runs"
-    )
-    if kind == "multihop":
-        raise ConfigurationError("the multihop kind has no scalar reference loop")
-    (run_policies,) = runs
-    if seeds is None:
-        scenarios = [scenario]
-        per_seed = [[_materialize(policy, scenario) for policy in run_policies]]
-    else:
-        scenarios = [
-            scenario.with_overrides(seed=seed)
-            for seed in _normalize_seeds(seeds, scenario)
-        ]
-        per_seed = zip(*(_replicate(policy, scenarios) for policy in run_policies))
-    results = [
-        _simulator(
-            kind, config, seed_policies, service_batch=service_batch, metrics=metrics
-        )._run_reference(num_slots)
-        for config, seed_policies in zip(scenarios, per_seed)
-    ]
-    return results[0] if seeds is None else results
 
 
 def _store_write_through(

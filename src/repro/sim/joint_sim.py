@@ -5,8 +5,7 @@ The joint kind is stage 1 followed by stage 2 in one slot: its stepper,
 the cache and service kinds share (:class:`~repro.sim.system._StagedStepper`),
 along a seed axis: :meth:`JointSimulator.run` and joint sessions drive it
 with one seed, :meth:`JointSimulator.run_batch` with every seed at once.
-Both stages record every slot straight into their collectors through the
-same bodies as the per-slot reference accounting (see
+Both stages record every slot straight into their collectors (see
 :mod:`repro.sim.cache_sim` and :mod:`repro.sim.service_sim`).
 """
 
@@ -15,13 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.policies import CachingPolicy, ServicePolicy
-from repro.core.reward import UtilityFunction
-from repro.net.queueing import RequestQueue
-from repro.sim.cache_sim import (
-    _BatchedCacheStage,
-    _cache_metrics,
-    _cache_metrics_per_seed,
-)
+from repro.sim.cache_sim import _BatchedCacheStage, _cache_metrics_per_seed
 from repro.sim.results import JointSimulationResult
 from repro.sim.scenario import ScenarioConfig
 # _enqueue_batches and _vector_service_slot run inside _ServiceStage (in
@@ -30,19 +23,11 @@ from repro.sim.scenario import ScenarioConfig
 # them on both simulator modules.
 from repro.sim.service_sim import (  # noqa: F401
     _enqueue_batches,
-    _reference_service_slot,
-    _service_metrics,
     _service_metrics_per_seed,
     _ServiceStage,
     _vector_service_slot,
 )
-from repro.sim.system import (
-    SystemState,
-    _policy_name,
-    _Simulator,
-    _StagedStepper,
-    cache_ages,
-)
+from repro.sim.system import _policy_name, _Simulator, _StagedStepper
 
 class JointStepper(_StagedStepper):
     """Resumable slot-by-slot execution of the coupled loop along a seed axis.
@@ -149,55 +134,4 @@ class JointSimulator(_Simulator):
             policies=(caching_policies, service_policies),
             num_slots=num_slots,
             horizons=horizons,
-        )
-
-    def _run_reference(
-        self, num_slots: Optional[int] = None
-    ) -> JointSimulationResult:
-        """The original scalar two-stage loop.
-
-        The private test oracle behind ``repro.sim.engine._reference``.
-        """
-        num_slots = self._num_slots(num_slots)
-        state = SystemState(self._config)
-        caches = state.reference_caches()
-        cache_metrics = _cache_metrics(state, self._metrics_mode, num_slots)
-        service_metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
-        caching_policy, service_policy = self._policies
-        caching_policy.reset()
-        service_policy.reset()
-        queues = [RequestQueue(rsu.rsu_id) for rsu in state.topology.rsus]
-
-        for t in range(num_slots):
-            # ---- Stage 1: cache management -------------------------------
-            observation = state.observation(t, caches)
-            actions = caching_policy.decide(observation)
-            actions = CachingPolicy.validate_actions(actions, observation)
-            costs = observation.update_costs
-            breakdown = UtilityFunction(
-                state.max_ages, costs, weight=self._config.aoi_weight
-            ).evaluate(observation.ages, actions, state.popularity)
-            for k, rsu in enumerate(state.topology.rsus):
-                for slot, content_id in enumerate(rsu.covered_regions):
-                    if actions[k, slot]:
-                        caches[k].apply_update(content_id)
-            cache_metrics.record_slot(t, cache_ages(caches), actions, breakdown)
-
-            # ---- Stage 2: content service ---------------------------------
-            _reference_service_slot(
-                state, caches, queues, service_policy, self._service_batch,
-                service_metrics, t,
-                deadline_slots=self._config.deadline_slots,
-            )
-
-            # ---- Advance time ---------------------------------------------
-            for cache in caches:
-                cache.tick(1)
-            state.mbs_store.tick(t + 1)
-        return JointSimulationResult(
-            config=self._config,
-            caching_policy_name=_policy_name(caching_policy),
-            service_policy_name=_policy_name(service_policy),
-            cache_metrics=cache_metrics,
-            service_metrics=service_metrics,
         )

@@ -10,8 +10,8 @@ The collectors are array-backed: per-slot values land in preallocated
 (growable) numpy buffers rather than Python lists, and the headline
 reductions (``total_reward``, ``mean_age``, ...) are computed lazily from
 those buffers and cached until the next append.  Each collector has one
-recording body, called once per slot by the scalar reference loops and the
-vectorised stages alike, so a collector is current after every step.  The
+recording body, called once per slot by the vectorised stages (and by the
+scalar test oracle), so a collector is current after every step.  The
 cache collector's body, :meth:`CacheMetrics.record_stacked_slot`, takes
 one slot of ``S`` seeds' runs stacked along a leading seed axis and reduces
 it in one pass; :meth:`CacheMetrics.record_slot` is its one-seed form.

@@ -13,9 +13,8 @@ arrivals slot by slot; ``run_batch`` (the shared body of
 over the precomputed :class:`~repro.net.requests.WorkloadHorizon` arrival
 tensors of :meth:`_ServiceStage.arrival_replay` (optionally supplied by
 the caller — e.g. shipped through shared memory by the parallel runner).
-Every slot is recorded through
-:meth:`~repro.sim.metrics.ServiceMetrics.record_slot`, the same body the
-per-slot reference accounting uses, so all paths are byte-identical.
+Every slot of every path is recorded through
+:meth:`~repro.sim.metrics.ServiceMetrics.record_slot`.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import numpy as np
 from repro.core.lyapunov import BatchedServiceDecider
 from repro.core.policies import ServiceObservation, ServicePolicy
 from repro.exceptions import ValidationError
-from repro.net.cache import RSUCache
-from repro.net.queueing import RequestQueue
 from repro.sim.metrics import ServiceMetrics
 from repro.sim.results import ServiceSimulationResult
 from repro.sim.scenario import ScenarioConfig
@@ -120,8 +117,8 @@ class _VectorQueues:
     issue slots (a request's issue slot is the difference of two
     consecutive sums), with a head and a tail counter per row.  The
     per-slot latency ``sum_i (t - issue_i)`` is the exact integer
-    ``t * pending - issue_sum`` — the identity with
-    :meth:`~repro.net.queueing.RequestQueue.total_waiting`.  Deadlines are
+    ``t * pending - issue_sum``, summed exactly as the pending requests'
+    waiting slots would be.  Deadlines are
     monotone in issue time, so expiry only ever removes a prefix: the queues
     keep each of the last ``deadline + 1`` slots' tails and move every head
     past the tail of the slot that has just expired.  Steppers enqueue and
@@ -348,79 +345,6 @@ def _enqueue_batches(queues: _VectorQueues, time_slot: int, arrivals: _SlotArriv
     return queues.enqueue(time_slot, arrivals)
 
 
-def _reference_service_slot(
-    state: SystemState,
-    caches: List[RSUCache],
-    queues: List[RequestQueue],
-    policy: ServicePolicy,
-    service_batch: Optional[int],
-    metrics: ServiceMetrics,
-    time_slot: int,
-    *,
-    deadline_slots: Optional[int],
-) -> None:
-    """One slot of the scalar stage-2 reference loop.
-
-    The single source of truth for per-slot request sampling and per-RSU
-    scalar service accounting, shared by ``ServiceSimulator._run_reference``
-    and ``JointSimulator._run_reference`` (which previously carried
-    duplicated copies of this body).  *caches* are the run's per-RSU
-    cache objects (:meth:`SystemState.reference_caches`).
-    """
-    t = time_slot
-    requests = state.workload.generate_slot(
-        t, deadline_slots=deadline_slots
-    )
-    for request in requests:
-        queues[request.rsu_id].enqueue(request)
-
-    backlogs, latencies, costs, decisions, served_counts = ([], [], [], [], [])
-    for k, queue in enumerate(queues):
-        queue.expire(t)
-        latency = float(queue.total_waiting(t))
-        backlog = float(queue.backlog)
-        distance = 0.5 * state.topology.region_length
-        cost = state.service_cost_model.cost(
-            distance=distance, size=1.0, time_slot=t
-        )
-        head = queue.head()
-        head_age = head_max = slack = None
-        if head is not None:
-            cache = caches[k]
-            if cache.holds(head.content_id):
-                head_age = cache.age_of(head.content_id)
-                head_max = state.catalog[head.content_id].max_age
-            if head.deadline is not None:
-                slack = float(head.deadline - t)
-        observation = ServiceObservation(
-            time_slot=t,
-            rsu_id=k,
-            queue_backlog=latency,
-            service_cost=cost,
-            departure=latency,
-            head_content_age=head_age,
-            head_content_max_age=head_max,
-            head_deadline_slack=slack,
-        )
-        serve = policy.decide(observation) and not queue.is_empty
-        served = []
-        spent = 0.0
-        if serve:
-            batch = (
-                queue.backlog
-                if service_batch is None
-                else min(service_batch, queue.backlog)
-            )
-            served = queue.serve(t, batch)
-            spent = cost * len(served)
-        backlogs.append(backlog)
-        latencies.append(latency)
-        costs.append(spent)
-        decisions.append(bool(serve))
-        served_counts.append(len(served))
-    metrics.record_slot(backlogs, latencies, costs, decisions, served_counts)
-
-
 class _ServiceStage:
     """Stage 2 for ``S`` seeds: one slot of service over all RSUs per call.
 
@@ -520,14 +444,13 @@ class _ServiceStage:
 def _service_metrics_per_seed(stepper: _StagedStepper) -> List[ServiceMetrics]:
     """One stage-2 collector per seed of *stepper*."""
     return [
-        _service_metrics(config, stepper.metrics_mode, stepper.expected_slots)
+        ServiceMetrics(
+            config.num_rsus,
+            mode=stepper.metrics_mode,
+            expected_slots=stepper.expected_slots,
+        )
         for config in stepper.configs
     ]
-
-
-def _service_metrics(config: ScenarioConfig, mode: str, num_slots: int) -> ServiceMetrics:
-    """A stage-2 collector sized for *config*'s RSUs and *num_slots* slots."""
-    return ServiceMetrics(config.num_rsus, mode=mode, expected_slots=num_slots)
 
 
 class ServiceStepper(_StagedStepper):
@@ -613,33 +536,3 @@ class ServiceSimulator(_Simulator):
     def policy(self) -> ServicePolicy:
         """The service policy under evaluation."""
         return self._policies[0]
-
-    def _run_reference(
-        self, num_slots: Optional[int] = None
-    ) -> ServiceSimulationResult:
-        """The original per-request object loop.
-
-        The private test oracle behind ``repro.sim.engine._reference``.
-        """
-        num_slots = self._num_slots(num_slots)
-        state = SystemState(self._config)
-        caches = state.reference_caches()
-        metrics = _service_metrics(self._config, self._metrics_mode, num_slots)
-        policy = self.policy
-        policy.reset()
-        queues = [RequestQueue(rsu.rsu_id) for rsu in state.topology.rsus]
-
-        for t in range(num_slots):
-            _reference_service_slot(
-                state, caches, queues, policy, self._service_batch, metrics, t,
-                deadline_slots=self._config.deadline_slots,
-            )
-            # The stage-2-only simulator assumes cache management (stage 1)
-            # keeps cached copies valid, so cache ages are not advanced here;
-            # the coupled behaviour is exercised by JointSimulator.
-            state.mbs_store.tick(t + 1)
-        return ServiceSimulationResult(
-            config=self._config,
-            policy_name=_policy_name(policy),
-            metrics=metrics,
-        )

@@ -2,8 +2,7 @@
 
 :class:`SystemState` builds one scenario as arrays — topology, catalog,
 cost models, workload, the initial RSU ages and the static parameter/index
-matrices the vectorised hot loops read; the scalar reference loops build
-their per-RSU cache objects from it.  It is internal plumbing shared by
+matrices the vectorised hot loops read.  It is internal plumbing shared by
 :mod:`repro.sim.cache_sim`, :mod:`repro.sim.service_sim`,
 :mod:`repro.sim.joint_sim`, and :mod:`repro.sim.multihop_sim`, together
 with the option handling and the one ``run``/``run_batch`` body of their
@@ -21,7 +20,7 @@ import numpy as np
 
 from repro.core.policies import CacheObservation
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.net.cache import MBSContentStore, RSUCache
+from repro.net.cache import MBSContentStore
 from repro.sim.metrics import check_metrics_mode
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.validation import check_positive_int
@@ -85,47 +84,6 @@ class SystemState:
             self.ages = np.ones_like(self.max_ages)
         self._static_update_costs: Optional[np.ndarray] = None
 
-    def reference_caches(self) -> List[RSUCache]:
-        """Per-RSU cache objects at the initial ages, for the scalar oracle."""
-        return [
-            RSUCache(
-                rsu.rsu_id, rsu.covered_regions, self.catalog, initial_ages=self.ages[k]
-            )
-            for k, rsu in enumerate(self.topology.rsus)
-        ]
-
-    def observation(
-        self, time_slot: int, caches: Sequence[RSUCache]
-    ) -> CacheObservation:
-        """The MDP observation of *time_slot*, read item by item.
-
-        The scalar oracle's twin of :meth:`observation_vector`: ages come
-        from *caches*, and every parameter from the per-content catalog
-        descriptors, workload populations and cost-model calls rather than
-        from the state's matrices.
-        """
-        shape = self.max_ages.shape
-        max_ages, popularity, costs, mbs_ages = (np.zeros(shape) for _ in range(4))
-        for k, rsu in enumerate(self.topology.rsus):
-            distance = self.topology.mbs_distance(k)
-            population = self.workload.content_population(rsu.rsu_id)
-            for slot, content_id in enumerate(rsu.covered_regions):
-                content = self.catalog[content_id]
-                max_ages[k, slot] = content.max_age
-                popularity[k, slot] = population[content_id]
-                costs[k, slot] = self.update_cost_model.cost(
-                    distance=distance, size=content.size, time_slot=time_slot
-                )
-                mbs_ages[k, slot] = self.mbs_store.age_of(content_id)
-        return CacheObservation(
-            time_slot=time_slot,
-            ages=cache_ages(caches),
-            max_ages=max_ages,
-            popularity=popularity,
-            update_costs=costs,
-            mbs_ages=mbs_ages,
-        )
-
     def update_costs_vector(self, time_slot: int) -> np.ndarray:
         """Per-(RSU, content) MBS->RSU transfer costs for *time_slot*.
 
@@ -144,10 +102,11 @@ class SystemState:
         return costs
 
     def observation_vector(self, time_slot: int, ages: np.ndarray) -> CacheObservation:
-        """Array twin of :meth:`observation` for a given *ages* matrix.
+        """The MDP observation of *time_slot* for a given *ages* matrix.
 
-        Builds the identical :class:`CacheObservation` (bit for bit) with
-        array gathers instead of per-(RSU, content) Python loops.  It
+        Builds, bit for bit, the :class:`CacheObservation` that the scalar
+        test oracle reads item by item, with array gathers instead of
+        per-(RSU, content) Python loops.  It
         aliases *ages* and the static parameter matrices rather than
         copying them: the statics are never mutated over a run (so even
         policies that retain observations stay correct), and callers pass
@@ -161,11 +120,6 @@ class SystemState:
             update_costs=self.update_costs_vector(time_slot),
             mbs_ages=self.mbs_store.ages[self.content_ids],
         )
-
-
-def cache_ages(caches: Sequence[RSUCache]) -> np.ndarray:
-    """The ages of *caches* as a ``(num_rsus, contents_per_rsu)`` matrix."""
-    return np.stack([cache.ages for cache in caches])
 
 
 def _expand_batch_policies(seeds: Sequence[int], policies, base_policy) -> List:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import zipfile
 
 import numpy as np
@@ -25,6 +26,8 @@ from repro.core.solve_cache import (
 )
 from repro.core.solvers import value_iteration
 from repro.exceptions import ConfigurationError, ValidationError
+from repro.sim import CacheSimulator
+from repro.sim.scenario import ScenarioConfig
 
 
 def make_observation(
@@ -322,7 +325,7 @@ class TestMDPCachingPolicy:
             MDPCachingPolicy(mode="bogus")
 
     def test_models_are_reused_between_calls(self):
-        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
+        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0), mode="factored")
         observation = make_observation(np.full((1, 2), 3.0))
         policy.decide(observation)
         first_table = policy._advantage_table
@@ -330,7 +333,7 @@ class TestMDPCachingPolicy:
         assert policy._advantage_table is first_table
 
     def test_models_rebuilt_when_parameters_change(self):
-        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
+        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0), mode="factored")
         policy.decide(make_observation(np.full((1, 2), 3.0)))
         before = policy._advantage_table
         policy.decide(
@@ -339,12 +342,12 @@ class TestMDPCachingPolicy:
         assert not np.array_equal(policy._advantage_table, before)
 
     def test_advantage_increases_with_age(self):
-        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
+        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0), mode="factored")
         policy.decide(make_observation(np.full((1, 2), 1.0)))
         assert np.all(np.diff(policy._advantage_table, axis=-1) >= -1e-9)
 
     def test_reset_clears_models(self):
-        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0))
+        policy = MDPCachingPolicy(CachingMDPConfig(weight=2.0), mode="factored")
         policy.decide(make_observation(np.full((1, 2), 3.0)))
         policy.reset()
         assert policy._advantage_table is None
@@ -356,6 +359,42 @@ class TestMDPCachingPolicy:
         observation = make_observation(np.full((2, 2), age))
         actions = policy.decide(observation)
         assert set(np.unique(actions)).issubset({0, 1})
+
+    def test_exact_rsus_solve_no_content_models(self):
+        # Both RSUs of the small scenario run exact: the run solves no
+        # single-content model, and records the trajectory it recorded
+        # while it still solved (and discarded) one per content key.
+        config = ScenarioConfig.small(seed=0)
+        policy = MDPCachingPolicy(config.build_mdp_config())
+        metrics = CacheSimulator(config, policy).run(num_slots=40).metrics
+        assert not policy._factored.any() and policy._advantage_table is None
+        assert policy.memo_stats == {"hits": 0, "misses": 0, "size": 0, "limit": 4096}
+        digest = hashlib.sha256(metrics.age_matrix_history().tobytes())
+        digest.update(metrics.action_matrix_history().tobytes())
+        digest.update(np.asarray(metrics.reward.totals).tobytes())
+        assert digest.hexdigest() == (
+            "a588d4ff47c9e1a9c33090c297efec09abd441b20ae457c5bd13b1a8b24d096d"
+        )
+
+    def test_mixed_rows_solve_the_factored_rows_only(self):
+        # Row 0's joint space (3 x 3 grid ages) fits the limit, row 1's
+        # (12 x 12) does not: each row decides as its own mode would, and
+        # only row 1's two content keys are solved.
+        config = CachingMDPConfig(weight=2.0)
+        observation = make_observation(
+            [[2.0, 3.0], [9.0, 4.0]],
+            max_ages=[[1.5, 1.5], [6.0, 6.0]],
+            popularity=[[0.5, 0.5], [0.3, 0.7]],
+            costs=[[0.5, 0.5], [1.0, 1.0]],
+        )
+        policy = MDPCachingPolicy(config, exact_state_limit=50)
+        actions = policy.decide(observation)
+        assert policy._factored.tolist() == [False, True]
+        assert policy._advantage_table.shape[:2] == (1, 2)
+        assert policy.memo_stats["misses"] == 2
+        exact = MDPCachingPolicy(config, mode="exact").decide(observation)
+        factored = MDPCachingPolicy(config, mode="factored").decide(observation)
+        np.testing.assert_array_equal(actions, [exact[0], factored[1]])
 
 
 class TestBatchedCacheDecider:

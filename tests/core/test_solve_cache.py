@@ -126,8 +126,9 @@ class TestPolicyMemo:
         assert policy.memo_stats["limit"] == 7
 
     def test_counters_track_hits_and_misses(self, isolated_cache):
+        # Factored mode: exact-mode RSUs solve no single-content models.
         config = ScenarioConfig.small(seed=1, num_slots=15)
-        policy = MDPCachingPolicy(config.build_mdp_config())
+        policy = MDPCachingPolicy(config.build_mdp_config(), mode="factored")
         CacheSimulator(config, policy).run()
         stats = policy.memo_stats
         assert stats["misses"] > 0

@@ -1,4 +1,6 @@
-"""Tests for repro.net.cache (RSU caches and the MBS content store)."""
+"""Tests for the content stores: the MBS store and multi-hop LRU caches of
+repro.net.cache, and the test oracle's per-RSU cache objects
+(oracle.objects.RSUCache)."""
 
 from __future__ import annotations
 
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle.objects import RSUCache
 from repro.exceptions import CacheError, ValidationError
-from repro.net.cache import MBSContentStore, RSUCache
+from repro.net.cache import MBSContentStore
 from repro.net.content import ContentCatalog
 
 

@@ -1,4 +1,5 @@
-"""Tests for repro.net.queueing (request queues and backlog queues)."""
+"""Tests for the backlog queue of repro.net.queueing and the test oracle's
+per-RSU request queues (oracle.objects.RequestQueue)."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle.objects import RequestQueue
 from repro.exceptions import QueueError, ValidationError
-from repro.net.queueing import BacklogQueue, RequestQueue
+from repro.net.queueing import BacklogQueue
 from repro.net.requests import Request
 
 

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+import oracle
 from repro.analysis.sweep import lyapunov_policy_factory, mdp_policy_factory
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.policies import PolicySpec
@@ -26,7 +27,6 @@ from repro.runtime import (
     save_specs,
 )
 from repro.runtime.runner import _run_record
-from repro.sim.engine import _reference
 from repro.sim.scenario import ScenarioConfig
 from repro.workloads import WorkloadSpec
 
@@ -195,7 +195,7 @@ class TestExecution:
             [
                 _run_record(spec.to_run_spec(), seed, result)
                 for seed, result in zip(
-                    seeds, _reference(scenario, "mdp", seeds=seeds)
+                    seeds, oracle.reference(scenario, "mdp", seeds=seeds)
                 )
             ]
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from repro.analysis.sweep import (
     lyapunov_policy_factory,
     mdp_policy_factory,
@@ -32,7 +33,6 @@ from repro.runtime.runner import (
 )
 from repro.runtime.spec import ExperimentSpec
 from repro.runtime.store import RunStore, cell_key
-from repro.sim.engine import _reference
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.rng import spawn_run_seeds
 
@@ -282,18 +282,20 @@ class TestSeedBatchedDispatch:
         assert batches[1].matches(batches[2])
 
     def test_reference_specs_batch_through_fallback(self, tiny_scenario):
-        # The seed-batched grid records what the private scalar oracle
+        # The seed-batched grid records what the scalar test oracle
         # records, run one seed at a time.
         specs = cache_grid(tiny_scenario)
         batched = ExperimentRunner(workers=1).run_grid(specs, num_seeds=2)
-        oracle = BatchResult(
+        expected = BatchResult(
             [
-                _run_record(spec, spec.seed, _reference(scenario, spec.policy(scenario)))
+                _run_record(
+                    spec, spec.seed, oracle.reference(scenario, spec.policy(scenario))
+                )
                 for spec in expand_seeds(specs, 2)
                 for scenario in [spec.scenario.with_overrides(seed=spec.seed)]
             ]
         )
-        assert batched.matches(oracle)
+        assert batched.matches(expected)
 
     def test_stochastic_instance_policy_batches_identically(self, tiny_scenario):
         specs = [

@@ -1,6 +1,6 @@
 """Tests for repro.sim.engine (the unified ``simulate`` façade).
 
-Covers kind inference, the private scalar oracle, and bit-identical
+Covers kind inference, the scalar test oracle, and bit-identical
 results between the per-kind simulator classes and the façade.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.exceptions import ConfigurationError
@@ -23,7 +24,6 @@ from repro.sim import (
     SimulationResult,
     simulate,
 )
-from repro.sim.engine import _reference
 from repro.sim.scenario import ScenarioConfig
 
 
@@ -87,7 +87,7 @@ class TestShimEquivalence:
         )
 
     def test_cache_reference_matches_simulate_reference(self, config):
-        old = _reference(config, MDPCachingPolicy(config.build_mdp_config()))
+        old = oracle.reference(config, MDPCachingPolicy(config.build_mdp_config()))
         new = simulate(config, "mdp")
         assert old.summary() == new.summary()
         assert np.array_equal(old.cumulative_reward, new.cumulative_reward)
@@ -127,7 +127,7 @@ class TestModesAgree:
     def test_all_modes_bit_identical(self, config):
         seeds = [3, 8]
         auto = simulate(config, "mdp", seeds=seeds)
-        reference = _reference(config, "mdp", seeds=seeds)
+        reference = oracle.reference(config, "mdp", seeds=seeds)
         singles = [
             simulate(config.with_overrides(seed=seed), "mdp") for seed in seeds
         ]
@@ -141,7 +141,7 @@ class TestModesAgree:
     def test_joint_modes_agree(self, config):
         seeds = [1, 4]
         batch = simulate(config, ("mdp", "lyapunov"), seeds=seeds)
-        reference = _reference(config, ("mdp", "lyapunov"), seeds=seeds)
+        reference = oracle.reference(config, ("mdp", "lyapunov"), seeds=seeds)
         for mine, theirs in zip(batch, reference):
             assert mine.summary() == theirs.summary()
 
@@ -153,7 +153,9 @@ class TestModesAgree:
 
         seeds = [3, 11]
         batch = simulate(config, RandomUpdatePolicy(0.5, rng=7), seeds=seeds)
-        reference = _reference(config, RandomUpdatePolicy(0.5, rng=7), seeds=seeds)
+        reference = oracle.reference(
+            config, RandomUpdatePolicy(0.5, rng=7), seeds=seeds
+        )
         singles = [
             simulate(config.with_overrides(seed=seed), RandomUpdatePolicy(0.5, rng=7))
             for seed in seeds
@@ -250,4 +252,4 @@ class TestMultihopDispatch:
 
     def test_oracle_has_no_multihop_loop(self, config):
         with pytest.raises(ConfigurationError, match="multihop"):
-            _reference(config, "lcd")
+            oracle.reference(config, "lcd")

@@ -2,7 +2,7 @@
 
 ``metrics="summary"`` collectors must produce ``summary()`` / ``rows()``
 output byte-identical to ``metrics="full"`` — across all three simulators,
-every execution path (the private scalar oracle, single runs, seed
+every execution path (the scalar test oracle, single runs, seed
 batches) and every registered workload model.  These tests pin that contract, plus the summary-mode error
 surface, the cached-reduction semantics of the array-backed collectors, and
 that the steppers record every slot straight into their collectors.
@@ -13,12 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from repro.core.reward import RewardBreakdown
 from repro.exceptions import SimulationError, ValidationError
 from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator, simulate
 from repro.sim.metrics import CacheMetrics, RewardTrace, ServiceMetrics
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.engine import _reference
 from repro.workloads import export_trace, workload_names
 from repro.workloads.registry import WorkloadSpec
 
@@ -32,12 +32,12 @@ def cache_scenario(**overrides):
 def run_path(mode, simulator_class, config, policies, metrics):
     """One run on *config* along *mode*.
 
-    ``"reference"`` is the private scalar oracle, ``"batch"`` a one-seed
+    ``"reference"`` is the scalar test oracle, ``"batch"`` a one-seed
     ``run_batch`` on the config's own seed, ``"vectorized"`` ``run()``.
     *policies* is one policy, or a ``(caching, service)`` pair.
     """
     if mode == "reference":
-        return _reference(config, policies, metrics=metrics)
+        return oracle.reference(config, policies, metrics=metrics)
     if not isinstance(policies, tuple):
         policies = (policies,)
     simulator = simulator_class(config, *policies, metrics=metrics)

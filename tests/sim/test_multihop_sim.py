@@ -41,8 +41,8 @@ def single_rsu_replay(config: ScenarioConfig, num_slots: int):
     )
     origin = model.origin
     ages = [
-        {int(c): cache.age_of(int(c)) for c in cache.content_ids}
-        for cache in state.reference_caches()
+        dict(zip(state.content_ids[k].tolist(), state.ages[k].tolist()))
+        for k in range(config.num_rsus)
     ]
     max_ages = state.catalog.max_ages
     hits = served = hops = 0

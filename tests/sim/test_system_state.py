@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle.loop import observation, reference_caches
 from repro.core.aoi import AoIVector
 from repro.net.content import ContentCatalog, ContentDescriptor, zipf_popularity
 from repro.sim.scenario import ScenarioConfig
@@ -157,7 +158,7 @@ class TestArrayBuildMatchesObjectModel:
     @settings(max_examples=30, deadline=None)
     def test_scalar_observation_matches_vector_observation(self, params):
         state = SystemState(ScenarioConfig(num_slots=5, max_max_age=9.0, **params))
-        scalar = state.observation(0, state.reference_caches())
+        scalar = observation(state, 0, reference_caches(state))
         vector = state.observation_vector(0, state.ages)
         for name in ("ages", "max_ages", "popularity", "update_costs", "mbs_ages"):
             assert getattr(scalar, name).tobytes() == getattr(vector, name).tobytes()
@@ -181,7 +182,7 @@ class TestInitialAges:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_reference_caches_start_at_the_state_ages(self, seed):
         state = SystemState(ScenarioConfig.small(seed=seed))
-        caches = state.reference_caches()
+        caches = reference_caches(state)
         np.testing.assert_array_equal(
             np.stack([cache.ages for cache in caches]), state.ages
         )

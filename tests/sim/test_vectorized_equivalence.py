@@ -1,19 +1,20 @@
 """Golden-trajectory equivalence: vectorised loops vs the scalar reference.
 
 The vectorised simulators are only allowed to be *fast*; for a fixed seed
-they must reproduce the private scalar oracle
-(``repro.sim.engine._reference``) slot for slot — the
-same ages, actions, reward breakdowns, backlogs, latencies, costs, and
-decisions, compared with exact equality (no tolerances).  These tests pin
-that contract across scenario shapes, cost models, arrival processes,
+they must reproduce the scalar test oracle (:func:`oracle.reference`)
+slot for slot — the same ages, actions, reward breakdowns, backlogs,
+latencies, costs, decisions and served counts, compared with exact
+equality (no tolerances).  These tests pin that contract at the paper's
+scenario shapes and horizons, across cost models, arrival processes,
 deadlines, and service batching.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+import oracle
+from oracle.compare import assert_same_run
 from repro.baselines.caching import (
     AlwaysUpdatePolicy,
     NeverUpdatePolicy,
@@ -25,61 +26,39 @@ from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.sim.scenario import ScenarioConfig
 from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator
-from repro.sim.engine import _reference
 
 
 def assert_cache_runs_identical(config, make_policy, num_slots=None):
-    reference = _reference(config, make_policy(config), num_slots=num_slots)
-    vectorized = CacheSimulator(config, make_policy(config)).run(num_slots=num_slots)
-    assert np.array_equal(
-        reference.metrics.age_matrix_history(),
-        vectorized.metrics.age_matrix_history(),
+    assert_same_run(
+        CacheSimulator(config, make_policy(config)).run(num_slots=num_slots),
+        oracle.reference(config, make_policy(config), num_slots=num_slots),
     )
-    assert np.array_equal(
-        reference.metrics.action_matrix_history(),
-        vectorized.metrics.action_matrix_history(),
-    )
-    assert reference.metrics.reward.totals == vectorized.metrics.reward.totals
-    assert reference.metrics.reward.costs == vectorized.metrics.reward.costs
-    assert (
-        reference.metrics.reward.aoi_utilities
-        == vectorized.metrics.reward.aoi_utilities
-    )
-    assert reference.summary() == vectorized.summary()
 
 
 def assert_service_runs_identical(config, make_policy, num_slots=None, **kwargs):
-    reference = _reference(
-        config, make_policy(config), num_slots=num_slots, **kwargs
+    assert_same_run(
+        ServiceSimulator(config, make_policy(config), **kwargs).run(
+            num_slots=num_slots
+        ),
+        oracle.reference(config, make_policy(config), num_slots=num_slots, **kwargs),
     )
-    vectorized = ServiceSimulator(config, make_policy(config), **kwargs).run(
-        num_slots=num_slots
-    )
-    for history in ("backlog_history", "latency_history", "cost_history"):
-        assert np.array_equal(
-            getattr(reference.metrics, history)(),
-            getattr(vectorized.metrics, history)(),
-        ), history
-    assert reference.metrics.total_served == vectorized.metrics.total_served
-    assert reference.metrics.service_rate == vectorized.metrics.service_rate
-    assert reference.summary() == vectorized.summary()
+
+
+def mdp(cfg):
+    return MDPCachingPolicy(cfg.build_mdp_config())
 
 
 class TestCacheSimulatorEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_mdp_policy_fig1a(self, seed):
         config = ScenarioConfig.fig1a(seed=seed).with_overrides(num_slots=80)
-        assert_cache_runs_identical(
-            config, lambda cfg: MDPCachingPolicy(cfg.build_mdp_config())
-        )
+        assert_cache_runs_identical(config, mdp)
 
     def test_exact_mode_small_scenario(self):
         # The small scenario keeps the joint state space under the exact
         # limit, exercising the exact-MDP decision path in both loops.
         config = ScenarioConfig.small(seed=3, num_slots=60)
-        assert_cache_runs_identical(
-            config, lambda cfg: MDPCachingPolicy(cfg.build_mdp_config())
-        )
+        assert_cache_runs_identical(config, mdp)
 
     @pytest.mark.parametrize(
         "make_policy",
@@ -101,25 +80,17 @@ class TestCacheSimulatorEquivalence:
         config = ScenarioConfig.fig1a(seed=2).with_overrides(
             num_slots=60, cost_model_kind="fading", cost_sigma=0.5
         )
-        assert_cache_runs_identical(
-            config, lambda cfg: MDPCachingPolicy(cfg.build_mdp_config())
-        )
+        assert_cache_runs_identical(config, mdp)
 
     def test_distance_cost_model(self):
         config = ScenarioConfig.fig1a(seed=2).with_overrides(
             num_slots=60, cost_model_kind="distance"
         )
-        assert_cache_runs_identical(
-            config, lambda cfg: MDPCachingPolicy(cfg.build_mdp_config())
-        )
+        assert_cache_runs_identical(config, mdp)
 
     def test_horizon_override(self):
         config = ScenarioConfig.small(seed=9)
-        assert_cache_runs_identical(
-            config,
-            lambda cfg: MDPCachingPolicy(cfg.build_mdp_config()),
-            num_slots=25,
-        )
+        assert_cache_runs_identical(config, mdp, num_slots=25)
 
 
 class TestServiceSimulatorEquivalence:
@@ -160,35 +131,17 @@ class TestJointSimulatorEquivalence:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_mdp_plus_lyapunov(self, seed):
         config = ScenarioConfig.small(seed=seed, num_slots=80, arrival_rate=0.8)
-        reference = _reference(
-            config,
-            (
+
+        def policies():
+            return (
                 MDPCachingPolicy(config.build_mdp_config()),
                 LyapunovServiceController(config.tradeoff_v),
-            ),
+            )
+
+        assert_same_run(
+            JointSimulator(config, *policies()).run(),
+            oracle.reference(config, policies()),
         )
-        vectorized = JointSimulator(
-            config,
-            MDPCachingPolicy(config.build_mdp_config()),
-            LyapunovServiceController(config.tradeoff_v),
-        ).run()
-        assert np.array_equal(
-            reference.cache_metrics.age_matrix_history(),
-            vectorized.cache_metrics.age_matrix_history(),
-        )
-        assert np.array_equal(
-            reference.cache_metrics.action_matrix_history(),
-            vectorized.cache_metrics.action_matrix_history(),
-        )
-        assert np.array_equal(
-            reference.service_metrics.backlog_history(),
-            vectorized.service_metrics.backlog_history(),
-        )
-        assert np.array_equal(
-            reference.service_metrics.latency_history(),
-            vectorized.service_metrics.latency_history(),
-        )
-        assert reference.summary() == vectorized.summary()
 
     def test_aoi_guard_blocks_identically_without_updates(self):
         # A never-updating cache stales out and the AoI guard must block
@@ -196,18 +149,11 @@ class TestJointSimulatorEquivalence:
         config = ScenarioConfig.small(seed=7).with_overrides(
             num_slots=80, arrival_rate=1.0
         )
-        reference = _reference(
-            config, (NeverUpdatePolicy(), LyapunovServiceController(1.0))
+        assert_same_run(
+            JointSimulator(
+                config, NeverUpdatePolicy(), LyapunovServiceController(1.0)
+            ).run(),
+            oracle.reference(
+                config, (NeverUpdatePolicy(), LyapunovServiceController(1.0))
+            ),
         )
-        vectorized = JointSimulator(
-            config, NeverUpdatePolicy(), LyapunovServiceController(1.0)
-        ).run()
-        assert (
-            reference.service_metrics.total_served
-            == vectorized.service_metrics.total_served
-        )
-        assert np.array_equal(
-            reference.service_metrics.backlog_history(),
-            vectorized.service_metrics.backlog_history(),
-        )
-        assert reference.summary() == vectorized.summary()

@@ -4,10 +4,9 @@ numpy's pairwise summation unrolls only from 8 elements on, so a grid of
 a handful of RSUs cannot tell a per-seed row sum from a sum in another
 order.  These cases run 32 RSUs, where it can: the service and joint
 kinds' ``run()``, ``run_batch()`` and a slot-stepped ``open_session()``
-must reproduce the private scalar oracle (``repro.sim.engine._reference``)
-exactly — every
-full-mode per-RSU history (backlog, latency, cost, decision, served) and
-``summary()`` — across the Lyapunov kernel's variants, deadlines, a
+must reproduce the scalar test oracle (:func:`oracle.reference`) exactly
+— every full-mode per-RSU history (backlog, latency, cost, decision,
+served) and ``summary()`` — across the Lyapunov kernel's variants, deadlines, a
 service batch limit, a fallback policy, and a batch mixing both.
 """
 
@@ -16,12 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
+from oracle.compare import assert_same_run
 from repro.baselines.service import AlwaysServePolicy, CostGreedyPolicy
 from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
 from repro.exceptions import ValidationError
 from repro.serve.session import open_session
-from repro.sim.engine import _reference, simulate
+from repro.sim.engine import simulate
 from repro.sim.joint_sim import JointSimulator
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.service_sim import ServiceSimulator, _SlotArrivals, _VectorQueues
@@ -52,29 +53,6 @@ CASES = [
 ]
 
 
-def service_metrics(result):
-    return getattr(result, "service_metrics", None) or result.metrics
-
-
-def assert_identical(got, want):
-    """Every full-mode stage-2 history and the summary, exactly."""
-    got_metrics, want_metrics = service_metrics(got), service_metrics(want)
-    for buffer in (
-        "_backlogs",
-        "_latencies",
-        "_costs",
-        "_decisions",
-        "_served_counts",
-        "_backlog_sums",
-        "_latency_sums",
-        "_cost_sums",
-    ):
-        assert np.array_equal(
-            getattr(got_metrics, buffer).array, getattr(want_metrics, buffer).array
-        ), buffer
-    assert got.summary() == want.summary()
-
-
 def policies_for(kind, service):
     # Fading costs would re-solve the MDP every slot.  A slow round-robin
     # refresh keeps the joint cases cheap and lets contents go stale, so
@@ -91,16 +69,18 @@ def policies_for(kind, service):
 def test_every_path_matches_the_reference(kind, overrides, service, service_batch):
     config = GRID.with_overrides(**overrides)
     policies = policies_for(kind, service)
-    oracle = _reference(config, policies, seeds=SEEDS, service_batch=service_batch)
+    expected = oracle.reference(
+        config, policies, seeds=SEEDS, service_batch=service_batch
+    )
 
     single = simulate(
         config.with_overrides(seed=SEEDS[0]), policies, service_batch=service_batch
     )
-    assert_identical(single, oracle[0])
+    assert_same_run(single, expected[0])
 
     batch = simulate(config, policies, seeds=SEEDS, service_batch=service_batch)
-    for got, want in zip(batch, oracle):
-        assert_identical(got, want)
+    for got, want in zip(batch, expected):
+        assert_same_run(got, want)
 
     session = open_session(
         config.with_overrides(seed=SEEDS[0]),
@@ -110,7 +90,7 @@ def test_every_path_matches_the_reference(kind, overrides, service, service_batc
     )
     for _ in range(config.num_slots):
         session.step()
-    assert_identical(session.close(), oracle[0])
+    assert_same_run(session.close(), expected[0])
 
 
 def test_service_batch_mixing_lyapunov_and_a_baseline():
@@ -122,14 +102,14 @@ def test_service_batch_mixing_lyapunov_and_a_baseline():
     ]
     seeds = [4, 9, 13]
     want = [
-        _reference(config.with_overrides(seed=seed), policy())
+        oracle.reference(config.with_overrides(seed=seed), policy())
         for seed, policy in zip(seeds, make)
     ]
     got = ServiceSimulator(config, make[0]()).run_batch(
         seeds, policies=[policy() for policy in make]
     )
     for result, reference in zip(got, want):
-        assert_identical(result, reference)
+        assert_same_run(result, reference)
 
 
 def test_joint_batch_mixing_lyapunov_and_a_baseline():
@@ -144,7 +124,7 @@ def test_joint_batch_mixing_lyapunov_and_a_baseline():
         return MDPCachingPolicy(config.with_overrides(seed=seed).build_mdp_config())
 
     want = [
-        _reference(config.with_overrides(seed=seed), (caching(seed), service()))
+        oracle.reference(config.with_overrides(seed=seed), (caching(seed), service()))
         for seed, service in zip(seeds, services)
     ]
     got = JointSimulator(config, caching(seeds[0]), services[0]()).run_batch(
@@ -153,7 +133,7 @@ def test_joint_batch_mixing_lyapunov_and_a_baseline():
         service_policies=[service() for service in services],
     )
     for result, reference in zip(got, want):
-        assert_identical(result, reference)
+        assert_same_run(result, reference)
 
 
 @pytest.mark.parametrize("service", [LyapunovServiceController, AlwaysServePolicy])

@@ -68,7 +68,6 @@ EXPECTED_ALL = {
     "NetworkView",
     "RequestGenerator",
     "RoadTopology",
-    "RSUCache",
     # policies
     "PolicySpec",
     "available_policies",
@@ -271,9 +270,6 @@ class TestRemovedIn50:
 class TestRemovedIn60:
     """6.0 deletes the surface no simulation, runner, CLI or serve path reaches."""
 
-    def test_version(self):
-        assert repro.__version__ == "6.0.0"
-
     @pytest.mark.parametrize("module", ["repro.net.mobility", "repro.net.environment"])
     def test_mobility_and_environment_modules_are_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
@@ -297,10 +293,6 @@ class TestRemovedIn60:
             ),
             ("repro.core.mdp.MDPModel", ["successors"]),
             ("repro.core.mdp.TabularMDP", ["sample_next_state"]),
-            (
-                "repro.net.cache.RSUCache",
-                ["update_count", "entry", "entries", "is_fresh", "snapshot", "restore"],
-            ),
             ("repro.net.cache.LruContentCache", ["contents"]),
             ("repro.net.channel.FadingCostModel", ["current_gain"]),
             ("repro.net.content.ContentCatalog", ["for_regions"]),
@@ -308,10 +300,6 @@ class TestRemovedIn60:
             (
                 "repro.net.model.NetworkModel",
                 ["reset_caches", "num_nodes", "content_source"],
-            ),
-            (
-                "repro.net.queueing.RequestQueue",
-                ["dropped_count", "expired_count", "mean_service_latency", "enqueue_many"],
             ),
             (
                 "repro.net.queueing.BacklogQueue",
@@ -370,3 +358,35 @@ class TestRemovedIn60:
         loaded = importlib.import_module(module)
         for name in names:
             assert not hasattr(loaded, name), f"{module}.{name}"
+
+
+class TestRemovedIn70:
+    """7.0 keeps one execution path: the scalar test oracle and the per-RSU
+    object model only it ran leave the package (for ``tests/oracle``)."""
+
+    def test_version(self):
+        assert repro.__version__ == "7.0.0"
+
+    @pytest.mark.parametrize(
+        "module, names",
+        [
+            ("repro", ["RSUCache", "RequestQueue", "ServedRequest"]),
+            ("repro.net", ["RSUCache", "RequestQueue", "ServedRequest"]),
+            ("repro.net.cache", ["RSUCache"]),
+            ("repro.net.queueing", ["RequestQueue", "ServedRequest"]),
+            ("repro.sim.engine", ["_reference"]),
+            ("repro.sim.service_sim", ["_reference_service_slot"]),
+            ("repro.sim.system", ["cache_ages"]),
+        ],
+    )
+    def test_oracle_names_are_absent(self, module, names):
+        loaded = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(loaded, name), f"{module}.{name}"
+            assert name not in getattr(loaded, "__all__", ()), f"{module}.{name}"
+
+    def test_no_simulator_runs_a_reference_loop(self):
+        for kind in repro.sim.engine.KINDS.values():
+            assert not hasattr(kind.simulator, "_run_reference"), kind.name
+        for name in ("reference_caches", "observation"):
+            assert not hasattr(repro.sim.system.SystemState, name), name
