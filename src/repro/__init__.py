@@ -86,7 +86,6 @@ from repro.exceptions import (
     CacheError,
     ConfigurationError,
     ModelError,
-    QueueError,
     ReproError,
     SimulationError,
     SolverError,
@@ -147,7 +146,7 @@ from repro.workloads import (
     workload_names,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "AlwaysServePolicy",
@@ -183,7 +182,6 @@ __all__ = [
     "CacheError",
     "ConfigurationError",
     "ModelError",
-    "QueueError",
     "ReproError",
     "SimulationError",
     "SolverError",

@@ -433,21 +433,14 @@ class MDPCachingPolicy(CachingPolicy):
         ``"exact"``, ``"factored"``, or ``"auto"``.
     exact_state_limit:
         Joint-state-space threshold for the automatic mode.
-    memo_limit:
-        FIFO bound on the memo of solved single-content models (default
-        4096).
     use_solve_cache:
         Whether exact per-RSU solves go through the process-wide
         :mod:`~repro.core.solve_cache` (memory, and disk unless disabled).
         Single-content solves are cheaper than a cache lookup and never use
-        it.
+        it: each rebuild solves its distinct keys afresh in one stacked pass.
     """
 
     name = "mdp"
-
-    #: Default cap on memoised single-content solutions; see
-    #: _content_q_values and the ``memo_limit`` parameter.
-    _SOLUTION_MEMO_LIMIT = 4096
 
     def __init__(
         self,
@@ -455,7 +448,6 @@ class MDPCachingPolicy(CachingPolicy):
         *,
         mode: str = "auto",
         exact_state_limit: int = 2_000,
-        memo_limit: Optional[int] = None,
         use_solve_cache: bool = True,
     ) -> None:
         if mode not in ("exact", "factored", "auto"):
@@ -467,28 +459,12 @@ class MDPCachingPolicy(CachingPolicy):
         self._exact_state_limit = check_positive_int(
             exact_state_limit, "exact_state_limit"
         )
-        self._memo_limit = check_positive_int(
-            memo_limit if memo_limit is not None else self._SOLUTION_MEMO_LIMIT,
-            "memo_limit",
-        )
         self._use_solve_cache = bool(use_solve_cache)
-        self._memo_hits = 0
-        self._memo_misses = 0
         self._rebuild_count = 0
         self._rsu_models: Dict[int, _SolvedRSUModel] = {}
         # Whether each RSU runs the factored controller (else exact).
         self._factored: Optional[np.ndarray] = None
         self._signature = _Signature()
-        # Memo of solved single-content MDPs keyed by their defining
-        # parameters.  Catalogs draw integer maximum ages from a narrow
-        # range, so large systems contain many (RSU, content) pairs with
-        # identical (max_age, popularity, cost) triples — solving each
-        # distinct triple once collapses the model-building cost from
-        # O(num_rsus * contents_per_rsu) value iterations to a handful.
-        # Solutions are pure functions of the key, so the memo survives
-        # :meth:`reset` without affecting results.
-        # Values are the solved Q-tables, one row per grid age.
-        self._solution_memo: Dict[Tuple[float, float, float], np.ndarray] = {}
         # Per-(RSU, content) advantage lookup table over the age grid,
         # rebuilt with the models: entry [k, h, i] is Q(update) - Q(skip)
         # at discretised age i + 1 of the k-th factored RSU (exact RSUs
@@ -508,34 +484,8 @@ class MDPCachingPolicy(CachingPolicy):
         """The requested operating mode."""
         return self._mode
 
-    @property
-    def memo_limit(self) -> int:
-        """FIFO bound on the per-instance solved-model memo."""
-        return self._memo_limit
-
-    @property
-    def memo_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the per-instance solved-model memo.
-
-        A hit means a requested single-content model was served without any
-        solver work; misses count the models the stacked content-update
-        solve computed.  Single-content models never touch the shared
-        solve cache, which serves only exact per-RSU solves.
-        """
-        return {
-            "hits": self._memo_hits,
-            "misses": self._memo_misses,
-            "size": len(self._solution_memo),
-            "limit": self._memo_limit,
-        }
-
     def reset(self) -> None:
-        """Drop all solved models (they will be rebuilt on the next decide).
-
-        The parameter-keyed solution memo is kept: re-solving an identical
-        single-content MDP yields the identical Q-table, so reusing it
-        changes nothing but the rebuild cost.
-        """
+        """Drop all solved models (they will be rebuilt on the next decide)."""
         self._rsu_models.clear()
         self._factored = None
         self._signature = _Signature()
@@ -582,7 +532,7 @@ class MDPCachingPolicy(CachingPolicy):
             self._advantage_table = self._grid_ceilings = None
             if rows.size:
                 self._advantage_table, self._grid_ceilings = _advantage_tables(
-                    self, max_ages[rows], popularity[rows], costs[rows]
+                    self._config, max_ages[rows], popularity[rows], costs[rows]
                 )
             for rsu in np.flatnonzero(~self._factored):
                 self._build_rsu_model(rsu, max_ages[rsu], popularity[rsu], costs[rsu])
@@ -604,49 +554,6 @@ class MDPCachingPolicy(CachingPolicy):
         # mode on exactly the instances it cannot handle.
         joint = np.prod(ceilings.astype(object), axis=-1)
         return joint > self._exact_state_limit
-
-    def _content_q_values(
-        self, keys: Sequence[Tuple[float, float, float]]
-    ) -> List[np.ndarray]:
-        """The optimal Q-tables of distinct ``(max_age, popularity, cost)`` keys.
-
-        Each key is served from the memo; the misses are solved together by
-        :func:`_solve_content_keys` and inserted in key order.  Counters and
-        memo order are those of resolving the keys one at a time: the memo
-        evicts, before each later lookup, what the earlier misses'
-        insertions would have evicted.
-        """
-        memo = self._solution_memo
-        q_values: List[Optional[np.ndarray]] = [None] * len(keys)
-        misses: List[int] = []
-        for row, key in enumerate(keys):
-            solved = memo.get(key)
-            if solved is not None:
-                self._memo_hits += 1
-                q_values[row] = solved
-                continue
-            self._memo_misses += 1
-            check_positive(key[0], "max_age")
-            check_non_negative(key[1], "popularity")
-            check_non_negative(key[2], "update_cost")
-            # Inserting this key (after the solve) evicts the memo's oldest
-            # entry once it is full; drop that entry before the next lookup.
-            # Once the memo is empty, the evictions fall on earlier misses
-            # and happen at insertion.
-            if memo and len(memo) + len(misses) >= self._memo_limit:
-                memo.pop(next(iter(memo)))
-            misses.append(row)
-        results = _solve_content_keys([keys[row] for row in misses], self._config)
-        for row, result in zip(misses, results):
-            q_values[row] = result.q_values
-            # Bound the memo: time-varying costs mint fresh keys every
-            # re-solve, and an uncapped memo would grow for the whole run.
-            # FIFO eviction keeps the static-cost fast path (few recurring
-            # keys) intact.
-            if len(memo) >= self._memo_limit:
-                memo.pop(next(iter(memo)))
-            memo[keys[row]] = q_values[row]
-        return q_values
 
     def _config_key_fields(self) -> Dict[str, object]:
         config = self._config
@@ -750,15 +657,14 @@ class BatchedCacheDecider:
     ) -> bool:
         """Build the advantage tables for the given ``(S, R, C)`` parameter tensors.
 
-        Resolves the distinct ``(max_age, popularity, cost)`` keys of the
-        whole batch once — through the first policy's memo, then one
-        stacked value-iteration pass over all the keys still missing — and
-        fills the stacked table with one gather.  Like its own policy, a
-        seed keeps its tables while its parameters stay within 1e-9 of the
-        last ones.  Returns
-        ``True`` when every seed's every RSU runs the factored controller
-        (the stacked tables are then current), ``False`` when the caller
-        must fall back to per-seed ``decide`` calls.
+        Solves the distinct ``(max_age, popularity, cost)`` keys of the
+        whole batch in one stacked value-iteration pass under the shared
+        MDP configuration, and fills the stacked table with one gather.
+        Like its own policy, a seed keeps its tables while its parameters
+        stay within 1e-9 of the last ones.  Returns ``True`` when every
+        seed's every RSU runs the factored controller (the stacked tables
+        are then current), ``False`` when the caller must fall back to
+        per-seed ``decide`` calls.
         """
         params = tuple(
             np.asarray(array, dtype=float)
@@ -777,7 +683,7 @@ class BatchedCacheDecider:
                 for solved, new in zip(self._solved, params):
                     solved[moved] = new[moved]
             self._tables, self._ceilings = _advantage_tables(
-                self._policies[0], *self._solved
+                self._policies[0].config, *self._solved
             )
         self._signature.record(params)
         return True
@@ -852,21 +758,20 @@ class _Signature:
 
 
 def _advantage_tables(
-    policy: MDPCachingPolicy,
+    config: CachingMDPConfig,
     max_ages: np.ndarray,
     popularity: np.ndarray,
     costs: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Advantage rows and grid ceilings for every cell of the parameter arrays.
 
-    Resolves each distinct ``(max_age, popularity, cost)`` key once through
-    *policy* (:meth:`MDPCachingPolicy._content_q_values`: the memo, then
-    one stacked solve of every key still missing), then gathers:
-    entry ``[..., i]`` of the table is ``Q(update) - Q(skip)`` at
-    discretised age ``i + 1``, and the ceilings array holds each cell's
-    grid ceiling.  Lookups clamp to a cell's own ceiling, so the padding
-    past a shorter grid is never read; it repeats the saturated value to
-    keep the table self-consistent.
+    Checks each distinct ``(max_age, popularity, cost)`` key, solves them
+    all under *config* in one stacked pass (:func:`_solve_content_keys`),
+    then gathers: entry ``[..., i]`` of the table is
+    ``Q(update) - Q(skip)`` at discretised age ``i + 1``, and the ceilings
+    array holds each cell's grid ceiling.  Lookups clamp to a cell's own
+    ceiling, so the padding past a shorter grid is never read; it repeats
+    the saturated value to keep the table self-consistent.
     """
     keys = np.stack((max_ages, popularity, costs), axis=-1).reshape(-1, 3)
     # The distinct rows of keys, like np.unique(keys, axis=0), but by
@@ -880,13 +785,18 @@ def _advantage_tables(
         inverse = np.unique(prefixes, return_inverse=True)[1].reshape(-1)
     first = np.empty(inverse.max() + 1, dtype=np.intp)
     first[inverse] = np.arange(len(keys))
-    q_tables = policy._content_q_values([tuple(key) for key in keys[first].tolist()])
+    distinct = [tuple(key) for key in keys[first].tolist()]
+    for max_age, popularity, cost in distinct:
+        check_positive(max_age, "max_age")
+        check_non_negative(popularity, "popularity")
+        check_non_negative(cost, "update_cost")
+    results = _solve_content_keys(distinct, config)
     # A content MDP has one state per grid age: its ceiling.
-    levels = max(len(q_values) for q_values in q_tables)
-    table = np.empty((len(q_tables), levels))
-    ceilings = np.empty(len(q_tables))
-    for row, q_values in enumerate(q_tables):
-        diff = q_values[:, 1] - q_values[:, 0]
+    levels = max(len(result.q_values) for result in results)
+    table = np.empty((len(results), levels))
+    ceilings = np.empty(len(results))
+    for row, result in enumerate(results):
+        diff = result.q_values[:, 1] - result.q_values[:, 0]
         table[row, : diff.size] = diff
         table[row, diff.size :] = diff[-1]
         ceilings[row] = diff.size

@@ -144,7 +144,7 @@ class SolveCache:
     ----------
     capacity:
         Maximum number of results kept in memory; the oldest entry is
-        evicted first (FIFO), matching the policy-level memo semantics.
+        evicted first (FIFO).
     directory:
         Directory for the on-disk layer; ``None`` keeps the cache
         memory-only.  The directory is created lazily on the first store.

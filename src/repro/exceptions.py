@@ -45,6 +45,3 @@ class SimulationError(ReproError):
 class CacheError(ReproError):
     """An RSU cache operation was invalid (unknown content, wrong slot, ...)."""
 
-
-class QueueError(ReproError):
-    """A service-queue operation was invalid (negative departure, ...)."""

@@ -59,7 +59,6 @@ def build_mdp_policy(
     *,
     mode: str = "auto",
     exact_state_limit: int = 2_000,
-    memo_limit: Optional[int] = None,
     use_solve_cache: bool = True,
 ) -> MDPCachingPolicy:
     """The paper's MDP cache-update controller (exact or factored)."""
@@ -67,7 +66,6 @@ def build_mdp_policy(
         scenario.build_mdp_config(),
         mode=mode,
         exact_state_limit=exact_state_limit,
-        memo_limit=memo_limit,
         use_solve_cache=use_solve_cache,
     )
 

@@ -102,13 +102,13 @@ class RunSpec:
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         # A registered name / "name:k=v,..." string becomes the PolicySpec
-        # factory it names, checked against its role; instances and
-        # factories run as given.
+        # factory it names; strings and specs are checked against their
+        # role, instances and factories run as given.
         kind = KINDS[self.kind]
         coerced = kind.spec_fields(
             [
                 PolicySpec.coerce(policy, role=role)
-                if isinstance(policy, str)
+                if isinstance(policy, (str, PolicySpec))
                 else policy
                 for policy, role in zip(
                     kind.policies(self.policy, self.service_policy), kind.roles
@@ -117,6 +117,10 @@ class RunSpec:
         )
         for name, policy in coerced.items():
             object.__setattr__(self, name, policy)
+        if self.num_slots is not None:
+            check_positive_int(self.num_slots, "num_slots")
+        if self.service_batch is not None:
+            check_positive_int(self.service_batch, "service_batch")
         kind.check_service_batch(self.service_batch)
         if self.metrics not in METRICS_MODES:
             raise ValidationError(

@@ -56,6 +56,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.policies.registry import PolicySpec
 from repro.runtime.runner import RunRecord, RunSpec, _jsonify
 from repro.sim.engine import KINDS
 from repro.utils.cachedir import (
@@ -151,22 +152,6 @@ def _package_version() -> str:
 # ----------------------------------------------------------------------
 # Canonical cell keys
 # ----------------------------------------------------------------------
-def _coerce_policy_dict(
-    policy: Any, role: Optional[str]
-) -> Optional[Dict[str, Any]]:
-    """The canonical registry dict of a policy reference, ``None`` if opaque."""
-    from repro.policies.registry import PolicySpec
-
-    if policy is None:
-        return None
-    if isinstance(policy, (str, PolicySpec)):
-        try:
-            return PolicySpec.coerce(policy, role=role).to_dict()
-        except Exception:  # registry rejects it: not addressable
-            return None
-    return None
-
-
 def spec_payload(spec: RunSpec) -> Optional[Dict[str, Any]]:
     """Canonical, JSON-stable description of a run spec (sans seed).
 
@@ -177,11 +162,10 @@ def spec_payload(spec: RunSpec) -> Optional[Dict[str, Any]]:
     version, so both invalidate every key when bumped.
     """
     kind = KINDS[spec.kind]
+    # RunSpec has already turned names into role-checked PolicySpecs.
     policies = [
-        _coerce_policy_dict(policy, role)
-        for policy, role in zip(
-            kind.policies(spec.policy, spec.service_policy), kind.roles
-        )
+        policy.to_dict() if isinstance(policy, PolicySpec) else None
+        for policy in kind.policies(spec.policy, spec.service_policy)
     ]
     if any(policy is None for policy in policies):
         return None

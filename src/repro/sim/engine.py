@@ -512,25 +512,24 @@ def _store_write_through(
     the remaining :class:`~repro.runtime.runner.RunSpec` fields
     (``num_slots``, ``service_batch``, ``metrics``).
     Silently skips runs it cannot address: opaque policy instances,
-    seedless scenarios, or a store disabled by the environment.
+    seedless scenarios, or a store that *store* and the environment leave
+    off (:func:`~repro.runtime.store.resolve_store`).
     """
-    if store is None or store is False:
-        return
     if not all(isinstance(policy, (str, PolicySpec)) for policy in policies):
         return
     # Imported lazily — repro.runtime imports the sim package.
     from repro.runtime.runner import RunSpec, _run_record
     from repro.runtime.store import RunStore, resolve_store
 
-    specs = [
-        PolicySpec.coerce(policy, role=role)
-        for policy, role in zip(policies, KINDS[kind].roles)
-    ]
     resolved = resolve_store(store)
     if resolved is None:
         return
-    label = f"{kind}:" + "+".join(spec.label() for spec in specs)
     try:
+        specs = [
+            PolicySpec.coerce(policy, role=role)
+            for policy, role in zip(policies, KINDS[kind].roles)
+        ]
+        label = f"{kind}:" + "+".join(spec.label() for spec in specs)
         items = []
         for result in results:
             seed = result.config.seed

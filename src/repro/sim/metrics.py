@@ -8,13 +8,13 @@ reads.
 
 The collectors are array-backed: per-slot values land in preallocated
 (growable) numpy buffers rather than Python lists, and the headline
-reductions (``total_reward``, ``mean_age``, ...) are computed lazily from
-those buffers and cached until the next append.  Each collector has one
-recording body, called once per slot by the vectorised stages (and by the
-scalar test oracle), so a collector is current after every step.  The
-cache collector's body, :meth:`CacheMetrics.record_stacked_slot`, takes
-one slot of ``S`` seeds' runs stacked along a leading seed axis and reduces
-it in one pass; :meth:`CacheMetrics.record_slot` is its one-seed form.
+reductions (``total_reward``, ``mean_age``, ...) are computed from those
+buffers when read.  Each collector has one recording body, called once
+per slot by the vectorised stages (and by the scalar test oracle), so a
+collector is current after every step.  The cache collector's body,
+:meth:`CacheMetrics.record_stacked_slot`, takes one slot of ``S`` seeds'
+runs stacked along a leading seed axis and reduces it in one pass;
+:meth:`CacheMetrics.record_slot` is its one-seed form.
 
 Every collector runs in one of two modes (:data:`METRICS_MODES`):
 
@@ -147,11 +147,10 @@ class RewardTrace:
 
     Array-backed: in ``mode="full"`` the per-slot scalars live in growable
     numpy buffers and every reduction property is computed from the backing
-    arrays once and cached until the next append.  In ``mode="summary"``
-    only the per-slot *totals* are kept (they power the Fig. 1a
-    cumulative-reward trace); the cost and AoI components stream through
-    the canonical chunked accumulator, whose reductions are byte-identical
-    to the full mode's deferred folds.
+    arrays when read.  In ``mode="summary"`` only the per-slot *totals* are
+    kept (they power the Fig. 1a cumulative-reward trace); the cost and AoI
+    components stream through the canonical chunked accumulator, whose
+    reductions are byte-identical to the full mode's deferred folds.
     """
 
     def __init__(
@@ -167,7 +166,6 @@ class RewardTrace:
             self._aoi = self._costs = None
             self._aoi_stream = _StreamingSum()
             self._cost_stream = _StreamingSum()
-        self._cache: Dict[str, object] = {}
 
     @property
     def mode(self) -> str:
@@ -188,7 +186,6 @@ class RewardTrace:
 
     def _append(self, aoi_utility: float, cost: float, total: float) -> None:
         """The recording body: one slot's Eq. (2), Eq. (3) and Eq. (1) values."""
-        self._cache.clear()
         self._totals.append(total)
         if self._mode == "full":
             self._aoi.append(aoi_utility)
@@ -199,11 +196,6 @@ class RewardTrace:
 
     def __len__(self) -> int:
         return len(self._totals)
-
-    def _cached(self, key: str, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
 
     # ------------------------------------------------------------------
     # Per-slot views (list-typed for comparison convenience in tests)
@@ -226,43 +218,33 @@ class RewardTrace:
         return self._totals.array.tolist()
 
     # ------------------------------------------------------------------
-    # Cached reductions (byte-identical across modes)
+    # Reductions (byte-identical across modes)
     # ------------------------------------------------------------------
     @property
     def cumulative_reward(self) -> np.ndarray:
         """Running sum of the total utility — the rising curve of Fig. 1a.
 
-        The cumsum is cached until the next append; the returned array is a
-        fresh copy, so callers may mutate it freely.
+        A fresh array on every read, so callers may mutate it freely.
         """
-        result = self._cached(
-            "cumulative_reward", lambda: np.cumsum(self._totals.array)
-        )
-        return result.copy()
+        return np.cumsum(self._totals.array)
 
     @property
     def total_reward(self) -> float:
         """Sum of the per-slot total utilities."""
-        return self._cached(
-            "total_reward", lambda: float(np.sum(self._totals.array))
-        )
+        return float(np.sum(self._totals.array))
 
     @property
     def total_cost(self) -> float:
         """Sum of the per-slot MBS costs (Eq. 3 accumulated)."""
         if self._mode == "full":
-            return self._cached(
-                "total_cost", lambda: _chunked_sum(self._costs.array)
-            )
+            return _chunked_sum(self._costs.array)
         return self._cost_stream.total
 
     @property
     def total_aoi_utility(self) -> float:
         """Sum of the per-slot AoI utilities (Eq. 2 accumulated)."""
         if self._mode == "full":
-            return self._cached(
-                "total_aoi_utility", lambda: _chunked_sum(self._aoi.array)
-            )
+            return _chunked_sum(self._aoi.array)
         return self._aoi_stream.total
 
     @property
@@ -270,9 +252,7 @@ class RewardTrace:
         """Average per-slot total utility."""
         if not len(self._totals):
             return float("nan")
-        return self._cached(
-            "mean_reward", lambda: float(np.mean(self._totals.array))
-        )
+        return float(np.mean(self._totals.array))
 
 
 class CacheMetrics:
@@ -320,7 +300,6 @@ class CacheMetrics:
         self._slots = 0
         self._total_updates = 0
         self._violations = 0
-        self._cache: Dict[str, object] = {}
         if self._mode == "full":
             shape = (self._num_rsus, self._contents_per_rsu)
             self._age_history = _SlotBuffer(shape, float, expected_slots)
@@ -409,7 +388,6 @@ class CacheMetrics:
         updates = actions.reshape(num_seeds, -1).sum(axis=1)
         violations = (ages > max_ages).reshape(num_seeds, -1).sum(axis=1)
         for s, collector in enumerate(collectors):
-            collector._cache.clear()
             collector._total_updates += int(updates[s])
             collector._violations += int(violations[s])
             if collector._mode == "full":
@@ -471,15 +449,13 @@ class CacheMetrics:
         """Mean age across all cached copies and all slots."""
         if self._slots == 0:
             return float("nan")
-        if "mean_age" not in self._cache:
-            samples = self._slots * self._num_rsus * self._contents_per_rsu
-            age_total = (
-                _chunked_sum(self._age_sums.array)
-                if self._mode == "full"
-                else self._age_sum_stream.total
-            )
-            self._cache["mean_age"] = age_total / samples
-        return self._cache["mean_age"]
+        samples = self._slots * self._num_rsus * self._contents_per_rsu
+        age_total = (
+            _chunked_sum(self._age_sums.array)
+            if self._mode == "full"
+            else self._age_sum_stream.total
+        )
+        return age_total / samples
 
     @property
     def violation_fraction(self) -> float:
@@ -533,7 +509,6 @@ class ServiceMetrics:
         self._cost_sums = _SlotBuffer(capacity=expected_slots)
         self._total_served = 0
         self._serve_decisions = 0
-        self._cache: Dict[str, object] = {}
         if self._mode == "full":
             row = (self._num_rsus,)
             self._backlogs = _SlotBuffer(row, float, expected_slots)
@@ -594,7 +569,6 @@ class ServiceMetrics:
                     f"{name} must have shape ({self._num_rsus},), got {arr.shape}"
                 )
             arrays.append(arr)
-        self._cache.clear()
         backlog = float(arrays[0].sum())
         latency = float(arrays[1].sum())
         cost = float(arrays[2].sum())
@@ -647,40 +621,28 @@ class ServiceMetrics:
     @property
     def total_cost(self) -> float:
         """Total service cost across RSUs and slots."""
-        if "total_cost" not in self._cache:
-            self._cache["total_cost"] = float(np.sum(self._cost_sums.array))
-        return self._cache["total_cost"]
+        return float(np.sum(self._cost_sums.array))
 
     @property
     def time_average_cost(self) -> float:
         """Time-average service cost (the Eq. 4 objective, summed over RSUs)."""
         if self._slots == 0:
             return float("nan")
-        if "time_average_cost" not in self._cache:
-            self._cache["time_average_cost"] = float(
-                np.mean(self._cost_sums.array)
-            )
-        return self._cache["time_average_cost"]
+        return float(np.mean(self._cost_sums.array))
 
     @property
     def time_average_backlog(self) -> float:
         """Time-average total backlog across RSUs."""
         if self._slots == 0:
             return float("nan")
-        if "time_average_backlog" not in self._cache:
-            self._cache["time_average_backlog"] = float(
-                np.mean(self._backlog_sums.array)
-            )
-        return self._cache["time_average_backlog"]
+        return float(np.mean(self._backlog_sums.array))
 
     @property
     def peak_backlog(self) -> float:
         """Peak total backlog across RSUs."""
         if self._slots == 0:
             return float("nan")
-        if "peak_backlog" not in self._cache:
-            self._cache["peak_backlog"] = float(np.max(self._backlog_sums.array))
-        return self._cache["peak_backlog"]
+        return float(np.max(self._backlog_sums.array))
 
     @property
     def total_served(self) -> int:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import caching_mdp
 from repro.core.caching_mdp import (
     AgeGrid,
     BatchedCacheDecider,
@@ -368,7 +369,6 @@ class TestMDPCachingPolicy:
         policy = MDPCachingPolicy(config.build_mdp_config())
         metrics = CacheSimulator(config, policy).run(num_slots=40).metrics
         assert not policy._factored.any() and policy._advantage_table is None
-        assert policy.memo_stats == {"hits": 0, "misses": 0, "size": 0, "limit": 4096}
         digest = hashlib.sha256(metrics.age_matrix_history().tobytes())
         digest.update(metrics.action_matrix_history().tobytes())
         digest.update(np.asarray(metrics.reward.totals).tobytes())
@@ -391,7 +391,6 @@ class TestMDPCachingPolicy:
         actions = policy.decide(observation)
         assert policy._factored.tolist() == [False, True]
         assert policy._advantage_table.shape[:2] == (1, 2)
-        assert policy.memo_stats["misses"] == 2
         exact = MDPCachingPolicy(config, mode="exact").decide(observation)
         factored = MDPCachingPolicy(config, mode="factored").decide(observation)
         np.testing.assert_array_equal(actions, [exact[0], factored[1]])
@@ -450,31 +449,22 @@ class TestBatchedCacheDecider:
         assert BatchedCacheDecider.supports(policies[:1])
 
 
-def _per_key_q_values(policy, keys):
-    """Resolve *keys* one at a time: memo, then value iteration.
+def _per_key_solves(keys, config):
+    """Solve *keys* one at a time by value iteration.
 
-    The reference the stacked ``MDPCachingPolicy._content_q_values`` must
-    reproduce in memo order, counters and Q-tables.
+    The reference the stacked ``caching_mdp._solve_content_keys`` must
+    reproduce, Q-table for Q-table.
     """
-    memo = policy._solution_memo
-    q_tables = []
-    for key in keys:
-        if key in memo:
-            policy._memo_hits += 1
-            q_tables.append(memo[key])
-            continue
-        policy._memo_misses += 1
-        mdp = ContentUpdateMDP(
-            max_age=key[0], popularity=key[1], update_cost=key[2], config=policy.config
+    return [
+        value_iteration(
+            ContentUpdateMDP(
+                max_age=key[0], popularity=key[1], update_cost=key[2], config=config
+            ),
+            discount=config.discount,
+            tolerance=1e-9,
         )
-        q_values = value_iteration(
-            mdp, discount=policy.config.discount, tolerance=1e-9
-        ).q_values
-        if len(memo) >= policy.memo_limit:
-            memo.pop(next(iter(memo)))
-        memo[key] = q_values
-        q_tables.append(q_values)
-    return q_tables
+        for key in keys
+    ]
 
 
 def _npz_members(directory):
@@ -492,9 +482,8 @@ def _npz_members(directory):
 
 
 class TestColdPrepare:
-    """A cold prepare solves its misses in one stacked pass, yet leaves the
-    memo exactly as per-key solves would, and never touches the solve
-    cache."""
+    """A prepare solves its keys in one stacked pass, yet builds exactly the
+    tables per-key solves would, and never touches the solve cache."""
 
     def _params(self, seed, seeds=2, rsus=4, contents=8):
         rng = np.random.default_rng(seed)
@@ -505,35 +494,29 @@ class TestColdPrepare:
 
     def _steps(self):
         first = self._params(11)
-        # Half the cells keep their keys (memo hits, some evicted from the
-        # small memo), the other half move to fresh keys.
+        # Half the cells keep their keys, the other half move to fresh keys.
         second = tuple(array.copy() for array in first)
         second[2][:, :2] += 0.25
         return [first, second, first]
 
-    def _run(self, tmp_path, name, monkeypatch, per_key, *, memo_limit=70):
+    def _run(self, tmp_path, name, monkeypatch, per_key):
         directory = tmp_path / name
         cache = configure_solve_cache(directory=str(directory))
         with monkeypatch.context() as patch:
             if per_key:
-                patch.setattr(MDPCachingPolicy, "_content_q_values", _per_key_q_values)
-            policies = [
-                MDPCachingPolicy(CachingMDPConfig(weight=2.0), memo_limit=memo_limit)
-                for _ in range(2)
-            ]
-            decider = BatchedCacheDecider(policies)
+                patch.setattr(caching_mdp, "_solve_content_keys", _per_key_solves)
+            decider = BatchedCacheDecider(
+                [MDPCachingPolicy(CachingMDPConfig(weight=2.0)) for _ in range(2)]
+            )
             tables = []
             for step in self._steps():
                 assert decider.prepare(*step)
                 tables.append((decider._tables, decider._ceilings))
-            # A later process starts with an empty memo: everything re-solves.
             fresh = BatchedCacheDecider([MDPCachingPolicy(CachingMDPConfig(weight=2.0))])
             assert fresh.prepare(*(array[:1] for array in self._steps()[1]))
             tables.append((fresh._tables, fresh._ceilings))
         return {
             "tables": tables,
-            "memo": list(policies[0]._solution_memo.items()),
-            "memo_stats": policies[0].memo_stats,
             "stats": cache.stats.as_dict(),
             "files": _npz_members(directory),
         }
@@ -544,14 +527,6 @@ class TestColdPrepare:
             per_key = self._run(tmp_path, "per-key", monkeypatch, per_key=True)
         finally:
             reset_solve_cache()
-        # Every memo path is exercised: hits, evictions, and stacked solves
-        # of the misses.
-        assert stacked["memo_stats"]["hits"] > 0
-        assert stacked["memo_stats"]["misses"] > stacked["memo_stats"]["limit"]
-        assert stacked["memo_stats"] == per_key["memo_stats"]
-        assert [key for key, _ in stacked["memo"]] == [key for key, _ in per_key["memo"]]
-        for (_, got), (_, want) in zip(stacked["memo"], per_key["memo"]):
-            assert got.tobytes() == want.tobytes()
         # Content-update solves never reach the solve cache.
         assert stacked["stats"]["solicitations"] == stacked["stats"]["stores"] == 0
         assert stacked["files"] == {}
@@ -560,17 +535,6 @@ class TestColdPrepare:
         ):
             np.testing.assert_array_equal(table, want_table)
             np.testing.assert_array_equal(ceilings, want_ceilings)
-
-    def test_memo_smaller_than_one_batch(self, tmp_path, monkeypatch):
-        try:
-            stacked = self._run(tmp_path, "stacked", monkeypatch, False, memo_limit=1)
-            per_key = self._run(tmp_path, "per-key", monkeypatch, True, memo_limit=1)
-        finally:
-            reset_solve_cache()
-        assert stacked["memo_stats"] == per_key["memo_stats"]
-        assert [key for key, _ in stacked["memo"]] == [key for key, _ in per_key["memo"]]
-        assert stacked["stats"]["solicitations"] == 0
-        assert stacked["files"] == {}
 
     def test_without_solve_cache(self, tmp_path, monkeypatch):
         max_ages, popularity, costs = (array[0] for array in self._params(12))
@@ -583,30 +547,20 @@ class TestColdPrepare:
                 with monkeypatch.context() as patch:
                     if per_key:
                         patch.setattr(
-                            MDPCachingPolicy, "_content_q_values", _per_key_q_values
+                            caching_mdp, "_solve_content_keys", _per_key_solves
                         )
                     policy = MDPCachingPolicy(
                         CachingMDPConfig(weight=2.0),
                         mode="factored",
-                        memo_limit=5,
                         use_solve_cache=False,
                     )
                     actions = policy.decide(observation)
-                    runs.append(
-                        (
-                            actions,
-                            policy._advantage_table,
-                            policy._solution_memo,
-                            policy.memo_stats,
-                        )
-                    )
+                    runs.append((actions, policy._advantage_table))
         finally:
             reset_solve_cache()
-        (actions, table, memo, stats), expected = runs
+        (actions, table), expected = runs
         np.testing.assert_array_equal(actions, expected[0])
         np.testing.assert_array_equal(table, expected[1])
-        assert list(memo) == list(expected[2])
-        assert stats == expected[3] == {"hits": 0, "misses": 32, "size": 5, "limit": 5}
         assert cache.stats.solicitations == cache.stats.stores == 0
         assert not (tmp_path / "unused").exists()
 
@@ -646,7 +600,7 @@ class TestSolveCacheBoundary:
         policies = [MDPCachingPolicy(CachingMDPConfig(weight=2.0)) for _ in range(2)]
         decider = BatchedCacheDecider(policies)
         assert decider.prepare(max_ages, popularity, costs)
-        assert policies[0].memo_stats["misses"] > 0
+        assert decider._tables.shape[:3] == max_ages.shape
         stats = global_solve_cache().stats
         assert stats.solicitations == stats.stores == 0
         assert not cache_dir.exists() or not any(cache_dir.iterdir())

@@ -1,11 +1,11 @@
-"""Tests for the content-addressable MDP solve cache and the policy memo.
+"""Tests for the content-addressable MDP solve cache.
 
 Covers the cache itself (keying, FIFO bound, disk round trip, counters), its
-integration into :class:`~repro.core.caching_mdp.MDPCachingPolicy` (memo
-bound, hit/miss counters, identical decisions with and without the cache),
-and the headline property the runtime relies on: a weight sweep performs
-exactly one exact per-RSU solve per distinct MDP, within a process and
-across processes (via the disk layer).
+integration into :class:`~repro.core.caching_mdp.MDPCachingPolicy`
+(identical decisions with and without the cache), and the headline
+property the runtime relies on: a weight sweep performs exactly one exact
+per-RSU solve per distinct MDP, within a process and across processes (via
+the disk layer).
 """
 
 from __future__ import annotations
@@ -119,38 +119,8 @@ class TestSolveCache:
         assert cache.get("bad") is None
 
 
-class TestPolicyMemo:
-    def test_memo_limit_configurable(self):
-        policy = MDPCachingPolicy(memo_limit=7, use_solve_cache=False)
-        assert policy.memo_limit == 7
-        assert policy.memo_stats["limit"] == 7
-
-    def test_counters_track_hits_and_misses(self, isolated_cache):
-        # Factored mode: exact-mode RSUs solve no single-content models.
-        config = ScenarioConfig.small(seed=1, num_slots=15)
-        policy = MDPCachingPolicy(config.build_mdp_config(), mode="factored")
-        CacheSimulator(config, policy).run()
-        stats = policy.memo_stats
-        assert stats["misses"] > 0
-        assert stats["size"] == stats["misses"] <= stats["limit"]
-        # A second run re-ensures the models after reset(): every content
-        # solution now comes from the surviving memo.
-        CacheSimulator(config, policy).run()
-        assert policy.memo_stats["misses"] == stats["misses"]
-        assert policy.memo_stats["hits"] > stats["hits"]
-
-    def test_tiny_memo_still_produces_identical_run(self, isolated_cache):
-        config = ScenarioConfig.fig1a(seed=0).with_overrides(num_slots=30)
-        full = CacheSimulator(
-            config, MDPCachingPolicy(config.build_mdp_config())
-        ).run()
-        tiny = CacheSimulator(
-            config,
-            MDPCachingPolicy(
-                config.build_mdp_config(), memo_limit=1, use_solve_cache=False
-            ),
-        ).run()
-        assert full.summary() == tiny.summary()
+class TestPolicySolveCache:
+    """A cold, a warm and a disabled solve cache give identical trajectories."""
 
     def test_solve_cache_does_not_change_decisions(self, isolated_cache):
         config = ScenarioConfig.fig1a(seed=3).with_overrides(num_slots=40)

@@ -27,7 +27,7 @@ from repro.baselines import standard_caching_baselines, standard_service_baselin
 
 class TestPublicApi:
     def test_version_exposed(self):
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
 
     def test_all_exports_resolvable(self):
         for name in repro.__all__:

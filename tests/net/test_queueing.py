@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle.objects import RequestQueue
-from repro.exceptions import QueueError, ValidationError
+from oracle.objects import QueueError, RequestQueue
+from repro.exceptions import ValidationError
 from repro.net.queueing import BacklogQueue
 from repro.net.requests import Request
 

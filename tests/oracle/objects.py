@@ -18,9 +18,13 @@ from typing import Deque, List, Optional, Sequence
 import numpy as np
 
 from repro.core.aoi import AoIVector
-from repro.exceptions import CacheError, QueueError, ValidationError
+from repro.exceptions import CacheError, ReproError, ValidationError
 from repro.net.content import ContentCatalog
 from repro.net.requests import Request
+
+
+class QueueError(ReproError):
+    """A request-queue operation was invalid (wrong RSU, negative service count)."""
 
 
 class RSUCache:

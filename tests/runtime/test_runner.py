@@ -203,6 +203,41 @@ class TestNamedPolicies:
         with pytest.raises(ConfigurationError, match="caching policy is required"):
             RunSpec(kind="cache", scenario=tiny_scenario, policy="lyapunov")
 
+    @pytest.mark.parametrize(
+        "kind, policy, service_policy, role",
+        [
+            ("cache", "lyapunov", None, "caching"),
+            ("joint", "mdp", "lce", "service"),
+        ],
+    )
+    def test_wrong_role_spec_rejected(
+        self, tiny_scenario, kind, policy, service_policy, role
+    ):
+        # A spec in the wrong role slot would get a cell key and fail only
+        # inside execute_batch, on an attribute the other role lacks.
+        with pytest.raises(ConfigurationError, match=f"{role} policy is required"):
+            RunSpec(
+                kind=kind,
+                scenario=tiny_scenario,
+                policy=PolicySpec.parse(policy),
+                service_policy=(
+                    None if service_policy is None else PolicySpec.parse(service_policy)
+                ),
+            )
+
+    @pytest.mark.parametrize("field", ["num_slots", "service_batch"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_sizes_rejected(self, tiny_scenario, field, value):
+        # As ExperimentSpec does: such a run would get a cell key and fail
+        # only inside execute_batch.
+        with pytest.raises(ValidationError, match=field):
+            RunSpec(
+                kind="service",
+                scenario=tiny_scenario,
+                policy="lyapunov",
+                **{field: value},
+            )
+
 
 class TestRunnerDeterminism:
     def test_serial_and_parallel_batches_identical(self, tiny_scenario):

@@ -175,6 +175,37 @@ class TestStoreKnobs:
         assert runner.last_dispatch_stats["run_store"]["cells_cached"] == NUM_SEEDS
         assert first.matches(second)
 
+    def test_simulate_honours_the_env_opt_in(self, tmp_path, monkeypatch):
+        from repro import simulate
+
+        store_dir = str(tmp_path / "runs")
+        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
+        monkeypatch.setenv("REPRO_RUN_STORE_DIR", store_dir)
+        scenario = ScenarioConfig.small(seed=11, num_slots=20)
+        simulate(scenario, "periodic:period=2", seeds=3)
+        with RunStore(store_dir) as store:
+            assert len(store) == 3
+        # The cells are the ones a sweep of the same runs reads.
+        spec = ExperimentSpec(
+            kind="cache",
+            scenario=scenario,
+            policy="periodic:period=2",
+            seed=11,
+            num_seeds=3,
+        )
+        runner = ExperimentRunner(workers=1)
+        runner.run_grid([spec])
+        assert runner.last_dispatch_stats["run_store"]["cells_cached"] == 3
+
+    def test_simulate_honours_the_kill_switch(self, tmp_path, monkeypatch):
+        from repro import simulate
+
+        monkeypatch.setenv("REPRO_RUN_STORE_DIR", str(tmp_path / "runs"))
+        monkeypatch.setenv("REPRO_RUN_STORE", "0")
+        scenario = ScenarioConfig.small(seed=11, num_slots=20)
+        simulate(scenario, "periodic:period=2", seeds=3)
+        assert not (tmp_path / "runs").exists()
+
     def test_kill_switch_beats_explicit_store(self, grid, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_STORE", "0")
         runner = ExperimentRunner(workers=1)

@@ -318,13 +318,12 @@ class TestBlockRecordingPrimitives:
         trace = RewardTrace()
         trace.record(RewardBreakdown(2.0, 1.0, 1.0))
         assert trace.total_reward == pytest.approx(1.0)
-        # The cumsum is cached internally (returned as a fresh copy)...
+        # Every read returns a fresh array...
         assert trace.cumulative_reward is not trace.cumulative_reward
-        assert "cumulative_reward" in trace._cache
-        # ...and mutating a returned copy never corrupts the trace.
+        # ...and mutating a returned one never corrupts the trace.
         trace.cumulative_reward[:] = -1.0
         np.testing.assert_allclose(trace.cumulative_reward, [1.0])
-        # The next append invalidates every cached reduction.
+        # The next append shows in every reduction.
         trace.record(RewardBreakdown(4.0, 1.0, 1.0))
         assert trace.total_reward == pytest.approx(4.0)
         np.testing.assert_allclose(trace.cumulative_reward, [1.0, 4.0])

@@ -15,7 +15,9 @@ import inspect
 import pytest
 
 import repro
-from repro.policies import list_policies
+from repro.core.caching_mdp import MDPCachingPolicy
+from repro.exceptions import ConfigurationError
+from repro.policies import PolicySpec, get_policy_entry, list_policies
 from repro.workloads import workload_names
 
 # The public import surface, grouped as in repro/__init__.py.
@@ -56,7 +58,6 @@ EXPECTED_ALL = {
     "CacheError",
     "ConfigurationError",
     "ModelError",
-    "QueueError",
     "ReproError",
     "SimulationError",
     "SolverError",
@@ -364,9 +365,6 @@ class TestRemovedIn70:
     """7.0 keeps one execution path: the scalar test oracle and the per-RSU
     object model only it ran leave the package (for ``tests/oracle``)."""
 
-    def test_version(self):
-        assert repro.__version__ == "7.0.0"
-
     @pytest.mark.parametrize(
         "module, names",
         [
@@ -390,3 +388,28 @@ class TestRemovedIn70:
             assert not hasattr(kind.simulator, "_run_reference"), kind.name
         for name in ("reference_caches", "observation"):
             assert not hasattr(repro.sim.system.SystemState, name), name
+
+
+class TestRemovedIn80:
+    """8.0 drops the caches no traffic read back: the factored MDP's
+    per-policy solution memo and its knob and counters, and ``QueueError``,
+    which nothing in the package raises (the test oracle defines its own)."""
+
+    def test_version(self):
+        assert repro.__version__ == "8.0.0"
+
+    def test_policy_memo_is_gone(self):
+        for name in ("memo_limit", "memo_stats", "_content_q_values"):
+            assert not hasattr(MDPCachingPolicy, name), name
+        with pytest.raises(TypeError):
+            MDPCachingPolicy(memo_limit=5)
+        assert "memo_limit" not in get_policy_entry("mdp").defaults
+
+    def test_memo_limit_spec_is_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PolicySpec.parse("mdp:memo_limit=5")
+
+    def test_queue_error_is_gone(self):
+        assert not hasattr(repro, "QueueError")
+        assert "QueueError" not in repro.__all__
+        assert not hasattr(repro.exceptions, "QueueError")

@@ -36,9 +36,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.core.aoi:AoIVector.refresh": (
         "the test oracle's per-RSU cache objects refresh one copy through it"
     ),
-    "repro.exceptions:QueueError": (
-        _PUBLIC + "; the test oracle's request queues raise it"
-    ),
     "repro.net.requests:RequestGenerator.content_population": (
         "public workload method; the test oracle's item-by-item observation reads it"
     ),
@@ -57,9 +54,6 @@ ALLOWLIST: Dict[str, str] = {
     ),
     "repro.serve.client:ServeClient.replay": (
         "public API: the README and examples/live_serving.py stream traces with it"
-    ),
-    "repro.core.caching_mdp:MDPCachingPolicy.memo_stats": (
-        "public API: the README points to it; solve-cache tests read the memo"
     ),
     "repro.core.online:QLearningCachingPolicy": (
         "the online-learning claim (E6 bench) and examples/dynamic_environment.py"
