@@ -24,7 +24,7 @@ through a :class:`~repro.net.controller.NetworkController`.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.net.cache import LruContentCache
@@ -32,22 +32,23 @@ from repro.net.channel import ConstantCostModel, CostModel
 from repro.net.topology import RoadTopology
 from repro.utils.validation import check_positive, check_positive_int
 
-try:  # networkx backs the graph container; gate it so `import repro` works
+if TYPE_CHECKING:  # networkx is imported on first use; see _require_networkx
     import networkx as nx
-except ImportError:  # pragma: no cover - exercised only without networkx
-    nx = None
 
 #: Graph shapes the road topology can be wired into.
 TOPOLOGY_KINDS = ("star", "line", "ring")
 
 
 def _require_networkx():
-    if nx is None:  # pragma: no cover - exercised only without networkx
+    """Import networkx on first use, so ``import repro`` never loads it."""
+    try:
+        import networkx
+    except ImportError:
         raise ConfigurationError(
             "the multihop network core requires networkx; install it to use "
             "topology_kind/multihop scenarios"
-        )
-    return nx
+        ) from None
+    return networkx
 
 
 def build_network_graph(
@@ -76,7 +77,7 @@ def build_network_graph(
     the gateway in the same number of hops either way, and the
     deterministic tie-break sends it across the wrap link.
     """
-    _require_networkx()
+    nx = _require_networkx()
     if kind not in TOPOLOGY_KINDS:
         raise ValidationError(
             f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS}"

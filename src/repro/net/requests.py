@@ -207,11 +207,13 @@ class WorkloadHorizon:
 
     def counts(self) -> np.ndarray:
         """Arrival counts as a dense ``(num_slots, num_rsus)`` matrix."""
+        slots = np.repeat(np.arange(self.num_slots), np.diff(self.slot_ptr))
         matrix = np.zeros((self.num_slots, self.num_rsus), dtype=int)
-        sizes = np.diff(self.batch_ptr)
-        for t in range(self.num_slots):
-            for i in range(int(self.slot_ptr[t]), int(self.slot_ptr[t + 1])):
-                matrix[t, int(self.batch_rsus[i])] += int(sizes[i])
+        np.add.at(
+            matrix.reshape(-1),
+            slots * self.num_rsus + self.batch_rsus,
+            np.diff(self.batch_ptr),
+        )
         return matrix
 
 
@@ -243,6 +245,33 @@ def _choice_cdf(weights: np.ndarray, size: int) -> np.ndarray:
         raise ValueError("probabilities do not sum to 1")
     cdf /= total
     return cdf
+
+
+#: RSU-slots sampled per block by the block sampler; bounds its temporaries.
+_BLOCK_CELLS = 1 << 16
+
+
+def _is_base(method, function) -> bool:
+    """Whether the bound *method* runs *function*, unpatched and not overridden."""
+    return getattr(method, "__func__", None) is function
+
+
+def _arrival_draws(hit: np.ndarray, cells: int) -> np.ndarray:
+    """Block positions of the first *cells* arrival draws of a Bernoulli stream.
+
+    The per-slot core draws one arrival double per ``(slot, RSU)`` cell and,
+    when it hits, one content double right after it.  So position ``p`` of
+    the block is an arrival draw unless ``p - 1`` was an arrival draw that
+    hit: after a miss the next draw is an arrival, and along a run of hits
+    arrival and content draws alternate.  Position ``p`` is therefore an
+    arrival draw exactly when ``p`` lies an odd distance past the last miss
+    before it (``-1`` when there is none).
+    """
+    positions = np.arange(hit.size)
+    last_miss = np.empty(hit.size, dtype=positions.dtype)
+    last_miss[0] = -1
+    np.maximum.accumulate(np.where(hit, -1, positions)[:-1], out=last_miss[1:])
+    return np.flatnonzero((positions - last_miss) & 1)[:cells]
 
 
 class RequestGenerator:
@@ -363,13 +392,15 @@ class RequestGenerator:
         return self._local_popularity[rsu_id]
 
     def _slot_batches(self, time_slot: int) -> List[Tuple[int, np.ndarray]]:
-        """Sample one slot's arrivals: the single RNG-drawing core.
+        """Sample one slot's arrivals: the per-slot RNG-drawing core.
 
-        Every public generation method funnels through here, so all of them
-        perform exactly the same draws in exactly the same order: first the
-        state evolution of :meth:`_advance_to`, then per RSU (in topology
-        order) one arrival-count sample, then one content draw when that
-        RSU has arrivals.
+        Every public generation method funnels through here, except
+        :meth:`generate_horizon` on the block path, which reads the same
+        doubles a block at a time.  So all of them perform exactly the same
+        draws in exactly the same order: first the state evolution of
+        :meth:`_advance_to`, then per RSU (in topology order) one
+        arrival-count sample, then one content draw when that RSU has
+        arrivals.
 
         The content draw is ``Generator.choice(n, size=count, p=weights)``
         spelled out as numpy computes it — inverse-CDF lookups of ``count``
@@ -438,13 +469,24 @@ class RequestGenerator:
         """Precompute *num_slots* slots of arrivals as one packed tensor.
 
         Performs the identical draw sequence as *num_slots* successive
-        :meth:`generate_slot_contents` calls (it is implemented on top of
-        the same sampling core), then packs the batches into flat arrays so
-        the simulator hot loops can replay the workload with pure array
-        slicing — no per-slot calls back into the workload model.
+        :meth:`generate_slot_contents` calls and packs the batches into flat
+        arrays, so the simulator hot loops can replay the workload with pure
+        array slicing — no per-slot calls back into the workload model.
+
+        Bernoulli arrivals on a ``PCG64`` generator, with per-slot hooks
+        that draw nothing and keep the static popularity, take the block
+        sampler (:meth:`_block_horizon`): it reads the same doubles the
+        per-slot core would from a few large draws and leaves the generator
+        in the same state.  Every other model, arrival process or bit
+        generator runs the per-slot core slot by slot.
         """
         if num_slots <= 0:
             raise ValidationError(f"num_slots must be > 0, got {num_slots}")
+        if self._block_drawable():
+            # The hooks draw nothing; running them up front leaves a slot
+            # cursor where the per-slot loop would.
+            self._advance_to(int(num_slots) - 1)
+            return self._block_horizon(int(num_slots))
         batch_rsus: List[int] = []
         batch_sizes: List[int] = [0]
         chunks: List[np.ndarray] = []
@@ -464,6 +506,95 @@ class RequestGenerator:
             content_ids=(
                 np.concatenate(chunks) if chunks else np.zeros(0, dtype=int)
             ),
+            slot_ptr=slot_ptr,
+        )
+
+    def _static_hooks(self) -> bool:
+        """Whether :meth:`_advance_to` draws nothing and :meth:`_weights` is static.
+
+        Compared on the bound methods, so an override on a subclass or a
+        patch on one instance counts as a hook that may draw.
+        """
+        return _is_base(self._advance_to, RequestGenerator._advance_to) and _is_base(
+            self._weights, RequestGenerator._weights
+        )
+
+    def _block_drawable(self) -> bool:
+        """Whether :meth:`generate_horizon` may take the block sampler."""
+        return (
+            type(self._arrivals) is BernoulliArrivals
+            and type(self._rng.bit_generator) is np.random.PCG64
+            and _is_base(self._slot_batches, RequestGenerator._slot_batches)
+            and self._static_hooks()
+        )
+
+    def _block_horizon(self, num_slots: int) -> WorkloadHorizon:
+        """The horizon of the per-slot core, drawn a block of slots at a time.
+
+        For each block: save the ``PCG64`` state, draw two doubles per
+        ``(slot, RSU)`` cell (the most the cells can consume), find the
+        arrival and content draws among them (:func:`_arrival_draws`),
+        then restore the state and ``advance`` it past the doubles the
+        cells consumed.  Each double is one 64-bit step of ``PCG64``, so
+        the generator ends exactly where the per-slot draws leave it.
+        Blocks join exactly because every slot begins with an arrival draw.
+
+        The content draws then run through the per-slot core's cached CDFs
+        with the same ``searchsorted(side="right")``, building a CDF only
+        for RSUs that drew, in the order they first drew.
+        """
+        rsus = self._topology.rsus
+        num_rsus = len(rsus)
+        rate = self._arrivals.rate
+        rng = self._rng
+        bit_generator = rng.bit_generator
+        block_slots = max(1, _BLOCK_CELLS // num_rsus)
+        hit_cells: List[np.ndarray] = []
+        content_draws: List[np.ndarray] = []
+        for start in range(0, num_slots, block_slots):
+            cells = (min(start + block_slots, num_slots) - start) * num_rsus
+            saved = bit_generator.state
+            block = rng.random(2 * cells)
+            hit = block < rate
+            arrivals = _arrival_draws(hit, cells)
+            hits = np.flatnonzero(hit[arrivals])
+            hit_cells.append(hits + start * num_rsus)
+            content_draws.append(block[arrivals[hits] + 1])
+            bit_generator.state = saved
+            bit_generator.advance(int(arrivals[-1]) + 1 + int(hit[arrivals[-1]]))
+            if saved["has_uint32"]:
+                # advance() drops the buffered half-draw; doubles never use it.
+                state = bit_generator.state
+                state["has_uint32"] = saved["has_uint32"]
+                state["uinteger"] = saved["uinteger"]
+                bit_generator.state = state
+        cell_ids = np.concatenate(hit_cells)
+        draws = np.concatenate(content_draws)
+        slots, positions = np.divmod(cell_ids, num_rsus)
+        rsu_ids = np.asarray([rsu.rsu_id for rsu in rsus], dtype=int)
+        content_ids = np.zeros(cell_ids.size, dtype=int)
+        order = np.argsort(positions, kind="stable")
+        bounds = np.searchsorted(positions, np.arange(num_rsus + 1), sorter=order)
+        drew, first = np.unique(positions, return_index=True)
+        cdfs = self._cdfs
+        for j in np.argsort(first):
+            k, rsu_id = drew[j], int(rsu_ids[drew[j]])
+            contents = self._local_content_arrays[rsu_id]
+            weights = self._weights(rsu_id, int(slots[first[j]]))
+            cached = cdfs.get(rsu_id)
+            if cached is None or cached[0] is not weights:
+                cached = cdfs[rsu_id] = (weights, _choice_cdf(weights, contents.size))
+            group = order[bounds[k] : bounds[k + 1]]
+            chosen = cached[1].searchsorted(draws[group], side="right")
+            content_ids[group] = contents[chosen]
+        slot_ptr = np.zeros(num_slots + 1, dtype=int)
+        np.cumsum(np.bincount(slots, minlength=num_slots), out=slot_ptr[1:])
+        return WorkloadHorizon(
+            num_slots=num_slots,
+            num_rsus=self._topology.num_rsus,
+            batch_rsus=rsu_ids[positions],
+            batch_ptr=np.arange(cell_ids.size + 1, dtype=int),
+            content_ids=content_ids,
             slot_ptr=slot_ptr,
         )
 

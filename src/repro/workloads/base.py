@@ -14,15 +14,22 @@ sampling engine — one arrival-count draw per RSU per slot, then one
   packed :class:`~repro.net.requests.WorkloadHorizon`, consumed by the
   vectorised and seed-batched simulator hot loops.
 
-Because all three funnel through the same per-slot sampling core, every
-execution mode of the simulators sees the identical workload bit for bit —
-the invariant pinned by ``tests/workloads/test_cross_mode_equivalence.py``.
+The first two always run the per-slot sampling core, ``_slot_batches(t)``.
+``generate_horizon`` runs it slot by slot too, except on the block path: a
+model whose hooks draw nothing and keep the static popularity
+(``stationary``), with Bernoulli arrivals on a ``PCG64`` generator, samples
+its horizon from a few large blocks of doubles instead.  The block sampler
+reads the very doubles the per-slot core would and leaves the generator in
+the same state, so every execution mode of the simulators sees the
+identical workload bit for bit — the invariant pinned by
+``tests/workloads/test_cross_mode_equivalence.py``.
 
 Non-stationary models override two hooks: ``_advance_to(t)`` evolves the
 popularity state (drawing any evolution variates from the workload RNG) and
 ``_weights(rsu_id, t)`` returns the popularity in effect for one RSU.  Both
-run inside the per-slot core, so the contract above holds by construction
-as long as slots are generated in increasing order — which is how every
+run inside the per-slot core, and overriding either (or ``_evolve``) keeps
+a model off the block path, so the contract above holds by construction as
+long as slots are generated in increasing order — which is how every
 simulator loop consumes them.
 """
 
@@ -35,7 +42,12 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.net.content import ContentCatalog
-from repro.net.requests import ArrivalProcess, RequestGenerator, WorkloadHorizon
+from repro.net.requests import (
+    ArrivalProcess,
+    RequestGenerator,
+    WorkloadHorizon,
+    _is_base,
+)
 from repro.net.topology import RoadTopology
 from repro.utils.rng import RandomSource
 
@@ -132,6 +144,13 @@ class WorkloadModel(RequestGenerator):
 
     def _evolve(self, time_slot: int) -> None:
         """Advance the popularity state into *time_slot*.  Default: static."""
+
+    def _static_hooks(self) -> bool:
+        return (
+            _is_base(self._advance_to, WorkloadModel._advance_to)
+            and _is_base(self._evolve, WorkloadModel._evolve)
+            and _is_base(self._weights, RequestGenerator._weights)
+        )
 
     def _uniform(self) -> Callable[[], float]:
         """A zero-argument ``self._rng.random()`` for per-RSU draws in :meth:`_evolve`.

@@ -9,18 +9,27 @@ the repository *before* ``repro.workloads`` existed.
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.caching_mdp import MDPCachingPolicy
 from repro.core.lyapunov import LyapunovServiceController
+from repro.net import requests as requests_module
 from repro.net.content import ContentCatalog
 from repro.net.requests import BernoulliArrivals, PoissonArrivals, RequestGenerator
 from repro.net.topology import RoadTopology
 from repro.sim.scenario import ScenarioConfig
 from repro.sim import CacheSimulator, JointSimulator, ServiceSimulator
-from repro.workloads import WorkloadSpec, create_workload, workload_names
+from repro.workloads import (
+    WorkloadSpec,
+    create_workload,
+    export_trace,
+    workload_names,
+)
 
 #: Synthetic model specs (with parameters chosen so dynamics actually kick
 #: in within a short horizon) reused across the behavioural tests.
@@ -252,6 +261,187 @@ class TestCachedCdfSampler:
         for rsu_id, contents in generator.generate_slot_contents(1):
             local = generator._local_content_arrays[rsu_id]
             assert np.all(contents == local[1])
+
+
+def _per_slot_horizon(generator, num_slots):
+    """The packed horizon of *num_slots* ``generate_slot_contents`` calls."""
+    slot_ptr, batch_rsus, contents = [0], [], []
+    for t in range(num_slots):
+        batches = generator.generate_slot_contents(t)
+        slot_ptr.append(slot_ptr[-1] + len(batches))
+        batch_rsus.extend(rsu_id for rsu_id, _ in batches)
+        contents.extend(content_ids for _, content_ids in batches)
+    sizes = [0] + [ids.size for ids in contents]
+    return {
+        "batch_rsus": np.asarray(batch_rsus, dtype=int),
+        "batch_ptr": np.cumsum(sizes, dtype=int),
+        "content_ids": np.concatenate(contents) if contents else np.zeros(0, dtype=int),
+        "slot_ptr": np.asarray(slot_ptr, dtype=int),
+    }
+
+
+def assert_horizon_matches_per_slot(horizon, twin, num_slots):
+    """*horizon* equals the per-slot core on *twin*, which ends in the same state."""
+    want = _per_slot_horizon(twin, num_slots)
+    assert (horizon.num_slots, horizon.num_rsus) == (num_slots, twin._topology.num_rsus)
+    for field, expected in want.items():
+        got = getattr(horizon, field)
+        assert got.dtype == expected.dtype, field
+        assert np.array_equal(got, expected), field
+
+
+def _same_state(a, b):
+    """Equality of bit-generator states, some of which hold arrays (MT19937)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def assert_same_generator_state(a, b):
+    assert _same_state(a._rng.bit_generator.state, b._rng.bit_generator.state)
+    assert a._rng.random() == b._rng.random()
+
+
+class TestBlockSampler:
+    """The block-drawn horizon replays the per-slot core, draw for draw."""
+
+    @staticmethod
+    def refuse_block(self, num_slots):
+        raise AssertionError("the block sampler ran")
+
+    @given(
+        num_rsus=st.integers(1, 24),
+        contents_per_rsu=st.integers(1, 5),
+        rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        num_slots=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+        block_cells=st.sampled_from([1, 7, 64, requests_module._BLOCK_CELLS]),
+        buffered_half_draw=st.booleans(),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_per_slot_core(
+        self, num_rsus, contents_per_rsu, rate, num_slots, seed, block_cells,
+        buffered_half_draw,
+    ):
+        topology = RoadTopology(num_rsus * contents_per_rsu, num_rsus)
+        catalog = ContentCatalog.random(topology.num_regions, rng=seed)
+        block, twin = (
+            RequestGenerator(
+                topology, catalog, arrivals=BernoulliArrivals(rate), rng=seed
+            )
+            for _ in range(2)
+        )
+        if buffered_half_draw:
+            # A 32-bit draw leaves half of a 64-bit step buffered in PCG64.
+            for generator in (block, twin):
+                generator._rng.integers(10, dtype=np.int32)
+        assert block._block_drawable()
+        with mock.patch.object(requests_module, "_BLOCK_CELLS", block_cells):
+            horizon = block.generate_horizon(num_slots)
+        assert_horizon_matches_per_slot(horizon, twin, num_slots)
+        assert_same_generator_state(block, twin)
+
+    def test_default_block_size_spans_several_blocks(self):
+        topology = RoadTopology(80, 40)
+        catalog = ContentCatalog.random(80, rng=2)
+        num_slots = 2 * requests_module._BLOCK_CELLS // 40 + 3
+        block, twin = (
+            create_workload(
+                "stationary", topology, catalog, arrivals=BernoulliArrivals(0.5),
+                rng=4,
+            )
+            for _ in range(2)
+        )
+        horizon = block.generate_horizon(num_slots)
+        assert_horizon_matches_per_slot(horizon, twin, num_slots)
+        assert_same_generator_state(block, twin)
+        assert block._cursor == twin._cursor == num_slots
+
+    @pytest.mark.parametrize("spec_text", [None, "stationary"])
+    def test_stationary_horizon_skips_the_per_slot_core(
+        self, spec_text, topology, catalog, monkeypatch
+    ):
+        def refuse(self, time_slot):
+            raise AssertionError("the per-slot core ran")
+
+        monkeypatch.setattr(RequestGenerator, "_slot_batches", refuse)
+        if spec_text is None:
+            generator = RequestGenerator(topology, catalog, rng=3)
+        else:
+            generator = build(spec_text, topology, catalog, rng=3)
+        assert generator.generate_horizon(30).total_requests > 0
+        with pytest.raises(AssertionError, match="per-slot core"):
+            generator.generate_slot_contents(0)
+
+    @pytest.mark.parametrize(
+        "spec_text, arrivals, bit_generator",
+        [
+            ("stationary", PoissonArrivals(1.5), np.random.PCG64),
+            ("drift:period=10,step=0.6", BernoulliArrivals(0.9), np.random.PCG64),
+            ("flash-crowd:burst_prob=0.3,duration=5", BernoulliArrivals(0.9),
+             np.random.PCG64),
+            ("shot-noise:event_rate=0.2,mean_lifetime=8", BernoulliArrivals(0.9),
+             np.random.PCG64),
+            ("stationary", BernoulliArrivals(0.9), np.random.MT19937),
+            ("stationary", BernoulliArrivals(0.9), np.random.Philox),
+        ],
+        ids=["poisson", "drift", "flash-crowd", "shot-noise", "mt19937", "philox"],
+    )
+    def test_fallbacks_match_per_slot_core(
+        self, spec_text, arrivals, bit_generator, topology, catalog, monkeypatch
+    ):
+        fallback, twin = (
+            create_workload(
+                spec_text, topology, catalog, arrivals=arrivals,
+                rng=np.random.Generator(bit_generator(5)),
+            )
+            for _ in range(2)
+        )
+        assert not fallback._block_drawable()
+        monkeypatch.setattr(
+            RequestGenerator, "_block_horizon", TestBlockSampler.refuse_block
+        )
+        horizon = fallback.generate_horizon(50)
+        assert_horizon_matches_per_slot(horizon, twin, 50)
+        assert_same_generator_state(fallback, twin)
+        assert fallback._cursor == twin._cursor == 50
+
+    def test_trace_workload_falls_back(self, tmp_path, topology, catalog, monkeypatch):
+        path = str(tmp_path / "trace.jsonl")
+        export_trace(build("stationary", topology, catalog), 30, path)
+        replay, twin = (
+            create_workload(f"trace:path={path}", topology, catalog)
+            for _ in range(2)
+        )
+        assert not replay._block_drawable()
+        monkeypatch.setattr(
+            RequestGenerator, "_block_horizon", TestBlockSampler.refuse_block
+        )
+        assert_horizon_matches_per_slot(replay.generate_horizon(30), twin, 30)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([np.nan, 1.0], "NaN"),
+            ([1.5, -0.5], "non-negative"),
+            ([0.7, 0.7], "sum to 1"),
+            ([1.0], "same size"),
+        ],
+    )
+    def test_invalid_weights_raise_through_the_block_path(
+        self, topology, catalog, weights, message
+    ):
+        block, twin = (
+            build("stationary", topology, catalog, rate=1.0) for _ in range(2)
+        )
+        bad = np.asarray(weights, dtype=float)
+        for generator in (block, twin):
+            generator._local_popularity[topology.rsus[-1].rsu_id] = bad
+        assert block._block_drawable()
+        with pytest.raises(ValueError, match=message):
+            block.generate_horizon(5)
+        with pytest.raises(ValueError, match=message):
+            twin.generate_slot_contents(0)
 
 
 def _scalar_flash_crowd_evolve(model, time_slot):
